@@ -18,7 +18,7 @@ import numpy as np
 
 from .dictionary import Dictionary, Support, as_support, check_support
 from .errors import InvalidArgs, InvalidSeed, ZeroResidual
-from .projection import _check_vector, project_atoms, residual
+from .projection import _check_vector, _Projector
 
 TIE_REL_TOL = 1e-9      # scores within this relative band of the max count as tied
 RESIDUAL_TOL = 1e-12    # residual norms at or below this count as zero
@@ -38,20 +38,22 @@ def as_variant(value) -> SolverVariant:
         raise InvalidArgs(f"unknown solver variant {value!r} (expected 'omp' or 'ols')") from None
 
 
-def _score_vector(variant: SolverVariant, d: Dictionary, support: Support,
-                  res: np.ndarray) -> np.ndarray:
-    pd = project_atoms(d, support)
-    fam = pd.family(normalize=(variant is SolverVariant.OLS))
-    scores = np.abs(fam.T @ res)
-    scores[pd.vanished] = 0.0  # includes every already-selected atom
-    return scores
-
-
 def _tie_set(scores: np.ndarray) -> np.ndarray:
     top = scores.max()
     if top <= 0.0:
         return np.zeros(0, dtype=int)
     return np.flatnonzero(scores >= top * (1.0 - TIE_REL_TOL))
+
+
+def _select(variant: SolverVariant, proj: _Projector, res) -> tuple[int, np.ndarray, bool]:
+    """(choice, scores, tie) for residual res against the span held by proj;
+    with every score zero the lowest unselected atom is taken, tied with the rest."""
+    scores = proj.correlate(res, normalize=(variant is SolverVariant.OLS))
+    tied = _tie_set(scores)
+    if tied.size:
+        return int(tied[0]), scores, tied.size >= 2
+    remaining = [i for i in range(len(scores)) if i not in proj.support]
+    return remaining[0], scores, len(remaining) > 1
 
 
 def select_atom(variant, d: Dictionary, support, res) -> tuple[int, float, bool]:
@@ -67,15 +69,8 @@ def select_atom(variant, d: Dictionary, support, res) -> tuple[int, float, bool]
     res = _check_vector(d, res)
     if np.linalg.norm(res) <= RESIDUAL_TOL:
         raise ZeroResidual("residual is numerically zero; nothing left to select")
-    scores = _score_vector(variant, d, sup, res)
-    tied = _tie_set(scores)
-    if tied.size == 0:
-        # residual orthogonal to every remaining atom; fall back to the lowest
-        # unselected index so the choice stays deterministic
-        remaining = [i for i in range(d.n) if i not in sup]
-        return remaining[0], 0.0, len(remaining) > 1
-    choice = int(tied[0])
-    return choice, float(scores[choice]), tied.size >= 2
+    choice, scores, tie = _select(variant, _Projector.of(d, sup), res)
+    return choice, float(scores[choice]), tie
 
 
 @dataclass(frozen=True)
@@ -151,41 +146,32 @@ def run(variant, d: Dictionary, y, k: int, seed_support=None) -> GreedyTrace:
     if len(seed) >= k:
         raise InvalidSeed(f"seed has {len(seed)} atoms but only {k} selections were requested")
 
-    selected = list(seed)
-    norms = []
-    for p in range(len(seed) + 1):
-        r = residual(d, Support(tuple(selected[:p])), y)
-        norms.append(float(np.linalg.norm(r)))
+    proj = _Projector(y, (), np.zeros((d.m, 0)), d.atoms)
+    norms = [float(np.linalg.norm(y))]
+    for j in seed:
+        proj = proj.push(j)
+        norms.append(float(np.linalg.norm(proj.vec)))
 
     scores_log = []
     tie_at = None
     early_stop = None
-    while len(selected) < k:
+    while len(proj.support) < k:
         if norms[-1] <= RESIDUAL_TOL:
-            early_stop = len(selected)
+            early_stop = len(proj.support)
             break
-        scores = _score_vector(variant, d, Support(tuple(selected)), r)
-        tied = _tie_set(scores)
-        if tied.size == 0:
-            remaining = [i for i in range(d.n) if i not in selected]
-            choice = remaining[0]
-            if tie_at is None and len(remaining) > 1:
-                tie_at = len(selected)
-        else:
-            choice = int(tied[0])
-            if tie_at is None and tied.size >= 2:
-                tie_at = len(selected)
+        choice, scores, tie = _select(variant, proj, proj.vec)
+        if tie and tie_at is None:
+            tie_at = len(proj.support)
         scores.setflags(write=False)
         scores_log.append(scores)
-        selected.append(choice)
-        r = residual(d, Support(tuple(selected)), y)
-        norms.append(float(np.linalg.norm(r)))
+        proj = proj.push(choice)
+        norms.append(float(np.linalg.norm(proj.vec)))
 
     return GreedyTrace(
         variant=variant,
         requested=k,
         seeded=len(seed),
-        selected=Support(tuple(selected)),
+        selected=Support(proj.support),
         scores=tuple(scores_log),
         residual_norms=tuple(norms),
         tie_at=tie_at,

@@ -16,10 +16,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .dictionary import Dictionary, Support, as_support, check_support
+from .dictionary import RANK_SV_TOL, Dictionary, as_support, check_support
 from .errors import CapExceeded, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import SolverVariant, as_variant
-from .projection import _orthonormal_basis, project_atoms
+from .projection import _Projector, _walk
 
 ENUM_CAP = 10 ** 6
 
@@ -72,18 +72,20 @@ class PripConstants:
                 "upper": self.upper, "kind": self.kind}
 
 
-def _l1_regressions(basis_cols: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """l1 norms of least-squares coefficients of each target column on basis_cols."""
-    coef, _, _, _ = np.linalg.lstsq(basis_cols, targets, rcond=None)
-    return np.abs(coef).sum(axis=0)
-
-
-def _rank_gate(cols: np.ndarray, what: str) -> None:
-    if cols.shape[1] == 0:
-        return
-    sv = np.linalg.svd(cols, compute_uv=False)
-    if cols.shape[1] > cols.shape[0] or sv[-1] <= 1e-8 * sv[0]:
+def _erc(planted: np.ndarray, family: np.ndarray, outside: list, what: str,
+         variant: str | None, partial_support) -> ErcReport:
+    """ErcReport on the largest l1 norm of the least-squares coefficients of the
+    outside atoms of family on the planted columns, whose singular value ratio
+    must lie above RANK_SV_TOL."""
+    coef, _, _, sv = np.linalg.lstsq(planted, family[:, outside], rcond=None)
+    if planted.shape[1] > planted.shape[0] or sv[-1] <= RANK_SV_TOL * sv[0]:
         raise RankDeficient(f"{what} is numerically rank deficient")
+    if not outside:
+        return ErcReport(variant, 0.0, None, True, partial_support)
+    norms = np.abs(coef).sum(axis=0)
+    top = int(np.argmax(norms))
+    return ErcReport(variant, float(norms[top]), outside[top], bool(norms[top] < 1.0),
+                     partial_support)
 
 
 def tropp_erc(d: Dictionary, qstar) -> ErcReport:
@@ -97,17 +99,8 @@ def tropp_erc(d: Dictionary, qstar) -> ErcReport:
     qs = check_support(d, as_support(qstar))
     if len(qs) == 0:
         raise InvalidArgs("planted support must be non-empty")
-    sub = d.atoms[:, qs.array()]
-    _rank_gate(sub, "planted sub-dictionary")
     outside = [i for i in range(d.n) if i not in qs]
-    if not outside:
-        return ErcReport(variant=None, lhs=0.0, binding_atom=None,
-                         satisfied=True, partial_support=None)
-    norms = _l1_regressions(sub, d.atoms[:, outside])
-    top = int(np.argmax(norms))
-    lhs = float(norms[top])
-    return ErcReport(variant=None, lhs=lhs, binding_atom=outside[top],
-                     satisfied=bool(lhs < 1.0), partial_support=None)
+    return _erc(d.atoms[:, qs.array()], d.atoms, outside, "planted sub-dictionary", None, None)
 
 
 def partial_erc(variant, d: Dictionary, q, qstar) -> ErcReport:
@@ -123,20 +116,10 @@ def partial_erc(variant, d: Dictionary, q, qstar) -> ErcReport:
     qq = check_support(d, as_support(q))
     if not set(qq.indices) < set(qs.indices):
         raise InvalidArgs("q must be a proper subset of qstar")
-    pd = project_atoms(d, qq)
-    fam = pd.family(normalize=(variant is SolverVariant.OLS))
-    remaining = [i for i in qs if i not in qq]
-    block = fam[:, remaining]
-    _rank_gate(block, "projected planted family")
+    fam, _ = _Projector.of(d, qq).family(normalize=(variant is SolverVariant.OLS))
     outside = [i for i in range(d.n) if i not in qs]
-    if not outside:
-        return ErcReport(variant=variant.value, lhs=0.0, binding_atom=None,
-                         satisfied=True, partial_support=qq.indices)
-    norms = _l1_regressions(block, fam[:, outside])
-    top = int(np.argmax(norms))
-    lhs = float(norms[top])
-    return ErcReport(variant=variant.value, lhs=lhs, binding_atom=outside[top],
-                     satisfied=bool(lhs < 1.0), partial_support=qq.indices)
+    return _erc(fam[:, [i for i in qs if i not in qq]], fam, outside,
+                "projected planted family", variant.value, qq.indices)
 
 
 def coherence_threshold(k: int, l: int) -> float:
@@ -194,10 +177,9 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     if total > cap:
         raise CapExceeded(f"{total} support/block pairs exceed the cap of {cap}")
     lo, hi = np.inf, -np.inf
-    for sup in combinations(range(d.n), l):
-        pd = project_atoms(d, sup)
-        gp = pd.projected.T @ pd.projected
-        rest = [i for i in range(d.n) if i not in sup]
+    for proj in _walk(_Projector.of(d, ()), l):
+        gp = proj.projected.T @ proj.projected
+        rest = [i for i in range(d.n) if i not in proj.support]
         blocks = np.array(list(combinations(rest, q)))
         grams = gp[blocks[:, :, None], blocks[:, None, :]]
         eig = np.linalg.eigvalsh(grams)
@@ -219,9 +201,8 @@ def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> 
     if math.comb(d.n, l) > cap:
         raise CapExceeded(f"{math.comb(d.n, l)} supports exceed the cap of {cap}")
     best = 0.0
-    for sup in combinations(range(d.n), l):
-        pd = project_atoms(d, sup)
-        fam = pd.family(normalize=(variant is SolverVariant.OLS))
+    for proj in _walk(_Projector.of(d, ()), l):
+        fam, _ = proj.family(normalize=(variant is SolverVariant.OLS))
         g = fam.T @ fam
         np.fill_diagonal(g, 0.0)
         best = max(best, float(np.abs(g).max()))
@@ -276,10 +257,8 @@ def cross_gram_bound_check(d: Dictionary, q, qp, qpp, u, mu_l: float | None = No
     u = np.asarray(u, dtype=float)
     if u.shape != (len(b),):
         raise InvalidArgs(f"u must have length {len(b)}, got shape {u.shape}")
-    pd = project_atoms(d, qs)
-    left = pd.projected[:, a.array()]
-    right = pd.projected[:, b.array()]
-    lhs = float(np.linalg.norm(left.T @ (right @ u)))
+    projected = _Projector.of(d, qs).projected
+    lhs = float(np.linalg.norm(projected[:, a.array()].T @ (projected[:, b.array()] @ u)))
     if mu_l is None:
         mu_l = projected_coherence(SolverVariant.OMP, d, len(qs))
     rhs = float(mu_l * math.sqrt(len(a) * len(b)) * np.linalg.norm(u))

@@ -1,10 +1,11 @@
 """Orthogonal projection kernels: residuals, projected atom families, least squares.
 
-Everything here projects onto (or against) the span of a selected sub-dictionary.
-Solves go through orthogonal factorizations; normal equations are deliberately
-avoided outside of test oracles.  Projections are recomputed from scratch on
-every call, which keeps the code simple and is plenty fast at the problem sizes
-this package targets.
+Everything here projects against the span of the selected atoms, which a
+private projector grows one atom per push: a Gram-Schmidt step with one
+re-orthogonalization pass ("twice is enough"; Giraud, Langou, Rozloznik 2005)
+and a rank-1 update of every projected atom, O(mn); a fresh support takes one
+block update instead.  An atom whose projection has norm <= RANK_SV_TOL, its
+distance to the span of the atoms before it, is numerically dependent.
 """
 
 from dataclasses import dataclass
@@ -17,19 +18,79 @@ from .errors import InvalidArgs, RankDeficient
 VANISH_TOL = 1e-10  # projected atoms with norm at or below this are treated as gone
 
 
-def _orthonormal_basis(d: Dictionary, support: Support) -> np.ndarray:
-    """Orthonormal basis of span(selected atoms), with a full-rank check."""
-    if len(support) == 0:
-        return np.zeros((d.m, 0))
-    if len(support) > d.m:
-        raise RankDeficient(f"{len(support)} atoms cannot be independent in dimension {d.m}")
-    sub = d.atoms[:, support.array()]
-    sv = np.linalg.svd(sub, compute_uv=False)
-    if sv[-1] <= RANK_SV_TOL * sv[0]:
-        raise RankDeficient(
-            f"atoms {support.indices} are numerically dependent (sv ratio {sv[-1] / sv[0]:.3g})")
-    q, _ = np.linalg.qr(sub)
-    return q
+def _direction(basis, v, atoms) -> np.ndarray:
+    """Unit vector that atoms[-1] adds to span(basis), from v, that atom already projected
+    against basis, after one re-orthogonalization; RankDeficient if |v| <= RANK_SV_TOL."""
+    dist = float(np.sqrt(v @ v))
+    if dist <= RANK_SV_TOL:
+        raise RankDeficient(f"atoms {atoms} are numerically dependent "
+                            f"(atom {atoms[-1]} lies {dist:.3g} from the span of the others)")
+    q = v / dist
+    q -= basis @ (basis.T @ q)
+    return q / np.sqrt(q @ q)
+
+
+def _span(d: Dictionary, atoms) -> np.ndarray:
+    """Orthonormal basis of the span of the atoms, one projection and _direction each."""
+    if len(atoms) > d.m:
+        raise RankDeficient(f"{len(atoms)} atoms cannot be independent in dimension {d.m}")
+    basis = np.zeros((d.m, 0))
+    for pos, j in enumerate(atoms):
+        a = d.atoms[:, j]
+        q = _direction(basis, a - basis @ (basis.T @ a), tuple(atoms)[:pos + 1])
+        basis = np.column_stack((basis, q))
+    return basis
+
+
+class _Projector:
+    """The span of the pushed atoms: an orthonormal basis of it, every atom projected
+    against it (pushed atoms exactly zero) and optionally a vector vec likewise."""
+
+    def __init__(self, vec, support: tuple, basis, projected):
+        self.vec, self.support, self.basis, self.projected = vec, support, basis, projected
+
+    @classmethod
+    def of(cls, d: Dictionary, support) -> "_Projector":
+        """The state after pushing the support, built with one block update."""
+        basis = _span(d, support)
+        projected = d.atoms - basis @ (basis.T @ d.atoms)
+        projected[:, list(support)] = 0.0
+        return cls(None, tuple(support), basis, projected)
+
+    def push(self, j: int) -> "_Projector":
+        """A new state whose span also holds atom j: rank-1 updates, O(mn)."""
+        q = _direction(self.basis, self.projected[:, j], self.support + (j,))
+        projected = q[:, None] * -(q @ self.projected)
+        projected += self.projected
+        projected[:, j] = 0.0
+        vec = None if self.vec is None else self.vec - q * (q @ self.vec)
+        return _Projector(vec, self.support + (j,), np.column_stack((self.basis, q)), projected)
+
+    def _norms(self) -> tuple[np.ndarray, np.ndarray]:
+        norms = np.sqrt(np.einsum("ij,ij->j", self.projected, self.projected))
+        return norms, norms <= VANISH_TOL
+
+    def family(self, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(raw or unit-norm projected atoms, vanished mask); vanished unit-norm atoms are zero."""
+        norms, vanished = self._norms()
+        if not normalize:
+            return self.projected, vanished
+        return self.projected / np.where(vanished, np.inf, norms), vanished
+
+    def correlate(self, vec: np.ndarray, normalize: bool) -> np.ndarray:
+        """|<family_i, vec>| for every atom i, zero at pushed and vanished atoms."""
+        norms, vanished = self._norms()
+        return np.abs(vec @ self.projected) / np.where(vanished, np.inf,
+                                                       norms if normalize else 1.0)
+
+
+def _walk(proj: _Projector, l: int, start: int = 0):
+    """proj plus each l-subset of atoms >= start, in combinations() order, holding l + 1 states."""
+    if l == 0:
+        yield proj
+        return
+    for j in range(start, proj.projected.shape[1] - l + 1):
+        yield from _walk(proj.push(j), l - 1, j + 1)
 
 
 def _check_vector(d: Dictionary, y) -> np.ndarray:
@@ -49,10 +110,8 @@ def residual(d: Dictionary, support, y) -> np.ndarray:
     """
     sup = check_support(d, as_support(support))
     y = _check_vector(d, y)
-    if len(sup) == 0:
-        return y.copy()
-    q = _orthonormal_basis(d, sup)
-    return y - q @ (q.T @ y)
+    basis = _span(d, sup)
+    return y - basis @ (basis.T @ y)
 
 
 def least_squares(d: Dictionary, support, y) -> np.ndarray:
@@ -63,9 +122,7 @@ def least_squares(d: Dictionary, support, y) -> np.ndarray:
     """
     sup = check_support(d, as_support(support))
     y = _check_vector(d, y)
-    if len(sup) == 0:
-        return np.zeros(0)
-    _orthonormal_basis(d, sup)  # rank gate
+    _span(d, sup)  # rank gate
     sub = d.atoms[:, sup.array()]
     coef, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
     return coef
@@ -99,16 +156,9 @@ def project_atoms(d: Dictionary, support) -> ProjectedDictionary:
     would be ill-defined).
     """
     sup = check_support(d, as_support(support))
-    q = _orthonormal_basis(d, sup)
-    proj = d.atoms - q @ (q.T @ d.atoms)
-    if len(sup):
-        proj[:, sup.array()] = 0.0
-    norms = np.linalg.norm(proj, axis=0)
-    vanished = norms <= VANISH_TOL
-    safe = np.where(vanished, 1.0, norms)
-    normalized = np.where(vanished, 0.0, proj / safe)
-    proj.setflags(write=False)
-    normalized.setflags(write=False)
-    vanished.setflags(write=False)
-    return ProjectedDictionary(source=d, support=sup, projected=proj,
+    proj = _Projector.of(d, sup)
+    normalized, vanished = proj.family(normalize=True)
+    for arr in (proj.projected, normalized, vanished):
+        arr.setflags(write=False)
+    return ProjectedDictionary(source=d, support=sup, projected=proj.projected,
                                normalized=normalized, vanished=vanished)

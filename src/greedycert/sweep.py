@@ -6,6 +6,7 @@ same report whether it ran serially or on a thread pool.
 """
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,9 +58,11 @@ class SweepConfig:
                 raise InvalidArgs(f"{name} must be an inclusive (lo, hi) pair, got {rng}")
         if not self.cells():
             raise InvalidArgs("no cell satisfies l < k <= min(m, n)")
-        if isinstance(self.coherence_target, str) and self.coherence_target != THRESHOLD_SENTINEL:
-            raise InvalidArgs(
-                f"coherence_target must be null, a number or \"{THRESHOLD_SENTINEL}\"")
+        target = self.coherence_target
+        if not (target is None or target == THRESHOLD_SENTINEL
+                or isinstance(target, (int, float)) and np.isfinite(target) and target >= 0):
+            raise InvalidArgs(f"coherence_target must be null, a number >= 0 or "
+                              f"\"{THRESHOLD_SENTINEL}\", got {target!r}")
         if self.seed < 0:
             raise InvalidArgs("seed must be non-negative")
 
@@ -204,16 +207,16 @@ def _trial(config: SweepConfig, k: int, l: int, t: int):
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     """Execute the sweep and aggregate per-cell counts.
 
-    jobs > 1 runs trials on a thread pool; the per-trial seeding makes the
-    report identical either way.  Cells whose coherence target is unreachable
-    for the configured shape are marked skipped rather than failed.
+    jobs > 1 runs trials on min(jobs, cores, trials) threads; the per-trial
+    seeding makes the report identical either way.  Cells whose coherence target
+    is unreachable for the configured shape are marked skipped rather than failed.
     """
     if jobs < 1:
         raise InvalidArgs(f"jobs must be >= 1, got {jobs}")
     variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
     work = [(k, l, t) for (k, l) in config.cells() for t in range(config.trials)]
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1, len(work))) as pool:
             raw = list(pool.map(lambda a: _trial(config, *a), work))
     else:
         raw = [_trial(config, *a) for a in work]

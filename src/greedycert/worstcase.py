@@ -18,8 +18,8 @@ import numpy as np
 from .dictionary import (Dictionary, Support, as_support, build_worst_case,
                          check_support, coherence)
 from .errors import CalibrationFailed, InvalidArgs
-from .greedy import TIE_REL_TOL, GreedyTrace, SolverVariant, as_variant, run
-from .projection import project_atoms, residual
+from .greedy import TIE_REL_TOL, GreedyTrace, SolverVariant, _select, as_variant, run
+from .projection import _Projector, residual
 
 HALVING_STEPS = 80
 MARGIN_FACTOR = 10.0  # selection margins must exceed this multiple of the tie tolerance
@@ -79,6 +79,16 @@ def _prefix_margins_ok(trace: GreedyTrace, prefix) -> bool:
     return True
 
 
+def _calibrate(variant, d: Dictionary, base, direction, prefix, what: str) -> float:
+    """First of the scales 1, 1/2, 1/4, ... at which base + scale * direction reproduces prefix."""
+    eps = 1.0
+    for _ in range(HALVING_STEPS):
+        if _prefix_margins_ok(run(variant, d, base + eps * direction, len(prefix)), prefix):
+            return eps
+        eps *= 0.5
+    raise CalibrationFailed(f"could not calibrate {what} after {HALVING_STEPS} halvings")
+
+
 def reach_input(d: Dictionary, q, variant) -> tuple[np.ndarray, tuple[float, ...]]:
     """Input that walks the solver through the atoms of q, in order.
 
@@ -101,19 +111,8 @@ def reach_input(d: Dictionary, q, variant) -> tuple[np.ndarray, tuple[float, ...
     y = d.atoms[:, order[0]].copy()
     factors = []
     for p in range(1, len(order)):
-        eps = 1.0
-        accepted = False
-        for _ in range(HALVING_STEPS):
-            candidate = y + eps * d.atoms[:, order[p]]
-            trace = run(variant, d, candidate, p + 1)
-            if _prefix_margins_ok(trace, order[: p + 1]):
-                accepted = True
-                break
-            eps *= 0.5
-        if not accepted:
-            raise CalibrationFailed(
-                f"could not calibrate the scale for prefix atom {order[p]} "
-                f"after {HALVING_STEPS} halvings")
+        eps = _calibrate(variant, d, y, d.atoms[:, order[p]], order[: p + 1],
+                         f"the scale for prefix atom {order[p]}")
         y = y + eps * d.atoms[:, order[p]]
         factors.append(eps)
     return y, tuple(factors)
@@ -135,8 +134,7 @@ def dual_representation(d: Dictionary, q, variant) -> tuple[np.ndarray, Support,
         raise InvalidArgs(f"complement of q has odd size {len(rest)}; cannot split in half")
     half = len(rest) // 2
     q1, q2 = Support(tuple(rest[:half])), Support(tuple(rest[half:]))
-    pd = project_atoms(d, sup)
-    fam = pd.family(normalize=(variant is SolverVariant.OLS))
+    fam, _ = _Projector.of(d, sup).family(normalize=(variant is SolverVariant.OLS))
     y2 = fam[:, q1.array()].sum(axis=1)
     return y2, q1, q2
 
@@ -207,13 +205,7 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
     y1, prefix_eps = reach_input(d, prefix, variant)
     y2, q1, q2 = dual_representation(d, prefix, variant)
 
-    pd = project_atoms(d, prefix)
-    fam = pd.family(normalize=(variant is SolverVariant.OLS))
-    scores = np.abs(fam.T @ y2)
-    scores[pd.vanished] = 0.0
-    top = scores.max()
-    tied = np.flatnonzero(scores >= top * (1.0 - TIE_REL_TOL))
-    j = int(tied[0])
+    j, _, _ = _select(variant, _Projector.of(d, prefix), y2)
     if j in q1:
         truth = Support(tuple(prefix.indices) + tuple(q2.indices))
     else:
@@ -223,18 +215,7 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
         eps = 1.0
         y = y2.copy()
     else:
-        eps = 1.0
-        accepted = False
-        for _ in range(HALVING_STEPS):
-            candidate = y1 + eps * y2
-            trace = run(variant, d, candidate, l)
-            if _prefix_margins_ok(trace, prefix.indices):
-                accepted = True
-                break
-            eps *= 0.5
-        if not accepted:
-            raise CalibrationFailed(
-                f"could not calibrate the mixing scale after {HALVING_STEPS} halvings")
+        eps = _calibrate(variant, d, y1, y2, prefix.indices, "the mixing scale")
         y = y1 + eps * y2
 
     gap = float(np.linalg.norm(residual(d, truth, y)))

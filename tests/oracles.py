@@ -1,13 +1,17 @@
 """Independent oracles the tests check the library against.
 
-These deliberately take different numerical routes than the package (pinv and
-normal equations instead of QR, per-subset python loops instead of batched
-enumeration) so that agreement actually means something.
+These deliberately take different numerical routes than the package (pinv,
+normal equations and from-scratch SVD + QR instead of incremental Gram-Schmidt,
+per-subset python loops instead of batched enumeration) so that agreement
+actually means something.
 """
 
 import itertools
 
 import numpy as np
+
+from greedycert import GreedyTrace, RankDeficient, SolverVariant, Support
+from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL
 
 
 def projector(cols: np.ndarray) -> np.ndarray:
@@ -117,3 +121,89 @@ def construction_projected_pair(k: int, l: int, r: int) -> tuple[float, float]:
     mu = construction_mu(k, l)
     v = r / (1.0 + mu - r * mu)
     return -mu - mu * mu * v, 1.0 - mu * mu * v
+
+
+# the from-scratch projection path: an SVD rank gate plus a QR for every
+# support, rebuilt on each call; the package's incremental projector is
+# checked against it
+
+def orthonormal_basis(a: np.ndarray, support) -> np.ndarray:
+    """Orthonormal basis of span(a[:, support]), with a full-rank check."""
+    sup = list(support)
+    if not sup:
+        return np.zeros((a.shape[0], 0))
+    if len(sup) > a.shape[0]:
+        raise RankDeficient(f"{len(sup)} atoms cannot be independent in dimension {a.shape[0]}")
+    sub = a[:, sup]
+    sv = np.linalg.svd(sub, compute_uv=False)
+    if sv[-1] <= 1e-8 * sv[0]:
+        raise RankDeficient(f"atoms {sup} are numerically dependent")
+    q, _ = np.linalg.qr(sub)
+    return q
+
+
+def projected_family(a: np.ndarray, support, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(raw or unit-norm atoms projected against the support span, vanished mask)."""
+    q = orthonormal_basis(a, support)
+    proj = a - q @ (q.T @ a)
+    proj[:, list(support)] = 0.0
+    norms = np.linalg.norm(proj, axis=0)
+    vanished = norms <= 1e-10
+    if normalize:
+        proj = np.where(vanished, 0.0, proj / np.where(vanished, 1.0, norms))
+    return proj, vanished
+
+
+def residual_scratch(a: np.ndarray, support, y: np.ndarray) -> np.ndarray:
+    q = orthonormal_basis(a, support)
+    return y - q @ (q.T @ y)
+
+
+def pursuit_scratch(variant: str, a: np.ndarray, y: np.ndarray, k: int, seed=()) -> GreedyTrace:
+    """The pursuit loop with every residual and projected family rebuilt from scratch."""
+    selected = list(seed)
+    norms = [float(np.linalg.norm(residual_scratch(a, selected[:p], y)))
+             for p in range(len(selected) + 1)]
+    scores_log, tie_at, early_stop = [], None, None
+    while len(selected) < k:
+        if norms[-1] <= RESIDUAL_TOL:
+            early_stop = len(selected)
+            break
+        fam, vanished = projected_family(a, selected, normalize=(variant == "ols"))
+        scores = np.abs(fam.T @ residual_scratch(a, selected, y))
+        scores[vanished] = 0.0
+        top = scores.max()
+        if top > 0.0:
+            tied = list(np.flatnonzero(scores >= top * (1.0 - TIE_REL_TOL)))
+        else:
+            tied = [i for i in range(a.shape[1]) if i not in selected]
+        if len(tied) >= 2 and tie_at is None:
+            tie_at = len(selected)
+        scores_log.append(scores)
+        selected.append(int(tied[0]))
+        norms.append(float(np.linalg.norm(residual_scratch(a, selected, y))))
+    return GreedyTrace(variant=SolverVariant(variant), requested=k, seeded=len(seed),
+                       selected=Support(tuple(selected)), scores=tuple(scores_log),
+                       residual_norms=tuple(norms), tie_at=tie_at, early_stop=early_stop)
+
+
+def projected_coherence_scratch(a: np.ndarray, normalize: bool, l: int) -> float:
+    best = 0.0
+    for sup in itertools.combinations(range(a.shape[1]), l):
+        fam, _ = projected_family(a, sup, normalize)
+        g = fam.T @ fam
+        np.fill_diagonal(g, 0.0)
+        best = max(best, float(np.abs(g).max()))
+    return best
+
+
+def prip_scratch(a: np.ndarray, q: int, l: int) -> tuple[float, float]:
+    """(lower, upper) projected isometry constants, one from-scratch projection per support."""
+    lo, hi = np.inf, -np.inf
+    for sup in itertools.combinations(range(a.shape[1]), l):
+        fam, _ = projected_family(a, sup, normalize=False)
+        rest = [i for i in range(a.shape[1]) if i not in sup]
+        for cols in itertools.combinations(rest, q):
+            eigs = np.linalg.eigvalsh(fam[:, cols].T @ fam[:, cols])
+            lo, hi = min(lo, float(eigs[0])), max(hi, float(eigs[-1]))
+    return 1.0 - lo, hi - 1.0

@@ -178,6 +178,10 @@ def test_sweep_bad_config_exits_1(tmp_path, capsys):
     assert main(["sweep", "--config", str(p)]) == 1
     p.write_text(json.dumps({"m": 8}))
     assert main(["sweep", "--config", str(p)]) == 1
+    p.write_text(json.dumps({"m": 8, "n": 8, "k_range": [2, 2], "l_range": [0, 0],
+                             "trials": 1, "coherence_target": -0.5}))
+    assert main(["sweep", "--config", str(p)]) == 1
+    assert "coherence_target" in capsys.readouterr().err
 
 
 def test_prip_command(wc_dict, capsys):

@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from greedycert import InvalidArgs, SweepConfig, coherence_threshold, run_sweep
+from greedycert import InvalidArgs, SweepConfig, coherence_threshold, run_sweep, sweep
 
 
 def small_config(**overrides):
@@ -32,6 +33,10 @@ def test_config_validation():
         small_config(variant="both!" )
     with pytest.raises(InvalidArgs):
         small_config(coherence_target="thresh")
+    for bad in (-0.5, float("nan"), float("inf"), [0.2]):
+        with pytest.raises(InvalidArgs):
+            small_config(coherence_target=bad)
+    assert small_config(coherence_target=0).coherence_target == 0
     with pytest.raises(InvalidArgs):
         small_config(seed=-1)
     with pytest.raises(InvalidArgs):
@@ -112,3 +117,29 @@ def test_report_json_carries_config():
 def test_invalid_jobs():
     with pytest.raises(InvalidArgs):
         run_sweep(small_config(), jobs=0)
+
+
+def test_pool_is_bounded_by_cores_and_trials(monkeypatch):
+    sizes = []
+
+    class RecordingPool:  # runs the trials inline and starts no thread
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", RecordingPool)
+    cfg = small_config(trials=2)
+    report = run_sweep(cfg, jobs=10 ** 6)
+    assert sizes == [min(os.cpu_count() or 1, 2 * len(cfg.cells()))]
+    assert report.to_csv() == run_sweep(cfg).to_csv()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_sweep(cfg, jobs=10 ** 6)
+    assert sizes[-1] == 1
