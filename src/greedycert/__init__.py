@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .dictionary import (Dictionary, SparseInstance, Support, as_support, build_worst_case,
                          check_support, coherence, gram, load_dictionary, load_vector,
-                         make_instance, random_dictionary, save_dictionary, save_vector,
-                         spark, welch_bound)
+                         make_instance, random_dictionaries, random_dictionary, save_dictionary,
+                         save_vector, spark, welch_bound)
 from .errors import (CalibrationFailed, CapExceeded, GreedyCertError, InvalidArgs, InvalidSeed,
                      OutOfDomain, RankDeficient, TargetUnreachable, ZeroResidual)
 from .greedy import GreedyTrace, RecoveryOutcome, SolverVariant, classify, run, select_atom
@@ -29,8 +29,8 @@ __all__ = [
     "__version__",
     "Dictionary", "SparseInstance", "Support", "as_support", "build_worst_case",
     "check_support", "coherence", "gram", "load_dictionary", "load_vector",
-    "make_instance", "random_dictionary", "save_dictionary", "save_vector",
-    "spark", "welch_bound",
+    "make_instance", "random_dictionaries", "random_dictionary", "save_dictionary",
+    "save_vector", "spark", "welch_bound",
     "CalibrationFailed", "CapExceeded", "GreedyCertError", "InvalidArgs", "InvalidSeed",
     "OutOfDomain", "RankDeficient", "TargetUnreachable", "ZeroResidual",
     "GreedyTrace", "RecoveryOutcome", "SolverVariant", "classify", "run", "select_atom",

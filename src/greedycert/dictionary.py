@@ -4,10 +4,12 @@ A dictionary is an m x n real matrix whose columns (atoms) have unit Euclidean
 norm.  This module owns the plain-text CSV format used by the CLI (one matrix
 row per line) and the two generators used throughout: a symmetric construction
 that sits exactly at the coherence threshold for greedy recovery, and a seeded
-random generator with an optional coherence target.
+random generator with an optional coherence target, which makes the
+dictionaries of many seeds in one batch (`random_dictionaries`).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -21,6 +23,8 @@ RANK_SV_TOL = 1e-8  # singular values below this fraction of the largest count a
 SPARK_CAP = 20
 BISECT_STEPS = 60
 SHRINK_STEPS = 1500
+SHRINK_STALL = 50  # shrinkage steps in a row without a new lowest coherence before it gives up
+BATCH_ELEMENTS = 1 << 16  # matrix entries per stack in one batch of random_dictionaries
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -143,9 +147,7 @@ def gram(d: Dictionary) -> np.ndarray:
 
 def coherence(d: Dictionary) -> float:
     """Largest absolute inner product between two distinct atoms."""
-    g = gram(d)
-    off = np.abs(g - np.diag(np.diag(g)))
-    return float(off.max())
+    return float(_off_diagonal_max(gram(d)))
 
 
 def spark(d: Dictionary, cap: int = SPARK_CAP) -> int:
@@ -213,10 +215,25 @@ def build_worst_case(k: int, l: int) -> Dictionary:
 
 
 def _unit_columns(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=0)
-    if np.any(norms < 1e-12):
+    """Scale every column of a matrix, or of each matrix in a stack, to unit norm."""
+    # the sums of np.linalg.norm, without its dispatch cost
+    norms = np.sqrt(np.add.reduce(mat * mat, axis=-2, keepdims=True))
+    if (norms < 1e-12).any():
         raise InvalidArgs("cannot normalize a zero column")
     return mat / norms
+
+
+def _grams(mats: np.ndarray) -> np.ndarray:
+    return mats.swapaxes(-1, -2) @ mats
+
+
+def _off_diagonal_max(g: np.ndarray) -> np.ndarray:
+    """Largest absolute off-diagonal entry of a Gram matrix, or of each one in
+    a stack (..., n, n)."""
+    n = g.shape[-1]
+    off = np.abs(g).reshape(g.shape[:-2] + (n * n,))
+    off[..., ::n + 1] = 0.0
+    return off.max(axis=-1)
 
 
 def _haar_frame(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -232,20 +249,28 @@ def _haar_frame(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return _unit_columns(q[:m, :])
 
 
-def _shrink_gram(start: np.ndarray, target: float, max_iter: int) -> np.ndarray | None:
+def _shrink_gram(start: np.ndarray, target: float) -> np.ndarray | None:
     """Iteratively clip off-diagonal Gram entries and re-factor to rank m.
 
-    Returns a unit-norm matrix with coherence <= target, or None if the
-    iteration stalls.  Deterministic for a fixed starting point.
+    Returns a unit-norm matrix with coherence <= target, or None once
+    SHRINK_STALL steps in a row bring no new lowest coherence, or after
+    SHRINK_STEPS steps.  Deterministic for a fixed starting point.
     """
     d = start.copy()
     m, n = d.shape
     gamma = 0.95 * target
-    for _ in range(max_iter):
+    best, stalled = np.inf, 0
+    for _ in range(SHRINK_STEPS):
         g = d.T @ d
-        mu = np.abs(g - np.diag(np.diag(g))).max()
+        mu = _off_diagonal_max(g)
         if mu <= target:
             return d
+        if mu < best:
+            best, stalled = mu, 0
+        else:
+            stalled += 1
+            if stalled == SHRINK_STALL:
+                return None
         clipped = np.clip(g, -gamma, gamma)
         np.fill_diagonal(clipped, 1.0)
         w, vecs = np.linalg.eigh(clipped)
@@ -269,6 +294,106 @@ def welch_bound(m: int, n: int) -> float:
     return math.sqrt((n - m) / (m * (n - 1.0)))
 
 
+def _blend(frames: np.ndarray, noise: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Unit-norm blends (1 - t) * frame + t * noise of a stack of trials, each
+    with its own noise weight t."""
+    t = t[:, None, None]
+    return _unit_columns((1.0 - t) * frames + t * noise)
+
+
+def _bisect_blend(frames: np.ndarray, noise: np.ndarray, target: float) -> np.ndarray:
+    """Blends with the largest noise weight that keeps the coherence within
+    the target, bisected in lockstep over a stack of trials, each with its own
+    bracket.  Once every midpoint has rounded onto an end of its bracket, no
+    later step can move a bracket, so the loop stops there.  Brackets start
+    at [0, 1] and halve exactly while their ends fit in a float's 53-bit
+    significand, so no midpoint can round onto an end before step 53 and the
+    check starts there."""
+    lo, hi = np.zeros(len(frames)), np.ones(len(frames))
+    for step in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if step >= 53 and ((mid == lo) | (mid == hi)).all():
+            break
+        ok = _off_diagonal_max(_grams(_blend(frames, noise, mid))) <= target
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return _blend(frames, noise, lo)
+
+
+def _generate(m: int, n: int, target: float, seeds: list) -> list:
+    """One batch of random_dictionaries: the atoms of each trial, or None.
+
+    Every trial takes the first path whose check it passes: pure noise, then
+    the bisected blend when the frame itself is within the target, then (for
+    n > m) Gram shrinkage from the blend at noise weight 0.1, one trial at a
+    time."""
+    noise, frames = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        noise.append(rng.normal(size=(m, n)))
+        frames.append(_haar_frame(rng, m, n))
+    noise, frames = np.stack(noise), np.stack(frames)
+    pure = _blend(frames, noise, np.ones(len(seeds)))
+    noisy = _off_diagonal_max(_grams(pure)) <= target
+    framed = ~noisy & (_off_diagonal_max(_grams(frames)) <= target)
+    out = [atoms if ok else None for atoms, ok in zip(pure, noisy)]
+    picks = np.flatnonzero(framed)
+    if picks.size:
+        for i, atoms in zip(picks, _bisect_blend(frames[picks], noise[picks], target)):
+            out[i] = atoms
+    if n > m:
+        rest = np.flatnonzero(~noisy & ~framed)
+        starts = _blend(frames[rest], noise[rest], np.full(rest.size, 0.1))
+        for i, start in zip(rest, starts):
+            out[i] = _shrink_gram(start, target)
+    return out
+
+
+def random_dictionaries(m: int, n: int, coherence_target: float | None,
+                        seeds) -> list[Dictionary | None]:
+    """Seeded random dictionaries of one shape and coherence target, one per seed.
+
+    Trial i is exactly `random_dictionary(m, n, coherence_target, seeds[i])`,
+    byte for byte, with None where that call raises TargetUnreachable for
+    its draw.  The trials are generated together: each step of the blend
+    bisection is one stacked evaluation over every trial that needs it.
+    Batches hold at most BATCH_ELEMENTS matrix entries per stack, so the
+    working memory does not grow with the number of seeds.
+
+    Raises
+    ------
+    InvalidArgs
+        For a bad shape, or a target that is not a non-negative number.
+    TargetUnreachable
+        If the target is below the analytic lower bound for (m, n), which no
+        draw can reach.
+    """
+    if m < 1 or n < 2:
+        raise InvalidArgs(f"need m >= 1 and n >= 2, got m={m}, n={n}")
+    if coherence_target is None:
+        out = []
+        for seed in seeds:
+            # noise stays referenced until its Dictionary copy exists, as in
+            # the per-trial generator: freeing it first changed glibc malloc's
+            # state so that later 256x512 pursuits in the same process
+            # page-faulted afresh (~7,800 faults per pursuit benchmark round)
+            noise = np.random.default_rng(seed).normal(size=(m, n))
+            out.append(Dictionary(_unit_columns(noise)))
+        return out
+    if not isinstance(coherence_target, numbers.Real) or not coherence_target >= 0:
+        raise InvalidArgs(f"coherence_target must be a non-negative number, got {coherence_target!r}")
+    target = float(coherence_target)
+    if target < welch_bound(m, n):
+        raise TargetUnreachable(
+            f"target {target:g} is below the {welch_bound(m, n):.6g} lower bound for shape {m}x{n}")
+    seeds = list(seeds)
+    per_batch = max(1, BATCH_ELEMENTS // (n * max(m, n)))
+    out = []
+    for start in range(0, len(seeds), per_batch):
+        out += [None if atoms is None else Dictionary(atoms)
+                for atoms in _generate(m, n, target, seeds[start:start + per_batch])]
+    return out
+
+
 def random_dictionary(m: int, n: int, coherence_target: float | None = None,
                       seed=0) -> Dictionary:
     """Seeded random dictionary, optionally with a coherence ceiling.
@@ -277,7 +402,8 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
     target, an orthogonal frame is blended with i.i.d. noise and the blend
     weight is bisected until the coherence drops below the target; for n > m,
     where no frame in the blend family is incoherent enough for tight targets,
-    a deterministic Gram-shrinkage refinement takes over.
+    a deterministic Gram-shrinkage refinement takes over.  This is a batch of
+    one of `random_dictionaries`.
 
     Parameters
     ----------
@@ -290,49 +416,20 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
 
     Raises
     ------
+    InvalidArgs
+        For a bad shape, or a target that is not a non-negative number
+        (NaN included).
     TargetUnreachable
         If the target is below the analytic lower bound for (m, n), or the
-        blend/shrinkage search exhausts its step budget above the target.
+        blend/shrinkage search ends above the target: the shrinkage stops
+        after SHRINK_STALL steps without a new lowest coherence, or at
+        SHRINK_STEPS.
     """
-    if m < 1 or n < 2:
-        raise InvalidArgs(f"need m >= 1 and n >= 2, got m={m}, n={n}")
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(size=(m, n))
-    if coherence_target is None:
-        return Dictionary(_unit_columns(noise))
-    target = float(coherence_target)
-    if target < 0:
-        raise InvalidArgs("coherence_target must be non-negative")
-    if target < welch_bound(m, n):
-        raise TargetUnreachable(
-            f"target {target:g} is below the {welch_bound(m, n):.6g} lower bound for shape {m}x{n}")
-    frame = _haar_frame(rng, m, n)
-
-    def blend(t: float) -> np.ndarray:
-        return _unit_columns((1.0 - t) * frame + t * noise)
-
-    def mu_of(mat: np.ndarray) -> float:
-        g = mat.T @ mat
-        return float(np.abs(g - np.diag(np.diag(g))).max())
-
-    if mu_of(blend(1.0)) <= target:
-        return Dictionary(blend(1.0))
-    if mu_of(frame) <= target:
-        # keep as much noise as the target allows
-        lo, hi = 0.0, 1.0
-        for _ in range(BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if mu_of(blend(mid)) <= target:
-                lo = mid
-            else:
-                hi = mid
-        return Dictionary(blend(lo))
-    if n > m:
-        shrunk = _shrink_gram(blend(0.1), target, SHRINK_STEPS)
-        if shrunk is not None:
-            return Dictionary(shrunk)
-    raise TargetUnreachable(
-        f"could not reach coherence {target:g} for shape {m}x{n} within the step budget")
+    (d,) = random_dictionaries(m, n, coherence_target, [seed])
+    if d is None:
+        raise TargetUnreachable(f"could not reach coherence {float(coherence_target):g} "
+                                f"for shape {m}x{n} within the step budget")
+    return d
 
 
 def save_dictionary(d: Dictionary, path) -> None:

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dictionary import RANK_SV_TOL, Dictionary, as_support, check_support
+from .dictionary import RANK_SV_TOL, Dictionary, _off_diagonal_max, as_support, check_support
 from .errors import CapExceeded, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import SolverVariant, as_variant
 from .projection import _Projector, _walk
@@ -203,9 +203,7 @@ def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> 
     best = 0.0
     for proj in _walk(_Projector.of(d, ()), l):
         fam, _ = proj.family(normalize=(variant is SolverVariant.OLS))
-        g = fam.T @ fam
-        np.fill_diagonal(g, 0.0)
-        best = max(best, float(np.abs(g).max()))
+        best = max(best, float(_off_diagonal_max(fam.T @ fam)))
     return best
 
 

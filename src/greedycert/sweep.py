@@ -2,7 +2,10 @@
 
 Each trial derives its own random stream from (master seed, k, l, trial index),
 so results are independent of execution order and a sweep aggregates to the
-same report whether it ran serially or on a thread pool.
+same report whether it ran serially or on a thread pool.  A cell's
+dictionaries are generated in one batch before its trials run
+(`random_dictionaries`, byte-identical to generating each trial alone); the
+thread pool runs only the pursuits.
 """
 
 import json
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import coherence, make_instance, random_dictionary
+from .dictionary import coherence, make_instance, random_dictionaries
 from .errors import InvalidArgs, TargetUnreachable
 from .greedy import RecoveryOutcome, classify, run
 from .guarantees import coherence_threshold
@@ -176,18 +179,15 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _trial(config: SweepConfig, k: int, l: int, t: int):
-    """One Monte Carlo trial; returns (mu, {variant: outcome}) or None if the
-    cell target was unreachable for this draw."""
-    target = config.cell_target(k, l)
-    try:
-        d = random_dictionary(config.m, config.n, target, seed=[config.seed, k, l, t])
-    except TargetUnreachable:
+def _trial(config: SweepConfig, k: int, l: int, t: int, d):
+    """One Monte Carlo trial on its generated dictionary; returns
+    (mu, {variant: outcome}) or None if the cell target was unreachable for
+    this draw (d is None)."""
+    if d is None:
         return None
     mu = coherence(d)
-    if target is not None and config.coherence_target == THRESHOLD_SENTINEL:
-        if not mu < coherence_threshold(k, l):
-            return None  # defensive; the generation target already sits below
+    if config.coherence_target == THRESHOLD_SENTINEL and not mu < coherence_threshold(k, l):
+        return None  # defensive; the generation target already sits below
     rng = np.random.default_rng([config.seed, k, l, t, 1])
     support = [int(i) for i in rng.choice(config.n, size=k, replace=False)]
     coeffs = rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k)
@@ -207,29 +207,35 @@ def _trial(config: SweepConfig, k: int, l: int, t: int):
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     """Execute the sweep and aggregate per-cell counts.
 
-    jobs > 1 runs trials on min(jobs, cores, trials) threads; the per-trial
-    seeding makes the report identical either way.  Cells whose coherence target
-    is unreachable for the configured shape are marked skipped rather than failed.
+    Each cell's dictionaries are generated together in one batch before its
+    trials run.  jobs > 1 runs the trials' pursuits on min(jobs, cores,
+    trials) threads; the per-trial seeding makes the report identical either
+    way.  Cells whose coherence target is unreachable for the configured shape
+    are marked skipped rather than failed.
     """
     if jobs < 1:
         raise InvalidArgs(f"jobs must be >= 1, got {jobs}")
-    variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
-    work = [(k, l, t) for (k, l) in config.cells() for t in range(config.trials)]
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1, len(work))) as pool:
-            raw = list(pool.map(lambda a: _trial(config, *a), work))
-    else:
-        raw = [_trial(config, *a) for a in work]
-    results = dict(zip(work, raw))
+        workers = min(jobs, os.cpu_count() or 1, len(config.cells()) * config.trials)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return _aggregate(config, pool.map)
+    return _aggregate(config, map)
 
+
+def _aggregate(config: SweepConfig, mapper) -> SweepReport:
+    variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
     cells = []
     for (k, l) in config.cells():
+        seeds = [[config.seed, k, l, t] for t in range(config.trials)]
+        try:
+            dicts = random_dictionaries(config.m, config.n, config.cell_target(k, l), seeds)
+        except TargetUnreachable:  # below the Welch bound, so no draw reaches it
+            dicts = [None] * config.trials
         per_variant = {v: CellResult(variant=v, k=k, l=l,
                                      threshold=coherence_threshold(k, l),
                                      requested=config.trials)
                        for v in variants}
-        for t in range(config.trials):
-            res = results[(k, l, t)]
+        for res in mapper(lambda t: _trial(config, k, l, t, dicts[t]), range(config.trials)):
             if res is None:
                 continue
             mu, outcomes = res

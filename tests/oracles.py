@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 from greedycert import GreedyTrace, RankDeficient, SolverVariant, Support
+from greedycert.dictionary import _haar_frame
 from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL
 
 
@@ -207,3 +208,65 @@ def prip_scratch(a: np.ndarray, q: int, l: int) -> tuple[float, float]:
             eigs = np.linalg.eigvalsh(fam[:, cols].T @ fam[:, cols])
             lo, hi = min(lo, float(eigs[0])), max(hi, float(eigs[-1]))
     return 1.0 - lo, hi - 1.0
+
+
+# the per-trial generator: one dictionary per call, one blend-and-Gram
+# evaluation at a time, and a Gram shrinkage that runs its whole step budget;
+# the package's batched generator must reproduce its bytes
+
+def shrink_gram_full_budget(start: np.ndarray, target: float, max_iter: int = 1500):
+    d = start.copy()
+    m, n = d.shape
+    gamma = 0.95 * target
+    for _ in range(max_iter):
+        g = d.T @ d
+        mu = np.abs(g - np.diag(np.diag(g))).max()
+        if mu <= target:
+            return d
+        clipped = np.clip(g, -gamma, gamma)
+        np.fill_diagonal(clipped, 1.0)
+        w, vecs = np.linalg.eigh(clipped)
+        top = np.clip(w[n - m:], 0.0, None)
+        d = (vecs[:, n - m:] * np.sqrt(top)).T
+        norms = np.linalg.norm(d, axis=0)
+        dead = np.flatnonzero(norms < 1e-12)
+        if dead.size:
+            d[:, dead] = 0.0
+            d[dead % m, dead] = 1.0
+            norms = np.linalg.norm(d, axis=0)
+        d = d / norms
+    return None
+
+
+def random_dictionary_per_trial(m: int, n: int, coherence_target=None, seed=0):
+    """(path, atoms) of one seeded dictionary.  The path is "noise", "bisect"
+    or "shrink"; atoms is None where the target is not reached."""
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(m, n))
+    if coherence_target is None:
+        return "noise", noise / np.linalg.norm(noise, axis=0)
+    target = float(coherence_target)
+    frame = _haar_frame(rng, m, n)
+
+    def blend(t: float) -> np.ndarray:
+        mat = (1.0 - t) * frame + t * noise
+        return mat / np.linalg.norm(mat, axis=0)
+
+    def mu_of(mat: np.ndarray) -> float:
+        g = mat.T @ mat
+        return float(np.abs(g - np.diag(np.diag(g))).max())
+
+    if mu_of(blend(1.0)) <= target:
+        return "noise", blend(1.0)
+    if mu_of(frame) <= target:
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if mu_of(blend(mid)) <= target:
+                lo = mid
+            else:
+                hi = mid
+        return "bisect", blend(lo)
+    if n > m:
+        return "shrink", shrink_gram_full_budget(blend(0.1), target)
+    return "bisect", None

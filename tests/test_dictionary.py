@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from greedycert import (CapExceeded, Dictionary, InvalidArgs, Support, TargetUnreachable,
-                        as_support, build_worst_case, coherence, gram, load_dictionary,
-                        load_vector, make_instance, random_dictionary, save_dictionary,
-                        save_vector, spark, welch_bound)
+                        as_support, build_worst_case, coherence, dictionary, gram,
+                        load_dictionary, load_vector, make_instance, random_dictionaries,
+                        random_dictionary, save_dictionary, save_vector, spark, welch_bound)
 
-from oracles import spark_bruteforce
+from oracles import random_dictionary_per_trial, spark_bruteforce
 
 
 def unit(cols):
@@ -155,6 +155,79 @@ def test_random_dictionary_unreachable():
     with pytest.raises(InvalidArgs):
         random_dictionary(10, 12, coherence_target=-0.1, seed=0)
 
+
+
+def test_random_dictionary_rejects_bad_targets():
+    for m, n in ((4, 6), (6, 4)):
+        for bad in (float("nan"), "0.2", [0.2]):
+            with pytest.raises(InvalidArgs):
+                random_dictionary(m, n, coherence_target=bad, seed=0)
+            with pytest.raises(InvalidArgs):
+                random_dictionaries(m, n, bad, [0, 1])
+
+
+def test_off_diagonal_max_of_stacked_grams():
+    g = np.random.default_rng(0).normal(size=(3, 5, 5))
+    g[:, range(5), range(5)] = 10.0
+    before = g.copy()
+    want = [np.abs(x - np.diag(np.diag(x))).max() for x in g]
+    assert dictionary._off_diagonal_max(g).tolist() == want
+    assert dictionary._off_diagonal_max(g[1]) == want[1]
+    assert np.array_equal(g, before)
+
+
+def _same_as_per_trial(m, n, target, seeds):
+    """Check every batched dictionary against the per-trial oracle, byte for
+    byte, and return the oracle's outcome for each trial."""
+    got = random_dictionaries(m, n, target, seeds)
+    assert len(got) == len(seeds)
+    outcomes = []
+    for seed, d in zip(seeds, got):
+        path, atoms = random_dictionary_per_trial(m, n, target, seed)
+        if atoms is None:
+            assert d is None
+            outcomes.append("unreachable")
+        else:
+            assert d.atoms.tobytes() == atoms.tobytes()
+            outcomes.append(path)
+    return outcomes
+
+
+def test_random_dictionaries_match_the_per_trial_generator():
+    # one 3x4 batch takes the noise, bisection and shrinkage paths
+    assert set(_same_as_per_trial(3, 4, 0.7748, list(range(20)))) == {"noise", "bisect", "shrink"}
+    for size in (1, 2):
+        _same_as_per_trial(3, 4, 0.7748, list(range(size)))
+    assert set(_same_as_per_trial(8, 10, 0.1869, [0, 1, 2, 7])) == {"shrink", "unreachable"}
+    cell = [[7, 4, 0, t] for t in range(20)]  # a 16x16 sweep cell at its threshold target
+    assert set(_same_as_per_trial(16, 16, 0.999 / 7, cell)) == {"bisect"}
+    assert set(_same_as_per_trial(6, 9, None, list(range(20)))) == {"noise"}
+    assert random_dictionaries(6, 9, 0.5, []) == []
+    with pytest.raises(TargetUnreachable):
+        random_dictionaries(20, 30, 0.5 * welch_bound(20, 30), [0, 1])
+
+
+def test_random_dictionaries_batches_are_capped(monkeypatch):
+    sizes = []
+    generate = dictionary._generate
+
+    def recording(m, n, target, seeds):
+        sizes.append(len(seeds))
+        return generate(m, n, target, seeds)
+
+    monkeypatch.setattr(dictionary, "_generate", recording)
+    monkeypatch.setattr(dictionary, "BATCH_ELEMENTS", 3 * 4 * 4 + 1)  # three 3x4 trials
+    _same_as_per_trial(3, 4, 0.7748, list(range(20)))
+    assert sizes == [3] * 6 + [2]
+
+
+def test_shrinkage_gives_up_when_it_stalls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    with pytest.raises(TargetUnreachable):
+        random_dictionary(16, 20, 0.999 / 8, seed=[7, 5, 1, 0])  # a sweep trial of cell (5, 1)
+    assert dictionary.SHRINK_STALL <= len(calls) < dictionary.SHRINK_STEPS // 10
 
 def test_save_load_roundtrip(tmp_path):
     d = random_dictionary(7, 9, seed=11)

@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from greedycert import InvalidArgs, SweepConfig, coherence_threshold, run_sweep, sweep
+from greedycert import (Dictionary, InvalidArgs, SweepConfig, TargetUnreachable,
+                        coherence_threshold, run_sweep, sweep, welch_bound)
+
+from oracles import random_dictionary_per_trial
 
 
 def small_config(**overrides):
@@ -143,3 +146,27 @@ def test_pool_is_bounded_by_cores_and_trials(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_sweep(cfg, jobs=10 ** 6)
     assert sizes[-1] == 1
+
+
+def per_trial_dictionaries(m, n, target, seeds):
+    """A cell's dictionaries from one per-trial oracle call each."""
+    if target is not None and target < welch_bound(m, n):
+        raise TargetUnreachable("below the Welch bound")
+    return [None if atoms is None else Dictionary(atoms)
+            for _, atoms in (random_dictionary_per_trial(m, n, target, s) for s in seeds)]
+
+
+@pytest.mark.parametrize("overrides, accepted", [
+    ({}, [6, 6, 6, 6]),  # bisection at 12x12
+    (dict(m=8, n=10, k_range=(2, 4)), [6, 6, 6, 6, 0, 0]),  # shrinkage; (4, l) below Welch
+    (dict(m=8, n=10, k_range=(2, 2), coherence_target=0.1869), [0, 1]),  # shrinkage mostly fails
+])
+def test_run_sweep_matches_per_trial_generation(monkeypatch, overrides, accepted):
+    cfg = small_config(**{"trials": 6, **overrides})
+    batched = [run_sweep(cfg, jobs=jobs) for jobs in (1, 4)]
+    monkeypatch.setattr(sweep, "random_dictionaries", per_trial_dictionaries)
+    reference = run_sweep(cfg)
+    assert [c.accepted for c in reference.cells if c.variant == "omp"] == accepted
+    for report in batched:
+        assert report.to_csv() == reference.to_csv()
+        assert report.to_json() == reference.to_json()
