@@ -16,8 +16,7 @@ import numpy as np
 
 from . import __version__
 from .dictionary import coherence, load_dictionary, load_vector, make_instance, save_dictionary, save_vector, spark
-from .errors import (CalibrationFailed, CapExceeded, GreedyCertError, InvalidArgs,
-                     InvalidSeed, OutOfDomain, RankDeficient)
+from .errors import CalibrationFailed, GreedyCertError, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import RecoveryOutcome, classify, run
 from .guarantees import coherence_threshold, partial_erc, prip_coherence_bounds, prip_exact, tropp_erc
 from .sweep import SweepConfig, run_sweep
@@ -272,32 +271,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# (exception types, stderr prefix, exit code); the first row that matches wins
+_EXIT_CODES = (
+    ((_UsageError,), "usage error", 1),
+    ((RankDeficient,), "rank deficiency", 3),
+    ((CalibrationFailed,), "calibration failed", 4),
+    ((GreedyCertError, OSError, json.JSONDecodeError), "error", 1),
+)
+_HANDLED = tuple(t for types, _, _ in _EXIT_CODES for t in types)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidArgs, InvalidSeed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RankDeficient as exc:
-        print(f"rank deficiency: {exc}", file=sys.stderr)
-        return 3
-    except CalibrationFailed as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return 4
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GreedyCertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except _HANDLED as exc:
+        prefix, code = next((p, c) for types, p, c in _EXIT_CODES if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,27 +1,36 @@
 """Greedy pursuit solvers and recovery classification.
 
-Two variants share one loop.  Both score candidate atoms against the current
-residual after projecting the whole dictionary against the selected span; the
-first variant uses the raw projected atoms (classic matching pursuit scoring,
-equivalent to correlating the untouched atoms with the residual), the second
-normalizes them first, which makes the argmax equal to the single-step
-residual minimizer.  Ties are broken toward the lowest atom index and flagged,
-since a tie involving an atom outside the planted support already dooms exact
-recovery under a pessimistic adversary.
+Two variants share one loop.  Both score every atom by its correlation with
+the current residual, which is orthogonal to the selected span, so it equals
+the correlation with the atom's projection against that span: the first
+variant uses it as it is (classic matching pursuit scoring), the second
+divides it by the projected atom's norm, which makes the argmax equal to the
+single-step residual minimizer.  Nothing m x n is rebuilt per step: a pursuit
+keeps an orthonormal basis of the selected span, each basis vector's
+correlations with the atoms and the squared projected norms, downdated on
+each selection (the state of Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).
+Ties are broken toward the lowest atom index and flagged, since a tie
+involving an atom outside the planted support already dooms exact recovery
+under a pessimistic adversary.
 """
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionary import Dictionary, Support, as_support, check_support
 from .errors import InvalidArgs, InvalidSeed, ZeroResidual
-from .projection import _check_vector, _Projector
+from .projection import VANISH_TOL, _check_vector, _direction
 
 TIE_REL_TOL = 1e-9      # scores within this relative band of the max count as tied
 RESIDUAL_TOL = 1e-12    # residual norms at or below this count as zero
+# Downdating a unit squared norm cannot resolve projected norms below about
+# 1e-8, while VANISH_TOL is 1e-10: live atoms whose downdated squared norm
+# falls below this are projected again exactly.
+EXACT_SQ_TOL = 1e-12
 
 
 class SolverVariant(str, enum.Enum):
@@ -42,23 +51,75 @@ def _tie_set(scores: np.ndarray) -> np.ndarray:
     top = scores.max()
     if top <= 0.0:
         return np.zeros(0, dtype=int)
-    return np.flatnonzero(scores >= top * (1.0 - TIE_REL_TOL))
+    return (scores >= top * (1.0 - TIE_REL_TOL)).nonzero()[0]
 
 
-def _select(variant: SolverVariant, proj: _Projector, res) -> tuple[int, np.ndarray, bool]:
-    """(choice, scores, tie) for residual res against the span held by proj;
-    with every score zero the lowest unselected atom is taken, tied with the rest."""
-    scores = proj.correlate(res, normalize=(variant is SolverVariant.OLS))
-    tied = _tie_set(scores)
-    if tied.size:
-        return int(tied[0]), scores, tied.size >= 2
-    remaining = [i for i in range(len(scores)) if i not in proj.support]
-    return remaining[0], scores, len(remaining) > 1
+class _Pursuit:
+    """A pursuit's state: an m x cap orthonormal basis of the pushed atoms' span,
+    coef[t] = basis[:, t] @ atoms, the atoms' squared projected norms sq, the
+    pushed-atom mask and the residual res of the vector it started from."""
+
+    def __init__(self, d: Dictionary, res, cap: int):
+        self.atoms = d.atoms
+        self.res = np.array(res, dtype=float)
+        self.basis = np.empty((d.m, cap))
+        self.coef = np.empty((cap, d.n))
+        self.sq = np.einsum("ij,ij->j", d.atoms, d.atoms)
+        self.chosen = np.zeros(d.n, dtype=bool)
+        self.support = ()
+
+    @classmethod
+    def of(cls, d: Dictionary, support, res) -> "_Pursuit":
+        """The state after pushing the support, res projected against its span."""
+        state = cls(d, res, len(support))
+        for j in support:
+            state.push(j)
+        return state
+
+    def push(self, j: int) -> None:
+        """Add atom j to the span: one Gram-Schmidt step, one q @ atoms, O(mn) reads."""
+        t = len(self.support)
+        self.support += (j,)
+        done = self.basis[:, :t]
+        q = _direction(done, self.atoms[:, j] - done @ self.coef[:t, j], self.support)
+        self.basis[:, t] = q
+        g = q @ self.atoms
+        self.coef[t] = g
+        self.sq -= g * g
+        self.chosen[j] = True  # before the check: a pushed atom's sq is only rounding
+        self.res -= q * (q @ self.res)
+        low = ~self.chosen & (self.sq < EXACT_SQ_TOL)
+        if low.any():
+            self._reproject(low)
+
+    def _reproject(self, mask: np.ndarray) -> None:
+        """Replace the downdated sq of the atoms in the mask by their exact projected norms."""
+        basis, cols = self.basis[:, :len(self.support)], self.atoms[:, mask]
+        cols = cols - basis @ (basis.T @ cols)
+        self.sq[mask] = np.einsum("ij,ij->j", cols, cols)
+
+    def select(self, variant: SolverVariant) -> tuple[int, np.ndarray, bool]:
+        """(choice, scores, tie) for the residual, scores zero at pushed and vanished
+        atoms; with every score zero the lowest unpushed atom is taken, tied with the rest."""
+        dead = self.chosen | (self.sq <= VANISH_TOL * VANISH_TOL)
+        # abs: a pushed atom's sq is rounding error and may be negative; it scores 0 anyway
+        scale = np.sqrt(np.abs(self.sq)) if variant is SolverVariant.OLS else 1.0
+        scores = np.abs(self.res @ self.atoms) / np.where(dead, np.inf, scale)
+        tied = _tie_set(scores)
+        if tied.size:
+            return int(tied[0]), scores, tied.size >= 2
+        remaining = (~self.chosen).nonzero()[0]
+        return int(remaining[0]), scores, remaining.size > 1
+
+    def residual_norm(self) -> float:
+        return math.sqrt(self.res @ self.res)  # the bits of np.linalg.norm, without its overhead
 
 
 def select_atom(variant, d: Dictionary, support, res) -> tuple[int, float, bool]:
     """Pick the next atom for the given residual.
 
+    The residual need not be orthogonal to the support atoms: it is projected
+    against their span first, so only its component outside the span counts.
     Returns (index, score, tie) where tie reports whether at least two atoms
     reached the maximum score within TIE_REL_TOL (relative); the lowest tied
     index wins.  Raises ZeroResidual when the residual norm is at or below
@@ -69,7 +130,7 @@ def select_atom(variant, d: Dictionary, support, res) -> tuple[int, float, bool]
     res = _check_vector(d, res)
     if np.linalg.norm(res) <= RESIDUAL_TOL:
         raise ZeroResidual("residual is numerically zero; nothing left to select")
-    choice, scores, tie = _select(variant, _Projector.of(d, sup), res)
+    choice, scores, tie = _Pursuit.of(d, sup, res).select(variant)
     return choice, float(scores[choice]), tie
 
 
@@ -146,32 +207,32 @@ def run(variant, d: Dictionary, y, k: int, seed_support=None) -> GreedyTrace:
     if len(seed) >= k:
         raise InvalidSeed(f"seed has {len(seed)} atoms but only {k} selections were requested")
 
-    proj = _Projector(y, (), np.zeros((d.m, 0)), d.atoms)
-    norms = [float(np.linalg.norm(y))]
+    state = _Pursuit(d, y, k)
+    norms = [state.residual_norm()]
     for j in seed:
-        proj = proj.push(j)
-        norms.append(float(np.linalg.norm(proj.vec)))
+        state.push(j)
+        norms.append(state.residual_norm())
 
     scores_log = []
     tie_at = None
     early_stop = None
-    while len(proj.support) < k:
+    while len(state.support) < k:
         if norms[-1] <= RESIDUAL_TOL:
-            early_stop = len(proj.support)
+            early_stop = len(state.support)
             break
-        choice, scores, tie = _select(variant, proj, proj.vec)
+        choice, scores, tie = state.select(variant)
         if tie and tie_at is None:
-            tie_at = len(proj.support)
+            tie_at = len(state.support)
         scores.setflags(write=False)
         scores_log.append(scores)
-        proj = proj.push(choice)
-        norms.append(float(np.linalg.norm(proj.vec)))
+        state.push(choice)
+        norms.append(state.residual_norm())
 
     return GreedyTrace(
         variant=variant,
         requested=k,
         seeded=len(seed),
-        selected=Support(proj.support),
+        selected=Support(state.support),
         scores=tuple(scores_log),
         residual_norms=tuple(norms),
         tie_at=tie_at,

@@ -4,8 +4,10 @@ Everything here projects against the span of the selected atoms, which a
 private projector grows one atom per push: a Gram-Schmidt step with one
 re-orthogonalization pass ("twice is enough"; Giraud, Langou, Rozloznik 2005)
 and a rank-1 update of every projected atom, O(mn); a fresh support takes one
-block update instead.  An atom whose projection has norm <= RANK_SV_TOL, its
-distance to the span of the atoms before it, is numerically dependent.
+block update instead.  That projector serves the callers whose output is the
+whole projected family; pursuits keep a leaner state in greedy.  An atom
+whose projection has norm <= RANK_SV_TOL, its distance to the span of the
+atoms before it, is numerically dependent.
 """
 
 from dataclasses import dataclass
@@ -31,23 +33,28 @@ def _direction(basis, v, atoms) -> np.ndarray:
 
 
 def _span(d: Dictionary, atoms) -> np.ndarray:
-    """Orthonormal basis of the span of the atoms, one projection and _direction each."""
+    """Orthonormal basis of the span of the atoms, filled column by column: one
+    projection and _direction each."""
     if len(atoms) > d.m:
         raise RankDeficient(f"{len(atoms)} atoms cannot be independent in dimension {d.m}")
-    basis = np.zeros((d.m, 0))
-    for pos, j in enumerate(atoms):
+    atoms = tuple(atoms)
+    basis = np.empty((d.m, len(atoms)))
+    for t, j in enumerate(atoms):
+        # OpenBLAS sums over a block of one to three columns in another order when
+        # its row stride exceeds its width; copying those keeps the bits of a basis
+        # grown by concatenation, and with them the worst-case y.csv outputs
+        done = basis[:, :t] if t > 3 else basis[:, :t].copy()
         a = d.atoms[:, j]
-        q = _direction(basis, a - basis @ (basis.T @ a), tuple(atoms)[:pos + 1])
-        basis = np.column_stack((basis, q))
+        basis[:, t] = _direction(done, a - done @ (done.T @ a), atoms[:t + 1])
     return basis
 
 
 class _Projector:
-    """The span of the pushed atoms: an orthonormal basis of it, every atom projected
-    against it (pushed atoms exactly zero) and optionally a vector vec likewise."""
+    """The span of the pushed atoms: an orthonormal basis of it and every atom
+    projected against it (pushed atoms exactly zero)."""
 
-    def __init__(self, vec, support: tuple, basis, projected):
-        self.vec, self.support, self.basis, self.projected = vec, support, basis, projected
+    def __init__(self, support: tuple, basis, projected):
+        self.support, self.basis, self.projected = support, basis, projected
 
     @classmethod
     def of(cls, d: Dictionary, support) -> "_Projector":
@@ -55,7 +62,7 @@ class _Projector:
         basis = _span(d, support)
         projected = d.atoms - basis @ (basis.T @ d.atoms)
         projected[:, list(support)] = 0.0
-        return cls(None, tuple(support), basis, projected)
+        return cls(tuple(support), basis, projected)
 
     def push(self, j: int) -> "_Projector":
         """A new state whose span also holds atom j: rank-1 updates, O(mn)."""
@@ -63,25 +70,15 @@ class _Projector:
         projected = q[:, None] * -(q @ self.projected)
         projected += self.projected
         projected[:, j] = 0.0
-        vec = None if self.vec is None else self.vec - q * (q @ self.vec)
-        return _Projector(vec, self.support + (j,), np.column_stack((self.basis, q)), projected)
-
-    def _norms(self) -> tuple[np.ndarray, np.ndarray]:
-        norms = np.sqrt(np.einsum("ij,ij->j", self.projected, self.projected))
-        return norms, norms <= VANISH_TOL
+        return _Projector(self.support + (j,), np.column_stack((self.basis, q)), projected)
 
     def family(self, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
         """(raw or unit-norm projected atoms, vanished mask); vanished unit-norm atoms are zero."""
-        norms, vanished = self._norms()
+        norms = np.sqrt(np.einsum("ij,ij->j", self.projected, self.projected))
+        vanished = norms <= VANISH_TOL
         if not normalize:
             return self.projected, vanished
         return self.projected / np.where(vanished, np.inf, norms), vanished
-
-    def correlate(self, vec: np.ndarray, normalize: bool) -> np.ndarray:
-        """|<family_i, vec>| for every atom i, zero at pushed and vanished atoms."""
-        norms, vanished = self._norms()
-        return np.abs(vec @ self.projected) / np.where(vanished, np.inf,
-                                                       norms if normalize else 1.0)
 
 
 def _walk(proj: _Projector, l: int, start: int = 0):

@@ -18,7 +18,7 @@ import numpy as np
 from .dictionary import (Dictionary, Support, as_support, build_worst_case,
                          check_support, coherence)
 from .errors import CalibrationFailed, InvalidArgs
-from .greedy import TIE_REL_TOL, GreedyTrace, SolverVariant, _select, as_variant, run
+from .greedy import TIE_REL_TOL, GreedyTrace, SolverVariant, _Pursuit, as_variant, run
 from .projection import _Projector, residual
 
 HALVING_STEPS = 80
@@ -205,7 +205,7 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
     y1, prefix_eps = reach_input(d, prefix, variant)
     y2, q1, q2 = dual_representation(d, prefix, variant)
 
-    j, _, _ = _select(variant, _Projector.of(d, prefix), y2)
+    j, _, _ = _Pursuit.of(d, prefix, y2).select(variant)
     if j in q1:
         truth = Support(tuple(prefix.indices) + tuple(q2.indices))
     else:

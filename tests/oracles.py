@@ -143,6 +143,19 @@ def orthonormal_basis(a: np.ndarray, support) -> np.ndarray:
     return q
 
 
+def span_concatenated(a: np.ndarray, atoms) -> np.ndarray:
+    """The package's Gram-Schmidt basis (one projection, one re-orthogonalization
+    per atom), grown by one concatenation per atom; the package fills a
+    preallocated array instead and must give these bits."""
+    basis = np.zeros((a.shape[0], 0))
+    for j in atoms:
+        v = a[:, j] - basis @ (basis.T @ a[:, j])
+        q = v / float(np.sqrt(v @ v))
+        q -= basis @ (basis.T @ q)
+        basis = np.column_stack((basis, q / np.sqrt(q @ q)))
+    return basis
+
+
 def projected_family(a: np.ndarray, support, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
     """(raw or unit-norm atoms projected against the support span, vanished mask)."""
     q = orthonormal_basis(a, support)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from greedycert import build_worst_case, load_dictionary, load_vector, random_dictionary, save_dictionary, save_vector
+from greedycert import cli
 from greedycert.cli import main
+from greedycert.errors import CalibrationFailed, CapExceeded, RankDeficient
 
 
 @pytest.fixture
@@ -135,6 +137,20 @@ def test_worstcase_rejects_bad_shape(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 1
     assert main(["worstcase", "--k", "40", "--l", "0", "--variant", "omp",
                  "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("exc,line,code", [
+    (CalibrationFailed("no scale"), "calibration failed: no scale", 4),
+    (CapExceeded("too many"), "error: too many", 1),
+    (RankDeficient("dependent"), "rank deficiency: dependent", 3),
+])
+def test_worstcase_library_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, exc, line, code):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_scenario", fail)
+    assert main(["worstcase", "--k", "2", "--l", "0", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_sweep_command_and_determinism(tmp_path, capsys):

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greedycert import (Dictionary, InvalidArgs, RankDeficient, build_scenario, classify,
-                        least_squares, prip_exact, project_atoms, projected_coherence,
+from greedycert import (Dictionary, InvalidArgs, RankDeficient, build_scenario, build_worst_case,
+                        classify, least_squares, prip_exact, project_atoms, projected_coherence,
                         random_dictionary, residual, run, select_atom)
+from greedycert.greedy import TIE_REL_TOL, _Pursuit
+from greedycert.projection import _span
 
-from oracles import (ls_normal_equations, orthonormal_basis, prip_scratch,
-                     projected_coherence_scratch, pursuit_scratch, residual_oracle)
+from oracles import (ls_normal_equations, orthonormal_basis, prip_scratch, projected_family,
+                     projected_coherence_scratch, pursuit_scratch, residual_oracle,
+                     span_concatenated)
 
 
 def test_residual_empty_support():
@@ -153,6 +158,16 @@ def test_enumerations_match_scratch():
                 assert got.upper == pytest.approx(upper, abs=1e-12)
 
 
+def test_span_gives_the_bits_of_a_concatenated_basis():
+    # the worst-case y.csv outputs are sums of atoms projected against this basis
+    for k, l in ((4, 2), (18, 4), (25, 2), (32, 16)):
+        d = build_worst_case(k, l)
+        assert np.array_equal(_span(d, range(l)), span_concatenated(d.atoms, range(l)))
+    d = random_dictionary(64, 96, seed=3)
+    atoms = list(range(0, 80, 2))
+    assert np.array_equal(_span(d, atoms), span_concatenated(d.atoms, atoms))
+
+
 def _duplicate_atom():
     return np.eye(4)[:, [0, 0, 1, 2]], (0, 1)
 
@@ -199,3 +214,89 @@ def test_zero_scores_fall_back_to_lowest_unselected_atom():
     trace = run("omp", d, y, 2)
     assert list(trace.selected) == [0, 1] and trace.tie_at == 0
     assert_same_pursuit("ols", d, y, 2, [0, 1])
+
+
+# the pursuit state (basis, correlations, downdated norms) against the oracle
+
+# an orthonormal basis e of R^5 under which downdating the near atom's squared norm by
+# its correlations with e0 and e1 leaves about 2e-16 of rounding, not zero or less
+ROTATED, _ = np.linalg.qr(np.random.default_rng(121).standard_normal((5, 5)))
+
+
+def _near_span_dictionary(distance):
+    """Atoms e0, e1, an atom `distance` from their span (along e2), e3, e4."""
+    e = ROTATED
+    near = (e[:, 0] + e[:, 1]) / np.sqrt(2.0) + distance * e[:, 2]
+    return Dictionary(np.column_stack([e[:, 0], e[:, 1], near / np.linalg.norm(near),
+                                       e[:, 3], e[:, 4]]))
+
+
+@pytest.mark.parametrize("distance,vanished", [(1e-11, True), (1e-9, False)])
+def test_near_span_atom_takes_the_exact_norm(monkeypatch, distance, vanished):
+    reprojected = []
+    exact = _Pursuit._reproject
+
+    def counting(self, mask):
+        reprojected.extend(int(i) for i in np.flatnonzero(mask))
+        exact(self, mask)
+
+    monkeypatch.setattr(_Pursuit, "_reproject", counting)
+    d = _near_span_dictionary(distance)
+    y = ROTATED @ [1.0, 2.0, 0.5, 0.9, 0.0]
+    trace = run("ols", d, y, 3, seed_support=[0, 1])
+    # the downdate alone cannot resolve its norm; the pushed atoms are masked first
+    assert set(reprojected) == {2}
+    assert trace.selected.indices[2] == 3
+    # the residual 0.5 e2 + 0.9 e3 correlates 0.5 with the unit projected atom
+    assert trace.scores[0][2] == (0.0 if vanished else pytest.approx(0.5, rel=1e-6))
+    assert_same_pursuit("ols", d, y, 3, [0, 1, 3], seed=(0, 1))
+
+
+def test_select_atom_projects_a_residual_off_the_support():
+    rng = np.random.default_rng(17)
+    projection_mattered = 0
+    for trial in range(40):
+        d = random_dictionary(8, 12, seed=300 + trial)
+        sup = [int(i) for i in rng.choice(12, 3, replace=False)]
+        res = rng.standard_normal(8) + d.atoms[:, sup] @ rng.standard_normal(3)
+        for variant in ("omp", "ols"):
+            fam, vanished = projected_family(d.atoms, sup, normalize=(variant == "ols"))
+            scores = np.abs(fam.T @ res)
+            scores[vanished] = 0.0
+            top = scores.max()
+            tied = np.flatnonzero(scores >= top * (1.0 - TIE_REL_TOL))
+            choice, score, tie = select_atom(variant, d, sup, res)
+            assert (choice, tie) == (tied[0], tied.size >= 2)
+            assert score == pytest.approx(top, rel=1e-12)
+            raw = np.abs(d.atoms.T @ res)
+            raw[sup] = 0.0
+            projection_mattered += variant == "omp" and int(np.argmax(raw)) != choice
+    assert projection_mattered  # the raw correlations would have picked another atom
+    # an exact tie survives a residual that is moved along the support atoms
+    sc = build_scenario(4, 2, "ols")
+    off = sc.null_component + sc.dictionary.atoms[:, list(sc.partial)] @ np.array([0.7, -1.3])
+    assert select_atom("ols", sc.dictionary, sc.partial, off)[::2] == (sc.predicted_wrong, True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.integers(2, 10), extra=st.integers(0, 8), draw=st.integers(0, 2**32 - 1),
+       prefix=st.integers(0, 9), noise=st.booleans(), variant=st.sampled_from(["omp", "ols"]))
+def test_pursuit_matches_scratch_property(m, extra, draw, prefix, noise, variant):
+    n = m + extra
+    rng = np.random.default_rng(draw)
+    d = random_dictionary(m, n, seed=draw)
+    k = int(rng.integers(1, m + 1))
+    truth = [int(i) for i in rng.choice(n, k, replace=False)]
+    y = d.atoms[:, truth] @ (rng.uniform(0.5, 1.5, k) * rng.choice([-1.0, 1.0], k))
+    if noise:
+        y = y + 1e-2 * rng.standard_normal(m)
+    seed = tuple(truth[:min(prefix, k - 1)])
+    try:
+        ref = pursuit_scratch(variant, d.atoms, y, k, seed)
+    except RankDeficient:
+        with pytest.raises(RankDeficient):
+            run(variant, d, y, k, seed_support=seed)
+        return
+    got = run(variant, d, y, k, seed_support=seed)
+    assert (got.selected, got.tie_at, got.early_stop) == (ref.selected, ref.tie_at, ref.early_stop)
+    assert classify(got, truth) == classify(ref, truth)
