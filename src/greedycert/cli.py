@@ -252,7 +252,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="sweep config JSON file")
     p.add_argument("--out", help="directory for sweep.csv and sweep.json")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and must be >= 1; each cell runs as one "
+                        "batch in a single thread, so it changes nothing")
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(func=cmd_sweep)
 

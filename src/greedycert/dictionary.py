@@ -249,42 +249,48 @@ def _haar_frame(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return _unit_columns(q[:m, :])
 
 
-def _shrink_gram(start: np.ndarray, target: float) -> np.ndarray | None:
-    """Iteratively clip off-diagonal Gram entries and re-factor to rank m.
+def _shrink_grams(starts: np.ndarray, target: float) -> list:
+    """Iteratively clip off-diagonal Gram entries and re-factor to rank m, in
+    lockstep over a stack of starting points (B, m, n).
 
-    Returns a unit-norm matrix with coherence <= target, or None once
-    SHRINK_STALL steps in a row bring no new lowest coherence, or after
-    SHRINK_STEPS steps.  Deterministic for a fixed starting point.
+    Returns, per start, a unit-norm matrix with coherence <= target, or None
+    once SHRINK_STALL steps in a row bring no new lowest coherence, or after
+    SHRINK_STEPS steps; rows leave the stack when they stop.  Each row gets the
+    bits of shrinking it alone, and is deterministic for a fixed start.
     """
-    d = start.copy()
-    m, n = d.shape
+    d = starts.copy()
+    m, n = d.shape[1:]
     gamma = 0.95 * target
-    best, stalled = np.inf, 0
+    out = [None] * len(d)
+    rows = np.arange(len(d))
+    best, stalled = np.full(len(d), np.inf), np.zeros(len(d), dtype=int)
     for _ in range(SHRINK_STEPS):
-        g = d.T @ d
+        g = _grams(d)
         mu = _off_diagonal_max(g)
-        if mu <= target:
-            return d
-        if mu < best:
-            best, stalled = mu, 0
-        else:
-            stalled += 1
-            if stalled == SHRINK_STALL:
-                return None
+        hit = mu <= target
+        for i, atoms in zip(rows[hit], d[hit]):
+            out[i] = atoms
+        better = mu < best
+        best, stalled = np.where(better, mu, best), np.where(better, 0, stalled + 1)
+        keep = ~hit & (stalled < SHRINK_STALL)
+        if not keep.all():
+            d, g, rows, best, stalled = d[keep], g[keep], rows[keep], best[keep], stalled[keep]
+            if not len(d):
+                break
         clipped = np.clip(g, -gamma, gamma)
-        np.fill_diagonal(clipped, 1.0)
+        clipped[:, range(n), range(n)] = 1.0
         w, vecs = np.linalg.eigh(clipped)
-        top = np.clip(w[n - m:], 0.0, None)
-        d = (vecs[:, n - m:] * np.sqrt(top)).T
-        norms = np.linalg.norm(d, axis=0)
-        dead = np.flatnonzero(norms < 1e-12)
+        top = np.clip(w[:, n - m:], 0.0, None)
+        d = (vecs[:, :, n - m:] * np.sqrt(top)[:, None, :]).swapaxes(-1, -2)
+        norms = np.sqrt(np.add.reduce(d * d, axis=-2, keepdims=True))
+        row, dead = (norms[:, 0] < 1e-12).nonzero()
         if dead.size:
             # deterministic rescue: replace a collapsed column with a basis vector
-            d[:, dead] = 0.0
-            d[dead % m, dead] = 1.0
-            norms = np.linalg.norm(d, axis=0)
+            d[row, :, dead] = 0.0
+            d[row, dead % m, dead] = 1.0
+            norms = np.sqrt(np.add.reduce(d * d, axis=-2, keepdims=True))
         d = d / norms
-    return None
+    return out
 
 
 def welch_bound(m: int, n: int) -> float:
@@ -324,8 +330,7 @@ def _generate(m: int, n: int, target: float, seeds: list) -> list:
 
     Every trial takes the first path whose check it passes: pure noise, then
     the bisected blend when the frame itself is within the target, then (for
-    n > m) Gram shrinkage from the blend at noise weight 0.1, one trial at a
-    time."""
+    n > m) Gram shrinkage from the blend at noise weight 0.1, in lockstep."""
     noise, frames = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -343,8 +348,8 @@ def _generate(m: int, n: int, target: float, seeds: list) -> list:
     if n > m:
         rest = np.flatnonzero(~noisy & ~framed)
         starts = _blend(frames[rest], noise[rest], np.full(rest.size, 0.1))
-        for i, start in zip(rest, starts):
-            out[i] = _shrink_gram(start, target)
+        for i, atoms in zip(rest, _shrink_grams(starts, target)):
+            out[i] = atoms
     return out
 
 
@@ -355,7 +360,8 @@ def random_dictionaries(m: int, n: int, coherence_target: float | None,
     Trial i is exactly `random_dictionary(m, n, coherence_target, seeds[i])`,
     byte for byte, with None where that call raises TargetUnreachable for
     its draw.  The trials are generated together: each step of the blend
-    bisection is one stacked evaluation over every trial that needs it.
+    bisection, and of the Gram shrinkage, is one stacked evaluation over every
+    trial that needs it.
     Batches hold at most BATCH_ELEMENTS matrix entries per stack, so the
     working memory does not grow with the number of seeds.
 

@@ -9,6 +9,11 @@ single-step residual minimizer.  Nothing m x n is rebuilt per step: a pursuit
 keeps an orthonormal basis of the selected span, each basis vector's
 correlations with the atoms and the squared projected norms, downdated on
 each selection (the state of Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).
+The state takes an optional leading axis of rows, so that the trials of a
+sweep cell, each on its own dictionary, and the candidate inputs of a
+worst-case calibration run as one stack of pursuits; `run` and `select_atom`
+use it without that axis, which keeps a single pursuit's per-step call
+overhead down.  Each row of a stack gets the bits of a pursuit of its own.
 Ties are broken toward the lowest atom index and flagged, since a tie
 involving an atom outside the planted support already dooms exact recovery
 under a pessimistic adversary.
@@ -16,8 +21,8 @@ under a pessimistic adversary.
 
 import enum
 import json
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ RESIDUAL_TOL = 1e-12    # residual norms at or below this count as zero
 # 1e-8, while VANISH_TOL is 1e-10: live atoms whose downdated squared norm
 # falls below this are projected again exactly.
 EXACT_SQ_TOL = 1e-12
+PUSHED = -1.0  # the squared projected norm a pursuit records for an atom it pushed
 
 
 class SolverVariant(str, enum.Enum):
@@ -47,72 +53,171 @@ def as_variant(value) -> SolverVariant:
         raise InvalidArgs(f"unknown solver variant {value!r} (expected 'omp' or 'ols')") from None
 
 
-def _tie_set(scores: np.ndarray) -> np.ndarray:
-    top = scores.max()
-    if top <= 0.0:
-        return np.zeros(0, dtype=int)
-    return (scores >= top * (1.0 - TIE_REL_TOL)).nonzero()[0]
+def _any(mask) -> bool:
+    """Whether any entry of a boolean array is set; a single entry is read
+    directly, at a fraction of a reduction's call overhead."""
+    return bool(mask) if mask.size == 1 else bool(mask.any())
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Dot products of the rows of two stacks of vectors, or of two vectors; the
+    same BLAS call for a row either way, and a plain dot for two vectors, at a
+    fraction of a stacked product's call overhead."""
+    return a @ b if a.ndim == 1 else (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _tied(scores: np.ndarray) -> np.ndarray:
+    """Mask of the scores within TIE_REL_TOL (relative) of the largest one along
+    the last axis; where that largest score is not positive, nothing is tied."""
+    top = np.maximum.reduce(scores, axis=-1, keepdims=scores.ndim > 1)  # a scalar for one vector
+    return (scores >= top * (1.0 - TIE_REL_TOL)) & (top > 0.0)
 
 
 class _Pursuit:
-    """A pursuit's state: an m x cap orthonormal basis of the pushed atoms' span,
-    coef[t] = basis[:, t] @ atoms, the atoms' squared projected norms sq, the
-    pushed-atom mask and the residual res of the vector it started from."""
+    """The state of one pursuit on m x n atoms, or of a stack of them with atoms
+    (B, m, n), row i on its own atoms[i]: an m x cap orthonormal basis of the pushed
+    atoms' span, coef[..., t, :] = basis[..., t] @ atoms, the atoms' squared projected
+    norms sq (PUSHED at pushed atoms), the pushed atoms, the residual res of the
+    vector the pursuit started from and its correlations corr = res @ atoms.  The
+    newest direction and res share one 2 x m array, so that one product with the atoms
+    per push gives both its coef row and corr.  A stack also keeps rows, each row's
+    index in the stack it started as; rows leave it through take."""
 
-    def __init__(self, d: Dictionary, res, cap: int):
-        self.atoms = d.atoms
-        self.res = np.array(res, dtype=float)
-        self.basis = np.empty((d.m, cap))
-        self.coef = np.empty((cap, d.n))
-        self.sq = np.einsum("ij,ij->j", d.atoms, d.atoms)
-        self.chosen = np.zeros(d.n, dtype=bool)
-        self.support = ()
+    def __init__(self, atoms: np.ndarray, res, cap: int):
+        *lead, m, n = atoms.shape
+        self.atoms = atoms
+        self.pair = np.empty((*lead, 2, m))
+        self.pair[..., 1, :] = res
+        self.res = self.pair[..., 1, :]
+        self.corr = None
+        self.basis = np.empty((*lead, m, cap))
+        self.coef = np.empty((*lead, cap, n))
+        self.sq = np.einsum("...ij,...ij->...j", atoms, atoms)
+        self.support = np.empty((*lead, cap), dtype=int)
+        self.t = 0
+        # the index prefix that picks one atom per row: the rows of a stack, by
+        # advanced indexing; nothing for a single pursuit, which takes its column
+        # by basic indexing, at a fraction of the call overhead
+        self.rows = np.arange(lead[0]) if lead else None
+        self._lead = (self.rows,) if lead else ()
 
-    @classmethod
-    def of(cls, d: Dictionary, support, res) -> "_Pursuit":
-        """The state after pushing the support, res projected against its span."""
-        state = cls(d, res, len(support))
-        for j in support:
-            state.push(j)
-        return state
+    def take(self, keep: np.ndarray) -> None:
+        """Keep only the rows of a stack in the mask."""
+        for name in ("atoms", "pair", "basis", "coef", "sq", "support", "rows"):
+            setattr(self, name, getattr(self, name)[keep])
+        self.res = self.pair[..., 1, :]
+        if self.corr is not None:
+            self.corr = self.corr[keep]
+        self._lead = (np.arange(len(self.rows)),)
 
-    def push(self, j: int) -> None:
-        """Add atom j to the span: one Gram-Schmidt step, one q @ atoms, O(mn) reads."""
-        t = len(self.support)
-        self.support += (j,)
-        done = self.basis[:, :t]
-        q = _direction(done, self.atoms[:, j] - done @ self.coef[:t, j], self.support)
-        self.basis[:, t] = q
-        g = q @ self.atoms
-        self.coef[t] = g
+    def push(self, js, correlate: bool = False) -> None:
+        """Add atom js (js[i] for row i) to the span: one Gram-Schmidt step and one
+        product with the atoms, of q, or of [q; res] to correlate the new residual
+        for the select that follows; O(mn) reads per row."""
+        t, lead = self.t, self._lead
+        self.support[..., t] = js
+        done = self.basis[..., :t]
+        c = self.coef[(*lead, slice(None, t), js)]
+        v = self.atoms[(*lead, slice(None), js)] - (done @ c[..., None])[..., 0]
+        q = _direction(done, v, self.support[..., :t + 1])
+        self.basis[..., t] = q
+        self.res -= q * _dot(q, self.res)[..., None]
+        if correlate:
+            self.pair[..., 0, :] = q
+            prod = self.pair @ self.atoms
+            g, self.corr = prod[..., 0, :], prod[..., 1, :]
+        else:
+            g, self.corr = (q[..., None, :] @ self.atoms)[..., 0, :], None
+        self.coef[..., t, :] = g
         self.sq -= g * g
-        self.chosen[j] = True  # before the check: a pushed atom's sq is only rounding
-        self.res -= q * (q @ self.res)
-        low = ~self.chosen & (self.sq < EXACT_SQ_TOL)
-        if low.any():
-            self._reproject(low)
+        self.sq[(*lead, js)] = PUSHED  # its downdated sq is only rounding
+        self.t = t + 1
+        low = self.sq < EXACT_SQ_TOL  # every pushed atom, and live atoms to project again
+        if np.count_nonzero(low) > self.t * (self.sq.size // self.sq.shape[-1]):
+            self._reproject(low & (self.sq != PUSHED))
 
     def _reproject(self, mask: np.ndarray) -> None:
-        """Replace the downdated sq of the atoms in the mask by their exact projected norms."""
-        basis, cols = self.basis[:, :len(self.support)], self.atoms[:, mask]
-        cols = cols - basis @ (basis.T @ cols)
-        self.sq[mask] = np.einsum("ij,ij->j", cols, cols)
+        """Replace the downdated sq of the atoms in the mask (shaped like sq) by their
+        exact projected norms."""
+        rows = [()] if mask.ndim == 1 else [(i,) for i in mask.any(axis=1).nonzero()[0]]
+        for i in rows:
+            basis, cols = self.basis[i][:, :self.t], self.atoms[i][:, mask[i]]
+            cols = cols - basis @ (basis.T @ cols)
+            self.sq[i][mask[i]] = np.einsum("ij,ij->j", cols, cols)
 
-    def select(self, variant: SolverVariant) -> tuple[int, np.ndarray, bool]:
-        """(choice, scores, tie) for the residual, scores zero at pushed and vanished
-        atoms; with every score zero the lowest unpushed atom is taken, tied with the rest."""
-        dead = self.chosen | (self.sq <= VANISH_TOL * VANISH_TOL)
-        # abs: a pushed atom's sq is rounding error and may be negative; it scores 0 anyway
-        scale = np.sqrt(np.abs(self.sq)) if variant is SolverVariant.OLS else 1.0
-        scores = np.abs(self.res @ self.atoms) / np.where(dead, np.inf, scale)
-        tied = _tie_set(scores)
-        if tied.size:
-            return int(tied[0]), scores, tied.size >= 2
-        remaining = (~self.chosen).nonzero()[0]
-        return int(remaining[0]), scores, remaining.size > 1
+    def select(self, variant: SolverVariant):
+        """(choice, scores, tie), per row for a stack, for the residual: scores zero at
+        pushed and vanished atoms; when every score is zero the lowest unpushed atom
+        is taken, tied with the rest."""
+        if self.corr is None:
+            self.corr = (self.res[..., None, :] @ self.atoms)[..., 0, :]
+        live = self.sq > VANISH_TOL * VANISH_TOL
+        if variant is SolverVariant.OLS:  # abs: PUSHED is negative; those atoms score 0 anyway
+            scores = np.abs(self.corr) / np.where(live, np.sqrt(np.abs(self.sq)), np.inf)
+        else:
+            scores = np.where(live, np.abs(self.corr), 0.0)
+        tied = _tied(scores)
+        choice, count = tied.argmax(axis=-1), np.add.reduce(tied, axis=-1)
+        empty = count == 0
+        if _any(empty):
+            free = self.sq != PUSHED
+            choice = np.where(empty, free.argmax(axis=-1), choice)
+            count = np.where(empty, free.sum(axis=-1), count)
+        return choice, scores, count >= 2
 
-    def residual_norm(self) -> float:
-        return math.sqrt(self.res @ self.res)  # the bits of np.linalg.norm, without its overhead
+    def residual_norms(self):
+        return np.sqrt(_dot(self.res, self.res))
+
+
+class _Runs(NamedTuple):
+    """Pursuits of k selections each, seeded atoms included, with a leading row axis
+    for a stack: the atoms in selection order (-1 past stops), the residual norm
+    after each of them (norms[..., 0] before any), the scores of each selection after
+    the seeded ones (norms and scores are zero past stops), the number of atoms
+    selected before the residual vanished (k when it did not), and whether each
+    iteration's top score was tied."""
+
+    selected: np.ndarray
+    norms: np.ndarray
+    scores: np.ndarray
+    stops: np.ndarray
+    ties: np.ndarray
+
+
+def _pursue(variant: SolverVariant, atoms: np.ndarray, ys: np.ndarray, k: int,
+            seeds: np.ndarray) -> _Runs:
+    """Pursue for k selections on m x n atoms from ys, seeded with the atoms seeds
+    (l < k of them); or a stack of such pursuits, with atoms (B, m, n), ys (B, m)
+    and seeds (B, l).  A pursuit stops early once its residual norm is at or below
+    RESIDUAL_TOL; seeded atoms are pushed regardless."""
+    *lead, m, n = atoms.shape
+    l = seeds.shape[-1]
+    selected = np.full((*lead, k), -1)
+    selected[..., :l] = seeds
+    norms = np.zeros((*lead, k + 1))
+    scores = np.zeros((*lead, k - l, n))
+    ties = np.zeros((*lead, k), dtype=bool)
+    stops = np.full(lead, k)
+    state = _Pursuit(atoms, ys, k)
+    norms[..., 0] = state.residual_norms()
+    for t in range(l):
+        state.push(seeds[..., t], correlate=t == l - 1)
+        norms[..., t + 1] = state.residual_norms()
+    at = (Ellipsis,)  # the rows still pursued: all of them until one stops
+    for t in range(l, k):
+        stopped = norms[(*at, t)] <= RESIDUAL_TOL
+        if _any(stopped):
+            if stopped.all():
+                stops[at] = t
+                break
+            stops[state.rows[stopped]] = t
+            state.take(~stopped)
+            at = (state.rows,)
+        choice, scores[(*at, t - l, slice(None))], ties[(*at, t)] = state.select(variant)
+        selected[(*at, t)] = choice
+        state.push(choice, correlate=t < k - 1)
+        norms[(*at, t + 1)] = state.residual_norms()
+    return _Runs(selected, norms, scores, stops, ties)
 
 
 def select_atom(variant, d: Dictionary, support, res) -> tuple[int, float, bool]:
@@ -130,8 +235,11 @@ def select_atom(variant, d: Dictionary, support, res) -> tuple[int, float, bool]
     res = _check_vector(d, res)
     if np.linalg.norm(res) <= RESIDUAL_TOL:
         raise ZeroResidual("residual is numerically zero; nothing left to select")
-    choice, scores, tie = _Pursuit.of(d, sup, res).select(variant)
-    return choice, float(scores[choice]), tie
+    state = _Pursuit(d.atoms, res, len(sup))
+    for t, j in enumerate(sup):
+        state.push(j, correlate=t == len(sup) - 1)
+    choice, scores, tie = state.select(variant)
+    return int(choice), float(scores[choice]), bool(tie)
 
 
 @dataclass(frozen=True)
@@ -207,36 +315,19 @@ def run(variant, d: Dictionary, y, k: int, seed_support=None) -> GreedyTrace:
     if len(seed) >= k:
         raise InvalidSeed(f"seed has {len(seed)} atoms but only {k} selections were requested")
 
-    state = _Pursuit(d, y, k)
-    norms = [state.residual_norm()]
-    for j in seed:
-        state.push(j)
-        norms.append(state.residual_norm())
-
-    scores_log = []
-    tie_at = None
-    early_stop = None
-    while len(state.support) < k:
-        if norms[-1] <= RESIDUAL_TOL:
-            early_stop = len(state.support)
-            break
-        choice, scores, tie = state.select(variant)
-        if tie and tie_at is None:
-            tie_at = len(state.support)
-        scores.setflags(write=False)
-        scores_log.append(scores)
-        state.push(choice)
-        norms.append(state.residual_norm())
-
+    runs = _pursue(variant, d.atoms, y, k, seed.array())
+    stop = int(runs.stops)
+    scores = runs.scores[:stop - len(seed)]
+    scores.setflags(write=False)
     return GreedyTrace(
         variant=variant,
         requested=k,
         seeded=len(seed),
-        selected=Support(state.support),
-        scores=tuple(scores_log),
-        residual_norms=tuple(norms),
-        tie_at=tie_at,
-        early_stop=early_stop,
+        selected=Support(tuple(runs.selected[:stop].tolist())),
+        scores=tuple(scores),
+        residual_norms=tuple(runs.norms[:stop + 1].tolist()),
+        tie_at=int(runs.ties.argmax()) if runs.ties.any() else None,
+        early_stop=stop if stop < k else None,
     )
 
 
@@ -284,9 +375,9 @@ def classify(trace: GreedyTrace, truth) -> RecoveryOutcome:
     truth_set = set(truth_support)
     for t, atom in enumerate(trace.selected):
         if t >= trace.seeded:
-            scores = trace.scores[t - trace.seeded]
-            tied = _tie_set(np.asarray(scores))
-            if tied.size >= 2 and any(int(i) not in truth_set for i in tied):
+            tied = _tied(np.asarray(trace.scores[t - trace.seeded]))
+            if (np.count_nonzero(tied) >= 2
+                    and any(int(i) not in truth_set for i in tied.nonzero()[0])):
                 return RecoveryOutcome(RecoveryOutcome.TIE_WITH_WRONG_ATOM, iteration=t)
         if atom not in truth_set:
             return RecoveryOutcome(RecoveryOutcome.WRONG_ATOM, iteration=t, atom=int(atom))
@@ -295,3 +386,28 @@ def classify(trace: GreedyTrace, truth) -> RecoveryOutcome:
     if len(trace.selected) != trace.requested:
         return RecoveryOutcome(RecoveryOutcome.EARLY_ZERO_RESIDUAL, iteration=len(trace.selected))
     return RecoveryOutcome(RecoveryOutcome.SUCCESS)
+
+
+# outcome kinds by the codes _outcomes returns
+_KINDS = (RecoveryOutcome.SUCCESS, RecoveryOutcome.WRONG_ATOM,
+          RecoveryOutcome.TIE_WITH_WRONG_ATOM, RecoveryOutcome.EARLY_ZERO_RESIDUAL)
+_SUCCESS, _WRONG, _TIE, _EARLY = range(len(_KINDS))
+
+
+def _outcomes(planted, seeded: int, selected, scores, stops):
+    """classify's verdict for every row of a stack of pursuits (the fields of
+    _Runs), with planted each row's mask of planted atoms (B x n) and the same
+    precedence: the first iteration whose top score ties an outside atom or whose
+    atom is outside decides, a tie before a wrong atom; else an early stop; else
+    success.  Returns each row's code into _KINDS."""
+    b, k = selected.shape
+    tied = _tied(scores)
+    many = tied.sum(axis=-1) >= 2
+    tie = np.zeros((b, k), dtype=bool)
+    if many.any():  # rarely: only then look for outside atoms among the tied
+        tie[:, seeded:] = many & (tied & ~planted[:, None]).any(axis=-1)
+    wrong = (selected >= 0) & ~np.take_along_axis(planted, selected.clip(0), axis=1)
+    event = tie | wrong
+    at = np.arange(b), event.argmax(axis=1)
+    return np.where(event[at], np.where(tie[at], _TIE, _WRONG),
+                    np.where(stops < k, _EARLY, _SUCCESS))

@@ -1,29 +1,30 @@
 """Monte Carlo sweeps over (k, l) cells with deterministic per-trial seeding.
 
-Each trial derives its own random stream from (master seed, k, l, trial index),
-so results are independent of execution order and a sweep aggregates to the
-same report whether it ran serially or on a thread pool.  A cell's
-dictionaries are generated in one batch before its trials run
-(`random_dictionaries`, byte-identical to generating each trial alone); the
-thread pool runs only the pursuits.
+Each trial derives its own random streams from (master seed, k, l, trial
+index), so its outcome does not depend on what else runs.  A cell runs as one
+batch: its dictionaries are generated together (`random_dictionaries`,
+byte-identical to generating each trial alone), their coherences come from
+one stack of Gram matrices, and each variant pursues all of the cell's trials
+in one stack of pursuits (the trials share m, n and k), with the outcomes of
+`classify`, row by row.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import coherence, make_instance, random_dictionaries
+from .dictionary import BATCH_ELEMENTS, _grams, _off_diagonal_max, random_dictionaries
 from .errors import InvalidArgs, TargetUnreachable
-from .greedy import RecoveryOutcome, classify, run
+from .greedy import _KINDS, SolverVariant, _outcomes, _pursue
 from .guarantees import coherence_threshold
 
 THRESHOLD_SENTINEL = "threshold"
 THRESHOLD_SAFETY = 1e-3  # generate strictly below the cell threshold by this relative margin
 
 _VARIANT_CHOICES = ("omp", "ols", "both")
+# the CellResult count of each outcome kind, in the order of greedy._KINDS
+_COUNTS = ("successes", "wrong_atoms", "wrong_ties", "early_stops")
 
 
 @dataclass(frozen=True)
@@ -179,80 +180,34 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _trial(config: SweepConfig, k: int, l: int, t: int, d):
-    """One Monte Carlo trial on its generated dictionary; returns
-    (mu, {variant: outcome}) or None if the cell target was unreachable for
-    this draw (d is None)."""
-    if d is None:
-        return None
-    mu = coherence(d)
-    if config.coherence_target == THRESHOLD_SENTINEL and not mu < coherence_threshold(k, l):
-        return None  # defensive; the generation target already sits below
-    rng = np.random.default_rng([config.seed, k, l, t, 1])
-    support = [int(i) for i in rng.choice(config.n, size=k, replace=False)]
-    coeffs = rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k)
-    inst = make_instance(d, support, coeffs)
-    seed_support = None
-    if config.seed_partial and l > 0:
-        picks = rng.choice(k, size=l, replace=False)
-        seed_support = [support[int(i)] for i in picks]
-    variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
-    outcomes = {}
-    for v in variants:
-        trace = run(v, d, inst.observation, k, seed_support=seed_support)
-        outcomes[v] = classify(trace, support)
-    return mu, outcomes
-
-
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     """Execute the sweep and aggregate per-cell counts.
 
-    Each cell's dictionaries are generated together in one batch before its
-    trials run.  jobs > 1 runs the trials' pursuits on min(jobs, cores,
-    trials) threads; the per-trial seeding makes the report identical either
-    way.  Cells whose coherence target is unreachable for the configured shape
-    are marked skipped rather than failed.
+    Each cell runs as one batch: its dictionaries are generated together, then
+    each variant pursues every accepted trial in one stack of pursuits, at most
+    BATCH_ELEMENTS atom entries at a time.  jobs is validated and otherwise
+    ignored: a cell is a handful of stacked numpy calls in the calling thread,
+    and threads only added overhead.  Cells whose coherence target is
+    unreachable for the configured shape are marked skipped rather than failed.
     """
     if jobs < 1:
         raise InvalidArgs(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        workers = min(jobs, os.cpu_count() or 1, len(config.cells()) * config.trials)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return _aggregate(config, pool.map)
-    return _aggregate(config, map)
-
-
-def _aggregate(config: SweepConfig, mapper) -> SweepReport:
     variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
     cells = []
     for (k, l) in config.cells():
-        seeds = [[config.seed, k, l, t] for t in range(config.trials)]
-        try:
-            dicts = random_dictionaries(config.m, config.n, config.cell_target(k, l), seeds)
-        except TargetUnreachable:  # below the Welch bound, so no draw reaches it
-            dicts = [None] * config.trials
         per_variant = {v: CellResult(variant=v, k=k, l=l,
                                      threshold=coherence_threshold(k, l),
                                      requested=config.trials)
                        for v in variants}
-        for res in mapper(lambda t: _trial(config, k, l, t, dicts[t]), range(config.trials)):
-            if res is None:
-                continue
-            mu, outcomes = res
+        for mus, kinds in _cell_batches(config, k, l, variants):
             for v in variants:
                 cell = per_variant[v]
-                cell.accepted += 1
-                cell.mu_sum += mu
-                cell.mu_max = max(cell.mu_max, mu)
-                kind = outcomes[v].kind
-                if kind == RecoveryOutcome.SUCCESS:
-                    cell.successes += 1
-                elif kind == RecoveryOutcome.WRONG_ATOM:
-                    cell.wrong_atoms += 1
-                elif kind == RecoveryOutcome.TIE_WITH_WRONG_ATOM:
-                    cell.wrong_ties += 1
-                else:
-                    cell.early_stops += 1
+                cell.accepted += len(mus)
+                for mu in mus:  # in trial order, as a serial sum
+                    cell.mu_sum += mu
+                    cell.mu_max = max(cell.mu_max, mu)
+                for field, count in zip(_COUNTS, np.bincount(kinds[v], minlength=len(_KINDS))):
+                    setattr(cell, field, getattr(cell, field) + int(count))
         for v in variants:
             cell = per_variant[v]
             if cell.accepted == 0:
@@ -260,3 +215,46 @@ def _aggregate(config: SweepConfig, mapper) -> SweepReport:
                 cell.skip_reason = "coherence target unreachable for this shape"
             cells.append(cell)
     return SweepReport(config=config, cells=tuple(cells))
+
+
+def _cell_batches(config: SweepConfig, k: int, l: int, variants):
+    """The accepted trials of cell (k, l) in trial order, in batches: (coherences,
+    {variant: outcome codes into greedy._KINDS}) per batch.
+
+    Trial t's dictionary comes from the seed [seed, k, l, t]; its planted support,
+    coefficients and seeded atoms from the generator [seed, k, l, t, 1]."""
+    m, n = config.m, config.n
+    try:
+        dicts = random_dictionaries(m, n, config.cell_target(k, l),
+                                    [[config.seed, k, l, t] for t in range(config.trials)])
+    except TargetUnreachable:  # below the Welch bound, so no draw reaches it
+        return
+    drawn = [(t, d.atoms) for t, d in enumerate(dicts) if d is not None]
+    per_batch = max(1, BATCH_ELEMENTS // (m * n))
+    for start in range(0, len(drawn), per_batch):
+        trials, atoms = zip(*drawn[start:start + per_batch])
+        atoms = np.stack(atoms)
+        mus = _off_diagonal_max(_grams(atoms))
+        if config.coherence_target == THRESHOLD_SENTINEL:
+            keep = mus < coherence_threshold(k, l)  # defensive; the generation target sits below
+            trials, atoms, mus = [t for t, ok in zip(trials, keep) if ok], atoms[keep], mus[keep]
+            if not trials:
+                continue
+        supports, coeffs, seeds = [], [], []
+        for t in trials:
+            rng = np.random.default_rng([config.seed, k, l, t, 1])
+            support = rng.choice(n, size=k, replace=False)
+            supports.append(support)
+            coeffs.append(rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k))
+            seeds.append(support[rng.choice(k, size=l, replace=False)]
+                         if config.seed_partial and l > 0 else support[:0])
+        supports, coeffs = np.array(supports), np.array(coeffs)
+        ys = (np.take_along_axis(atoms, supports[:, None, :], axis=2) @ coeffs[..., None])[..., 0]
+        planted = np.zeros((len(trials), n), dtype=bool)
+        np.put_along_axis(planted, supports, True, axis=1)
+        seeds = np.array(seeds)
+        kinds = {}
+        for v in variants:
+            runs = _pursue(SolverVariant(v), atoms, ys, k, seeds)
+            kinds[v] = _outcomes(planted, seeds.shape[1], runs.selected, runs.scores, runs.stops)
+        yield mus.tolist(), kinds

@@ -18,10 +18,11 @@ import numpy as np
 from .dictionary import (Dictionary, Support, as_support, build_worst_case,
                          check_support, coherence)
 from .errors import CalibrationFailed, InvalidArgs
-from .greedy import TIE_REL_TOL, GreedyTrace, SolverVariant, _Pursuit, as_variant, run
+from .greedy import TIE_REL_TOL, SolverVariant, _pursue, _Runs, as_variant, select_atom
 from .projection import _Projector, residual
 
 HALVING_STEPS = 80
+CALIBRATION_STACK = 4  # scales in the first stack a calibration tries at once
 MARGIN_FACTOR = 10.0  # selection margins must exceed this multiple of the tie tolerance
 SPAN_TOL = 1e-10
 
@@ -60,32 +61,35 @@ def projected_gram_closed_form(k: int, l: int, r) -> tuple[float, float]:
     return -mu - mu * mu * s, 1.0 - mu * mu * s
 
 
-def _prefix_margins_ok(trace: GreedyTrace, prefix) -> bool:
-    """True when the trace selected exactly `prefix`, each time with a clear margin."""
-    if list(trace.selected) != list(prefix):
-        return False
-    if trace.tie_at is not None:
-        return False
-    for t, scores in enumerate(trace.scores):
-        chosen = trace.selected.indices[trace.seeded + t]
-        top = float(scores[chosen])
-        if top <= 0.0:
-            return False
-        rivals = np.asarray(scores).copy()
-        rivals[chosen] = 0.0
-        margin = (top - float(rivals.max())) / top
-        if margin < MARGIN_FACTOR * TIE_REL_TOL:
-            return False
-    return True
+def _margins_ok(runs: _Runs, prefix: np.ndarray) -> np.ndarray:
+    """Per row of a stack of unseeded pursuits: whether it selected exactly `prefix`,
+    each time without a tie and with a clear margin over the runner-up."""
+    steps = np.arange(len(prefix))
+    top = runs.scores[:, steps, prefix]
+    rivals = runs.scores.copy()
+    rivals[:, steps, prefix] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = (top - rivals.max(axis=-1)) / top
+    clear = (top > 0.0) & (margin >= MARGIN_FACTOR * TIE_REL_TOL)
+    return (runs.selected == prefix).all(axis=1) & ~runs.ties.any(axis=1) & clear.all(axis=1)
 
 
 def _calibrate(variant, d: Dictionary, base, direction, prefix, what: str) -> float:
-    """First of the scales 1, 1/2, 1/4, ... at which base + scale * direction reproduces prefix."""
-    eps = 1.0
-    for _ in range(HALVING_STEPS):
-        if _prefix_margins_ok(run(variant, d, base + eps * direction, len(prefix)), prefix):
-            return eps
-        eps *= 0.5
+    """First of the scales 1, 1/2, 1/4, ... at which base + scale * direction reproduces prefix.
+
+    The scales are tried CALIBRATION_STACK at a time, then twice as many, and so on,
+    each stack in one batched pursuit; every row gets the bits of a pursuit of its own."""
+    prefix = np.asarray(prefix, dtype=int)
+    start, size = 0, CALIBRATION_STACK
+    while start < HALVING_STEPS:
+        eps = np.ldexp(1.0, -np.arange(start, min(start + size, HALVING_STEPS)))
+        atoms = np.broadcast_to(d.atoms, (len(eps), d.m, d.n))
+        runs = _pursue(variant, atoms, base + eps[:, None] * direction, len(prefix),
+                       np.empty((len(eps), 0), dtype=int))
+        ok = _margins_ok(runs, prefix)
+        if ok.any():
+            return float(eps[ok.argmax()])
+        start, size = start + size, 2 * size
     raise CalibrationFailed(f"could not calibrate {what} after {HALVING_STEPS} halvings")
 
 
@@ -205,7 +209,7 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
     y1, prefix_eps = reach_input(d, prefix, variant)
     y2, q1, q2 = dual_representation(d, prefix, variant)
 
-    j, _, _ = _Pursuit.of(d, prefix, y2).select(variant)
+    j, _, _ = select_atom(variant, d, prefix, y2)
     if j in q1:
         truth = Support(tuple(prefix.indices) + tuple(q2.indices))
     else:

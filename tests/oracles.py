@@ -10,7 +10,10 @@ import itertools
 
 import numpy as np
 
-from greedycert import GreedyTrace, RankDeficient, SolverVariant, Support
+from greedycert import (CalibrationFailed, CellResult, Dictionary, GreedyTrace, RankDeficient,
+                        RecoveryOutcome, SolverVariant, Support, SweepReport, classify,
+                        coherence, coherence_threshold, make_instance, run, welch_bound)
+from greedycert import dictionary
 from greedycert.dictionary import _haar_frame
 from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL
 
@@ -227,6 +230,40 @@ def prip_scratch(a: np.ndarray, q: int, l: int) -> tuple[float, float]:
 # evaluation at a time, and a Gram shrinkage that runs its whole step budget;
 # the package's batched generator must reproduce its bytes
 
+def shrink_gram(start: np.ndarray, target: float):
+    """The package's Gram shrinkage for one start, one step at a time, with its
+    stall rule and step cap (read from the package at call time); the lockstep
+    shrinkage must give each row these bytes."""
+    d = start.copy()
+    m, n = d.shape
+    gamma = 0.95 * target
+    best, stalled = np.inf, 0
+    for _ in range(dictionary.SHRINK_STEPS):
+        g = d.T @ d
+        mu = dictionary._off_diagonal_max(g)
+        if mu <= target:
+            return d
+        if mu < best:
+            best, stalled = mu, 0
+        else:
+            stalled += 1
+            if stalled == dictionary.SHRINK_STALL:
+                return None
+        clipped = np.clip(g, -gamma, gamma)
+        np.fill_diagonal(clipped, 1.0)
+        w, vecs = np.linalg.eigh(clipped)
+        top = np.clip(w[n - m:], 0.0, None)
+        d = (vecs[:, n - m:] * np.sqrt(top)).T
+        norms = np.linalg.norm(d, axis=0)
+        dead = np.flatnonzero(norms < 1e-12)
+        if dead.size:
+            d[:, dead] = 0.0
+            d[dead % m, dead] = 1.0
+            norms = np.linalg.norm(d, axis=0)
+        d = d / norms
+    return None
+
+
 def shrink_gram_full_budget(start: np.ndarray, target: float, max_iter: int = 1500):
     d = start.copy()
     m, n = d.shape
@@ -283,3 +320,75 @@ def random_dictionary_per_trial(m: int, n: int, coherence_target=None, seed=0):
     if n > m:
         return "shrink", shrink_gram_full_budget(blend(0.1), target)
     return "bisect", None
+
+
+# the sweep one trial at a time, as it ran before cells were batched: the
+# per-trial generator, then one pursuit and one classify per trial and variant
+
+_COUNT_OF = {RecoveryOutcome.SUCCESS: "successes", RecoveryOutcome.WRONG_ATOM: "wrong_atoms",
+             RecoveryOutcome.TIE_WITH_WRONG_ATOM: "wrong_ties",
+             RecoveryOutcome.EARLY_ZERO_RESIDUAL: "early_stops"}
+
+
+def sweep_per_trial(config, scratch: bool = False) -> SweepReport:
+    """run_sweep's report from per-trial work, pursuing with `run`, or with
+    `pursuit_scratch` when scratch is set."""
+    variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
+    m, n = config.m, config.n
+    cells = []
+    for k, l in config.cells():
+        per_variant = {v: CellResult(variant=v, k=k, l=l, threshold=coherence_threshold(k, l),
+                                     requested=config.trials) for v in variants}
+        target = config.cell_target(k, l)
+        reachable = target is None or target >= welch_bound(m, n)
+        for t in range(config.trials if reachable else 0):
+            _, atoms = random_dictionary_per_trial(m, n, target, [config.seed, k, l, t])
+            if atoms is None:
+                continue
+            d = Dictionary(atoms)
+            mu = coherence(d)
+            if config.coherence_target == "threshold" and not mu < coherence_threshold(k, l):
+                continue
+            rng = np.random.default_rng([config.seed, k, l, t, 1])
+            support = [int(i) for i in rng.choice(n, size=k, replace=False)]
+            coeffs = rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k)
+            y = make_instance(d, support, coeffs).observation
+            seed = ([support[int(i)] for i in rng.choice(k, size=l, replace=False)]
+                    if config.seed_partial and l > 0 else [])
+            for v in variants:
+                trace = (pursuit_scratch(v, d.atoms, y, k, tuple(seed)) if scratch
+                         else run(v, d, y, k, seed_support=seed))
+                cell = per_variant[v]
+                cell.accepted += 1
+                cell.mu_sum += mu
+                cell.mu_max = max(cell.mu_max, mu)
+                field = _COUNT_OF[classify(trace, support).kind]
+                setattr(cell, field, getattr(cell, field) + 1)
+        for v in variants:
+            cell = per_variant[v]
+            if cell.accepted == 0:
+                cell.skipped = True
+                cell.skip_reason = "coherence target unreachable for this shape"
+            cells.append(cell)
+    return SweepReport(config=config, cells=tuple(cells))
+
+
+# worst-case calibration one candidate scale at a time, each a run of its own
+
+def calibrate_sequential(variant, d, base, direction, prefix, what: str) -> float:
+    """The first of the scales 1, 1/2, 1/4, ... (80 of them) at which the run from
+    base + scale * direction selects exactly prefix, without a tie and each time
+    with a margin of at least 10 TIE_REL_TOL over the runner-up."""
+    eps = 1.0
+    for _ in range(80):
+        trace = run(variant, d, base + eps * direction, len(prefix))
+        ok = list(trace.selected) == list(prefix) and trace.tie_at is None
+        for t, scores in enumerate(trace.scores if ok else ()):
+            top = float(scores[trace.selected.indices[t]])
+            rivals = np.array(scores)
+            rivals[trace.selected.indices[t]] = 0.0
+            ok = ok and top > 0.0 and (top - float(rivals.max())) / top >= 10 * TIE_REL_TOL
+        if ok:
+            return eps
+        eps *= 0.5
+    raise CalibrationFailed(f"could not calibrate {what} after 80 halvings")

@@ -6,7 +6,7 @@ from greedycert import (CapExceeded, Dictionary, InvalidArgs, Support, TargetUnr
                         load_dictionary, load_vector, make_instance, random_dictionaries,
                         random_dictionary, save_dictionary, save_vector, spark, welch_bound)
 
-from oracles import random_dictionary_per_trial, spark_bruteforce
+from oracles import random_dictionary_per_trial, shrink_gram, spark_bruteforce
 
 
 def unit(cols):
@@ -228,6 +228,68 @@ def test_shrinkage_gives_up_when_it_stalls(monkeypatch):
     with pytest.raises(TargetUnreachable):
         random_dictionary(16, 20, 0.999 / 8, seed=[7, 5, 1, 0])  # a sweep trial of cell (5, 1)
     assert dictionary.SHRINK_STALL <= len(calls) < dictionary.SHRINK_STEPS // 10
+
+
+def _shrink_starts(m, n, seeds):
+    """The shrinkage starts _generate takes for these seeds: blends at noise weight 0.1."""
+    noise, frames = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        noise.append(rng.normal(size=(m, n)))
+        frames.append(dictionary._haar_frame(rng, m, n))
+    return dictionary._blend(np.stack(frames), np.stack(noise), np.full(len(seeds), 0.1))
+
+
+def _lockstep_vs_per_trial(monkeypatch, starts, target):
+    """Shrink the stack in lockstep and every start alone, check the bytes and that
+    each row leaves the stack after as many steps as its start takes alone, and
+    return (which starts reached the target, the stack size at each lockstep step)."""
+    sizes, steps = [], []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        if a.ndim == 3:
+            sizes.append(len(a))
+        else:
+            steps[-1] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    got = dictionary._shrink_grams(starts, target)
+    want = []
+    for start in starts:
+        steps.append(0)
+        want.append(shrink_gram(start, target))
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        assert w is None or g.tobytes() == w.tobytes()
+    assert sizes == [sum(c > s for c in steps) for s in range(max(steps))]
+    return [w is not None for w in want], sizes
+
+
+def test_lockstep_shrinkage_matches_per_trial(monkeypatch):
+    starts = _shrink_starts(8, 10, [[3, t] for t in range(10)])
+    reached, sizes = _lockstep_vs_per_trial(monkeypatch, starts, 0.19)
+    # eight rows reach the target after 28 to 148 steps and one stalls at step 150
+    assert 0 < sum(reached) < len(reached)
+    assert len(sizes) < dictionary.SHRINK_STEPS  # the stack empties before the cap
+    assert len(set(sizes)) >= 5 and sizes == sorted(sizes, reverse=True)
+    monkeypatch.setattr(dictionary, "SHRINK_STEPS", 60)
+    capped, sizes = _lockstep_vs_per_trial(monkeypatch, starts, 0.19)
+    assert 0 < sum(capped) < sum(reached) and len(sizes) == 60  # the cap cut some rows
+
+
+def test_lockstep_shrinkage_rescues_a_dead_column(monkeypatch):
+    # atom 0 is zero and the clipped Gram's two largest eigenvalues belong to the
+    # other three atoms, so the first rank-2 refactoring gives atom 0 norm zero
+    angles = np.radians([90.0, 200.0, 340.0])
+    crafted = np.column_stack([np.zeros(2), np.vstack([np.cos(angles), np.sin(angles)])])
+    target = 0.7
+    clipped = np.clip(crafted.T @ crafted, -0.95 * target, 0.95 * target)
+    np.fill_diagonal(clipped, 1.0)
+    assert not np.linalg.eigh(clipped)[1][0, 2:].any()  # the rescue is reached
+    starts = np.concatenate([_shrink_starts(2, 4, [[5, t] for t in range(3)]), crafted[None]])
+    _lockstep_vs_per_trial(monkeypatch, starts, target)
 
 def test_save_load_roundtrip(tmp_path):
     d = random_dictionary(7, 9, seed=11)

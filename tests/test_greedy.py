@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from greedycert import (Dictionary, InvalidArgs, InvalidSeed, RecoveryOutcome, SolverVariant,
-                        build_worst_case, classify, make_instance, random_dictionary, run,
-                        select_atom)
+from greedycert import (Dictionary, GreedyTrace, InvalidArgs, InvalidSeed, RecoveryOutcome,
+                        SolverVariant, Support, build_scenario, build_worst_case, classify,
+                        greedy, make_instance, random_dictionary, run, select_atom)
 
 from oracles import ols_candidate_norms
 
@@ -184,3 +184,77 @@ def test_run_is_deterministic():
     assert a.selected == b.selected
     assert all(x.tobytes() == y2.tobytes() for x, y2 in zip(a.scores, b.scores))
     assert a.residual_norms == b.residual_norms
+
+
+# classify's precedence, pinned on hand-made traces and checked against the
+# batched classification the sweeps use, with the traces stacked as rows
+
+def _made(selected, scores, k=3, seeded=0, early_stop=None):
+    return GreedyTrace(variant=SolverVariant.OMP, requested=k, seeded=seeded,
+                       selected=Support(tuple(selected)),
+                       scores=tuple(np.asarray(s, dtype=float) for s in scores),
+                       residual_norms=(), tie_at=None, early_stop=early_stop)
+
+
+def _stacked_kinds(traces, truths):
+    """The batched classification of traces that share k, seeded and n."""
+    k, seeded, n = traces[0].requested, traces[0].seeded, len(traces[0].scores[0])
+    selected = np.full((len(traces), k), -1)
+    scores = np.zeros((len(traces), k - seeded, n))
+    planted = np.zeros((len(traces), n), dtype=bool)
+    stops = np.full(len(traces), k)
+    for i, (tr, truth) in enumerate(zip(traces, truths)):
+        selected[i, :len(tr.selected)] = tr.selected.indices
+        scores[i, :len(tr.scores)] = tr.scores
+        planted[i, list(truth)] = True
+        if tr.early_stop is not None:
+            stops[i] = tr.early_stop
+    return [greedy._KINDS[c] for c in greedy._outcomes(planted, seeded, selected, scores, stops)]
+
+
+def test_classify_precedence_matches_the_batched_classification():
+    S, W, T, E = (RecoveryOutcome.SUCCESS, RecoveryOutcome.WRONG_ATOM,
+                  RecoveryOutcome.TIE_WITH_WRONG_ATOM, RecoveryOutcome.EARLY_ZERO_RESIDUAL)
+    steps = [[3, 0, 0, 0, 0, 1], [0, 3, 0, 0, 1, 0], [0, 0, 3, 1, 0, 0]]
+    made = [  # (trace, expected outcome) with truth {0, 1, 2} among n = 6 atoms
+        (_made([0, 1, 2], steps), RecoveryOutcome(S)),
+        (_made([0, 4, 1], [steps[0], [0, 1, 0, 0, 3, 0], steps[1]]), RecoveryOutcome(W, 1, 4)),
+        # an exact tie with outside atom 3, though the tiebreak picks planted atom 0
+        (_made([0, 1, 2], [[2, 0, 0, 2, 0, 0]] + steps[1:]), RecoveryOutcome(T, 0)),
+        # a wrong atom picked from a tie: the tie decides
+        (_made([0, 3, 1], [steps[0], [0, 1, 0, 2, 0, 2], steps[1]]), RecoveryOutcome(T, 1)),
+        # a wrong atom before a tie: the wrong atom decides
+        (_made([4, 1, 0], [[0, 0, 0, 0, 3, 1], [2, 2, 0, 2, 0, 0], steps[0]]),
+         RecoveryOutcome(W, 0, 4)),
+        (_made([0, 1], steps[:2], early_stop=2), RecoveryOutcome(E, 2)),
+        # every score zero: the fallback's pick counts, its tie flag does not
+        (_made([0, 1, 2], steps[:2] + [[0.0] * 6]), RecoveryOutcome(S)),
+        (_made([0, 1, 3], steps[:2] + [[0.0] * 6]), RecoveryOutcome(W, 2, 3)),
+        # a tie between planted atoms only is no failure
+        (_made([0, 1, 2], [[2, 2, 0, 0, 0, 1]] + steps[1:]), RecoveryOutcome(S)),
+    ]
+    traces, expected = zip(*made)
+    truths = [[0, 1, 2]] * len(made)
+    assert [classify(tr, t) for tr, t in zip(traces, truths)] == list(expected)
+    assert _stacked_kinds(traces, truths) == [out.kind for out in expected]
+    seeded = [_made([2, 0, 1], steps[:2], seeded=1),
+              _made([2, 0, 3], [steps[0], [0, 1, 0, 1, 0, 0]], seeded=1),
+              _made([5, 0, 1], steps[:2], seeded=1)]
+    expected = [RecoveryOutcome(S), RecoveryOutcome(T, 2), RecoveryOutcome(W, 0, 5)]
+    assert [classify(tr, [0, 1, 2]) for tr in seeded] == expected
+    assert _stacked_kinds(seeded, truths[:3]) == [out.kind for out in expected]
+
+
+def test_classify_precedence_on_pursuits():
+    sc = build_scenario(3, 1, "omp")  # ties with an outside atom by construction
+    tie = run("omp", sc.dictionary, sc.y, 3)
+    wrong = run("omp", Dictionary(np.eye(4)), np.array([1.0, 0.1, 0.0, 0.0]), 1)
+    early = run("omp", Dictionary(np.eye(5)), np.array([2.0, 1.0, 0.0, 0.0, 0.0]), 4)
+    fallback = run("omp", Dictionary(np.eye(4)[:, :3]), np.eye(4)[:, 3], 2)
+    cases = [(tie, sc.truth, RecoveryOutcome.TIE_WITH_WRONG_ATOM),
+             (wrong, [2], RecoveryOutcome.WRONG_ATOM),
+             (early, [0, 1, 2, 3], RecoveryOutcome.EARLY_ZERO_RESIDUAL),
+             (fallback, [0, 1], RecoveryOutcome.SUCCESS)]
+    assert fallback.tie_at == 0 and not any(s.any() for s in fallback.scores)
+    for trace, truth, kind in cases:
+        assert classify(trace, truth).kind == kind and _stacked_kinds([trace], [truth]) == [kind]

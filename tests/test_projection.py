@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from greedycert import (Dictionary, InvalidArgs, RankDeficient, build_scenario, build_worst_case,
                         classify, least_squares, prip_exact, project_atoms, projected_coherence,
                         random_dictionary, residual, run, select_atom)
-from greedycert.greedy import TIE_REL_TOL, _Pursuit
+from greedycert.greedy import TIE_REL_TOL, _Pursuit, _pursue, as_variant
 from greedycert.projection import _span
 
 from oracles import (ls_normal_equations, orthonormal_basis, prip_scratch, projected_family,
@@ -300,3 +300,103 @@ def test_pursuit_matches_scratch_property(m, extra, draw, prefix, noise, variant
     got = run(variant, d, y, k, seed_support=seed)
     assert (got.selected, got.tie_at, got.early_stop) == (ref.selected, ref.tie_at, ref.early_stop)
     assert classify(got, truth) == classify(ref, truth)
+
+
+# a stack of pursuits, each row on its own dictionary, against one run per row
+
+def _assert_rows_are_runs(variant, dicts, ys, k, seeds):
+    runs = _pursue(as_variant(variant), np.stack([d.atoms for d in dicts]), np.stack(ys), k,
+                   np.array(seeds, dtype=int).reshape(len(dicts), -1))
+    for i, (d, y, seed) in enumerate(zip(dicts, ys, seeds)):
+        trace = run(variant, d, y, k, seed_support=seed)
+        stop = len(trace.selected)
+        assert runs.stops[i] == stop and (stop < k) == (trace.early_stop is not None)
+        assert runs.selected[i, :stop].tolist() == list(trace.selected)
+        assert runs.norms[i, :stop + 1].tolist() == list(trace.residual_norms)
+        assert runs.scores[i, :stop - len(seed)].tobytes() == np.array(trace.scores).tobytes()
+        assert not runs.scores[i, stop - len(seed):].any()
+        tie_at = int(runs.ties[i].argmax()) if runs.ties[i].any() else None
+        assert tie_at == trace.tie_at
+    return runs
+
+
+@pytest.mark.parametrize("variant", ["omp", "ols"])
+def test_stacked_pursuits_give_each_row_the_bits_of_its_run(variant):
+    rng = np.random.default_rng(5)
+    dicts = [random_dictionary(8, 12, seed=400 + i) for i in range(7)]
+    ys, seeds = [], []
+    for i, d in enumerate(dicts):
+        sup = [int(j) for j in rng.choice(12, 4, replace=False)]
+        ys.append(d.atoms[:, sup] @ rng.uniform(0.5, 1.5, 4))
+        seeds.append(sup[:1])
+    ys[2] = 2.0 * dicts[2].atoms[:, seeds[2][0]]  # vanishes with its seeded atom
+    ys[4] = dicts[4].atoms[:, seeds[4] + [7 if seeds[4] != [7] else 6]] @ [1.0, -1.0]  # after two
+    runs = _assert_rows_are_runs(variant, dicts, ys, 4, seeds)
+    assert runs.stops.tolist() == [4, 4, 1, 4, 2, 4, 4]
+    # rows that leave early, unseeded, and a stack of one
+    _assert_rows_are_runs(variant, dicts, ys, 5, [[]] * 7)
+    _assert_rows_are_runs(variant, dicts[2:3], ys[2:3], 3, seeds[2:3])
+
+
+def test_stacked_pursuits_reproject_only_their_own_rows(monkeypatch):
+    reprojected = []
+    exact = _Pursuit._reproject
+
+    def counting(self, mask):
+        if mask.ndim == 2:  # a stack, not the single runs it is checked against
+            reprojected.append(mask.any(axis=1).nonzero()[0].tolist())
+        exact(self, mask)
+
+    monkeypatch.setattr(_Pursuit, "_reproject", counting)
+    dicts = [Dictionary(ROTATED), _near_span_dictionary(1e-9), random_dictionary(5, 5, seed=8)]
+    ys = [ROTATED @ [1.0, 2.0, 0.5, 0.9, 0.0]] * 3
+    _assert_rows_are_runs("ols", dicts, ys, 3, [[0, 1]] * 3)
+    assert reprojected and all(rows == [1] for rows in reprojected)  # only the near-span row
+
+
+# residual norms when an atom lies just above RANK_SV_TOL from the span of the
+# atoms pushed before it, against values computed at 50 digits from the same
+# float atoms: errors there grow like 1e-17 / distance, relative to |y|, for run
+# and for the from-scratch oracle alike (the oracle is usually the farther one)
+
+def _near_dependent_case(seed, distance):
+    """8 x 12 unit atoms where atom 3 lies `distance` from the span of atoms 0-2,
+    and an observation that leads OLS to pick atoms 0-3 in some order."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(8, 12))
+    a /= np.linalg.norm(a, axis=0)
+    q, _ = np.linalg.qr(a[:, :3])
+    w = rng.normal(size=8)
+    w -= q @ (q.T @ w)
+    w /= np.linalg.norm(w)
+    near = a[:, :3] @ rng.uniform(0.5, 1.0, 3)
+    near = near / np.linalg.norm(near) + distance * w
+    a[:, 3] = near / np.linalg.norm(near)
+    y = a[:, :3] @ np.array([3.0, -2.5, 2.0]) + 0.5 * w + 0.01 * rng.normal(size=8)
+    return Dictionary(a), y
+
+
+def _residual_norms_50_digits(atoms, selected, y):
+    import mpmath
+    with mpmath.workdps(50):
+        a, v = mpmath.matrix(atoms.tolist()), mpmath.matrix(y.tolist())
+        norms = [mpmath.norm(v)]
+        for t in range(1, len(selected) + 1):
+            sub = mpmath.matrix([[a[i, j] for j in selected[:t]] for i in range(a.rows)])
+            coef = mpmath.lu_solve(sub.T * sub, sub.T * v)
+            norms.append(mpmath.norm(v - sub * coef))
+        return [float(x) for x in norms]
+
+
+def test_residual_norms_near_the_rank_tolerance_match_50_digit_values():
+    distance, hard = 1e-7, 0
+    for seed in range(30):
+        d, y = _near_dependent_case(seed, distance)
+        trace = run("ols", d, y, 4)
+        if 3 not in trace.selected:
+            continue
+        exact = _residual_norms_50_digits(d.atoms, list(trace.selected), y)
+        err = np.abs(np.subtract(trace.residual_norms, exact)).max() / np.linalg.norm(y)
+        assert err <= 3e-17 / distance  # the largest of 246 such runs was 1.2e-17 / distance
+        hard += err > 1e-12
+    assert hard >= 10  # beyond the 1e-12 the oracle comparisons above allow

@@ -1,13 +1,15 @@
 import json
-import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedycert import (Dictionary, InvalidArgs, SweepConfig, TargetUnreachable,
                         coherence_threshold, run_sweep, sweep, welch_bound)
 
-from oracles import random_dictionary_per_trial
+from oracles import random_dictionary_per_trial, sweep_per_trial
 
 
 def small_config(**overrides):
@@ -122,30 +124,21 @@ def test_invalid_jobs():
         run_sweep(small_config(), jobs=0)
 
 
-def test_pool_is_bounded_by_cores_and_trials(monkeypatch):
-    sizes = []
-
-    class RecordingPool:  # runs the trials inline and starts no thread
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(sweep, "ThreadPoolExecutor", RecordingPool)
+def test_jobs_start_no_thread(monkeypatch):
     cfg = small_config(trials=2)
+    serial = run_sweep(cfg)
+    started = []
+
+    def refuse(thread):
+        started.append(thread)
+        raise AssertionError("run_sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    before = threading.active_count()
     report = run_sweep(cfg, jobs=10 ** 6)
-    assert sizes == [min(os.cpu_count() or 1, 2 * len(cfg.cells()))]
-    assert report.to_csv() == run_sweep(cfg).to_csv()
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_sweep(cfg, jobs=10 ** 6)
-    assert sizes[-1] == 1
+    assert not started and threading.active_count() == before
+    assert report.to_csv() == serial.to_csv()
+    assert report.to_json() == serial.to_json()
 
 
 def per_trial_dictionaries(m, n, target, seeds):
@@ -168,5 +161,54 @@ def test_run_sweep_matches_per_trial_generation(monkeypatch, overrides, accepted
     reference = run_sweep(cfg)
     assert [c.accepted for c in reference.cells if c.variant == "omp"] == accepted
     for report in batched:
+        assert report.to_csv() == reference.to_csv()
+        assert report.to_json() == reference.to_json()
+
+
+CRITERION_CONFIGS = {  # the sweeps of acceptance criteria 2, 3 and 9 (also the README example)
+    2: dict(m=16, n=16, k_range=(2, 5), l_range=(0, 4), trials=75,
+            coherence_target="threshold", seed=1234, variant="both", seed_partial=True),
+    3: dict(m=16, n=16, k_range=(2, 5), l_range=(0, 0), trials=130,
+            coherence_target="threshold", seed=99, variant="both", seed_partial=False),
+    9: dict(m=12, n=12, k_range=(2, 4), l_range=(0, 2), trials=10,
+            coherence_target="threshold", seed=4242, variant="both", seed_partial=True),
+}
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(trials=6),
+    dict(trials=6, m=8, n=10, k_range=(2, 4)),
+    dict(trials=6, m=8, n=10, k_range=(2, 2), coherence_target=0.1869),
+    *CRITERION_CONFIGS.values(),
+])
+def test_run_sweep_matches_the_per_trial_sweep(overrides):
+    cfg = small_config(**overrides)
+    reference = sweep_per_trial(cfg)
+    for jobs in (1, 4):
+        report = run_sweep(cfg, jobs=jobs)
+        assert report.to_csv() == reference.to_csv()
+        assert report.to_json() == reference.to_json()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.integers(3, 10), extra=st.integers(0, 6),
+       target=st.sampled_from([None, "threshold", "number"]), seed=st.integers(0, 10 ** 6),
+       variant=st.sampled_from(["omp", "ols", "both"]), seed_partial=st.booleans(),
+       jobs=st.sampled_from([1, 4, 10 ** 6]))
+def test_run_sweep_matches_the_per_trial_sweep_property(data, m, extra, target, seed, variant,
+                                                         seed_partial, jobs):
+    n = m + extra
+    k_hi = data.draw(st.integers(1, m), label="k_hi")
+    k_lo = data.draw(st.integers(max(1, k_hi - 1), k_hi), label="k_lo")
+    l_lo = data.draw(st.integers(0, k_hi - 1), label="l_lo")
+    l_hi = data.draw(st.integers(l_lo, min(l_lo + 2, k_hi - 1)), label="l_hi")
+    if target == "number":
+        target = data.draw(st.floats(0.05, 0.95), label="target")
+    cfg = SweepConfig(m=m, n=n, k_range=(k_lo, k_hi), l_range=(l_lo, l_hi),
+                      trials=data.draw(st.integers(1, 3), label="trials"),
+                      coherence_target=target, seed=seed, variant=variant,
+                      seed_partial=seed_partial)
+    report = run_sweep(cfg, jobs=jobs)
+    for reference in (sweep_per_trial(cfg), sweep_per_trial(cfg, scratch=True)):
         assert report.to_csv() == reference.to_csv()
         assert report.to_json() == reference.to_json()

@@ -8,7 +8,9 @@ from greedycert import (CalibrationFailed, InvalidArgs, RecoveryOutcome, build_s
                         dual_representation, gram, project_atoms, projected_gram_closed_form,
                         reach_input, residual, run)
 
-from oracles import construction_projected_pair
+from greedycert import worstcase
+
+from oracles import calibrate_sequential, construction_projected_pair
 
 
 PAIRS = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 2), (5, 3)]
@@ -164,3 +166,33 @@ def test_scenario_validation():
         build_scenario(0, 0, "omp")
     with pytest.raises(InvalidArgs):
         build_scenario(3, 1, "sp")
+
+
+@pytest.mark.parametrize("k, l", PAIRS + [(18, 4), (25, 2), (32, 16)])
+def test_stacked_calibration_matches_one_run_per_scale(monkeypatch, k, l):
+    # (32, 16) needs up to 16 halvings per prefix atom: stacks of 4, 8 and 16 scales
+    for variant in ("omp", "ols"):
+        stacked = build_scenario(k, l, variant)
+        with monkeypatch.context() as patch:
+            patch.setattr(worstcase, "_calibrate", calibrate_sequential)
+            sequential = build_scenario(k, l, variant)
+        assert stacked.prefix_epsilons == sequential.prefix_epsilons
+        assert stacked.mix_epsilon == sequential.mix_epsilon
+        assert stacked.y.tobytes() == sequential.y.tobytes()
+
+
+def test_calibration_margins_reject_ties_close_calls_and_other_selections():
+    from greedycert.greedy import TIE_REL_TOL, _Runs
+    gap = 10 * TIE_REL_TOL  # the smallest margin a calibrated selection may have
+    rows = [  # (atoms selected, tie flags, scores of the two steps over 4 atoms, accepted)
+        ([2, 0], [0, 0], [[0, 0, 1, 0.5], [1, 0, 0, 0.5]], True),
+        ([2, 0], [0, 1], [[0, 0, 1, 0.5], [1, 0, 0, 0.5]], False),  # a tie flagged
+        ([2, 0], [0, 0], [[0, 0, 1, 1 - 0.5 * gap], [1, 0, 0, 0.5]], False),  # too close
+        ([2, 0], [0, 0], [[0, 0, 1, 1 - 2 * gap], [1, 0, 0, 0.5]], True),
+        ([2, 1], [0, 0], [[0, 0, 1, 0.5], [0, 1, 0, 0.5]], False),  # another atom
+        ([2, -1], [0, 0], [[0, 0, 1, 0.5], [0, 0, 0, 0]], False),  # the residual vanished
+    ]
+    selected, ties, scores, accepted = zip(*rows)
+    runs = _Runs(np.array(selected), None, np.array(scores, dtype=float), None,
+                 np.array(ties, dtype=bool))
+    assert worstcase._margins_ok(runs, np.array([2, 0])).tolist() == list(accepted)
