@@ -161,7 +161,7 @@ def cmd_worstcase(args) -> int:
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     config = SweepConfig.from_dict(raw)
     report = run_sweep(config, jobs=args.jobs)

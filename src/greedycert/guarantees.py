@@ -19,7 +19,7 @@ import numpy as np
 from .dictionary import RANK_SV_TOL, Dictionary, _off_diagonal_max, as_support, check_support
 from .errors import CapExceeded, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import SolverVariant, as_variant
-from .projection import _Projector, _walk
+from .projection import _normalized, _walk, project_atoms
 
 ENUM_CAP = 10 ** 6
 
@@ -116,7 +116,7 @@ def partial_erc(variant, d: Dictionary, q, qstar) -> ErcReport:
     qq = check_support(d, as_support(q))
     if not set(qq.indices) < set(qs.indices):
         raise InvalidArgs("q must be a proper subset of qstar")
-    fam, _ = _Projector.of(d, qq).family(normalize=(variant is SolverVariant.OLS))
+    fam = project_atoms(d, qq).family(normalize=(variant is SolverVariant.OLS))
     outside = [i for i in range(d.n) if i not in qs]
     return _erc(fam[:, [i for i in qs if i not in qq]], fam, outside,
                 "projected planted family", variant.value, qq.indices)
@@ -177,9 +177,9 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     if total > cap:
         raise CapExceeded(f"{total} support/block pairs exceed the cap of {cap}")
     lo, hi = np.inf, -np.inf
-    for proj in _walk(_Projector.of(d, ()), l):
-        gp = proj.projected.T @ proj.projected
-        rest = [i for i in range(d.n) if i not in proj.support]
+    for support, projected in _walk(d, l):
+        gp = projected.T @ projected
+        rest = [i for i in range(d.n) if i not in support]
         blocks = np.array(list(combinations(rest, q)))
         grams = gp[blocks[:, :, None], blocks[:, None, :]]
         eig = np.linalg.eigvalsh(grams)
@@ -201,8 +201,8 @@ def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> 
     if math.comb(d.n, l) > cap:
         raise CapExceeded(f"{math.comb(d.n, l)} supports exceed the cap of {cap}")
     best = 0.0
-    for proj in _walk(_Projector.of(d, ()), l):
-        fam, _ = proj.family(normalize=(variant is SolverVariant.OLS))
+    for _, projected in _walk(d, l):
+        fam = _normalized(projected)[0] if variant is SolverVariant.OLS else projected
         best = max(best, float(_off_diagonal_max(fam.T @ fam)))
     return best
 
@@ -255,7 +255,7 @@ def cross_gram_bound_check(d: Dictionary, q, qp, qpp, u, mu_l: float | None = No
     u = np.asarray(u, dtype=float)
     if u.shape != (len(b),):
         raise InvalidArgs(f"u must have length {len(b)}, got shape {u.shape}")
-    projected = _Projector.of(d, qs).projected
+    projected = project_atoms(d, qs).projected
     lhs = float(np.linalg.norm(projected[:, a.array()].T @ (projected[:, b.array()] @ u)))
     if mu_l is None:
         mu_l = projected_coherence(SolverVariant.OMP, d, len(qs))

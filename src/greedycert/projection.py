@@ -1,13 +1,13 @@
 """Orthogonal projection kernels: residuals, projected atom families, least squares.
 
-Everything here projects against the span of the selected atoms, which a
-private projector grows one atom per push: a Gram-Schmidt step with one
-re-orthogonalization pass ("twice is enough"; Giraud, Langou, Rozloznik 2005)
-and a rank-1 update of every projected atom, O(mn); a fresh support takes one
-block update instead.  That projector serves the callers whose output is the
-whole projected family; pursuits keep a leaner state in greedy.  An atom
-whose projection has norm <= RANK_SV_TOL, its distance to the span of the
-atoms before it, is numerically dependent.
+Everything here projects against the span of the selected atoms, whose
+orthonormal basis grows one atom at a time: a Gram-Schmidt step with one
+re-orthogonalization pass ("twice is enough"; Giraud, Langou, Rozloznik 2005).
+project_atoms projects the whole family against a support with one block
+update; the enumerations walk every support of a given size with a rank-1
+update of the family per push, O(mn).  Pursuits keep a leaner state in greedy.
+An atom whose projection has norm <= RANK_SV_TOL, its distance to the span of
+the atoms before it, is numerically dependent.
 """
 
 from dataclasses import dataclass
@@ -67,45 +67,31 @@ def _span(d: Dictionary, atoms) -> np.ndarray:
     return basis
 
 
-class _Projector:
-    """The span of the pushed atoms: an orthonormal basis of it and every atom
-    projected against it (pushed atoms exactly zero)."""
+def _walk(d: Dictionary, l: int):
+    """(support, projected atoms) for each l-subset of atoms, in combinations() order.
 
-    def __init__(self, support: tuple, basis, projected):
-        self.support, self.basis, self.projected = support, basis, projected
+    Each push is a rank-1 update of the family before it, O(mn), so the walk
+    holds l + 1 families.  It starts from a C-ordered copy of the atoms: the
+    products below take other bits on a Fortran-ordered family."""
+    def walk(support, basis, projected, start):
+        if len(support) == l:
+            yield support, projected
+            return
+        for j in range(start, d.n - l + len(support) + 1):
+            q = _direction(basis, projected[:, j], support + (j,))
+            pushed = q[:, None] * -(q @ projected)
+            pushed += projected
+            pushed[:, j] = 0.0
+            yield from walk(support + (j,), np.column_stack((basis, q)), pushed, j + 1)
 
-    @classmethod
-    def of(cls, d: Dictionary, support) -> "_Projector":
-        """The state after pushing the support, built with one block update."""
-        basis = _span(d, support)
-        projected = d.atoms - basis @ (basis.T @ d.atoms)
-        projected[:, list(support)] = 0.0
-        return cls(tuple(support), basis, projected)
-
-    def push(self, j: int) -> "_Projector":
-        """A new state whose span also holds atom j: rank-1 updates, O(mn)."""
-        q = _direction(self.basis, self.projected[:, j], self.support + (j,))
-        projected = q[:, None] * -(q @ self.projected)
-        projected += self.projected
-        projected[:, j] = 0.0
-        return _Projector(self.support + (j,), np.column_stack((self.basis, q)), projected)
-
-    def family(self, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(raw or unit-norm projected atoms, vanished mask); vanished unit-norm atoms are zero."""
-        norms = np.sqrt(np.einsum("ij,ij->j", self.projected, self.projected))
-        vanished = norms <= VANISH_TOL
-        if not normalize:
-            return self.projected, vanished
-        return self.projected / np.where(vanished, np.inf, norms), vanished
+    yield from walk((), np.empty((d.m, 0)), d.atoms.copy(), 0)
 
 
-def _walk(proj: _Projector, l: int, start: int = 0):
-    """proj plus each l-subset of atoms >= start, in combinations() order, holding l + 1 states."""
-    if l == 0:
-        yield proj
-        return
-    for j in range(start, proj.projected.shape[1] - l + 1):
-        yield from _walk(proj.push(j), l - 1, j + 1)
+def _normalized(projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unit-norm columns, vanished mask); a vanished column (norm <= VANISH_TOL) becomes zero."""
+    norms = np.sqrt(np.einsum("ij,ij->j", projected, projected))
+    vanished = norms <= VANISH_TOL
+    return projected / np.where(vanished, np.inf, norms), vanished
 
 
 def _check_vector(d: Dictionary, y) -> np.ndarray:
@@ -171,9 +157,11 @@ def project_atoms(d: Dictionary, support) -> ProjectedDictionary:
     would be ill-defined).
     """
     sup = check_support(d, as_support(support))
-    proj = _Projector.of(d, sup)
-    normalized, vanished = proj.family(normalize=True)
-    for arr in (proj.projected, normalized, vanished):
+    basis = _span(d, sup)
+    projected = d.atoms - basis @ (basis.T @ d.atoms)
+    projected[:, list(sup)] = 0.0
+    normalized, vanished = _normalized(projected)
+    for arr in (projected, normalized, vanished):
         arr.setflags(write=False)
-    return ProjectedDictionary(source=d, support=sup, projected=proj.projected,
+    return ProjectedDictionary(source=d, support=sup, projected=projected,
                                normalized=normalized, vanished=vanished)

@@ -64,7 +64,8 @@ class SweepConfig:
             raise InvalidArgs("no cell satisfies l < k <= min(m, n)")
         target = self.coherence_target
         if not (target is None or target == THRESHOLD_SENTINEL
-                or isinstance(target, (int, float)) and np.isfinite(target) and target >= 0):
+                or isinstance(target, (int, float)) and not isinstance(target, bool)
+                and np.isfinite(target) and target >= 0):
             raise InvalidArgs(f"coherence_target must be null, a number >= 0 or "
                               f"\"{THRESHOLD_SENTINEL}\", got {target!r}")
         if self.seed < 0:
@@ -85,13 +86,15 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "SweepConfig":
+        if not isinstance(raw, dict):
+            raise InvalidArgs(f"sweep config must be a JSON object, got {type(raw).__name__}")
         known = {"m", "n", "k_range", "l_range", "trials", "coherence_target",
                  "seed", "variant", "seed_partial"}
         extra = set(raw) - known
         if extra:
             raise InvalidArgs(f"unknown sweep config fields: {sorted(extra)}")
         try:
-            return SweepConfig(
+            fields = dict(
                 m=int(raw["m"]),
                 n=int(raw["n"]),
                 k_range=tuple(int(x) for x in raw["k_range"]),
@@ -104,6 +107,9 @@ class SweepConfig:
             )
         except KeyError as exc:
             raise InvalidArgs(f"sweep config is missing field {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidArgs(f"malformed sweep config: {exc}") from None
+        return SweepConfig(**fields)
 
     def to_dict(self) -> dict:
         return {

@@ -19,7 +19,7 @@ from .dictionary import (Dictionary, Support, as_support, build_worst_case,
                          check_support, coherence)
 from .errors import CalibrationFailed, InvalidArgs
 from .greedy import TIE_REL_TOL, SolverVariant, _pursue, _Runs, as_variant, select_atom
-from .projection import _Projector, residual
+from .projection import project_atoms, residual
 
 HALVING_STEPS = 80
 CALIBRATION_STACK = 4  # scales in the first stack a calibration tries at once
@@ -138,7 +138,7 @@ def dual_representation(d: Dictionary, q, variant) -> tuple[np.ndarray, Support,
         raise InvalidArgs(f"complement of q has odd size {len(rest)}; cannot split in half")
     half = len(rest) // 2
     q1, q2 = Support(tuple(rest[:half])), Support(tuple(rest[half:]))
-    fam, _ = _Projector.of(d, sup).family(normalize=(variant is SolverVariant.OLS))
+    fam = project_atoms(d, sup).family(normalize=(variant is SolverVariant.OLS))
     y2 = fam[:, q1.array()].sum(axis=1)
     return y2, q1, q2
 

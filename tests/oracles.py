@@ -128,8 +128,8 @@ def construction_projected_pair(k: int, l: int, r: int) -> tuple[float, float]:
 
 
 # the from-scratch projection path: an SVD rank gate plus a QR for every
-# support, rebuilt on each call; the package's incremental projector is
-# checked against it
+# support, rebuilt on each call; the package's pursuit state and the support
+# walk of its enumerations are checked against it
 
 def orthonormal_basis(a: np.ndarray, support) -> np.ndarray:
     """Orthonormal basis of span(a[:, support]), with a full-rank check."""

@@ -200,6 +200,31 @@ def test_sweep_bad_config_exits_1(tmp_path, capsys):
     assert "coherence_target" in capsys.readouterr().err
 
 
+GOOD_SWEEP = dict(m=8, n=8, k_range=[2, 2], l_range=[0, 0], trials=1)
+
+
+@pytest.mark.parametrize("raw", [
+    {**GOOD_SWEEP, "m": "x"},
+    {**GOOD_SWEEP, "k_range": 5},
+    {**GOOD_SWEEP, "k_range": [[2], 2]},
+    {**GOOD_SWEEP, "trials": None},
+    {**GOOD_SWEEP, "l_range": ["0", "a"]},
+    {**GOOD_SWEEP, "n": float("inf")},
+    {**GOOD_SWEEP, "coherence_target": True},
+    [GOOD_SWEEP],
+    [],
+    "m=8",
+])
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]])
+def test_sweep_malformed_config_exits_1(tmp_path, capsys, raw, seed):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(p)] + seed) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_prip_command(wc_dict, capsys):
     assert main(["prip", "--dict", wc_dict, "--q", "2", "--l", "1"]) == 0
     blob = json.loads(capsys.readouterr().out)

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from greedycert import (CapExceeded, Dictionary, InvalidArgs, Support, TargetUnreachable,
                         as_support, build_worst_case, coherence, dictionary, gram,
@@ -314,6 +320,35 @@ def test_load_dictionary_rejects_bad_input(tmp_path):
         path.write_text(text)
         with pytest.raises(InvalidArgs):
             load_dictionary(path)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(lambda m: st.integers(2, 10).flatmap(lambda n: arrays(
+    float, (m, n), elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)))))
+def test_dictionary_csv_roundtrip_is_exact(raw):
+    norms = np.linalg.norm(raw, axis=0)
+    assume(np.all(norms > 1e-150))
+    d = Dictionary(raw / norms)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        save_dictionary(d, path)
+        loaded, renorm = load_dictionary(path)
+    assert not renorm
+    assert loaded.atoms.shape == d.atoms.shape
+    assert loaded.atoms.tobytes() == d.atoms.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(arrays(float, st.integers(1, 20), elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1e308,
+                   np.finfo(float).max, np.finfo(float).tiny]))
+def test_vector_csv_roundtrip_is_exact(v):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.csv"
+        save_vector(v, path)
+        w = load_vector(path)
+    assert w.shape == v.shape
+    assert w.tobytes() == v.tobytes()
 
 
 def test_vector_roundtrip(tmp_path):

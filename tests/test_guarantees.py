@@ -220,3 +220,30 @@ def test_cross_gram_bound_validation():
         cross_gram_bound_check(d, [0], [1], [2], np.ones(3))  # u length
     with pytest.raises(InvalidArgs):
         cross_gram_bound_check(d, [0], [], [2], np.ones(1))
+
+
+LAYOUT_SOURCES = {
+    "12x20 #1": lambda: random_dictionary(12, 20, coherence_target=0.24, seed=1),
+    "12x20 #2": lambda: random_dictionary(12, 20, coherence_target=0.24, seed=2),
+    "12x20 #3": lambda: random_dictionary(12, 20, coherence_target=0.24, seed=3),
+    "worst case (4, 2)": lambda: build_worst_case(4, 2),
+    "worst case (5, 3)": lambda: build_worst_case(5, 3),
+}
+
+
+@pytest.mark.parametrize("source", LAYOUT_SOURCES)
+def test_enumerations_do_not_depend_on_the_memory_layout(source):
+    # generated and worst-case dictionaries come Fortran-ordered; the enumerations
+    # must give the same bits on a C-ordered copy of the same atoms
+    atoms = LAYOUT_SOURCES[source]().atoms
+    c, f = Dictionary(np.ascontiguousarray(atoms)), Dictionary(np.asfortranarray(atoms))
+    assert c.atoms.flags.c_contiguous and f.atoms.flags.f_contiguous
+    for variant in ("omp", "ols"):
+        for l in range(4):
+            assert (projected_coherence(variant, c, l).hex()
+                    == projected_coherence(variant, f, l).hex()), (variant, l)
+    # (3, 3) on 20 atoms takes seconds and walks the supports of (2, 3) again
+    orders = [(2, l) for l in range(4)] + [(3, l) for l in range(3 if c.n > 10 else 4)]
+    for q, l in orders:
+        pc, pf = prip_exact(c, q, l), prip_exact(f, q, l)
+        assert (pc.lower.hex(), pc.upper.hex()) == (pf.lower.hex(), pf.upper.hex()), (q, l)

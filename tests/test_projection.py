@@ -107,7 +107,7 @@ def test_project_atoms_empty_support():
     assert not pd.vanished.any()
 
 
-# the incremental projector against the from-scratch SVD + QR path
+# pursuits and the enumerations' support walk against the from-scratch SVD + QR path
 
 def assert_same_pursuit(variant, d, y, k, truth, seed=()):
     got = run(variant, d, y, k, seed_support=seed)

@@ -38,7 +38,7 @@ def test_config_validation():
         small_config(variant="both!" )
     with pytest.raises(InvalidArgs):
         small_config(coherence_target="thresh")
-    for bad in (-0.5, float("nan"), float("inf"), [0.2]):
+    for bad in (-0.5, float("nan"), float("inf"), [0.2], True, False):
         with pytest.raises(InvalidArgs):
             small_config(coherence_target=bad)
     assert small_config(coherence_target=0).coherence_target == 0
