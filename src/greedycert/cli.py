@@ -3,8 +3,8 @@
 Subcommands: run, certify, worstcase, sweep, prip, coherence.  Exit codes:
 0 success or condition satisfied, 1 usage or IO problems, 2 a condition or
 recovery failed, 3 rank deficiency, 4 a constructed failure scenario did not
-reproduce.  All numbers are printed with 17 significant digits so runs can be
-compared byte for byte.
+reproduce.  Reports print as JSON or, with `--format csv`, as a header and rows,
+every number in 17 significant digits so runs can be compared byte for byte.
 """
 
 import argparse
@@ -15,16 +15,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dictionary import coherence, load_dictionary, load_vector, make_instance, save_dictionary, save_vector, spark
+from .dictionary import (_check_kl, _fmt, coherence, load_dictionary, load_vector, make_instance,
+                         save_dictionary, save_vector, spark)
 from .errors import CalibrationFailed, GreedyCertError, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import RecoveryOutcome, classify, run
 from .guarantees import coherence_threshold, partial_erc, prip_coherence_bounds, prip_exact, tropp_erc
 from .sweep import SweepConfig, run_sweep
 from .worstcase import build_scenario
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 class _UsageError(Exception):
@@ -56,6 +53,17 @@ def _parse_instance(text: str) -> tuple[list[int], list[float]]:
         raise InvalidArgs(
             f"expected index:coefficient pairs like '0:1.5,3:-2', got {text!r}") from None
     return support, coeffs
+
+
+def _emit(fmt: str, report: dict, head: list, rows: list) -> None:
+    """Print report as indented JSON, or for fmt "csv" the header and the rows,
+    floats in 17 significant digits and every other cell through str."""
+    if fmt == "csv":
+        print(",".join(head))
+        for row in rows:
+            print(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    else:
+        print(json.dumps(report, indent=2))
 
 
 def _load_dict(path):
@@ -113,21 +121,16 @@ def cmd_certify(args) -> int:
         "erc": full.to_dict(),
         "partial_erc": partial.to_dict() if partial is not None else None,
     }
-    if args.format == "csv":
-        head = ["coherence", "threshold_full", "threshold_partial", "erc_lhs", "erc_satisfied",
-                "partial_lhs", "partial_satisfied"]
-        row = [_fmt(mu), _fmt(thr_full), _fmt(thr_partial), _fmt(full.lhs), str(full.satisfied),
-               _fmt(partial.lhs) if partial else "", str(partial.satisfied) if partial else ""]
-        print(",".join(head))
-        print(",".join(row))
-    else:
-        print(json.dumps(report, indent=2))
+    head = ["coherence", "threshold_full", "threshold_partial", "erc_lhs", "erc_satisfied",
+            "partial_lhs", "partial_satisfied"]
+    row = [mu, thr_full, thr_partial, full.lhs, full.satisfied,
+           partial.lhs if partial else "", partial.satisfied if partial else ""]
+    _emit(args.format, report, head, [row])
     return 0 if operative.satisfied else 2
 
 
 def cmd_worstcase(args) -> int:
-    if args.l >= args.k or args.l < 0 or args.k < 1:
-        raise InvalidArgs(f"need 0 <= l < k, got k={args.k}, l={args.l}")
+    _check_kl(args.k, args.l)
     if 2 * args.k - args.l > 64:
         raise InvalidArgs(f"2k-l = {2 * args.k - args.l} exceeds the supported cap of 64")
     scenario = build_scenario(args.k, args.l, args.variant)
@@ -189,17 +192,13 @@ def cmd_prip(args) -> int:
         bound = prip_coherence_bounds(args.q, args.l, mu)
     except OutOfDomain:
         bound = None
-    if args.format == "csv":
-        print("kind,q,l,lower,upper")
-        print(f"exact,{exact.q},{exact.l},{_fmt(exact.lower)},{_fmt(exact.upper)}")
-        if bound is not None:
-            print(f"coherence_bound,{bound.q},{bound.l},{_fmt(bound.lower)},{_fmt(bound.upper)}")
-    else:
-        print(json.dumps({
-            "coherence": mu,
-            "exact": exact.to_dict(),
-            "coherence_bound": bound.to_dict() if bound is not None else None,
-        }, indent=2))
+    report = {
+        "coherence": mu,
+        "exact": exact.to_dict(),
+        "coherence_bound": bound.to_dict() if bound is not None else None,
+    }
+    rows = [[c.kind, c.q, c.l, c.lower, c.upper] for c in (exact, bound) if c is not None]
+    _emit(args.format, report, ["kind", "q", "l", "lower", "upper"], rows)
     return 0
 
 
@@ -208,11 +207,7 @@ def cmd_coherence(args) -> int:
     report = {"m": d.m, "n": d.n, "coherence": coherence(d)}
     if args.spark:
         report["spark"] = spark(d)
-    if args.format == "csv":
-        print(",".join(report.keys()))
-        print(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in report.values()))
-    else:
-        print(json.dumps(report, indent=2))
+    _emit(args.format, report, list(report), [list(report.values())])
     return 0
 
 

@@ -19,7 +19,10 @@ import numpy as np
 from .errors import CapExceeded, InvalidArgs, TargetUnreachable
 
 UNIT_NORM_TOL = 1e-9
-RANK_SV_TOL = 1e-8  # singular values below this fraction of the largest count as zero
+# Rank tolerance, two ways: `spark` and the exact-recovery tests count singular values below
+# this fraction of the largest as zero; pursuits and projections count an atom whose absolute
+# distance to the span of the atoms before it is at or below this as dependent on them.
+RANK_SV_TOL = 1e-8
 SPARK_CAP = 20
 BISECT_STEPS = 60
 SHRINK_STEPS = 1500
@@ -185,6 +188,12 @@ def spark(d: Dictionary, cap: int = SPARK_CAP) -> int:
     return min(d.n, d.m + 1)
 
 
+def _check_kl(k: int, l: int) -> None:
+    """Reject (k, l) outside the domain of recovering k >= 1 atoms after 0 <= l < k correct ones."""
+    if k < 1 or l < 0 or l >= k:
+        raise InvalidArgs(f"need k >= 1 and 0 <= l < k, got k={k}, l={l}")
+
+
 def build_worst_case(k: int, l: int) -> Dictionary:
     """Symmetric dictionary of 2k-l atoms in dimension 2k-l-1 at coherence 1/(2k-l-1).
 
@@ -200,8 +209,7 @@ def build_worst_case(k: int, l: int) -> Dictionary:
     """
     if not (isinstance(k, int) and isinstance(l, int)):
         raise InvalidArgs("k and l must be ints")
-    if k < 1 or l < 0 or l >= k:
-        raise InvalidArgs(f"need k >= 1 and 0 <= l < k, got k={k}, l={l}")
+    _check_kl(k, l)
     n = 2 * k - l
     m = n - 1
     ones_dir = np.full(n, 1.0 / math.sqrt(n))
@@ -438,11 +446,20 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
     return d
 
 
+def _fmt(x) -> str:
+    """A number in 17 significant digits, enough to round-trip a float: the CLI's number format."""
+    return f"{float(x):.17g}"
+
+
+def _csv_lines(rows) -> str:
+    """Rows of numbers as CSV lines in `_fmt`'s format, joined by newlines (none after the last)."""
+    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows)
+
+
 def save_dictionary(d: Dictionary, path) -> None:
     """Write the matrix as plain CSV, one row per line, 17 significant digits."""
     with open(path, "w") as fh:
-        for row in d.atoms:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(_csv_lines(d.atoms) + "\n")
 
 
 def load_dictionary(path) -> tuple[Dictionary, bool]:
@@ -483,8 +500,7 @@ def save_vector(v: np.ndarray, path) -> None:
     """Write a vector as one value per line, 17 significant digits."""
     v = np.asarray(v, dtype=float).ravel()
     with open(path, "w") as fh:
-        for x in v:
-            fh.write(f"{x:.17g}\n")
+        fh.write(_csv_lines(v[:, None]) + "\n")
 
 
 def load_vector(path) -> np.ndarray:

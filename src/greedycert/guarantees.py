@@ -16,7 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .dictionary import RANK_SV_TOL, Dictionary, _off_diagonal_max, as_support, check_support
+from .dictionary import (RANK_SV_TOL, Dictionary, _check_kl, _off_diagonal_max, as_support,
+                         check_support)
 from .errors import CapExceeded, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import SolverVariant, as_variant
 from .projection import _normalized, _walk, project_atoms
@@ -125,16 +126,14 @@ def partial_erc(variant, d: Dictionary, q, qstar) -> ErcReport:
 def coherence_threshold(k: int, l: int) -> float:
     """Coherence level 1/(2k-l-1) below which recovery of k atoms is assured
     once l correct ones are in hand (and at which it provably can fail)."""
-    if k < 1 or l < 0 or l >= k:
-        raise InvalidArgs(f"need k >= 1 and 0 <= l < k, got k={k}, l={l}")
+    _check_kl(k, l)
     return 1.0 / (2 * k - l - 1)
 
 
 def omp_partial_bound(k: int, l: int, mu: float) -> float:
     """Closed-form ceiling (k-l)*mu / (1-(k-1)*mu) on the partial test for the
     raw-projection scoring rule, valid for mu < 1/(k-1)."""
-    if k < 1 or l < 0 or l >= k:
-        raise InvalidArgs(f"need k >= 1 and 0 <= l < k, got k={k}, l={l}")
+    _check_kl(k, l)
     if mu < 0:
         raise InvalidArgs("mu must be non-negative")
     if k > 1 and mu >= 1.0 / (k - 1):
@@ -223,8 +222,7 @@ def prip_erc_bound(k: int, l: int, pair: PripConstants, block: PripConstants) ->
     """Partial-test ceiling (k-l)*(pair.upper+pair.lower) / (2*(1-block.lower))
     assembled from restricted-isometry constants for atom pairs and for blocks
     of the k-l remaining atoms, both projected against l selections."""
-    if k < 1 or l < 0 or l >= k:
-        raise InvalidArgs(f"need k >= 1 and 0 <= l < k, got k={k}, l={l}")
+    _check_kl(k, l)
     if pair.q != 2 or pair.l != l:
         raise InvalidArgs(f"pair constants must be for (q=2, l={l}), got (q={pair.q}, l={pair.l})")
     if block.q != k - l or block.l != l:

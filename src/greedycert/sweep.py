@@ -10,21 +10,30 @@ in one stack of pursuits (the trials share m, n and k), with the outcomes of
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from .dictionary import BATCH_ELEMENTS, _grams, _off_diagonal_max, random_dictionaries
+from .dictionary import BATCH_ELEMENTS, _fmt, _grams, _off_diagonal_max, random_dictionaries
 from .errors import InvalidArgs, TargetUnreachable
-from .greedy import _KINDS, SolverVariant, _outcomes, _pursue
+from .greedy import _KINDS, RecoveryOutcome, SolverVariant, _outcomes, _pursue
 from .guarantees import coherence_threshold
 
 THRESHOLD_SENTINEL = "threshold"
 THRESHOLD_SAFETY = 1e-3  # generate strictly below the cell threshold by this relative margin
 
 _VARIANT_CHOICES = ("omp", "ols", "both")
-# the CellResult count of each outcome kind, in the order of greedy._KINDS
-_COUNTS = ("successes", "wrong_atoms", "wrong_ties", "early_stops")
+
+
+def _typed(value, what: str, kind: type):
+    """value, which must be a JSON integer (kind int) or boolean (kind bool): nothing is coerced."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        name = "boolean" if kind is bool else "integer"
+        raise InvalidArgs(f"sweep config field {what} must be a JSON {name}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -37,7 +46,8 @@ class SweepConfig:
     ceiling just below 1/(2k-l-1), so every accepted trial sits strictly
     below the threshold).  With seed_partial the solver is seeded with l
     planted atoms per trial; otherwise it runs unseeded and l only selects
-    the per-cell threshold.
+    the per-cell threshold.  from_dict takes integers only as JSON integers
+    and seed_partial only as a JSON boolean.
     """
 
     m: int
@@ -95,19 +105,19 @@ class SweepConfig:
             raise InvalidArgs(f"unknown sweep config fields: {sorted(extra)}")
         try:
             fields = dict(
-                m=int(raw["m"]),
-                n=int(raw["n"]),
-                k_range=tuple(int(x) for x in raw["k_range"]),
-                l_range=tuple(int(x) for x in raw["l_range"]),
-                trials=int(raw["trials"]),
+                m=_typed(raw["m"], "m", int),
+                n=_typed(raw["n"], "n", int),
+                k_range=tuple(_typed(x, "k_range", int) for x in raw["k_range"]),
+                l_range=tuple(_typed(x, "l_range", int) for x in raw["l_range"]),
+                trials=_typed(raw["trials"], "trials", int),
                 coherence_target=raw.get("coherence_target"),
-                seed=int(raw.get("seed", 0)),
+                seed=_typed(raw.get("seed", 0), "seed", int),
                 variant=str(raw.get("variant", "both")).lower(),
-                seed_partial=bool(raw.get("seed_partial", False)),
+                seed_partial=_typed(raw.get("seed_partial", False), "seed_partial", bool),
             )
         except KeyError as exc:
             raise InvalidArgs(f"sweep config is missing field {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
+        except TypeError as exc:
             raise InvalidArgs(f"malformed sweep config: {exc}") from None
         return SweepConfig(**fields)
 
@@ -178,11 +188,8 @@ class SweepReport:
     def to_csv(self) -> str:
         lines = ["variant,k,l,mu_mean,threshold,success_rate,tie_rate"]
         for c in self.cells:
-            lines.append(",".join([
-                c.variant, str(c.k), str(c.l),
-                f"{c.mu_mean:.17g}", f"{c.threshold:.17g}",
-                f"{c.success_rate:.17g}", f"{c.tie_rate:.17g}",
-            ]))
+            lines.append(",".join([c.variant, str(c.k), str(c.l)] + [
+                _fmt(x) for x in (c.mu_mean, c.threshold, c.success_rate, c.tie_rate)]))
         return "\n".join(lines) + "\n"
 
 
@@ -201,40 +208,34 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
     cells = []
     for (k, l) in config.cells():
-        per_variant = {v: CellResult(variant=v, k=k, l=l,
-                                     threshold=coherence_threshold(k, l),
-                                     requested=config.trials)
-                       for v in variants}
-        for mus, kinds in _cell_batches(config, k, l, variants):
-            for v in variants:
-                cell = per_variant[v]
-                cell.accepted += len(mus)
-                for mu in mus:  # in trial order, as a serial sum
-                    cell.mu_sum += mu
-                    cell.mu_max = max(cell.mu_max, mu)
-                for field, count in zip(_COUNTS, np.bincount(kinds[v], minlength=len(_KINDS))):
-                    setattr(cell, field, getattr(cell, field) + int(count))
+        mus, kinds = _cell_outcomes(config, k, l, variants)
         for v in variants:
-            cell = per_variant[v]
-            if cell.accepted == 0:
-                cell.skipped = True
-                cell.skip_reason = "coherence target unreachable for this shape"
-            cells.append(cell)
+            count = Counter(kinds[v])
+            cells.append(CellResult(
+                variant=v, k=k, l=l, threshold=coherence_threshold(k, l), requested=config.trials,
+                accepted=len(mus), successes=count[RecoveryOutcome.SUCCESS],
+                wrong_atoms=count[RecoveryOutcome.WRONG_ATOM],
+                wrong_ties=count[RecoveryOutcome.TIE_WITH_WRONG_ATOM],
+                early_stops=count[RecoveryOutcome.EARLY_ZERO_RESIDUAL],
+                mu_sum=reduce(add, mus, 0.0),  # in trial order: sum() compensates from 3.12 on
+                mu_max=max(mus, default=0.0), skipped=not mus,
+                skip_reason=None if mus else "coherence target unreachable for this shape"))
     return SweepReport(config=config, cells=tuple(cells))
 
 
-def _cell_batches(config: SweepConfig, k: int, l: int, variants):
-    """The accepted trials of cell (k, l) in trial order, in batches: (coherences,
-    {variant: outcome codes into greedy._KINDS}) per batch.
+def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
+    """The accepted trials of cell (k, l) in trial order: their coherences and,
+    per variant, their outcome kinds.
 
     Trial t's dictionary comes from the seed [seed, k, l, t]; its planted support,
     coefficients and seeded atoms from the generator [seed, k, l, t, 1]."""
     m, n = config.m, config.n
+    cell_mus, kinds = [], {v: [] for v in variants}
     try:
         dicts = random_dictionaries(m, n, config.cell_target(k, l),
                                     [[config.seed, k, l, t] for t in range(config.trials)])
     except TargetUnreachable:  # below the Welch bound, so no draw reaches it
-        return
+        return cell_mus, kinds
     drawn = [(t, d.atoms) for t, d in enumerate(dicts) if d is not None]
     per_batch = max(1, BATCH_ELEMENTS // (m * n))
     for start in range(0, len(drawn), per_batch):
@@ -259,8 +260,9 @@ def _cell_batches(config: SweepConfig, k: int, l: int, variants):
         planted = np.zeros((len(trials), n), dtype=bool)
         np.put_along_axis(planted, supports, True, axis=1)
         seeds = np.array(seeds)
-        kinds = {}
+        cell_mus += mus.tolist()
         for v in variants:
             runs = _pursue(SolverVariant(v), atoms, ys, k, seeds)
-            kinds[v] = _outcomes(planted, seeds.shape[1], runs.selected, runs.scores, runs.stops)
-        yield mus.tolist(), kinds
+            codes = _outcomes(planted, seeds.shape[1], runs.selected, runs.scores, runs.stops)
+            kinds[v] += [_KINDS[c] for c in codes]
+    return cell_mus, kinds

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import (Dictionary, Support, as_support, build_worst_case,
+from .dictionary import (Dictionary, Support, _csv_lines, as_support, build_worst_case,
                          check_support, coherence)
 from .errors import CalibrationFailed, InvalidArgs
 from .greedy import TIE_REL_TOL, SolverVariant, _pursue, _Runs, as_variant, select_atom
+from .guarantees import coherence_threshold
 from .projection import project_atoms, residual
 
 HALVING_STEPS = 80
@@ -41,8 +42,7 @@ def projected_gram_closed_form(k: int, l: int, r) -> tuple[float, float]:
     the R atoms.  Returns (cross, norm_sq); both depend on R only through its
     size, so r may be either the subset itself or a plain count.
     """
-    if k < 1 or l < 0 or l >= k:
-        raise InvalidArgs(f"need k >= 1 and 0 <= l < k, got k={k}, l={l}")
+    mu = coherence_threshold(k, l)  # validates k, l
     if isinstance(r, (int, np.integer)):
         if r < 0:
             raise InvalidArgs(f"|R| must be non-negative, got {r}")
@@ -52,7 +52,6 @@ def projected_gram_closed_form(k: int, l: int, r) -> tuple[float, float]:
     n = 2 * k - l
     if size >= n:
         raise InvalidArgs(f"|R| must be below 2k-l = {n}, got {size}")
-    mu = 1.0 / (n - 1)
     if size == 0:
         s = 0.0
     else:
@@ -171,12 +170,11 @@ class WorstCaseScenario:
     threshold: float
 
     def to_dict(self) -> dict:
-        rows = [",".join(f"{x:.17g}" for x in row) for row in self.dictionary.atoms]
         return {
             "k": self.k,
             "l": self.l,
             "variant": self.variant,
-            "dictionary_csv": "\n".join(rows),
+            "dictionary_csv": _csv_lines(self.dictionary.atoms),
             "partial": list(self.partial.indices),
             "truth": list(self.truth.indices),
             "halves": [list(self.half_low.indices), list(self.half_high.indices)],
@@ -232,5 +230,5 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
         partial=prefix, truth=truth, half_low=q1, half_high=q2,
         y=y, reach_component=y1, null_component=y2,
         prefix_epsilons=prefix_eps, mix_epsilon=eps, predicted_wrong=j,
-        coherence=mu, threshold=1.0 / (2 * k - l - 1),
+        coherence=mu, threshold=coherence_threshold(k, l),
     )

@@ -214,6 +214,15 @@ GOOD_SWEEP = dict(m=8, n=8, k_range=[2, 2], l_range=[0, 0], trials=1)
     [GOOD_SWEEP],
     [],
     "m=8",
+    # numbers and flags are taken as they are, not coerced into another experiment
+    {**GOOD_SWEEP, "seed_partial": "false"},
+    {**GOOD_SWEEP, "seed_partial": 1},
+    {**GOOD_SWEEP, "trials": 2.9},
+    {**GOOD_SWEEP, "trials": True},
+    {**GOOD_SWEEP, "k_range": [2.7, 3.2]},
+    {**GOOD_SWEEP, "l_range": "00"},
+    {**GOOD_SWEEP, "m": "8"},
+    {**GOOD_SWEEP, "n": 8.0},
 ])
 @pytest.mark.parametrize("seed", [[], ["--seed", "3"]])
 def test_sweep_malformed_config_exits_1(tmp_path, capsys, raw, seed):
@@ -225,12 +234,125 @@ def test_sweep_malformed_config_exits_1(tmp_path, capsys, raw, seed):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "1"])
+def test_sweep_non_integer_seed_exits_1(tmp_path, capsys, seed):
+    # without --seed, which would replace the config's seed
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**GOOD_SWEEP, "seed": seed}))
+    assert main(["sweep", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: sweep config field seed must be a JSON integer, got {seed!r}\n"
+
+
+def test_sweep_config_keeps_case_insensitive_variant(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**GOOD_SWEEP, "variant": "OMP", "seed_partial": True}))
+    assert main(["sweep", "--config", str(p), "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["variant"] == "omp" and config["seed_partial"] is True
+
+
 def test_prip_command(wc_dict, capsys):
     assert main(["prip", "--dict", wc_dict, "--q", "2", "--l", "1"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["exact"]["q"] == 2 and blob["exact"]["l"] == 1
     assert blob["exact"]["upper"] <= blob["coherence_bound"]["upper"] + 1e-10
     assert main(["prip", "--dict", wc_dict, "--q", "9", "--l", "1"]) == 1
+
+
+# the exact stdout of the README's certify, prip and coherence examples, on the
+# dictionary of `worstcase --k 3 --l 1`
+
+README_CERTIFY_JSON = """\
+{
+  "coherence": 0.2500000000000001,
+  "k": 3,
+  "l": 1,
+  "threshold_full": 0.2,
+  "threshold_partial": 0.25,
+  "conditions": {
+    "coherence_below_full_threshold": false,
+    "coherence_below_partial_threshold": false,
+    "erc_satisfied": false,
+    "partial_erc_satisfied": true
+  },
+  "erc": {
+    "variant": null,
+    "lhs": 1.5000000000000002,
+    "binding_atom": 1,
+    "satisfied": false,
+    "partial_support": null
+  },
+  "partial_erc": {
+    "variant": "omp",
+    "lhs": 0.9999999999999999,
+    "binding_atom": 1,
+    "satisfied": true,
+    "partial_support": [
+      0
+    ]
+  }
+}
+"""
+
+README_PRIP_JSON = """\
+{
+  "coherence": 0.2500000000000001,
+  "exact": {
+    "q": 2,
+    "l": 1,
+    "lower": 0.375,
+    "upper": 0.25000000000000044,
+    "kind": "exact"
+  },
+  "coherence_bound": {
+    "q": 2,
+    "l": 1,
+    "lower": 0.3750000000000002,
+    "upper": 0.2500000000000001,
+    "kind": "coherence_bound"
+  }
+}
+"""
+
+README_COHERENCE_JSON = """\
+{
+  "m": 4,
+  "n": 5,
+  "coherence": 0.2500000000000001,
+  "spark": 5
+}
+"""
+
+README_OUTPUTS = {
+    ("certify", "json"): README_CERTIFY_JSON,
+    ("certify", "csv"): (
+        "coherence,threshold_full,threshold_partial,erc_lhs,erc_satisfied,partial_lhs,"
+        "partial_satisfied\n"
+        "0.25000000000000011,0.20000000000000001,0.25,1.5000000000000002,False,"
+        "0.99999999999999989,True\n"),
+    ("prip", "json"): README_PRIP_JSON,
+    ("prip", "csv"): ("kind,q,l,lower,upper\n"
+                      "exact,2,1,0.375,0.25000000000000044\n"
+                      "coherence_bound,2,1,0.37500000000000022,0.25000000000000011\n"),
+    ("coherence", "json"): README_COHERENCE_JSON,
+    ("coherence", "csv"): "m,n,coherence,spark\n4,5,0.25000000000000011,5\n",
+}
+README_ARGS = {
+    "certify": ["--qstar", "0,3,4", "--q", "0", "--variant", "omp"],
+    "prip": ["--q", "2", "--l", "1"],
+    "coherence": ["--spark"],
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(README_OUTPUTS))
+def test_report_stdout_is_pinned(tmp_path, capsys, command, fmt):
+    path = tmp_path / "wc31.csv"
+    save_dictionary(build_worst_case(3, 1), path)
+    argv = [command, "--dict", str(path), *README_ARGS[command], "--format", fmt]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == README_OUTPUTS[command, fmt]
+    assert captured.err == ""
 
 
 def test_console_script_installed(tmp_path):

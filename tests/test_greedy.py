@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedycert import (Dictionary, GreedyTrace, InvalidArgs, InvalidSeed, RecoveryOutcome,
-                        SolverVariant, Support, build_scenario, build_worst_case, classify,
-                        greedy, make_instance, random_dictionary, run, select_atom)
+                        SolverVariant, Support, as_support, build_scenario, build_worst_case,
+                        classify, greedy, make_instance, partial_erc, random_dictionary, run,
+                        select_atom)
 
 from oracles import ols_candidate_norms
 
@@ -196,16 +199,18 @@ def _made(selected, scores, k=3, seeded=0, early_stop=None):
                        residual_norms=(), tie_at=None, early_stop=early_stop)
 
 
-def _stacked_kinds(traces, truths):
-    """The batched classification of traces that share k, seeded and n."""
-    k, seeded, n = traces[0].requested, traces[0].seeded, len(traces[0].scores[0])
+def _stacked_kinds(traces, truths, n=None):
+    """The batched classification of traces that share k, seeded and n (by default
+    the length of the first trace's first score vector)."""
+    k, seeded = traces[0].requested, traces[0].seeded
+    n = len(traces[0].scores[0]) if n is None else n
     selected = np.full((len(traces), k), -1)
     scores = np.zeros((len(traces), k - seeded, n))
     planted = np.zeros((len(traces), n), dtype=bool)
     stops = np.full(len(traces), k)
     for i, (tr, truth) in enumerate(zip(traces, truths)):
         selected[i, :len(tr.selected)] = tr.selected.indices
-        scores[i, :len(tr.scores)] = tr.scores
+        scores[i, :len(tr.scores)] = np.reshape(tr.scores, (-1, n))
         planted[i, list(truth)] = True
         if tr.early_stop is not None:
             stops[i] = tr.early_stop
@@ -258,3 +263,53 @@ def test_classify_precedence_on_pursuits():
     assert fallback.tie_at == 0 and not any(s.any() for s in fallback.scores)
     for trace, truth, kind in cases:
         assert classify(trace, truth).kind == kind and _stacked_kinds([trace], [truth]) == [kind]
+
+
+@st.composite
+def _trace_batches(draw):
+    """Traces of k selections among n atoms that share k, seeded and n, with their
+    planted supports: seeded prefixes, outside atoms, exact ties (score entries
+    from {0, 1, 2}), all-zero fallback steps and early stops."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    seeded = draw(st.integers(0, k - 1))
+    traces, truths = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        truth = draw(st.permutations(range(n)))[:k]
+        stop = draw(st.integers(seeded, k))
+        selected = draw(st.lists(st.sampled_from(truth) | st.integers(0, n - 1), min_size=stop,
+                                 max_size=stop, unique=True))
+        entries = st.sampled_from([0.0, 1.0, 2.0])
+        scores = [[0.0] * n if draw(st.booleans()) else draw(st.lists(entries, min_size=n, max_size=n))
+                  for _ in range(stop - seeded)]
+        traces.append(_made(selected, scores, k=k, seeded=seeded,
+                            early_stop=stop if stop < k else None))
+        truths.append(truth)
+    return n, traces, truths
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trace_batches())
+def test_classify_matches_the_batched_classification_on_random_traces(batch):
+    n, traces, truths = batch
+    expected = [classify(tr, truth).kind for tr, truth in zip(traces, truths)]
+    assert _stacked_kinds(traces, truths, n) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.permutations(range(6)), st.integers(2, 5), st.data())
+def test_supports_keep_order_while_set_checks_compare_contents(perm, k, data):
+    truth = perm[:k]
+    assert as_support(truth).indices == tuple(truth) and list(Support(tuple(truth))) == truth
+    assert (Support(tuple(truth)) == Support(tuple(sorted(truth)))) == (truth == sorted(truth))
+    d = Dictionary(np.eye(6))
+    y = make_instance(d, truth, np.arange(k, 0, -1.0)).observation  # coefficients k, ..., 1
+    seeds = data.draw(st.integers(0, k - 1))
+    seed = truth[:seeds][::-1]
+    trace = run("omp", d, y, k, seed_support=seed)
+    assert list(trace.selected) == seed + truth[seeds:]  # the seed in its order, then by size
+    shuffled = data.draw(st.permutations(truth))
+    assert classify(trace, shuffled) == classify(trace, truth) == RecoveryOutcome("success")
+    assert partial_erc("ols", d, data.draw(st.permutations(seed)), shuffled).satisfied
+    with pytest.raises(InvalidArgs):  # a prefix must be a proper subset, in any order
+        partial_erc("ols", d, shuffled, truth)
