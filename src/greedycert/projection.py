@@ -11,6 +11,7 @@ the atoms before it, is numerically dependent.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,14 +137,28 @@ class ProjectedDictionary:
     projected[:, i] is atom i minus its component in span(support atoms);
     columns inside the support are exactly zero.  normalized[:, i] is the
     unit-norm version, or the zero vector when the projection vanished
-    (norm <= VANISH_TOL), as flagged by `vanished`.
+    (norm <= VANISH_TOL), as flagged by `vanished`; both are computed on
+    first access.
     """
 
     source: Dictionary
     support: Support
     projected: np.ndarray
-    normalized: np.ndarray
-    vanished: np.ndarray
+
+    @cached_property
+    def _unit(self) -> tuple[np.ndarray, np.ndarray]:
+        normalized, vanished = _normalized(self.projected)
+        normalized.setflags(write=False)
+        vanished.setflags(write=False)
+        return normalized, vanished
+
+    @property
+    def normalized(self) -> np.ndarray:
+        return self._unit[0]
+
+    @property
+    def vanished(self) -> np.ndarray:
+        return self._unit[1]
 
     def family(self, normalize: bool) -> np.ndarray:
         """The working atom family: normalized or raw projected columns."""
@@ -160,8 +175,5 @@ def project_atoms(d: Dictionary, support) -> ProjectedDictionary:
     basis = _span(d, sup)
     projected = d.atoms - basis @ (basis.T @ d.atoms)
     projected[:, list(sup)] = 0.0
-    normalized, vanished = _normalized(projected)
-    for arr in (projected, normalized, vanished):
-        arr.setflags(write=False)
-    return ProjectedDictionary(source=d, support=sup, projected=projected,
-                               normalized=normalized, vanished=vanished)
+    projected.setflags(write=False)
+    return ProjectedDictionary(source=d, support=sup, projected=projected)

@@ -28,12 +28,11 @@ THRESHOLD_SAFETY = 1e-3  # generate strictly below the cell threshold by this re
 _VARIANT_CHOICES = ("omp", "ols", "both")
 
 
-def _typed(value, what: str, kind: type):
-    """value, which must be a JSON integer (kind int) or boolean (kind bool): nothing is coerced."""
+def _typed(value, what: str, kind: type) -> None:
+    """Raise InvalidArgs unless value is an int that is not a bool (kind int) or a bool."""
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         name = "boolean" if kind is bool else "integer"
         raise InvalidArgs(f"sweep config field {what} must be a JSON {name}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,8 @@ class SweepConfig:
     ceiling just below 1/(2k-l-1), so every accepted trial sits strictly
     below the threshold).  With seed_partial the solver is seeded with l
     planted atoms per trial; otherwise it runs unseeded and l only selects
-    the per-cell threshold.  from_dict takes integers only as JSON integers
-    and seed_partial only as a JSON boolean.
+    the per-cell threshold.  Integer fields must be ints (JSON integers in
+    from_dict) and seed_partial a bool: nothing is coerced, on either path.
     """
 
     m: int
@@ -61,6 +60,15 @@ class SweepConfig:
     seed_partial: bool
 
     def __post_init__(self):
+        for name in ("m", "n", "trials", "seed"):
+            _typed(getattr(self, name), name, int)
+        for name in ("k_range", "l_range"):
+            rng = getattr(self, name)
+            if not isinstance(rng, (tuple, list)):
+                raise InvalidArgs(f"{name} must be an inclusive (lo, hi) pair, got {rng!r}")
+            for x in rng:
+                _typed(x, name, int)
+        _typed(self.seed_partial, "seed_partial", bool)
         if self.m < 1 or self.n < 2:
             raise InvalidArgs(f"need m >= 1 and n >= 2, got m={self.m}, n={self.n}")
         if self.trials < 1:
@@ -105,15 +113,15 @@ class SweepConfig:
             raise InvalidArgs(f"unknown sweep config fields: {sorted(extra)}")
         try:
             fields = dict(
-                m=_typed(raw["m"], "m", int),
-                n=_typed(raw["n"], "n", int),
-                k_range=tuple(_typed(x, "k_range", int) for x in raw["k_range"]),
-                l_range=tuple(_typed(x, "l_range", int) for x in raw["l_range"]),
-                trials=_typed(raw["trials"], "trials", int),
+                m=raw["m"],
+                n=raw["n"],
+                k_range=tuple(raw["k_range"]),
+                l_range=tuple(raw["l_range"]),
+                trials=raw["trials"],
                 coherence_target=raw.get("coherence_target"),
-                seed=_typed(raw.get("seed", 0), "seed", int),
+                seed=raw.get("seed", 0),
                 variant=str(raw.get("variant", "both")).lower(),
-                seed_partial=_typed(raw.get("seed_partial", False), "seed_partial", bool),
+                seed_partial=raw.get("seed_partial", False),
             )
         except KeyError as exc:
             raise InvalidArgs(f"sweep config is missing field {exc}") from None

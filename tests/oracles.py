@@ -16,6 +16,7 @@ from greedycert import (CalibrationFailed, CellResult, Dictionary, GreedyTrace, 
 from greedycert import dictionary
 from greedycert.dictionary import _haar_frame
 from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL
+from greedycert.projection import _walk
 
 
 def projector(cols: np.ndarray) -> np.ndarray:
@@ -223,6 +224,22 @@ def prip_scratch(a: np.ndarray, q: int, l: int) -> tuple[float, float]:
         for cols in itertools.combinations(rest, q):
             eigs = np.linalg.eigvalsh(fam[:, cols].T @ fam[:, cols])
             lo, hi = min(lo, float(eigs[0])), max(hi, float(eigs[-1]))
+    return 1.0 - lo, hi - 1.0
+
+
+def prip_every_block(d, q: int, l: int) -> tuple[float, float]:
+    """(lower, upper) of prip_exact with an eigensolve on every block: per support of
+    the package's walk, one stacked eigvalsh over all of its blocks.  The pruned
+    enumeration must give these bits."""
+    lo, hi = np.inf, -np.inf
+    for support, projected in _walk(d, l):
+        gp = projected.T @ projected
+        rest = [i for i in range(d.n) if i not in support]
+        blocks = np.array(list(itertools.combinations(rest, q)))
+        grams = gp[blocks[:, :, None], blocks[:, None, :]]
+        eig = np.linalg.eigvalsh(grams)
+        lo = min(lo, float(eig[:, 0].min()))
+        hi = max(hi, float(eig[:, -1].max()))
     return 1.0 - lo, hi - 1.0
 
 

@@ -1,13 +1,19 @@
+import tracemalloc
+from math import comb
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedycert import (CapExceeded, Dictionary, InvalidArgs, OutOfDomain, RankDeficient,
                         build_worst_case, coherence, coherence_threshold,
                         cross_gram_bound_check, ols_coherence_bound, omp_partial_bound,
-                        partial_erc, prip_coherence_bounds, prip_erc_bound, prip_exact,
-                        projected_coherence, random_dictionary, tropp_erc)
+                        guarantees, partial_erc, prip_coherence_bounds, prip_erc_bound,
+                        prip_exact, projected_coherence, random_dictionary, tropp_erc)
 
-from oracles import (construction_erc_lhs, partial_erc_pinv, prip_bruteforce,
+from oracles import (construction_erc_lhs, partial_erc_pinv, prip_bruteforce, prip_every_block,
                      ric_bruteforce)
 
 
@@ -247,3 +253,99 @@ def test_enumerations_do_not_depend_on_the_memory_layout(source):
     for q, l in orders:
         pc, pf = prip_exact(c, q, l), prip_exact(f, q, l)
         assert (pc.lower.hex(), pc.upper.hex()) == (pf.lower.hex(), pf.upper.hex()), (q, l)
+
+
+# prip_exact solves only the blocks its Gershgorin bounds cannot rule out; it
+# must give the bits of an eigensolve on every block
+
+PRIP_ORDERS = ((2, 0), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3))
+
+
+def assert_prip_bits(d, orders):
+    for q, l in orders:
+        got = prip_exact(d, q, l)
+        assert (got.lower, got.upper) == prip_every_block(d, q, l), (q, l)
+
+
+def orthogonal_groups(groups: int, size: int, atoms: int, seed: int) -> Dictionary:
+    """`groups` sets of `atoms` atoms, each set in its own `size` coordinates: atoms
+    of different sets are exactly orthogonal, before and after any projection
+    against atoms of one set, so the discs of many blocks are points, all tied."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((groups * size, groups * atoms))
+    for g in range(groups):
+        a[g * size:(g + 1) * size, g * atoms:(g + 1) * atoms] = rng.normal(size=(size, atoms))
+    return Dictionary(a / np.linalg.norm(a, axis=0))
+
+
+PRIP_SOURCES = {
+    # drawn like the certify benchmark's dictionaries
+    **{f"10x12 #{s}": (lambda s=s: random_dictionary(10, 12, 0.19, seed=[s, 3, 0]))
+       for s in (1, 2, 3)},
+    **{f"12x20 #{s}": (lambda s=s: random_dictionary(12, 20, 0.24, seed=[s, 3, 2]))
+       for s in (1, 2, 3)},
+    # the projected isometry chain's dictionaries (acceptance criterion 6)
+    **{f"criterion 6 #{s}": (lambda s=s: random_dictionary(10, 12, coherence_target=0.3,
+                                                           seed=600 + s)) for s in range(4)},
+    "orthogonal groups": lambda: orthogonal_groups(4, 3, 4, seed=5),
+}
+
+
+@pytest.mark.parametrize("source", PRIP_SOURCES)
+def test_prip_exact_gives_the_bits_of_every_block(source):
+    d = PRIP_SOURCES[source]()
+    # (4, 2) on 12 atoms; (5, 0) on 20 cuts the one support's blocks into pieces
+    assert_prip_bits(d, PRIP_ORDERS + (((5, 0),) if d.n == 20 else ((4, 2),)))
+
+
+@pytest.mark.parametrize("k, l", [(2, 0), (3, 0), (3, 1), (4, 2), (5, 3), (5, 0), (6, 2)])
+def test_prip_exact_gives_the_bits_of_every_block_on_worst_cases(k, l):
+    # equal off-diagonal magnitudes: many blocks share their Gershgorin bounds
+    d = build_worst_case(k, l)
+    assert_prip_bits(d, [(q, s) for q, s in PRIP_ORDERS + ((1, 2), (d.n - 2, 2))
+                         if s + q <= d.n and s < d.m])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(3, 9), st.data())
+def test_prip_exact_bits_over_shapes_and_chunks(m, n, data):
+    d = random_dictionary(m, n, seed=data.draw(st.integers(0, 10 ** 6)))
+    q = data.draw(st.integers(1, n))
+    l = data.draw(st.integers(0, min(n - q, m - 1)))
+    # small chunks split the walk into many chunks and a support's blocks into pieces
+    chunk = data.draw(st.sampled_from([1, 2, 5, 64, guarantees.PRIP_CHUNK]))
+    with mock.patch.object(guarantees, "PRIP_CHUNK", chunk):
+        assert_prip_bits(d, [(q, l)])
+
+
+def test_prip_exact_solves_bounded_stacks_and_prunes(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        assert len(a) <= guarantees.PRIP_CHUNK and a.size <= guarantees.PRIP_CHUNK_ENTRIES
+        sizes.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    d = random_dictionary(12, 20, 0.24, seed=[1, 3, 2])
+    # (5, 0) cuts the one support's 15504 blocks into pieces
+    for q, l in ((3, 2), (2, 3), (5, 0)):
+        sizes.clear()
+        prip_exact(d, q, l)
+        assert sum(sizes) < comb(20, l) * comb(20 - l, q), (q, l)
+    # on equiangular dictionaries every block ties and is solved: 8008 blocks of
+    # one support, then 1001 blocks for each of 120 supports
+    d = build_worst_case(8, 0)
+    for q, l in ((6, 0), (4, 2)):
+        prip_exact(d, q, l)
+    # one block of 38 atoms for each of 780 supports: the chunk holds few of
+    # their 40 x 40 Grams
+    d = build_worst_case(21, 2)
+    tracemalloc.start()
+    try:
+        prip_exact(d, 38, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * guarantees.PRIP_CHUNK_ENTRIES * 8

@@ -88,6 +88,14 @@ def test_project_atoms_geometry():
     assert raw is pd.projected
     with pytest.raises(ValueError):
         pd.projected[0, 0] = 1.0
+    # the normalized family is built on first access, once, and is read-only
+    fresh = project_atoms(d, sup)
+    assert "_unit" not in vars(fresh)
+    assert fresh.family(normalize=True) is fresh.normalized is fresh.normalized
+    assert fresh.normalized.tobytes() == pd.normalized.tobytes()
+    for arr in (fresh.normalized, fresh.vanished):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_project_atoms_vanishing_atom():

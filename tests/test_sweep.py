@@ -44,6 +44,12 @@ def test_config_validation():
     assert small_config(coherence_target=0).coherence_target == 0
     with pytest.raises(InvalidArgs):
         small_config(seed=-1)
+    # built directly, a config takes the types from_dict takes and coerces nothing
+    for field, bad in (("seed_partial", "false"), ("seed_partial", 1), ("trials", 2.5),
+                       ("trials", True), ("m", 12.0), ("seed", None), ("k_range", (2.0, 3)),
+                       ("l_range", 1)):
+        with pytest.raises(InvalidArgs):
+            small_config(**{field: bad})
     with pytest.raises(InvalidArgs):
         # no cell satisfies l < k <= min(m, n)
         SweepConfig(m=12, n=12, k_range=(2, 2), l_range=(2, 4), trials=3,
