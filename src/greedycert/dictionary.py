@@ -393,7 +393,8 @@ def random_dictionaries(m: int, n: int, coherence_target: float | None,
             noise = np.random.default_rng(seed).normal(size=(m, n))
             out.append(Dictionary(_unit_columns(noise)))
         return out
-    if not isinstance(coherence_target, numbers.Real) or not coherence_target >= 0:
+    if (isinstance(coherence_target, bool) or not isinstance(coherence_target, numbers.Real)
+            or not coherence_target >= 0):
         raise InvalidArgs(f"coherence_target must be a non-negative number, got {coherence_target!r}")
     target = float(coherence_target)
     if target < welch_bound(m, n):

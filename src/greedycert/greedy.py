@@ -227,11 +227,13 @@ def select_atom(variant, d: Dictionary, support, res) -> tuple[int, float, bool]
     against their span first, so only its component outside the span counts.
     Returns (index, score, tie) where tie reports whether at least two atoms
     reached the maximum score within TIE_REL_TOL (relative); the lowest tied
-    index wins.  Raises ZeroResidual when the residual norm is at or below
-    RESIDUAL_TOL.
+    index wins.  Raises InvalidArgs when the support holds every atom, and
+    ZeroResidual when the residual norm is at or below RESIDUAL_TOL.
     """
     variant = as_variant(variant)
     sup = check_support(d, as_support(support))
+    if len(sup) == d.n:
+        raise InvalidArgs(f"the support holds all {d.n} atoms; none is left to select")
     res = _check_vector(d, res)
     if np.linalg.norm(res) <= RESIDUAL_TOL:
         raise ZeroResidual("residual is numerically zero; nothing left to select")

@@ -17,17 +17,15 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
+from . import dictionary
 from .dictionary import (RANK_SV_TOL, Dictionary, _check_kl, _off_diagonal_max, as_support,
                          check_support)
 from .errors import CapExceeded, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import SolverVariant, as_variant
-from .projection import _normalized, _walk, project_atoms
+from .projection import VANISH_TOL, project_atoms
 
 ENUM_CAP = 10 ** 6
-# prip_exact gathers and solves at most this many (support, block) pairs at once,
-# holding at most this many Gram entries, its supports' Grams included
-PRIP_CHUNK = 4096
-PRIP_CHUNK_ENTRIES = 2 ** 16
+PRIP_CHUNK = 4096  # (support, block) pairs prip_exact gathers and solves at once
 
 
 @dataclass(frozen=True)
@@ -163,6 +161,42 @@ def prip_coherence_bounds(q: int, l: int, mu: float) -> PripConstants:
     return PripConstants(q=q, l=l, lower=lower, upper=upper, kind="coherence_bound")
 
 
+def _projected_grams(d: Dictionary, l: int):
+    """(support, Gram of the atoms outside it, in index order) for each l-subset of
+    atoms, in combinations() order, from a C-ordered copy of the atoms.  A push is one
+    Schur-complement step G - h h^T, h = g / sqrt(g_i), g the pushed atom's row and
+    g_i its pivot: the Cholesky downdate of Batch-OMP, O(n^2) per push."""
+    # A step adds about 2 eps per entry (|h_j h_k| <= 1 by Cauchy-Schwarz) and divides
+    # the errors already in G by the pivot: a Gram downdated since it was formed from
+    # vectors is off by about eps / P, P the product of those pivots (0.1 eps / P the
+    # worst seen, on Kahan-like supports).  A push where P times the least squared norm left
+    # would fall below the guard takes project_atoms's Gram instead, which keeps errors
+    # near 2^10 eps ~ 2e-13 and leaves the rank rule and RankDeficient to that path.
+    guard = 2.0 ** -10
+    d = Dictionary(np.ascontiguousarray(d.atoms))
+
+    def walk(support, gram, pivots, start):  # pivots: P so far
+        if len(support) == l:
+            yield support, gram
+            return
+        t = len(support)
+        for j in range(start, d.n - l + t + 1):
+            i = j - t  # j's position among the atoms outside the support, all below j
+            p = pivots * gram[i, i]  # P once j is pushed
+            if p >= guard:
+                keep = np.arange(len(gram) - 1)
+                keep[i:] += 1  # every position but i
+                h = gram[i].take(keep) / math.sqrt(gram[i, i])
+                child = gram.take(keep, 0).take(keep, 1) - h[:, None] * h
+                if p * child.diagonal().min() >= guard:
+                    yield from walk(support + (j,), child, p, j + 1)
+                    continue
+            rest = np.delete(project_atoms(d, support + (j,)).projected, support + (j,), axis=1)
+            yield from walk(support + (j,), rest.T @ rest, 1.0, j + 1)
+
+    yield from walk((), d.atoms.T @ d.atoms, 1.0, 0)
+
+
 @lru_cache(maxsize=16)
 def _block_table(rest: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (blocks, pairs, incidence): every block as q positions in a
@@ -210,18 +244,18 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     collecting the extreme eigenvalues of the projected block Grams:
     lower = 1 - min eigenvalue, upper = max eigenvalue - 1.
 
+    The supports' Grams come from the Schur-complement walk _projected_grams.
     Only blocks that could move the running minimum or maximum get an
     eigensolve.  By Gershgorin's disc theorem the eigenvalues of a block B
     lie in [low, up], low = min_i (b_ii - r_i) and up = max_i (b_ii + r_i),
     where r_i sums |b_ij| over the rest of row i.  The supports are walked
     in chunks of at most PRIP_CHUNK (support, block) pairs that hold at most
-    PRIP_CHUNK_ENTRIES Gram entries (a support with more blocks is cut into
-    pieces).  Per chunk, each support's block with the lowest low and its
+    dictionary.BATCH_ELEMENTS Gram entries (a support with more blocks is cut
+    into pieces).  Per chunk, each support's block with the lowest low and its
     block with the highest up are solved first, as one stack; then every
     other block with low <= lo + tol or up >= hi - tol, lo and hi being the
-    running extremes.  tol = 2^-32 q^2 exceeds the rounding of both the
-    bound and the eigensolver on unit-norm atoms by a factor of about a
-    million, so a skipped block cannot reach the result.  Every solved block
+    running extremes; tol covers the rounding of both the bound and the
+    eigensolver, so a skipped block cannot reach the result.  Every solved block
     is gathered from the same Gram entries and goes through the same
     per-matrix LAPACK call as when every block is solved, and min and max
     are exact, so the constants keep those bits.
@@ -240,9 +274,9 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     table, pairs, incidence = _block_table(d.n - l, q)
     # a chunk of supports, with their Grams, or a piece of one support's blocks
     # stays within both budgets
-    supports = max(1, min(PRIP_CHUNK // len(table),
-                          PRIP_CHUNK_ENTRIES // (len(table) * q * q + d.n * d.n)))
-    step = max(1, min(PRIP_CHUNK, PRIP_CHUNK_ENTRIES // (q * q)))
+    supports = max(1, min(PRIP_CHUNK // len(table), dictionary.BATCH_ELEMENTS
+                          // (len(table) * q * q + (d.n - l) ** 2)))
+    step = max(1, min(PRIP_CHUNK, dictionary.BATCH_ELEMENTS // (q * q)))
     pieces = [table[i:i + step] for i in range(0, len(table), step)]
     # Atoms have unit norm (to UNIT_NORM_TOL) and projection only shortens them,
     # so every |g_ij| of a projected Gram is at most about 1.  The computed bounds
@@ -253,17 +287,10 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     # Gershgorin bounds of generic blocks.
     tol = 2.0 ** -32 * q * q
     lo, hi = np.inf, -np.inf
-    walk = _walk(d, l)
+    walk = _projected_grams(d, l)
     while chunk := list(islice(walk, supports)):
         rows = np.arange(len(chunk))
-        outside = np.ones((len(chunk), d.n), dtype=bool)
-        outside[rows[:, None], np.array([sup for sup, _ in chunk], dtype=np.intp)] = False
-        rests = outside.nonzero()[1].reshape(len(chunk), -1)
-        grams = np.empty((len(chunk), d.n, d.n))
-        for g, (_, projected) in zip(grams, chunk):
-            g[...] = projected.T @ projected
-        # each support's Gram among the atoms outside it, where the table points
-        grams = grams[rows[:, None, None], rests[:, :, None], rests[:, None, :]]
+        grams = np.stack([gram for _, gram in chunk])
         for piece in pieces:
             low, up = _discs(grams, piece, pairs, incidence)
             first, last = low.argmin(axis=1), up.argmax(axis=1)
@@ -279,8 +306,8 @@ def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> 
     """Largest absolute inner product between two distinct projected atoms,
     maximized over every support of size l.
 
-    Uses the raw projected family for the OMP rule and the normalized one for
-    the OLS rule; at l = 0 both reduce to the mutual coherence.
+    Uses the raw projected Gram for the OMP rule and the normalized one for the
+    OLS rule (vanished atoms zero); at l = 0 both reduce to the mutual coherence.
     """
     variant = as_variant(variant)
     if l < 0 or l > d.n - 2:
@@ -288,9 +315,12 @@ def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> 
     if math.comb(d.n, l) > cap:
         raise CapExceeded(f"{math.comb(d.n, l)} supports exceed the cap of {cap}")
     best = 0.0
-    for _, projected in _walk(d, l):
-        fam = _normalized(projected)[0] if variant is SolverVariant.OLS else projected
-        best = max(best, float(_off_diagonal_max(fam.T @ fam)))
+    for _, gram in _projected_grams(d, l):
+        if variant is SolverVariant.OLS:
+            norms = np.sqrt(gram.diagonal())
+            scale = 1.0 / np.where(norms <= VANISH_TOL, np.inf, norms)
+            gram = gram * np.outer(scale, scale)
+        best = max(best, float(_off_diagonal_max(gram)))
     return best
 
 

@@ -4,8 +4,8 @@ Everything here projects against the span of the selected atoms, whose
 orthonormal basis grows one atom at a time: a Gram-Schmidt step with one
 re-orthogonalization pass ("twice is enough"; Giraud, Langou, Rozloznik 2005).
 project_atoms projects the whole family against a support with one block
-update; the enumerations walk every support of a given size with a rank-1
-update of the family per push, O(mn).  Pursuits keep a leaner state in greedy.
+update; the enumerations in guarantees walk on Grams and fall back on it, and
+pursuits keep a leaner state in greedy.
 An atom whose projection has norm <= RANK_SV_TOL, its distance to the span of
 the atoms before it, is numerically dependent.
 """
@@ -68,33 +68,6 @@ def _span(d: Dictionary, atoms) -> np.ndarray:
     return basis
 
 
-def _walk(d: Dictionary, l: int):
-    """(support, projected atoms) for each l-subset of atoms, in combinations() order.
-
-    Each push is a rank-1 update of the family before it, O(mn), so the walk
-    holds l + 1 families.  It starts from a C-ordered copy of the atoms: the
-    products below take other bits on a Fortran-ordered family."""
-    def walk(support, basis, projected, start):
-        if len(support) == l:
-            yield support, projected
-            return
-        for j in range(start, d.n - l + len(support) + 1):
-            q = _direction(basis, projected[:, j], support + (j,))
-            pushed = q[:, None] * -(q @ projected)
-            pushed += projected
-            pushed[:, j] = 0.0
-            yield from walk(support + (j,), np.column_stack((basis, q)), pushed, j + 1)
-
-    yield from walk((), np.empty((d.m, 0)), d.atoms.copy(), 0)
-
-
-def _normalized(projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(unit-norm columns, vanished mask); a vanished column (norm <= VANISH_TOL) becomes zero."""
-    norms = np.sqrt(np.einsum("ij,ij->j", projected, projected))
-    vanished = norms <= VANISH_TOL
-    return projected / np.where(vanished, np.inf, norms), vanished
-
-
 def _check_vector(d: Dictionary, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (d.m,):
@@ -147,7 +120,9 @@ class ProjectedDictionary:
 
     @cached_property
     def _unit(self) -> tuple[np.ndarray, np.ndarray]:
-        normalized, vanished = _normalized(self.projected)
+        norms = np.sqrt(np.einsum("ij,ij->j", self.projected, self.projected))
+        vanished = norms <= VANISH_TOL
+        normalized = self.projected / np.where(vanished, np.inf, norms)
         normalized.setflags(write=False)
         vanished.setflags(write=False)
         return normalized, vanished

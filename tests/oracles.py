@@ -16,7 +16,8 @@ from greedycert import (CalibrationFailed, CellResult, Dictionary, GreedyTrace, 
 from greedycert import dictionary
 from greedycert.dictionary import _haar_frame
 from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL
-from greedycert.projection import _walk
+from greedycert.guarantees import _projected_grams
+from greedycert.projection import _direction
 
 
 def projector(cols: np.ndarray) -> np.ndarray:
@@ -227,20 +228,60 @@ def prip_scratch(a: np.ndarray, q: int, l: int) -> tuple[float, float]:
     return 1.0 - lo, hi - 1.0
 
 
-def prip_every_block(d, q: int, l: int) -> tuple[float, float]:
+def prip_every_block(d, q: int, l: int, walk=_projected_grams) -> tuple[float, float]:
     """(lower, upper) of prip_exact with an eigensolve on every block: per support of
-    the package's walk, one stacked eigvalsh over all of its blocks.  The pruned
-    enumeration must give these bits."""
+    the walk, the package's Gram walk by default, one stacked eigvalsh over all of
+    its blocks.  The pruned enumeration must give these bits."""
     lo, hi = np.inf, -np.inf
-    for support, projected in _walk(d, l):
-        gp = projected.T @ projected
-        rest = [i for i in range(d.n) if i not in support]
-        blocks = np.array(list(itertools.combinations(rest, q)))
-        grams = gp[blocks[:, :, None], blocks[:, None, :]]
+    blocks = np.array(list(itertools.combinations(range(d.n - l), q)))
+    for _, gram in walk(d, l):
+        grams = gram[blocks[:, :, None], blocks[:, None, :]]
         eig = np.linalg.eigvalsh(grams)
         lo = min(lo, float(eig[:, 0].min()))
         hi = max(hi, float(eig[:, -1].max()))
     return 1.0 - lo, hi - 1.0
+
+
+# the enumerations' support walk on vectors, as the package ran it before it
+# walked on Grams: each push is a rank-1 update of the projected family, O(mn)
+
+def walk_vectors(d, l: int):
+    """(support, projected atoms) for each l-subset of atoms, in combinations() order,
+    from a C-ordered copy of the atoms; RankDeficient at the first support whose
+    pushed atom lies within RANK_SV_TOL of the span of the atoms before it."""
+    def walk(support, basis, projected, start):
+        if len(support) == l:
+            yield support, projected
+            return
+        for j in range(start, d.n - l + len(support) + 1):
+            q = _direction(basis, projected[:, j], support + (j,))
+            pushed = q[:, None] * -(q @ projected)
+            pushed += projected
+            pushed[:, j] = 0.0
+            yield from walk(support + (j,), np.column_stack((basis, q)), pushed, j + 1)
+
+    yield from walk((), np.empty((d.m, 0)), d.atoms.copy(), 0)
+
+
+def grams_of_walk_vectors(d, l: int):
+    """(support, Gram of the projected atoms outside it) for each support of walk_vectors."""
+    for support, projected in walk_vectors(d, l):
+        rest = np.delete(projected, support, axis=1)
+        yield support, rest.T @ rest
+
+
+def coherence_of_walk_vectors(d, normalize: bool, l: int) -> float:
+    """projected_coherence on walk_vectors' families, normalized the vector way."""
+    best = 0.0
+    for _, projected in walk_vectors(d, l):
+        fam = projected
+        if normalize:
+            norms = np.sqrt(np.einsum("ij,ij->j", projected, projected))
+            fam = projected / np.where(norms <= 1e-10, np.inf, norms)
+        g = fam.T @ fam
+        np.fill_diagonal(g, 0.0)
+        best = max(best, float(np.abs(g).max()))
+    return best
 
 
 # the per-trial generator: one dictionary per call, one blend-and-Gram

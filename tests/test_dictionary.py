@@ -165,7 +165,7 @@ def test_random_dictionary_unreachable():
 
 def test_random_dictionary_rejects_bad_targets():
     for m, n in ((4, 6), (6, 4)):
-        for bad in (float("nan"), "0.2", [0.2]):
+        for bad in (float("nan"), "0.2", [0.2], True, False):
             with pytest.raises(InvalidArgs):
                 random_dictionary(m, n, coherence_target=bad, seed=0)
             with pytest.raises(InvalidArgs):

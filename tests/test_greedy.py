@@ -165,6 +165,16 @@ def test_select_atom_zero_residual_raises():
         select_atom("omp", d, [], np.zeros(5))
 
 
+def test_select_atom_rejects_a_support_of_every_atom():
+    # no atom is left to select: the lowest-unselected fallback has none to pick
+    d = Dictionary(np.eye(3)[:, :2])
+    with pytest.raises(InvalidArgs):
+        select_atom("omp", d, [0, 1], [0.0, 0.0, 1.0])
+    with pytest.raises(InvalidArgs):
+        select_atom("ols", d, [1, 0], np.zeros(3))  # checked before the residual
+    assert select_atom("omp", d, [1], [1.0, 0.0, 0.0]) == (0, 1.0, False)
+
+
 def test_trace_serialization():
     d = build_worst_case(3, 1)
     from greedycert import build_scenario

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from greedycert import (CapExceeded, Dictionary, InvalidArgs, OutOfDomain, RankDeficient,
                         build_worst_case, coherence, coherence_threshold,
-                        cross_gram_bound_check, ols_coherence_bound, omp_partial_bound,
-                        guarantees, partial_erc, prip_coherence_bounds, prip_erc_bound,
+                        cross_gram_bound_check, dictionary, guarantees, ols_coherence_bound,
+                        omp_partial_bound, partial_erc, prip_coherence_bounds, prip_erc_bound,
                         prip_exact, projected_coherence, random_dictionary, tropp_erc)
 
-from oracles import (construction_erc_lhs, partial_erc_pinv, prip_bruteforce, prip_every_block,
-                     ric_bruteforce)
+from oracles import (coherence_of_walk_vectors, construction_erc_lhs, grams_of_walk_vectors,
+                     partial_erc_pinv, prip_bruteforce, prip_every_block, ric_bruteforce,
+                     walk_vectors)
 
 
 def test_tropp_erc_orthonormal_satisfied():
@@ -323,7 +324,7 @@ def test_prip_exact_solves_bounded_stacks_and_prunes(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
 
     def counted(a):
-        assert len(a) <= guarantees.PRIP_CHUNK and a.size <= guarantees.PRIP_CHUNK_ENTRIES
+        assert len(a) <= guarantees.PRIP_CHUNK and a.size <= dictionary.BATCH_ELEMENTS
         sizes.append(len(a))
         return eigvalsh(a)
 
@@ -348,4 +349,172 @@ def test_prip_exact_solves_bounded_stacks_and_prunes(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * guarantees.PRIP_CHUNK_ENTRIES * 8
+    assert peak < 8 * dictionary.BATCH_ELEMENTS * 8
+
+
+# the enumerations walk the supports on Grams, one Schur-complement step per push,
+# and take project_atoms's Gram where the product of the pivots since the last
+# such Gram, times the smallest squared norm left, falls below a guard; they
+# must stay within 1e-12 of the walk on projected vectors
+
+GUARD = 2.0 ** -10  # the guard in guarantees._projected_grams
+
+
+def near_dependent(m: int, n: int, dist: float, seed: int, span: int = 3) -> Dictionary:
+    """Random unit atoms, atom `span` at distance dist from the span of the atoms before it."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, n))
+    a /= np.linalg.norm(a, axis=0)
+    basis, _ = np.linalg.qr(a[:, :span])
+    inside = basis @ rng.normal(size=span)
+    off = rng.normal(size=m)
+    off -= basis @ (basis.T @ off)
+    a[:, span] = (np.sqrt(1.0 - dist * dist) * inside / np.linalg.norm(inside)
+                  + dist * off / np.linalg.norm(off))
+    return Dictionary(a)
+
+
+def kahan_like(m: int, l: int, pivot: float, extra: int, seed: int) -> Dictionary:
+    """l unit atoms, each at squared distance `pivot` from the span of the atoms
+    before it and equally far from each of them (Kahan's triangular matrix: the
+    small pivots compound), then `extra` random unit atoms."""
+    a = np.zeros((m, l + extra))
+    a[0, 0] = 1.0
+    for t in range(1, l):
+        a[t, t] = np.sqrt(pivot)
+        a[:t, t] = -np.sqrt((1.0 - pivot) / t)
+    rest = np.random.default_rng(seed).normal(size=(m, extra))
+    a[:, l:] = rest / np.linalg.norm(rest, axis=0)
+    return Dictionary(a)
+
+
+def assert_walks_agree(d, l):
+    walked = 0
+    for (got, gram), (want, ref) in zip(guarantees._projected_grams(d, l),
+                                        grams_of_walk_vectors(d, l), strict=True):
+        assert got == want
+        assert np.abs(gram - ref).max() <= 1e-12, got
+        walked += 1
+    assert walked == comb(d.n, l)
+    for variant in ("omp", "ols"):
+        assert projected_coherence(variant, d, l) == pytest.approx(
+            coherence_of_walk_vectors(d, variant == "ols", l), abs=1e-12), (variant, l)
+
+
+@pytest.fixture
+def exact_grams(monkeypatch):
+    """The supports whose Gram the walk takes from project_atoms, in walk order."""
+    supports = []
+    project_atoms = guarantees.project_atoms
+
+    def recorded(d, support):
+        supports.append(tuple(support))
+        return project_atoms(d, support)
+
+    monkeypatch.setattr(guarantees, "project_atoms", recorded)
+    return supports
+
+
+@pytest.mark.parametrize("dist", [1e-7, 1e-4, 0.03, 0.1, 0.3])
+def test_gram_walk_matches_vector_walk_near_dependence(dist, exact_grams):
+    d = near_dependent(8, 11, dist, seed=0)
+    # up to l = 3: a support of all four atoms spans a subspace known only to
+    # about eps / dist, and two vector paths differ by that much there
+    for l in range(4):
+        assert_walks_agree(d, l)
+    for q, l in ((2, 2), (3, 3)):
+        got = prip_exact(d, q, l)
+        lower, upper = prip_every_block(d, q, l, grams_of_walk_vectors)
+        assert (got.lower, got.upper) == pytest.approx((lower, upper), abs=1e-12)
+    # a squared distance of 0.03^2 lies below the guard, 0.1^2 above it
+    assert bool(exact_grams) == (dist * dist < GUARD)
+
+
+def test_a_small_remaining_norm_takes_the_vector_path(exact_grams):
+    # atom 2 lies 0.01 from the span of atoms 0 and 1: pushing 0 then 1, with a
+    # pivot far above the guard, leaves it a squared norm of 1e-4, below it
+    d = near_dependent(6, 8, 0.01, seed=0, span=2)
+    assert 1.0 - (d.atoms[:, 0] @ d.atoms[:, 1]) ** 2 > 0.5
+    got = projected_coherence("ols", d, 2)
+    assert (0, 1) in exact_grams
+    assert got == pytest.approx(coherence_of_walk_vectors(d, True, 2), abs=1e-12)
+    assert_walks_agree(d, 2)
+
+
+@pytest.mark.parametrize("l", [3, 4, 5])
+def test_gram_walk_on_kahan_like_supports(l, exact_grams):
+    # every pivot just above the guard: their product falls far below it, and
+    # downdating through all of them would miss 1e-12 (by 1.5e-6 at l = 5)
+    for seed in range(3):
+        assert_walks_agree(kahan_like(10, l, GUARD * 1.01, 3, seed), l)
+    assert tuple(range(l)) in exact_grams
+    # pivots whose product sits just above the guard: the walk downdates the
+    # first l - 1 pushes of the support 0..l-1 and still meets 1e-12
+    exact_grams.clear()
+    for seed in range(3):
+        assert_walks_agree(kahan_like(10, l, (GUARD * 1.01) ** (1.0 / (l - 1)), 3, seed), l)
+    assert not {tuple(range(t)) for t in range(1, l)} & set(exact_grams)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 7), st.integers(4, 9), st.sampled_from([None, 1e-3, 0.03, 0.3]),
+       st.data())
+def test_gram_walk_matches_vector_walk_over_shapes(m, n, dist, data):
+    seed = data.draw(st.integers(0, 10 ** 6))
+    near = dist is not None and m >= 4
+    d = near_dependent(m, n, dist, seed) if near else random_dictionary(m, n, seed=seed)
+    assert_walks_agree(d, data.draw(st.integers(0, min(n - 2, m - 1))))
+
+
+@pytest.mark.parametrize("offset, dependent", [(1e-7, False), (1e-9, True)])
+def test_enumerations_raise_where_the_vector_walk_does(offset, dependent):
+    # atom 1 lies `offset` from atom 0: the support (0, 1) is dependent below 1e-8
+    near = np.eye(4)[:, 0] + offset * np.eye(4)[:, 1]
+    d = Dictionary(np.column_stack([np.eye(4)[:, 0], near / np.linalg.norm(near),
+                                    np.eye(4)[:, 2], np.eye(4)[:, 3]]))
+    calls = [lambda: list(walk_vectors(d, 2)), lambda: projected_coherence("omp", d, 2),
+             lambda: projected_coherence("ols", d, 2), lambda: prip_exact(d, 1, 2),
+             lambda: prip_exact(d, 2, 2)]
+    for call in calls:
+        if dependent:
+            with pytest.raises(RankDeficient):
+                call()
+        else:
+            call()
+    if not dependent:
+        assert_walks_agree(d, 2)
+
+
+@pytest.mark.parametrize("source", PRIP_SOURCES)
+def test_enumerations_match_the_vector_walk(source):
+    d = PRIP_SOURCES[source]()
+    for l in range(4):
+        assert_walks_agree(d, l)
+    for q, l in PRIP_ORDERS:
+        got = prip_exact(d, q, l)
+        lower, upper = prip_every_block(d, q, l, grams_of_walk_vectors)
+        assert (got.lower, got.upper) == pytest.approx((lower, upper), abs=1e-12), (q, l)
+
+
+@pytest.mark.parametrize("k, l", [(3, 1), (4, 2), (5, 3), (6, 2)])
+def test_enumerations_match_the_vector_walk_on_worst_cases(k, l):
+    d = build_worst_case(k, l)
+    for s in range(min(4, d.m)):
+        assert_walks_agree(d, s)
+        got = prip_exact(d, 2, s)
+        want = prip_every_block(d, 2, s, grams_of_walk_vectors)
+        assert (got.lower, got.upper) == pytest.approx(want, abs=1e-12)
+
+
+def test_wide_projected_coherence_holds_a_few_grams():
+    # a push costs O(n^2) whatever m is; the walk holds l + 1 Grams and the
+    # OLS normalization a few n x n temporaries, nothing per support
+    d = random_dictionary(64, 256, seed=5)
+    for variant in ("omp", "ols"):
+        tracemalloc.start()
+        try:
+            projected_coherence(variant, d, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d.n * d.n * 8, variant
