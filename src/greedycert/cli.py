@@ -5,18 +5,18 @@ Subcommands: run, certify, worstcase, sweep, prip, coherence.  Exit codes:
 recovery failed, 3 rank deficiency, 4 a constructed failure scenario did not
 reproduce.  Reports print as JSON or, with `--format csv`, as a header and rows,
 every number in 17 significant digits so runs can be compared byte for byte.
+The parser is built once per process; each command is looked up per call.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .dictionary import (_check_kl, _fmt, coherence, load_dictionary, load_vector, make_instance,
-                         save_dictionary, save_vector, spark)
+from .dictionary import (_check_kl, _fmt, as_support, check_support, coherence, load_dictionary,
+                         load_vector, make_instance, save_dictionary, save_vector, spark)
 from .errors import CalibrationFailed, GreedyCertError, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import RecoveryOutcome, classify, run
 from .guarantees import coherence_threshold, partial_erc, prip_coherence_bounds, prip_exact, tropp_erc
@@ -84,7 +84,7 @@ def cmd_run(args) -> int:
     else:
         y = load_vector(args.y)
     if args.truth is not None:
-        truth = _parse_indices(args.truth)
+        truth = check_support(d, as_support(_parse_indices(args.truth)))
     seed_support = _parse_indices(args.seed_support) if args.seed_support else None
     trace = run(args.variant, d, y, args.k, seed_support=seed_support)
     outcome = classify(trace, truth) if truth is not None else None
@@ -211,6 +211,7 @@ def cmd_coherence(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="greedycert",
                      description="Greedy sparse recovery with exact-recovery certificates")
@@ -226,7 +227,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True, help="number of selections")
     p.add_argument("--seed-support", help="comma-separated atoms treated as already selected")
     p.add_argument("--truth", help="planted support for classification, e.g. '0,2'")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("certify", help="evaluate exact-recovery conditions for a support")
     p.add_argument("--dict", required=True)
@@ -234,14 +234,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", help="correctly selected prefix (subset of qstar)")
     p.add_argument("--variant", choices=["omp", "ols"], default="omp")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("worstcase", help="build and replay a guaranteed failure at the threshold")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--variant", choices=["omp", "ols"], default="omp")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_worstcase)
 
     p = sub.add_parser("sweep", help="Monte Carlo success-rate sweep over (k, l) cells")
     p.add_argument("--config", required=True, help="sweep config JSON file")
@@ -251,20 +249,17 @@ def _build_parser() -> _Parser:
                    help="accepted for compatibility and must be >= 1; each cell runs as one "
                         "batch in a single thread, so it changes nothing")
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("prip", help="projected restricted-isometry constants")
     p.add_argument("--dict", required=True)
     p.add_argument("--q", type=int, required=True, help="block size")
     p.add_argument("--l", type=int, required=True, help="projected-out support size")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_prip)
 
     p = sub.add_parser("coherence", help="mutual coherence (and optionally spark) of a dictionary")
     p.add_argument("--dict", required=True)
     p.add_argument("--spark", action="store_true", help="also compute the spark (small n only)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_coherence)
     return parser
 
 
@@ -279,10 +274,10 @@ _HANDLED = tuple(t for types, _, _ in _EXIT_CODES for t in types)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        # looked up now, not held by the cached parser, so a cmd_* replaced later still runs
+        return globals()[f"cmd_{args.command}"](args)
     except _HANDLED as exc:
         prefix, code = next((p, c) for types, p, c in _EXIT_CODES if isinstance(exc, types))
         print(f"{prefix}: {exc}", file=sys.stderr)

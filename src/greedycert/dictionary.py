@@ -453,8 +453,9 @@ def _fmt(x) -> str:
 
 
 def _csv_lines(rows) -> str:
-    """Rows of numbers as CSV lines in `_fmt`'s format, joined by newlines (none after the last)."""
-    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows)
+    """A 2-D array's rows as CSV lines in `_fmt`'s format, formatted from `.tolist()`'s Python
+    floats (faster than numpy scalars), joined by newlines (none after the last)."""
+    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows.tolist())
 
 
 def save_dictionary(d: Dictionary, path) -> None:

@@ -272,8 +272,8 @@ class GreedyTrace:
             "requested": self.requested,
             "seeded": self.seeded,
             "selected": list(self.selected.indices),
-            "scores": [[float(x) for x in vec] for vec in self.scores],
-            "residual_norms": [float(x) for x in self.residual_norms],
+            "scores": np.asarray(self.scores, dtype=float).tolist(),
+            "residual_norms": np.asarray(self.residual_norms, dtype=float).tolist(),
             "tie_at": self.tie_at,
             "early_stop": self.early_stop,
             "outcome": outcome.to_dict() if outcome is not None else None,

@@ -178,10 +178,10 @@ class WorstCaseScenario:
             "partial": list(self.partial.indices),
             "truth": list(self.truth.indices),
             "halves": [list(self.half_low.indices), list(self.half_high.indices)],
-            "y": [float(x) for x in self.y],
-            "reach_component": [float(x) for x in self.reach_component],
-            "null_component": [float(x) for x in self.null_component],
-            "prefix_epsilons": [float(x) for x in self.prefix_epsilons],
+            "y": np.asarray(self.y, dtype=float).tolist(),
+            "reach_component": np.asarray(self.reach_component, dtype=float).tolist(),
+            "null_component": np.asarray(self.null_component, dtype=float).tolist(),
+            "prefix_epsilons": np.asarray(self.prefix_epsilons, dtype=float).tolist(),
             "mix_epsilon": float(self.mix_epsilon),
             "predicted_wrong": self.predicted_wrong,
             "coherence": float(self.coherence),

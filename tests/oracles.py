@@ -450,3 +450,28 @@ def calibrate_sequential(variant, d, base, direction, prefix, what: str) -> floa
             return eps
         eps *= 0.5
     raise CalibrationFailed(f"could not calibrate {what} after 80 halvings")
+
+
+# ---- per-element number formatting, the reference for the `.tolist()` forms ---
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def csv_lines_per_scalar(rows) -> str:
+    """`dictionary._csv_lines`, formatting one numpy scalar at a time."""
+    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows)
+
+
+def trace_dict_per_scalar(trace, outcome=None) -> dict:
+    """`GreedyTrace.to_dict` with its number lists built by `float(x)`."""
+    return {**trace.to_dict(outcome),
+            "scores": [[float(x) for x in vec] for vec in trace.scores],
+            "residual_norms": [float(x) for x in trace.residual_norms]}
+
+
+def scenario_dict_per_scalar(scenario) -> dict:
+    """`WorstCaseScenario.to_dict` with its number lists built by `float(x)`."""
+    return {**scenario.to_dict(),
+            **{key: [float(x) for x in getattr(scenario, key)]
+               for key in ("y", "reach_component", "null_component", "prefix_epsilons")}}

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from greedycert import build_worst_case, load_dictionary, load_vector, random_dictionary, save_dictionary, save_vector
+from greedycert import (build_scenario, build_worst_case, load_dictionary, load_vector, random_dictionary,
+                        save_dictionary, save_vector)
 from greedycert import cli
 from greedycert.cli import main
 from greedycert.errors import CalibrationFailed, CapExceeded, RankDeficient
@@ -84,11 +85,63 @@ def test_run_with_vector_file_and_truth(ortho_dict, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["outcome"]["kind"] == "success"
 
 
+def test_run_rejects_truth_outside_the_dictionary(tmp_path, capsys):
+    d = random_dictionary(6, 9, seed=3)
+    save_dictionary(d, tmp_path / "d.csv")
+    save_vector(d.atoms[:, 0] + d.atoms[:, 4], tmp_path / "y.csv")
+    argv = ["run", "--dict", str(tmp_path / "d.csv"), "--y", str(tmp_path / "y.csv"), "--k", "2"]
+    assert main(argv + ["--truth", "0,99"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: support index 99 out of range for n=9\n"
+    assert main(argv + ["--truth", "0,8"]) == 2  # in range, so classified
+    assert json.loads(capsys.readouterr().out)["outcome"]["atom"] is not None
+
+
 def test_run_seed_support_flag(ortho_dict, capsys):
     code = main(["run", "--dict", ortho_dict, "--instance", "0:1,3:1,5:1", "--k", "3",
                  "--seed-support", "3"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["selected"][0] == 3
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one main call; --version's SystemExit counts as a code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_keeps_no_state_between_calls(ortho_dict, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    run = ["run", "--dict", ortho_dict, "--instance", "0:1,3:1,5:1", "--k", "3"]
+    calls = [run + ["--seed-support", "3"],
+             ["run", "--dict", ortho_dict, "--k", "2"],  # neither --y nor --instance
+             ["--version"],
+             run,
+             ["certify", "--dict", ortho_dict, "--qstar", "0,2,4", "--format", "csv"]]
+    cli._build_parser.cache_clear()
+    cached = [_outcome(argv, capsys) for argv in calls]  # one parser serves all five
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, ("SystemExit", 0), 0, 0]
+    assert json.loads(cached[0][1])["seeded"] == 1 and json.loads(cached[3][1])["seeded"] == 0
+
+
+def test_commands_are_looked_up_per_call(wc_dict, capsys, monkeypatch):
+    assert main(["coherence", "--dict", wc_dict]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_coherence", lambda args: seen.append(args.dict) or 5)
+    assert main(["coherence", "--dict", wc_dict]) == 5
+    assert seen == [wc_dict]
+    assert capsys.readouterr().out == ""
 
 
 def test_certify_at_threshold_exits_2(wc_dict, capsys):
@@ -130,6 +183,17 @@ def test_worstcase_command(tmp_path, capsys):
     assert blob["reproduced"] is True
     assert blob["replay"]["outcome"]["kind"] == "tie_with_wrong_atom"
     assert np.allclose(y, blob["y"])
+
+
+@pytest.mark.parametrize("k,l,variant", [(2, 0, "ols"), (3, 1, "omp"), (5, 3, "ols")])
+def test_worstcase_dictionary_file_keeps_its_bytes(tmp_path, capsys, k, l, variant):
+    out = tmp_path / "scen"
+    assert main(["worstcase", "--k", str(k), "--l", str(l), "--variant", variant,
+                 "--out", str(out)]) == 0
+    written = (out / "dictionary.csv").read_text()
+    assert written == json.loads((out / "scenario.json").read_text())["dictionary_csv"] + "\n"
+    save_dictionary(build_scenario(k, l, variant).dictionary, tmp_path / "direct.csv")
+    assert written == (tmp_path / "direct.csv").read_text()
 
 
 def test_worstcase_rejects_bad_shape(tmp_path, capsys):

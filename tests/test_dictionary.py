@@ -12,7 +12,8 @@ from greedycert import (CapExceeded, Dictionary, InvalidArgs, Support, TargetUnr
                         load_dictionary, load_vector, make_instance, random_dictionaries,
                         random_dictionary, save_dictionary, save_vector, spark, welch_bound)
 
-from oracles import random_dictionary_per_trial, shrink_gram, spark_bruteforce
+from oracles import (EDGE_FLOATS, csv_lines_per_scalar, random_dictionary_per_trial, shrink_gram,
+                     spark_bruteforce)
 
 
 def unit(cols):
@@ -349,6 +350,16 @@ def test_vector_csv_roundtrip_is_exact(v):
         w = load_vector(path)
     assert w.shape == v.shape
     assert w.tobytes() == v.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=st.floats()))
+@example(np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]))
+def test_csv_lines_keep_the_bytes_of_per_scalar_formatting(a):
+    c, f, col = np.ascontiguousarray(a), np.asfortranarray(a.T), a.reshape(-1, 1)
+    assert f.flags.f_contiguous and col.shape[1] == 1
+    for rows in (c, f, col):
+        assert dictionary._csv_lines(rows) == csv_lines_per_scalar(rows)
 
 
 def test_vector_roundtrip(tmp_path):

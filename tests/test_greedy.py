@@ -2,15 +2,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from greedycert import (Dictionary, GreedyTrace, InvalidArgs, InvalidSeed, RecoveryOutcome,
                         SolverVariant, Support, as_support, build_scenario, build_worst_case,
                         classify, greedy, make_instance, partial_erc, random_dictionary, run,
                         select_atom)
 
-from oracles import ols_candidate_norms
+from oracles import EDGE_FLOATS, ols_candidate_norms, trace_dict_per_scalar
 
 
 def test_variant_coercion():
@@ -187,6 +188,27 @@ def test_trace_serialization():
     assert blob["outcome"]["kind"] == out.kind
     assert len(blob["scores"]) == len(tr.scores)
     assert blob["tie_at"] == tr.tie_at
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(arrays(float, st.tuples(st.integers(0, 4), st.integers(2, 7)), elements=st.floats()),
+       arrays(float, st.integers(1, 5), elements=st.floats()))
+@example(np.array([EDGE_FLOATS]), np.array(EDGE_FLOATS))
+def test_trace_to_dict_keeps_the_float_lists(scores, norms):
+    tr = GreedyTrace(SolverVariant.OMP, len(scores), 0, Support(tuple(range(len(scores)))),
+                     tuple(scores), tuple(norms), None, None)
+    # repr tells -0.0 from 0.0 and a Python float from a numpy scalar, and equates nans
+    assert repr(tr.to_dict()) == repr(trace_dict_per_scalar(tr))
+
+
+@pytest.mark.parametrize("variant", ["omp", "ols"])
+def test_replay_to_dict_keeps_the_float_lists(variant):
+    for k, l in [(2, 0), (3, 1), (5, 3)]:
+        s = build_scenario(k, l, variant)
+        tr = run(variant, s.dictionary, s.y, k, seed_support=list(s.partial)[:1])
+        out = classify(tr, s.truth)
+        assert tr.scores and tr.seeded == min(l, 1)
+        assert repr(tr.to_dict(out)) == repr(trace_dict_per_scalar(tr, out))
 
 
 def test_run_is_deterministic():

@@ -1,7 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from greedycert import (CalibrationFailed, InvalidArgs, RecoveryOutcome, build_scenario,
                         build_worst_case, classify, coherence, coherence_threshold,
@@ -10,7 +14,8 @@ from greedycert import (CalibrationFailed, InvalidArgs, RecoveryOutcome, build_s
 
 from greedycert import worstcase
 
-from oracles import calibrate_sequential, construction_projected_pair
+from oracles import (EDGE_FLOATS, calibrate_sequential, construction_projected_pair,
+                     scenario_dict_per_scalar)
 
 
 PAIRS = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 2), (5, 3)]
@@ -145,6 +150,26 @@ def test_scenario_deterministic():
     assert a.y.tobytes() == b.y.tobytes()
     assert a.dictionary.atoms.tobytes() == b.dictionary.atoms.tobytes()
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("variant", ["omp", "ols"])
+def test_scenario_to_dict_keeps_the_float_lists(variant):
+    for k, l in PAIRS:
+        s = build_scenario(k, l, variant)
+        # repr tells -0.0 from 0.0 and a Python float from a numpy scalar
+        assert repr(s.to_dict()) == repr(scenario_dict_per_scalar(s))
+
+
+_VECTORS = arrays(float, st.integers(0, 6), elements=st.floats())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_VECTORS, _VECTORS, _VECTORS, st.lists(st.floats(), max_size=4))
+@example(np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1]), np.zeros(0), list(EDGE_FLOATS))
+def test_scenario_to_dict_keeps_the_float_lists_of_any_floats(y, reach, null, eps):
+    s = dataclasses.replace(build_scenario(2, 0, "omp"), y=y, reach_component=reach,
+                            null_component=null, prefix_epsilons=tuple(eps))
+    assert repr(s.to_dict()) == repr(scenario_dict_per_scalar(s))
 
 
 def test_scenario_serialization_roundtrip(tmp_path):
