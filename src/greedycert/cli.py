@@ -189,7 +189,7 @@ def cmd_prip(args) -> int:
     mu = coherence(d)
     exact = prip_exact(d, args.q, args.l)
     try:
-        bound = prip_coherence_bounds(args.q, args.l, mu)
+        bound = prip_coherence_bounds(args.q, args.l, mu) if mu < 1.0 else None
     except OutOfDomain:
         bound = None
     report = {

@@ -162,10 +162,12 @@ def prip_coherence_bounds(q: int, l: int, mu: float) -> PripConstants:
 
 
 def _projected_grams(d: Dictionary, l: int):
-    """(support, Gram of the atoms outside it, in index order) for each l-subset of
-    atoms, in combinations() order, from a C-ordered copy of the atoms.  A push is one
-    Schur-complement step G - h h^T, h = g / sqrt(g_i), g the pushed atom's row and
-    g_i its pivot: the Cholesky downdate of Batch-OMP, O(n^2) per push."""
+    """(supports, Grams of the atoms outside each, in index order) stacks covering every
+    l-subset of atoms in combinations() order, from a C-ordered copy of the atoms.  A
+    push is one Schur-complement step G - h h^T, h = g / sqrt(g_i), g the pushed atom's
+    row and g_i its pivot: the Cholesky downdate of Batch-OMP, O(n^2) per push.  The
+    children of a support are pushed as one stacked step, at most
+    dictionary.BATCH_ELEMENTS // (N-1)^2 of them at a time for an N x N Gram."""
     # A step adds about 2 eps per entry (|h_j h_k| <= 1 by Cauchy-Schwarz) and divides
     # the errors already in G by the pivot: a Gram downdated since it was formed from
     # vectors is off by about eps / P, P the product of those pivots (0.1 eps / P the
@@ -176,23 +178,34 @@ def _projected_grams(d: Dictionary, l: int):
     d = Dictionary(np.ascontiguousarray(d.atoms))
 
     def walk(support, gram, pivots, start):  # pivots: P so far
-        if len(support) == l:
-            yield support, gram
-            return
         t = len(support)
-        for j in range(start, d.n - l + t + 1):
-            i = j - t  # j's position among the atoms outside the support, all below j
-            p = pivots * gram[i, i]  # P once j is pushed
-            if p >= guard:
-                keep = np.arange(len(gram) - 1)
-                keep[i:] += 1  # every position but i
-                h = gram[i].take(keep) / math.sqrt(gram[i, i])
-                child = gram.take(keep, 0).take(keep, 1) - h[:, None] * h
-                if p * child.diagonal().min() >= guard:
-                    yield from walk(support + (j,), child, p, j + 1)
-                    continue
-            rest = np.delete(project_atoms(d, support + (j,)).projected, support + (j,), axis=1)
-            yield from walk(support + (j,), rest.T @ rest, 1.0, j + 1)
+        if t == l:
+            yield [support], gram[None]
+            return
+        stop = d.n - l + t + 1
+        width = max(1, dictionary.BATCH_ELEMENTS // (len(gram) - 1) ** 2)
+        for first in range(start, stop, width):
+            js = range(first, min(first + width, stop))
+            i = np.arange(first - t, js.stop - t)  # the js' positions, all below them
+            pivot = gram[i, i]
+            p = pivots * pivot  # P once j is pushed
+            ok = p >= guard
+            keep = np.arange(len(gram) - 1)
+            keep = keep + (keep >= i[:, None])  # every position but i, per child
+            # a child failing the guard divides by 1: no warning from a pivot <= 0
+            h = gram[i[:, None], keep] / np.sqrt(np.where(ok, pivot, 1.0))[:, None]
+            grams = gram.take(keep[:, :, None] * len(gram) + keep[:, None, :])
+            grams -= h[:, :, None] * h[:, None, :]
+            ok &= p * grams.diagonal(0, 1, 2).min(axis=1) >= guard
+            for c, j in enumerate(js):
+                child = support + (j,)
+                if not ok[c]:
+                    rest = np.delete(project_atoms(d, child).projected, child, axis=1)
+                    grams[c] = rest.T @ rest
+                if t + 1 < l:
+                    yield from walk(child, grams[c], p[c] if ok[c] else 1.0, j + 1)
+            if t + 1 == l:
+                yield [support + (j,) for j in js], grams
 
     yield from walk((), d.atoms.T @ d.atoms, 1.0, 0)
 
@@ -244,11 +257,12 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     collecting the extreme eigenvalues of the projected block Grams:
     lower = 1 - min eigenvalue, upper = max eigenvalue - 1.
 
-    The supports' Grams come from the Schur-complement walk _projected_grams.
-    Only blocks that could move the running minimum or maximum get an
-    eigensolve.  By Gershgorin's disc theorem the eigenvalues of a block B
-    lie in [low, up], low = min_i (b_ii - r_i) and up = max_i (b_ii + r_i),
-    where r_i sums |b_ij| over the rest of row i.  The supports are walked
+    The supports' Grams come from the Schur-complement walk _projected_grams,
+    its stacks re-cut into the chunks below.  Only blocks that could move the
+    running minimum or maximum get an eigensolve.  By Gershgorin's disc
+    theorem the eigenvalues of a block B lie in [low, up], low = min_i (b_ii -
+    r_i) and up = max_i (b_ii + r_i), where r_i sums |b_ij| over the rest of
+    row i.  The supports are walked
     in chunks of at most PRIP_CHUNK (support, block) pairs that hold at most
     dictionary.BATCH_ELEMENTS Gram entries (a support with more blocks is cut
     into pieces).  Per chunk, each support's block with the lowest low and its
@@ -287,10 +301,10 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     # Gershgorin bounds of generic blocks.
     tol = 2.0 ** -32 * q * q
     lo, hi = np.inf, -np.inf
-    walk = _projected_grams(d, l)
+    walk = chain.from_iterable(grams for _, grams in _projected_grams(d, l))
     while chunk := list(islice(walk, supports)):
         rows = np.arange(len(chunk))
-        grams = np.stack([gram for _, gram in chunk])
+        grams = np.stack(chunk)
         for piece in pieces:
             low, up = _discs(grams, piece, pairs, incidence)
             first, last = low.argmin(axis=1), up.argmax(axis=1)
@@ -308,6 +322,7 @@ def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> 
 
     Uses the raw projected Gram for the OMP rule and the normalized one for the
     OLS rule (vanished atoms zero); at l = 0 both reduce to the mutual coherence.
+    Each stack of Grams from _projected_grams is normalized and maximized at once.
     """
     variant = as_variant(variant)
     if l < 0 or l > d.n - 2:
@@ -315,12 +330,12 @@ def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> 
     if math.comb(d.n, l) > cap:
         raise CapExceeded(f"{math.comb(d.n, l)} supports exceed the cap of {cap}")
     best = 0.0
-    for _, gram in _projected_grams(d, l):
+    for _, grams in _projected_grams(d, l):
         if variant is SolverVariant.OLS:
-            norms = np.sqrt(gram.diagonal())
+            norms = np.sqrt(grams.diagonal(0, 1, 2))
             scale = 1.0 / np.where(norms <= VANISH_TOL, np.inf, norms)
-            gram = gram * np.outer(scale, scale)
-        best = max(best, float(_off_diagonal_max(gram)))
+            grams = grams * (scale[:, :, None] * scale[:, None, :])
+        best = max(best, float(_off_diagonal_max(grams).max()))
     return best
 
 

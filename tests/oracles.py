@@ -7,17 +7,18 @@ actually means something.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from greedycert import (CalibrationFailed, CellResult, Dictionary, GreedyTrace, RankDeficient,
                         RecoveryOutcome, SolverVariant, Support, SweepReport, classify,
                         coherence, coherence_threshold, make_instance, run, welch_bound)
-from greedycert import dictionary
+from greedycert import dictionary, guarantees
 from greedycert.dictionary import _haar_frame
 from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL
 from greedycert.guarantees import _projected_grams
-from greedycert.projection import _direction
+from greedycert.projection import VANISH_TOL, _direction
 
 
 def projector(cols: np.ndarray) -> np.ndarray:
@@ -228,7 +229,15 @@ def prip_scratch(a: np.ndarray, q: int, l: int) -> tuple[float, float]:
     return 1.0 - lo, hi - 1.0
 
 
-def prip_every_block(d, q: int, l: int, walk=_projected_grams) -> tuple[float, float]:
+def flat(stacks):
+    """(support, Gram) for each support of a walk's (supports, Grams) stacks, one
+    support at a time."""
+    for supports, grams in stacks:
+        yield from zip(supports, grams, strict=True)
+
+
+def prip_every_block(d, q: int, l: int,
+                     walk=lambda d, l: flat(_projected_grams(d, l))) -> tuple[float, float]:
     """(lower, upper) of prip_exact with an eigensolve on every block: per support of
     the walk, the package's Gram walk by default, one stacked eigvalsh over all of
     its blocks.  The pruned enumeration must give these bits."""
@@ -240,6 +249,60 @@ def prip_every_block(d, q: int, l: int, walk=_projected_grams) -> tuple[float, f
         lo = min(lo, float(eig[:, 0].min()))
         hi = max(hi, float(eig[:, -1].max()))
     return 1.0 - lo, hi - 1.0
+
+
+# the enumerations' support walk on Grams one push at a time, as the package ran it
+# before it stacked the children of a support; the stacked walk must give its bits
+
+def walk_per_push(d, l: int):
+    """(support, Gram of the atoms outside it, in index order) for each l-subset of
+    atoms, in combinations() order, from a C-ordered copy of the atoms.  A push is one
+    Schur-complement step G - h h^T, h = g / sqrt(g_i); where the product P of the
+    pivots since the last exact Gram, times the least squared norm left, falls below
+    2^-10, the Gram comes from guarantees.project_atoms (looked up per call, so a
+    patched one sees these calls too) and P restarts at 1."""
+    guard = 2.0 ** -10
+    d = Dictionary(np.ascontiguousarray(d.atoms))
+
+    def walk(support, gram, pivots, start):
+        if len(support) == l:
+            yield support, gram
+            return
+        t = len(support)
+        for j in range(start, d.n - l + t + 1):
+            i = j - t
+            p = pivots * gram[i, i]
+            if p >= guard:
+                keep = np.arange(len(gram) - 1)
+                keep[i:] += 1
+                h = gram[i].take(keep) / math.sqrt(gram[i, i])
+                child = gram.take(keep, 0).take(keep, 1) - h[:, None] * h
+                if p * child.diagonal().min() >= guard:
+                    yield from walk(support + (j,), child, p, j + 1)
+                    continue
+            projected = guarantees.project_atoms(d, support + (j,)).projected
+            rest = np.delete(projected, support + (j,), axis=1)
+            yield from walk(support + (j,), rest.T @ rest, 1.0, j + 1)
+
+    yield from walk((), d.atoms.T @ d.atoms, 1.0, 0)
+
+
+def coherence_per_support(walk, normalize: bool) -> float:
+    """projected_coherence over a (support, Gram) walk, one Gram at a time, each
+    normalized (for OLS) by the outer product of its inverse diagonal norms."""
+    best = 0.0
+    for _, gram in walk:
+        if normalize:
+            norms = np.sqrt(gram.diagonal())
+            scale = 1.0 / np.where(norms <= VANISH_TOL, np.inf, norms)
+            gram = gram * np.outer(scale, scale)
+        best = max(best, float(dictionary._off_diagonal_max(gram)))
+    return best
+
+
+def stacks_of_one(walk):
+    """A per-support walk as the package's (supports, Grams) stacks, one support each."""
+    return lambda d, l: (([support], gram[None]) for support, gram in walk(d, l))
 
 
 # the enumerations' support walk on vectors, as the package ran it before it

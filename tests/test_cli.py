@@ -323,6 +323,20 @@ def test_prip_command(wc_dict, capsys):
     assert main(["prip", "--dict", wc_dict, "--q", "9", "--l", "1"]) == 1
 
 
+def test_prip_reports_no_coherence_bound_at_coherence_one(tmp_path, capsys):
+    # two equal atoms: the exact constants exist, the closed form needs mu < 1
+    path = tmp_path / "dup.csv"
+    path.write_text("1,1,0\n0,0,1\n")
+    assert main(["prip", "--dict", str(path), "--q", "1", "--l", "0"]) == 0
+    out = capsys.readouterr()
+    blob = json.loads(out.out)
+    assert blob["coherence"] == 1.0 and blob["coherence_bound"] is None and out.err == ""
+    assert blob["exact"] == {"q": 1, "l": 0, "lower": 0.0, "upper": 0.0, "kind": "exact"}
+    assert main(["prip", "--dict", str(path), "--q", "1", "--l", "0", "--format", "csv"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "kind,q,l,lower,upper\nexact,1,0,0,0\n" and out.err == ""
+
+
 # the exact stdout of the README's certify, prip and coherence examples, on the
 # dictionary of `worstcase --k 3 --l 1`
 

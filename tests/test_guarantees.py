@@ -13,8 +13,9 @@ from greedycert import (CapExceeded, Dictionary, InvalidArgs, OutOfDomain, RankD
                         omp_partial_bound, partial_erc, prip_coherence_bounds, prip_erc_bound,
                         prip_exact, projected_coherence, random_dictionary, tropp_erc)
 
-from oracles import (coherence_of_walk_vectors, construction_erc_lhs, grams_of_walk_vectors,
-                     partial_erc_pinv, prip_bruteforce, prip_every_block, ric_bruteforce,
+from oracles import (coherence_of_walk_vectors, coherence_per_support, construction_erc_lhs,
+                     flat, grams_of_walk_vectors, partial_erc_pinv, prip_bruteforce,
+                     prip_every_block, ric_bruteforce, stacks_of_one, walk_per_push,
                      walk_vectors)
 
 
@@ -357,7 +358,7 @@ def test_prip_exact_solves_bounded_stacks_and_prunes(monkeypatch):
 # such Gram, times the smallest squared norm left, falls below a guard; they
 # must stay within 1e-12 of the walk on projected vectors
 
-GUARD = 2.0 ** -10  # the guard in guarantees._projected_grams
+GUARD = 2.0 ** -10  # the guard in guarantees._projected_grams and oracles.walk_per_push
 
 
 def near_dependent(m: int, n: int, dist: float, seed: int, span: int = 3) -> Dictionary:
@@ -390,7 +391,7 @@ def kahan_like(m: int, l: int, pivot: float, extra: int, seed: int) -> Dictionar
 
 def assert_walks_agree(d, l):
     walked = 0
-    for (got, gram), (want, ref) in zip(guarantees._projected_grams(d, l),
+    for (got, gram), (want, ref) in zip(flat(guarantees._projected_grams(d, l)),
                                         grams_of_walk_vectors(d, l), strict=True):
         assert got == want
         assert np.abs(gram - ref).max() <= 1e-12, got
@@ -518,3 +519,88 @@ def test_wide_projected_coherence_holds_a_few_grams():
         finally:
             tracemalloc.stop()
         assert peak < 8 * d.n * d.n * 8, variant
+
+
+# the walk pushes all children of a support, or a stack of them, as one step; it
+# must give the supports, the Grams and the project_atoms calls of the walk that
+# pushes one child at a time, in the same order, and the enumerations their bits
+
+def dependent_pair(offset: float) -> Dictionary:
+    """Four unit atoms in R^4, atom 1 at distance about `offset` from atom 0."""
+    near = np.eye(4)[:, 0] + offset * np.eye(4)[:, 1]
+    return Dictionary(np.column_stack([np.eye(4)[:, 0], near / np.linalg.norm(near),
+                                       np.eye(4)[:, 2], np.eye(4)[:, 3]]))
+
+
+WALK_SOURCES = {  # name: a dictionary and the support sizes to walk
+    **{name: (lambda make=make: (make(), range(4))) for name, make in PRIP_SOURCES.items()},
+    **{f"worst case {k},{l}": (lambda k=k, l=l: (d := build_worst_case(k, l), range(min(4, d.m))))
+       for k, l in ((3, 1), (4, 2), (5, 3), (6, 2))},
+    **{f"near dependence {dist}": (lambda dist=dist: (near_dependent(8, 11, dist, 0), range(5)))
+       for dist in (1e-7, 1e-4, 0.03, 0.1, 0.3)},
+    "small remaining norm": lambda: (near_dependent(6, 8, 0.01, 0, span=2), range(4)),
+    # every pivot just above the guard, and pivots whose product is just above it
+    **{f"kahan-like {l} {how} #{seed}": (
+        lambda l=l, pivot=pivot, seed=seed: (kahan_like(10, l, pivot, 3, seed), (l,)))
+       for l in (3, 4, 5) for seed in range(2)
+       for how, pivot in (("pivots", GUARD * 1.01), ("product", (GUARD * 1.01) ** (1 / (l - 1))))},
+    "near pair": lambda: (dependent_pair(1e-7), range(3)),
+}
+BATCHES = {"default": lambda n: dictionary.BATCH_ELEMENTS, "one": lambda n: 1,
+           "two Grams": lambda n: 2 * (n - 1) ** 2}
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("source", WALK_SOURCES)
+def test_stacked_walk_gives_the_bits_of_the_per_push_walk(source, batch, exact_grams,
+                                                          monkeypatch):
+    d, orders = WALK_SOURCES[source]()
+    monkeypatch.setattr(dictionary, "BATCH_ELEMENTS", BATCHES[batch](d.n))
+    for l in orders:
+        exact_grams.clear()
+        want = list(walk_per_push(d, l))
+        fallbacks = list(exact_grams)
+        exact_grams.clear()
+        stacks = list(guarantees._projected_grams(d, l))
+        assert exact_grams == fallbacks, l
+        got = list(flat(stacks))
+        assert len(got) == len(want) == comb(d.n, l)
+        for (support, gram), (ref_support, ref) in zip(got, want):
+            assert support == ref_support
+            assert np.array_equal(gram, ref) and gram.tobytes() == ref.tobytes(), support
+        # a stack holds one Gram or at most BATCH_ELEMENTS entries
+        assert all(len(grams) == 1 or grams.size <= dictionary.BATCH_ELEMENTS
+                   for _, grams in stacks)
+
+
+def test_walk_sources_put_a_fallback_inside_a_stack(exact_grams):
+    # atom 3 lies 0.03 from the span of atoms 0..2: on this dictionary, among the
+    # children of (1, 2), pushed as one stack, (1, 2, 5) takes project_atoms's Gram
+    # and its neighbours (1, 2, 4) and (1, 2, 6) do not
+    d, _ = WALK_SOURCES["near dependence 0.03"]()
+    list(guarantees._projected_grams(d, 3))
+    assert (1, 2, 5) in exact_grams and not {(1, 2, 4), (1, 2, 6)} & set(exact_grams)
+
+
+@pytest.mark.parametrize("source", WALK_SOURCES)
+def test_enumerations_give_the_bits_of_the_per_push_walk(source, monkeypatch):
+    d, orders = WALK_SOURCES[source]()
+    for l in orders:
+        for variant in ("omp", "ols"):
+            want = coherence_per_support(walk_per_push(d, l), variant == "ols")
+            assert projected_coherence(variant, d, l) == want, (variant, l)
+    orders = [(q, l) for l in orders for q in (2, 3) if l + q <= d.n]
+    got = [prip_exact(d, q, l) for q, l in orders]
+    monkeypatch.setattr(guarantees, "_projected_grams", stacks_of_one(walk_per_push))
+    assert got == [prip_exact(d, q, l) for q, l in orders]
+
+
+def test_stacked_walk_raises_where_the_per_push_walk_does(exact_grams):
+    d = dependent_pair(1e-9)
+    with pytest.raises(RankDeficient):
+        list(walk_per_push(d, 2))
+    fallbacks = list(exact_grams)
+    exact_grams.clear()
+    with pytest.raises(RankDeficient):
+        list(guarantees._projected_grams(d, 2))
+    assert exact_grams == fallbacks and fallbacks[-1] == (0, 1)
