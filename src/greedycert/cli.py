@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .dictionary import (_check_kl, _fmt, as_support, check_support, coherence, load_dictionary,
-                         load_vector, make_instance, save_dictionary, save_vector, spark)
+                         load_vector, make_instance, save_vector, spark)
 from .errors import CalibrationFailed, GreedyCertError, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import RecoveryOutcome, classify, run
 from .guarantees import coherence_threshold, partial_erc, prip_coherence_bounds, prip_exact, tropp_erc
@@ -142,9 +142,10 @@ def cmd_worstcase(args) -> int:
         and outcome.iteration == args.l
     )
     os.makedirs(args.out, exist_ok=True)
-    save_dictionary(scenario.dictionary, os.path.join(args.out, "dictionary.csv"))
-    save_vector(scenario.y, os.path.join(args.out, "y.csv"))
     payload = scenario.to_dict()
+    with open(os.path.join(args.out, "dictionary.csv"), "w") as fh:
+        fh.write(payload["dictionary_csv"] + "\n")  # save_dictionary's bytes, formatted once
+    save_vector(scenario.y, os.path.join(args.out, "y.csv"))
     payload["replay"] = trace.to_dict(outcome)
     payload["reproduced"] = reproduced
     with open(os.path.join(args.out, "scenario.json"), "w") as fh:

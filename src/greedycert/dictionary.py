@@ -244,19 +244,6 @@ def _off_diagonal_max(g: np.ndarray) -> np.ndarray:
     return off.max(axis=-1)
 
 
-def _haar_frame(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """Unit-norm frame from an orthogonal draw: exact orthonormal columns when
-    n <= m, otherwise the first m rows of a Haar orthogonal matrix."""
-    if n <= m:
-        g = rng.normal(size=(m, n))
-        q, r = np.linalg.qr(g)
-        return q * np.sign(np.diag(r))
-    g = rng.normal(size=(n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    return _unit_columns(q[:m, :])
-
-
 def _shrink_grams(starts: np.ndarray, target: float) -> list:
     """Iteratively clip off-diagonal Gram entries and re-factor to rank m, in
     lockstep over a stack of starting points (B, m, n).
@@ -339,12 +326,16 @@ def _generate(m: int, n: int, target: float, seeds: list) -> list:
     Every trial takes the first path whose check it passes: pure noise, then
     the bisected blend when the frame itself is within the target, then (for
     n > m) Gram shrinkage from the blend at noise weight 0.1, in lockstep."""
-    noise, frames = [], []
-    for seed in seeds:
+    noise, draws = [], []
+    for seed in seeds:  # each trial's generator draws its noise, then its frame's matrix
         rng = np.random.default_rng(seed)
         noise.append(rng.normal(size=(m, n)))
-        frames.append(_haar_frame(rng, m, n))
-    noise, frames = np.stack(noise), np.stack(frames)
+        draws.append(rng.normal(size=(max(m, n), n)))
+    noise = np.stack(noise)
+    # one stacked QR: orthonormal frames, or for n > m the unit-norm first m rows of Haar matrices
+    q, r = np.linalg.qr(np.stack(draws))
+    frames = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    frames = _unit_columns(frames[:, :m, :]) if n > m else frames
     pure = _blend(frames, noise, np.ones(len(seeds)))
     noisy = _off_diagonal_max(_grams(pure)) <= target
     framed = ~noisy & (_off_diagonal_max(_grams(frames)) <= target)

@@ -10,8 +10,8 @@ in one stack of pursuits (the trials share m, n and k), with the outcomes of
 """
 
 import json
-from collections import Counter
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import reduce
 from operator import add
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .dictionary import BATCH_ELEMENTS, _fmt, _grams, _off_diagonal_max, random_dictionaries
 from .errors import InvalidArgs, TargetUnreachable
-from .greedy import _KINDS, RecoveryOutcome, SolverVariant, _outcomes, _pursue
+from .greedy import _KINDS, SolverVariant, _outcomes, _pursue
 from .guarantees import coherence_threshold
 
 THRESHOLD_SENTINEL = "threshold"
@@ -37,16 +37,17 @@ def _typed(value, what: str, kind: type) -> None:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep description, normally loaded from a JSON file.
+    """Sweep description, normally loaded from a JSON file (from_dict).
 
-    k_range and l_range are inclusive (lo, hi) pairs; cells run over every
-    pair with l < k.  coherence_target is None (no constraint), a number
-    (fixed ceiling for every cell), or the string "threshold" (per-cell
-    ceiling just below 1/(2k-l-1), so every accepted trial sits strictly
-    below the threshold).  With seed_partial the solver is seeded with l
-    planted atoms per trial; otherwise it runs unseeded and l only selects
-    the per-cell threshold.  Integer fields must be ints (JSON integers in
-    from_dict) and seed_partial a bool: nothing is coerced, on either path.
+    k_range and l_range are inclusive (lo, hi) pairs, lists or tuples kept as
+    tuples; cells run over every pair with l < k <= min(m, n).
+    coherence_target is None (no constraint), a number (fixed ceiling for
+    every cell), or the string "threshold" (per-cell ceiling just below
+    1/(2k-l-1), so every accepted trial sits strictly below the threshold).
+    With seed_partial the solver is seeded with l planted atoms per trial;
+    otherwise it runs unseeded and l only selects the per-cell threshold.
+    Integer fields must be ints and seed_partial a bool: nothing is coerced,
+    and a config built here takes the inputs and defaults of from_dict.
     """
 
     m: int
@@ -54,20 +55,21 @@ class SweepConfig:
     k_range: tuple[int, int]
     l_range: tuple[int, int]
     trials: int
-    coherence_target: float | str | None
-    seed: int
-    variant: str
-    seed_partial: bool
+    coherence_target: float | str | None = None
+    seed: int = 0
+    variant: str = "both"
+    seed_partial: bool = False
 
     def __post_init__(self):
         for name in ("m", "n", "trials", "seed"):
             _typed(getattr(self, name), name, int)
         for name in ("k_range", "l_range"):
             rng = getattr(self, name)
-            if not isinstance(rng, (tuple, list)):
-                raise InvalidArgs(f"{name} must be an inclusive (lo, hi) pair, got {rng!r}")
-            for x in rng:
+            for x in rng if isinstance(rng, (tuple, list)) else ():
                 _typed(x, name, int)
+            if not (isinstance(rng, (tuple, list)) and len(rng) == 2 and 0 <= rng[0] <= rng[1]):
+                raise InvalidArgs(f"{name} must be an inclusive (lo, hi) pair, got {rng!r}")
+            object.__setattr__(self, name, tuple(rng))
         _typed(self.seed_partial, "seed_partial", bool)
         if self.m < 1 or self.n < 2:
             raise InvalidArgs(f"need m >= 1 and n >= 2, got m={self.m}, n={self.n}")
@@ -75,15 +77,16 @@ class SweepConfig:
             raise InvalidArgs("trials must be positive")
         if self.variant not in _VARIANT_CHOICES:
             raise InvalidArgs(f"variant must be one of {_VARIANT_CHOICES}, got {self.variant!r}")
-        for name, rng in (("k_range", self.k_range), ("l_range", self.l_range)):
-            if len(rng) != 2 or rng[0] > rng[1] or rng[0] < 0:
-                raise InvalidArgs(f"{name} must be an inclusive (lo, hi) pair, got {rng}")
-        if not self.cells():
+        top = min(self.k_range[1], self.m, self.n)  # the largest k of any cell
+        if not self.k_range[0] <= top > self.l_range[0]:
             raise InvalidArgs("no cell satisfies l < k <= min(m, n)")
         target = self.coherence_target
-        if not (target is None or target == THRESHOLD_SENTINEL
-                or isinstance(target, (int, float)) and not isinstance(target, bool)
-                and np.isfinite(target) and target >= 0):
+        try:  # math.isfinite raises OverflowError on an int too large for a float
+            number = (isinstance(target, (int, float)) and not isinstance(target, bool)
+                      and math.isfinite(target) and target >= 0)
+        except OverflowError:
+            number = False
+        if not (number or target is None or target == THRESHOLD_SENTINEL):
             raise InvalidArgs(f"coherence_target must be null, a number >= 0 or "
                               f"\"{THRESHOLD_SENTINEL}\", got {target!r}")
         if self.seed < 0:
@@ -91,9 +94,8 @@ class SweepConfig:
 
     def cells(self) -> list[tuple[int, int]]:
         return [(k, l)
-                for k in range(self.k_range[0], self.k_range[1] + 1)
-                for l in range(self.l_range[0], self.l_range[1] + 1)
-                if l < k <= min(self.m, self.n)]
+                for k in range(self.k_range[0], min(self.k_range[1], self.m, self.n) + 1)
+                for l in range(self.l_range[0], min(self.l_range[1], k - 1) + 1)]
 
     def cell_target(self, k: int, l: int) -> float | None:
         if self.coherence_target is None:
@@ -106,36 +108,18 @@ class SweepConfig:
     def from_dict(raw: dict) -> "SweepConfig":
         if not isinstance(raw, dict):
             raise InvalidArgs(f"sweep config must be a JSON object, got {type(raw).__name__}")
-        known = {"m", "n", "k_range", "l_range", "trials", "coherence_target",
-                 "seed", "variant", "seed_partial"}
-        extra = set(raw) - known
+        extra = set(raw) - {f.name for f in fields(SweepConfig)}
         if extra:
-            raise InvalidArgs(f"unknown sweep config fields: {sorted(extra)}")
-        try:
-            fields = dict(
-                m=raw["m"],
-                n=raw["n"],
-                k_range=tuple(raw["k_range"]),
-                l_range=tuple(raw["l_range"]),
-                trials=raw["trials"],
-                coherence_target=raw.get("coherence_target"),
-                seed=raw.get("seed", 0),
-                variant=str(raw.get("variant", "both")).lower(),
-                seed_partial=raw.get("seed_partial", False),
-            )
-        except KeyError as exc:
-            raise InvalidArgs(f"sweep config is missing field {exc}") from None
-        except TypeError as exc:
-            raise InvalidArgs(f"malformed sweep config: {exc}") from None
-        return SweepConfig(**fields)
+            raise InvalidArgs(f"unknown sweep config fields: {sorted(extra, key=str)}")
+        for f in fields(SweepConfig):
+            if f.default is MISSING and f.name not in raw:
+                raise InvalidArgs(f"sweep config is missing field {f.name!r}")
+        if isinstance(raw.get("variant"), str):
+            raw = {**raw, "variant": raw["variant"].lower()}
+        return SweepConfig(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m, "n": self.n,
-            "k_range": list(self.k_range), "l_range": list(self.l_range),
-            "trials": self.trials, "coherence_target": self.coherence_target,
-            "seed": self.seed, "variant": self.variant, "seed_partial": self.seed_partial,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -216,15 +200,10 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
     cells = []
     for (k, l) in config.cells():
-        mus, kinds = _cell_outcomes(config, k, l, variants)
+        mus, counts = _cell_outcomes(config, k, l, variants)
         for v in variants:
-            count = Counter(kinds[v])
-            cells.append(CellResult(
-                variant=v, k=k, l=l, threshold=coherence_threshold(k, l), requested=config.trials,
-                accepted=len(mus), successes=count[RecoveryOutcome.SUCCESS],
-                wrong_atoms=count[RecoveryOutcome.WRONG_ATOM],
-                wrong_ties=count[RecoveryOutcome.TIE_WITH_WRONG_ATOM],
-                early_stops=count[RecoveryOutcome.EARLY_ZERO_RESIDUAL],
+            cells.append(CellResult(  # the counts of _KINDS fill successes .. early_stops
+                v, k, l, coherence_threshold(k, l), config.trials, len(mus), *counts[v].tolist(),
                 mu_sum=reduce(add, mus, 0.0),  # in trial order: sum() compensates from 3.12 on
                 mu_max=max(mus, default=0.0), skipped=not mus,
                 skip_reason=None if mus else "coherence target unreachable for this shape"))
@@ -232,18 +211,18 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
 
 
 def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
-    """The accepted trials of cell (k, l) in trial order: their coherences and,
-    per variant, their outcome kinds.
+    """The accepted trials of cell (k, l): their coherences in trial order and,
+    per variant, how many of them ended in each outcome of _KINDS.
 
     Trial t's dictionary comes from the seed [seed, k, l, t]; its planted support,
     coefficients and seeded atoms from the generator [seed, k, l, t, 1]."""
     m, n = config.m, config.n
-    cell_mus, kinds = [], {v: [] for v in variants}
+    cell_mus, counts = [], {v: np.zeros(len(_KINDS), dtype=int) for v in variants}
     try:
         dicts = random_dictionaries(m, n, config.cell_target(k, l),
                                     [[config.seed, k, l, t] for t in range(config.trials)])
     except TargetUnreachable:  # below the Welch bound, so no draw reaches it
-        return cell_mus, kinds
+        return cell_mus, counts
     drawn = [(t, d.atoms) for t, d in enumerate(dicts) if d is not None]
     per_batch = max(1, BATCH_ELEMENTS // (m * n))
     for start in range(0, len(drawn), per_batch):
@@ -263,14 +242,13 @@ def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
             coeffs.append(rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k))
             seeds.append(support[rng.choice(k, size=l, replace=False)]
                          if config.seed_partial and l > 0 else support[:0])
-        supports, coeffs = np.array(supports), np.array(coeffs)
+        supports, coeffs, seeds = np.array(supports), np.array(coeffs), np.array(seeds)
         ys = (np.take_along_axis(atoms, supports[:, None, :], axis=2) @ coeffs[..., None])[..., 0]
         planted = np.zeros((len(trials), n), dtype=bool)
         np.put_along_axis(planted, supports, True, axis=1)
-        seeds = np.array(seeds)
         cell_mus += mus.tolist()
         for v in variants:
             runs = _pursue(SolverVariant(v), atoms, ys, k, seeds)
             codes = _outcomes(planted, seeds.shape[1], runs.selected, runs.scores, runs.stops)
-            kinds[v] += [_KINDS[c] for c in codes]
-    return cell_mus, kinds
+            counts[v] += np.bincount(codes, minlength=len(_KINDS))
+    return cell_mus, counts

@@ -15,7 +15,6 @@ from greedycert import (CalibrationFailed, CellResult, Dictionary, GreedyTrace, 
                         RecoveryOutcome, SolverVariant, Support, SweepReport, classify,
                         coherence, coherence_threshold, make_instance, run, welch_bound)
 from greedycert import dictionary, guarantees
-from greedycert.dictionary import _haar_frame
 from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL
 from greedycert.guarantees import _projected_grams
 from greedycert.projection import VANISH_TOL, _direction
@@ -407,6 +406,20 @@ def shrink_gram_full_budget(start: np.ndarray, target: float, max_iter: int = 15
             norms = np.linalg.norm(d, axis=0)
         d = d / norms
     return None
+
+
+def _haar_frame(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """Unit-norm frame from an orthogonal draw, one QR per trial (the generator
+    factors a batch in one stacked QR): exact orthonormal columns when n <= m,
+    otherwise the first m rows of a Haar orthogonal matrix."""
+    if n <= m:
+        g = rng.normal(size=(m, n))
+        q, r = np.linalg.qr(g)
+        return q * np.sign(np.diag(r))
+    g = rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(np.diag(r))
+    return dictionary._unit_columns(q[:m, :])
 
 
 def random_dictionary_per_trial(m: int, n: int, coherence_target=None, seed=0):

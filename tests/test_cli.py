@@ -315,6 +315,28 @@ def test_sweep_config_keeps_case_insensitive_variant(tmp_path, capsys):
     assert config["variant"] == "omp" and config["seed_partial"] is True
 
 
+def test_sweep_takes_a_large_integer_target_that_fits_a_float(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**GOOD_SWEEP, "coherence_target": 10 ** 20}))
+    assert main(["sweep", "--config", str(p), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["coherence_target"] == 10 ** 20
+    p.write_text(json.dumps({**GOOD_SWEEP, "coherence_target": 10 ** 400}))
+    assert main(["sweep", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coherence_target must be")
+    assert captured.err.count("\n") == 1
+
+
+def test_sweep_range_past_the_shape_runs_only_its_cells(tmp_path, capsys):
+    # k_range reaches far past min(m, n) = 8: only (8, 7) is a cell
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**GOOD_SWEEP, "k_range": [2, 10 ** 12], "l_range": [7, 7]}))
+    assert main(["sweep", "--config", str(p)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["omp", "8", "7"], ["ols", "8", "7"]]
+
+
 def test_prip_command(wc_dict, capsys):
     assert main(["prip", "--dict", wc_dict, "--q", "2", "--l", "1"]) == 0
     blob = json.loads(capsys.readouterr().out)

@@ -12,8 +12,8 @@ from greedycert import (CapExceeded, Dictionary, InvalidArgs, Support, TargetUnr
                         load_dictionary, load_vector, make_instance, random_dictionaries,
                         random_dictionary, save_dictionary, save_vector, spark, welch_bound)
 
-from oracles import (EDGE_FLOATS, csv_lines_per_scalar, random_dictionary_per_trial, shrink_gram,
-                     spark_bruteforce)
+from oracles import (EDGE_FLOATS, _haar_frame, csv_lines_per_scalar, random_dictionary_per_trial,
+                     shrink_gram, spark_bruteforce)
 
 
 def unit(cols):
@@ -243,7 +243,7 @@ def _shrink_starts(m, n, seeds):
     for seed in seeds:
         rng = np.random.default_rng(seed)
         noise.append(rng.normal(size=(m, n)))
-        frames.append(dictionary._haar_frame(rng, m, n))
+        frames.append(_haar_frame(rng, m, n))
     return dictionary._blend(np.stack(frames), np.stack(noise), np.full(len(seeds), 0.1))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 
@@ -66,6 +67,57 @@ def test_config_dict_roundtrip():
     del missing["trials"]
     with pytest.raises(InvalidArgs):
         SweepConfig.from_dict(missing)
+
+
+def test_python_and_json_configs_are_the_same_schema():
+    built = SweepConfig(m=8, n=8, k_range=[2, 2], l_range=[0, 0], trials=1)
+    loaded = SweepConfig.from_dict(json.loads(
+        '{"m": 8, "n": 8, "k_range": [2, 2], "l_range": [0, 0], "trials": 1}'))
+    assert built == loaded and hash(built) == hash(loaded)
+    assert built.k_range == loaded.k_range == (2, 2)
+    assert (built.coherence_target, built.seed, built.variant, built.seed_partial) == (
+        None, 0, "both", False)
+
+
+def test_config_takes_large_integer_targets_that_fit_a_float():
+    assert small_config(coherence_target=10 ** 20).cell_target(2, 0) == 1e20
+    with pytest.raises(InvalidArgs, match="coherence_target"):
+        small_config(coherence_target=10 ** 400)
+
+
+def test_config_cells_do_not_walk_past_the_shape():
+    cfg = small_config(k_range=(2, 10 ** 12), l_range=(0, 10 ** 12))
+    assert cfg.cells() == [(k, l) for k in range(2, 13) for l in range(k)]
+    with pytest.raises(InvalidArgs, match="no cell"):
+        small_config(k_range=(13, 10 ** 12))
+    with pytest.raises(InvalidArgs, match="no cell"):
+        small_config(l_range=(12, 10 ** 12))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.sampled_from([10 ** 20, 10 ** 400])
+    | st.floats() | st.text(max_size=4) | st.sampled_from(["threshold", "OMP", "ols", "both"]),
+    lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(max_size=3), values,
+                                                                  max_size=2),
+    max_leaves=4)
+FIELD_NAMES = [f.name for f in dataclasses.fields(SweepConfig)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(from_good=st.booleans(),
+       raw=st.dictionaries(st.sampled_from(FIELD_NAMES),
+                           JSON_VALUES | st.lists(st.integers(-1, 12), min_size=2, max_size=2),
+                           max_size=6),
+       junk=st.none() | st.tuples(st.text(max_size=4), JSON_VALUES))
+def test_from_dict_returns_a_config_or_raises_invalid_args(from_good, raw, junk):
+    good = dict(m=8, n=8, k_range=[2, 2], l_range=[0, 0], trials=1) if from_good else {}
+    raw = {**good, **raw, **dict([junk] if junk else [])}
+    try:
+        cfg = SweepConfig.from_dict(raw)
+    except InvalidArgs:
+        return
+    assert SweepConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert hash(cfg) == hash(dataclasses.replace(cfg))
 
 
 def test_run_sweep_counts_and_success():
