@@ -175,7 +175,8 @@ def _projected_grams(d: Dictionary, l: int):
     # would fall below the guard takes project_atoms's Gram instead, which keeps errors
     # near 2^10 eps ~ 2e-13 and leaves the rank rule and RankDeficient to that path.
     guard = 2.0 ** -10
-    d = Dictionary(np.ascontiguousarray(d.atoms))
+    atoms = np.ascontiguousarray(d.atoms)
+    exact = lru_cache(lambda: Dictionary(atoms))  # validated once, at the first fallback
 
     def walk(support, gram, pivots, start):  # pivots: P so far
         t = len(support)
@@ -195,19 +196,19 @@ def _projected_grams(d: Dictionary, l: int):
             # a child failing the guard divides by 1: no warning from a pivot <= 0
             h = gram[i[:, None], keep] / np.sqrt(np.where(ok, pivot, 1.0))[:, None]
             grams = gram.take(keep[:, :, None] * len(gram) + keep[:, None, :])
-            grams -= h[:, :, None] * h[:, None, :]
+            grams -= np.einsum("ci,cj->cij", h, h)
             ok &= p * grams.diagonal(0, 1, 2).min(axis=1) >= guard
             for c, j in enumerate(js):
                 child = support + (j,)
                 if not ok[c]:
-                    rest = np.delete(project_atoms(d, child).projected, child, axis=1)
+                    rest = np.delete(project_atoms(exact(), child).projected, child, axis=1)
                     grams[c] = rest.T @ rest
                 if t + 1 < l:
                     yield from walk(child, grams[c], p[c] if ok[c] else 1.0, j + 1)
             if t + 1 == l:
                 yield [support + (j,) for j in js], grams
 
-    yield from walk((), d.atoms.T @ d.atoms, 1.0, 0)
+    yield from walk((), atoms.T @ atoms, 1.0, 0)
 
 
 @lru_cache(maxsize=16)
@@ -239,14 +240,40 @@ def _discs(grams: np.ndarray, piece: np.ndarray, pairs: np.ndarray, incidence: n
     return low, np.add(centre, radius, out=centre).max(axis=1)
 
 
+def _definite(a: np.ndarray, shift: float, sign: float) -> np.ndarray:
+    """Mask of the stacked symmetric matrices a, overwritten, for which the unpivoted
+    Cholesky (LDL^T) factorization of sign * (a - shift I), vectorized over the
+    stack, has only positive pivots.  Up to the rounding bounded in prip_exact,
+    every eigenvalue of a matrix that passes lies above the shift for sign 1 and
+    below it for sign -1.  The shift may be infinite."""
+    n = a.shape[1]
+    diag = np.arange(n)
+    a *= sign
+    a[:, diag, diag] -= sign * shift
+    ok = np.ones(len(a), dtype=bool)
+    for k in range(n):
+        pivot = a[:, k, k]
+        ok &= pivot > 0
+        if k + 1 < n:
+            # a matrix with a pivot <= 0 divides by inf: no updates from then on
+            h = a[:, k, k + 1:] / np.sqrt(np.where(ok, pivot, np.inf))[:, None]
+            a[:, k + 1:, k + 1:] -= np.einsum("ci,cj->cij", h, h)
+    return ok
+
+
+def _blocks(grams: np.ndarray, piece: np.ndarray, si: np.ndarray, bi: np.ndarray) -> np.ndarray:
+    """The blocks piece[bi] of the grams si, gathered as one stack."""
+    at = piece[bi]
+    return grams[si[:, None, None], at[:, :, None], at[:, None, :]]
+
+
 def _widen(lo: float, hi: float, grams: np.ndarray, piece: np.ndarray, si: np.ndarray,
            bi: np.ndarray):
     """(lo, hi) widened to the extreme eigenvalues of the blocks piece[bi] of the
     grams si, solved as one stack."""
     if len(si) == 0:
         return lo, hi
-    at = piece[bi]
-    eig = np.linalg.eigvalsh(grams[si[:, None, None], at[:, :, None], at[:, None, :]])
+    eig = np.linalg.eigvalsh(_blocks(grams, piece, si, bi))
     return min(lo, float(eig[:, 0].min())), max(hi, float(eig[:, -1].max()))
 
 
@@ -259,20 +286,26 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
 
     The supports' Grams come from the Schur-complement walk _projected_grams,
     its stacks re-cut into the chunks below.  Only blocks that could move the
-    running minimum or maximum get an eigensolve.  By Gershgorin's disc
-    theorem the eigenvalues of a block B lie in [low, up], low = min_i (b_ii -
-    r_i) and up = max_i (b_ii + r_i), where r_i sums |b_ij| over the rest of
-    row i.  The supports are walked
+    running minimum lo or maximum hi get an eigensolve; two tests rule the
+    others out, one after the other.  First, by Gershgorin's disc theorem the
+    eigenvalues of a block B lie in [low, up], low = min_i (b_ii - r_i) and up =
+    max_i (b_ii + r_i), where r_i sums |b_ij| over the rest of row i: a block
+    with low > lo + tol cannot move lo, and one with up < hi - tol cannot move
+    hi.  Second, the blocks left on the low side take an unpivoted Cholesky
+    (LDL^T) factorization of B - (lo + tol) I, and those left on the high side
+    one of (hi - tol) I - B, vectorized over the blocks (_definite): when every
+    pivot is positive, the block cannot move that extreme either.  tol covers
+    the rounding of the bounds, of the factorization and of the eigensolver (see
+    below), so a skipped block cannot reach the result.  The supports are walked
     in chunks of at most PRIP_CHUNK (support, block) pairs that hold at most
     dictionary.BATCH_ELEMENTS Gram entries (a support with more blocks is cut
-    into pieces).  Per chunk, each support's block with the lowest low and its
-    block with the highest up are solved first, as one stack; then every
-    other block with low <= lo + tol or up >= hi - tol, lo and hi being the
-    running extremes; tol covers the rounding of both the bound and the
-    eigensolver, so a skipped block cannot reach the result.  Every solved block
-    is gathered from the same Gram entries and goes through the same
-    per-matrix LAPACK call as when every block is solved, and min and max
-    are exact, so the constants keep those bits.
+    into pieces).  While lo and hi are unset, each support's block with the
+    lowest low and its block with the highest up are solved first, as one stack;
+    after that, per piece, the blocks that fail the Cholesky test on a side
+    their bounds reach are solved, as one stack.  Every solved block is gathered
+    from the same Gram entries and goes through the same per-matrix LAPACK call
+    as when every block is solved, and min and max are exact, so the constants
+    keep those bits.
 
     Raises CapExceeded when the number of (support, block) pairs exceeds cap,
     evaluated or not, and RankDeficient if some support is numerically
@@ -293,12 +326,21 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     step = max(1, min(PRIP_CHUNK, dictionary.BATCH_ELEMENTS // (q * q)))
     pieces = [table[i:i + step] for i in range(0, len(table), step)]
     # Atoms have unit norm (to UNIT_NORM_TOL) and projection only shortens them,
-    # so every |g_ij| of a projected Gram is at most about 1.  The computed bounds
-    # are then off by at most about q^2 eps (q terms of size <= 1), and eigvalsh's
-    # backward error is p(q) eps |B| <= p(q) q eps for a modest LAPACK constant
-    # p(q).  tol = 2^20 q^2 eps (eps = 2^-52) covers both with a factor of about
-    # a million to spare, and still lies far below the gaps between the
-    # Gershgorin bounds of generic blocks.
+    # so every |g_ij| of a projected Gram is at most about 1 and the eigenvalues of
+    # a block lie in [0, q].  The computed Gershgorin bounds are then off by at most
+    # about q^2 eps (q terms of size <= 1), and eigvalsh's backward error is
+    # p(q) eps |B| <= p(q) q eps for a modest LAPACK constant p(q).  A Cholesky
+    # test at a shift s (|s| <= q + 1) that finds every pivot positive shows that
+    # B - s I + E is positive definite, where E holds the rounding of the shift
+    # (eps (1 + |s|) per diagonal entry) and the factorization's backward error,
+    # entrywise at most gamma_{q+1} |R^T| |R| for the computed factor R (Higham,
+    # Accuracy and Stability of Numerical Algorithms, Thm 10.5).  So ||E|| is at
+    # most about (q + 2) q eps (1 + |s|), some q^3 eps, and the block's least
+    # eigenvalue lies above s - q^3 eps.  tol = 2^20 q^2 eps (eps = 2^-52) covers
+    # all three with a factor of about 2^20 / q or more to spare, and still lies far
+    # below the gaps between the Gershgorin bounds of generic blocks.  A block that
+    # passes at lo + tol thus has a computed least eigenvalue above lo, and one
+    # that passes at hi - tol (its sign flipped) a greatest one below hi.
     tol = 2.0 ** -32 * q * q
     lo, hi = np.inf, -np.inf
     walk = chain.from_iterable(grams for _, grams in _projected_grams(d, l))
@@ -307,12 +349,18 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
         grams = np.stack(chunk)
         for piece in pieces:
             low, up = _discs(grams, piece, pairs, incidence)
-            first, last = low.argmin(axis=1), up.argmax(axis=1)
-            lo, hi = _widen(lo, hi, grams, piece, np.concatenate((rows, rows)),
-                            np.concatenate((first, last)))
-            pick = (low <= lo + tol) | (up >= hi - tol)
-            pick[rows, first] = pick[rows, last] = False
-            lo, hi = _widen(lo, hi, grams, piece, *pick.nonzero())
+            if lo > hi:  # nothing solved yet: each support's most extreme blocks first
+                solved = (np.concatenate((rows, rows)),
+                          np.concatenate((low.argmin(axis=1), up.argmax(axis=1))))
+                lo, hi = _widen(lo, hi, grams, piece, *solved)
+                low[solved], up[solved] = np.inf, -np.inf  # out of both tests below
+            need = np.zeros(low.shape, dtype=bool)
+            for near, shift, sign in ((low <= lo + tol, lo + tol, 1.0),
+                                      (up >= hi - tol, hi - tol, -1.0)):
+                si, bi = near.nonzero()
+                if len(si):
+                    need[si, bi] |= ~_definite(_blocks(grams, piece, si, bi), shift, sign)
+            lo, hi = _widen(lo, hi, grams, piece, *need.nonzero())
     return PripConstants(q=q, l=l, lower=1.0 - lo, upper=hi - 1.0, kind="exact")
 
 

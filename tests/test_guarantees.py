@@ -320,6 +320,48 @@ def test_prip_exact_bits_over_shapes_and_chunks(m, n, data):
         assert_prip_bits(d, [(q, l)])
 
 
+def definite_test_blocks(kind: str, q: int, seed: int) -> np.ndarray:
+    """A stack of q x q Grams of unit atoms: random ones, ones with an atom 1e-4,
+    1e-8 or 1e-12 from the span of the others (near singular), or blocks of the
+    equiangular worst cases, whose eigenvalues tie exactly."""
+    rng = np.random.default_rng(seed)
+    if kind == "equiangular":
+        d = build_worst_case(q + 1, 0)
+        g = d.atoms.T @ d.atoms
+        return np.stack([g[np.ix_(at, at)] for at in
+                         (np.sort(rng.choice(d.n, q, replace=False)) for _ in range(4))])
+    blocks = []
+    for dist in (1e-4, 1e-8, 1e-12, None):
+        a = rng.normal(size=(q + 2, q))
+        if kind == "near singular" and q > 1 and dist is not None:
+            inside = a[:, :-1] @ rng.normal(size=q - 1)
+            off = a[:, -1] - a[:, :-1] @ np.linalg.lstsq(a[:, :-1], a[:, -1], rcond=None)[0]
+            a[:, -1] = inside / np.linalg.norm(inside) + dist * off / np.linalg.norm(off)
+        a /= np.linalg.norm(a, axis=0)
+        blocks.append(a.T @ a)
+    return np.stack(blocks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.sampled_from(["random", "near singular", "equiangular"]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_definite_certifies_only_blocks_beyond_the_shift(q, kind, seed, data):
+    # prip_exact skips a block when _definite passes it at lo + tol (or, with sign
+    # -1, at hi - tol): its eigvalsh extremes must then lie strictly beyond lo (hi)
+    blocks = definite_test_blocks(kind, q, seed)
+    eig = np.linalg.eigvalsh(blocks)
+    tol = 2.0 ** -32 * q * q  # as in prip_exact
+    at = eig[data.draw(st.integers(0, len(blocks) - 1)), data.draw(st.integers(0, q - 1))]
+    sigma = data.draw(st.one_of(
+        st.just(at), st.floats(-1e-13, 1e-13).map(lambda e: at + e),
+        st.sampled_from([np.inf, -np.inf]), st.floats(-1.0, q + 1.0)))
+    for sign, extreme in ((1.0, eig[:, 0]), (-1.0, eig[:, -1])):
+        passed = guarantees._definite(blocks.copy(), sigma + sign * tol, sign)
+        assert np.all(sign * extreme[passed] > sign * sigma), (sign, sigma)
+        # and it is no stricter than it has to be
+        assert passed[sign * (extreme - sigma) > 1e-6].all(), (sign, sigma)
+
+
 def test_prip_exact_solves_bounded_stacks_and_prunes(monkeypatch):
     sizes = []
     eigvalsh = np.linalg.eigvalsh
@@ -330,12 +372,22 @@ def test_prip_exact_solves_bounded_stacks_and_prunes(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    definite = guarantees._definite
+
+    def tested(a, shift, sign):  # the stacks of the Cholesky test keep the same budgets
+        assert len(a) <= guarantees.PRIP_CHUNK and a.size <= dictionary.BATCH_ELEMENTS
+        return definite(a, shift, sign)
+
+    monkeypatch.setattr(guarantees, "_definite", tested)
     d = random_dictionary(12, 20, 0.24, seed=[1, 3, 2])
     # (5, 0) cuts the one support's 15504 blocks into pieces
     for q, l in ((3, 2), (2, 3), (5, 0)):
         sizes.clear()
         prip_exact(d, q, l)
         assert sum(sizes) < comb(20, l) * comb(20 - l, q), (q, l)
+        if (q, l) == (3, 2):
+            # the Cholesky test leaves few of the 29047 blocks Gershgorin's discs keep
+            assert sum(sizes) < 2000
     # on equiangular dictionaries every block ties and is solved: 8008 blocks of
     # one support, then 1001 blocks for each of 120 supports
     d = build_worst_case(8, 0)
