@@ -63,7 +63,7 @@ def _emit(fmt: str, report: dict, head: list, rows: list) -> None:
         for row in rows:
             print(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     else:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _load_dict(path):
@@ -149,7 +149,7 @@ def cmd_worstcase(args) -> int:
     payload["replay"] = trace.to_dict(outcome)
     payload["reproduced"] = reproduced
     with open(os.path.join(args.out, "scenario.json"), "w") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     print(f"coherence = {_fmt(scenario.coherence)} (threshold {_fmt(scenario.threshold)})")
     print(f"prefix selections = {list(scenario.partial)}")
     print(f"truth = {list(scenario.truth)}; predicted wrong atom = {scenario.predicted_wrong}")

@@ -137,10 +137,21 @@ def make_instance(d: Dictionary, support, coefficients) -> SparseInstance:
         raise InvalidArgs(f"expected {len(sup)} coefficients, got shape {c.shape}")
     if not np.all(np.isfinite(c)) or np.any(c == 0.0):
         raise InvalidArgs("coefficients must be finite and nonzero")
-    y = d.atoms[:, sup.array()] @ c
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        y = d.atoms[:, sup.array()] @ c
+    _check_square_norm(y, "observation")
     c.setflags(write=False)
     y.setflags(write=False)
     return SparseInstance(support=sup, coefficients=c, observation=y)
+
+
+def _check_square_norm(y: np.ndarray, what: str) -> None:
+    """Raise InvalidArgs unless the squared norm of y, which the pursuits and
+    projections take, is finite; an overflow in this check raises no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = y @ y
+    if not np.isfinite(square):
+        raise InvalidArgs(f"{what} is too large: its squared norm overflows a float")
 
 
 def gram(d: Dictionary) -> np.ndarray:

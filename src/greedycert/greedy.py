@@ -244,24 +244,24 @@ def select_atom(variant, d: Dictionary, support, res) -> tuple[int, float, bool]
     return int(choice), float(scores[choice]), bool(tie)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreedyTrace:
-    """Record of one pursuit run.
+    """Record of one pursuit run; traces compare and hash by identity.
 
-    selected includes any seeded prefix (its length is `seeded`); scores holds
-    one length-n vector per performed (non-seeded) selection, already zeroed at
-    selected and vanished atoms; residual_norms[t] is the residual norm after
-    the first t atoms, so it has len(selected) + 1 entries; tie_at is the first
-    iteration whose maximum was attained by several atoms (global index into
-    selected), or None; early_stop is the iteration at which the residual
-    vanished before the requested number of selections, or None.
+    selected includes any seeded prefix (its length is `seeded`); scores is a read-only
+    array, one length-n row per performed (non-seeded) selection, already zeroed at
+    selected and vanished atoms (classify and to_dict also take a tuple of rows);
+    residual_norms[t] is the residual norm after the first t atoms, so it has
+    len(selected) + 1 entries; tie_at is the first iteration whose maximum was attained
+    by several atoms (global index into selected), or None; early_stop is the iteration
+    at which the residual vanished before the requested number of selections, or None.
     """
 
     variant: SolverVariant
     requested: int
     seeded: int
     selected: Support
-    scores: tuple
+    scores: np.ndarray
     residual_norms: tuple
     tie_at: int | None
     early_stop: int | None
@@ -280,7 +280,7 @@ class GreedyTrace:
         }
 
     def to_json(self, outcome=None) -> str:
-        return json.dumps(self.to_dict(outcome), indent=2)
+        return json.dumps(self.to_dict(outcome), indent=2, allow_nan=False)
 
 
 def run(variant, d: Dictionary, y, k: int, seed_support=None) -> GreedyTrace:
@@ -326,7 +326,7 @@ def run(variant, d: Dictionary, y, k: int, seed_support=None) -> GreedyTrace:
         requested=k,
         seeded=len(seed),
         selected=Support(tuple(runs.selected[:stop].tolist())),
-        scores=tuple(scores),
+        scores=scores,
         residual_norms=tuple(runs.norms[:stop + 1].tolist()),
         tie_at=int(runs.ties.argmax()) if runs.ties.any() else None,
         early_stop=stop if stop < k else None,
@@ -374,20 +374,18 @@ def classify(trace: GreedyTrace, truth) -> RecoveryOutcome:
     if len(truth_support) != trace.requested:
         raise InvalidArgs(
             f"truth has {len(truth_support)} atoms but the trace requested {trace.requested}")
-    truth_set = set(truth_support)
-    for t, atom in enumerate(trace.selected):
-        if t >= trace.seeded:
-            tied = _tied(np.asarray(trace.scores[t - trace.seeded]))
-            if (np.count_nonzero(tied) >= 2
-                    and any(int(i) not in truth_set for i in tied.nonzero()[0])):
-                return RecoveryOutcome(RecoveryOutcome.TIE_WITH_WRONG_ATOM, iteration=t)
-        if atom not in truth_set:
-            return RecoveryOutcome(RecoveryOutcome.WRONG_ATOM, iteration=t, atom=int(atom))
-    if trace.early_stop is not None:
-        return RecoveryOutcome(RecoveryOutcome.EARLY_ZERO_RESIDUAL, iteration=trace.early_stop)
-    if len(trace.selected) != trace.requested:
-        return RecoveryOutcome(RecoveryOutcome.EARLY_ZERO_RESIDUAL, iteration=len(trace.selected))
-    return RecoveryOutcome(RecoveryOutcome.SUCCESS)
+    done, atoms = len(trace.selected), truth_support.array()
+    scores = np.asarray(trace.scores, dtype=float)  # run's array as it is; a tuple of rows stacked
+    n = scores.shape[-1] if scores.ndim == 2 else 1 + max(trace.selected, default=0)
+    planted = np.zeros((1, n), dtype=bool)
+    planted[0, atoms[atoms < n]] = True  # atoms past n are neither selected nor scored
+    selected = np.array([trace.selected.indices + (-1,) * (trace.requested - done)])  # _Runs' form
+    codes, steps = _outcomes(planted, trace.seeded, selected,
+                             scores.reshape(-1, n)[None, :done - trace.seeded],
+                             done if trace.early_stop is None else trace.early_stop)
+    code, t = codes[0], int(steps[0])
+    return RecoveryOutcome(_KINDS[code], None if code == _SUCCESS else t,
+                           int(selected[0, t]) if code == _WRONG else None)
 
 
 # outcome kinds by the codes _outcomes returns
@@ -397,19 +395,20 @@ _SUCCESS, _WRONG, _TIE, _EARLY = range(len(_KINDS))
 
 
 def _outcomes(planted, seeded: int, selected, scores, stops):
-    """classify's verdict for every row of a stack of pursuits (the fields of
-    _Runs), with planted each row's mask of planted atoms (B x n) and the same
-    precedence: the first iteration whose top score ties an outside atom or whose
-    atom is outside decides, a tie before a wrong atom; else an early stop; else
-    success.  Returns each row's code into _KINDS."""
+    """The verdict of classify for every row of a stack of pursuits (the fields of _Runs,
+    scores perhaps cut after the last selection), planted each row's mask of planted atoms
+    (B x n): the first iteration whose top score ties an outside atom or whose atom is
+    outside decides, a tie before a wrong atom; else an early stop; else success.
+    Returns each row's code into _KINDS and its deciding iteration (else the stop)."""
     b, k = selected.shape
+    rows = np.arange(b)
     tied = _tied(scores)
     many = tied.sum(axis=-1) >= 2
     tie = np.zeros((b, k), dtype=bool)
     if many.any():  # rarely: only then look for outside atoms among the tied
-        tie[:, seeded:] = many & (tied & ~planted[:, None]).any(axis=-1)
-    wrong = (selected >= 0) & ~np.take_along_axis(planted, selected.clip(0), axis=1)
+        tie[:, seeded:seeded + scores.shape[1]] = many & (tied & ~planted[:, None]).any(axis=-1)
+    wrong = (selected >= 0) & ~planted[rows[:, None], selected]  # -1 past a stop: masked off
     event = tie | wrong
-    at = np.arange(b), event.argmax(axis=1)
-    return np.where(event[at], np.where(tie[at], _TIE, _WRONG),
-                    np.where(stops < k, _EARLY, _SUCCESS))
+    at = rows, event.argmax(axis=1)
+    return (np.where(event[at], np.where(tie[at], _TIE, _WRONG),
+                     np.where(stops < k, _EARLY, _SUCCESS)), np.where(event[at], at[1], stops))

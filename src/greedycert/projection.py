@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dictionary import RANK_SV_TOL, Dictionary, Support, as_support, check_support
+from .dictionary import (RANK_SV_TOL, Dictionary, Support, _check_square_norm, as_support,
+                         check_support)
 from .errors import InvalidArgs, RankDeficient
 
 VANISH_TOL = 1e-10  # projected atoms with norm at or below this are treated as gone
@@ -74,6 +75,7 @@ def _check_vector(d: Dictionary, y) -> np.ndarray:
         raise InvalidArgs(f"expected a vector of length {d.m}, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise InvalidArgs("vector must be finite")
+    _check_square_norm(y, "vector")
     return y
 
 

@@ -5,8 +5,8 @@ index), so its outcome does not depend on what else runs.  A cell runs as one
 batch: its dictionaries are generated together (`random_dictionaries`,
 byte-identical to generating each trial alone), their coherences come from
 one stack of Gram matrices, and each variant pursues all of the cell's trials
-in one stack of pursuits (the trials share m, n and k), with the outcomes of
-`classify`, row by row.
+in one stack of pursuits (the trials share m, n and k), classified by the
+rule that `classify` applies to a stack of one (`greedy._outcomes`).
 """
 
 import json
@@ -154,14 +154,17 @@ class CellResult:
         return self.wrong_ties / self.accepted if self.accepted else float("nan")
 
     def to_dict(self) -> dict:
+        """The cell as JSON values: the rates of a cell with no accepted trial, NaN
+        as properties and in the CSV, are None, since JSON has no NaN."""
+        known = self.accepted > 0
         return {
             "variant": self.variant, "k": self.k, "l": self.l,
             "threshold": self.threshold, "requested": self.requested,
             "accepted": self.accepted, "successes": self.successes,
             "wrong_atoms": self.wrong_atoms, "wrong_ties": self.wrong_ties,
-            "early_stops": self.early_stops, "mu_mean": self.mu_mean,
-            "mu_max": self.mu_max, "success_rate": self.success_rate,
-            "tie_rate": self.tie_rate, "skipped": self.skipped,
+            "early_stops": self.early_stops, "mu_mean": self.mu_mean if known else None,
+            "mu_max": self.mu_max, "success_rate": self.success_rate if known else None,
+            "tie_rate": self.tie_rate if known else None, "skipped": self.skipped,
             "skip_reason": self.skip_reason,
         }
 
@@ -175,7 +178,7 @@ class SweepReport:
         return {"config": self.config.to_dict(), "cells": [c.to_dict() for c in self.cells]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         lines = ["variant,k,l,mu_mean,threshold,success_rate,tie_rate"]
@@ -249,6 +252,6 @@ def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
         cell_mus += mus.tolist()
         for v in variants:
             runs = _pursue(SolverVariant(v), atoms, ys, k, seeds)
-            codes = _outcomes(planted, seeds.shape[1], runs.selected, runs.scores, runs.stops)
+            codes, _ = _outcomes(planted, seeds.shape[1], runs.selected, runs.scores, runs.stops)
             counts[v] += np.bincount(codes, minlength=len(_KINDS))
     return cell_mus, counts

@@ -189,7 +189,7 @@ class WorstCaseScenario:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:

@@ -11,11 +11,12 @@ import math
 
 import numpy as np
 
-from greedycert import (CalibrationFailed, CellResult, Dictionary, GreedyTrace, RankDeficient,
-                        RecoveryOutcome, SolverVariant, Support, SweepReport, classify,
-                        coherence, coherence_threshold, make_instance, run, welch_bound)
+from greedycert import (CalibrationFailed, CellResult, Dictionary, GreedyTrace, InvalidArgs,
+                        RankDeficient, RecoveryOutcome, SolverVariant, Support, SweepReport,
+                        as_support, coherence, coherence_threshold, make_instance, run,
+                        welch_bound)
 from greedycert import dictionary, guarantees
-from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL
+from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL, _tied
 from greedycert.guarantees import _projected_grams
 from greedycert.projection import VANISH_TOL, _direction
 
@@ -456,6 +457,42 @@ def random_dictionary_per_trial(m: int, n: int, coherence_target=None, seed=0):
     return "bisect", None
 
 
+# classification one iteration at a time, as `classify` ran before it became a
+# stack of one
+
+def classify_stepwise(trace: GreedyTrace, truth) -> RecoveryOutcome:
+    """Classify a trace as exact recovery or its first failure event, one iteration
+    at a time: the reference for `classify`, which applies the batched rule of the
+    sweeps to a stack of one.
+
+    Success requires every selection to land in the planted support, with no
+    tie involving an outside atom at any iteration, and the full number of
+    requested selections performed.  A tie with an outside atom counts as
+    failure even when the tiebreak happened to pick a planted atom, matching
+    the pessimistic convention under which worst-case results are stated.  A
+    residual that vanishes before the requested number of selections is
+    classified as early_zero_residual.
+    """
+    truth_support = as_support(truth)
+    if len(truth_support) != trace.requested:
+        raise InvalidArgs(
+            f"truth has {len(truth_support)} atoms but the trace requested {trace.requested}")
+    truth_set = set(truth_support)
+    for t, atom in enumerate(trace.selected):
+        if t >= trace.seeded:
+            tied = _tied(np.asarray(trace.scores[t - trace.seeded]))
+            if (np.count_nonzero(tied) >= 2
+                    and any(int(i) not in truth_set for i in tied.nonzero()[0])):
+                return RecoveryOutcome(RecoveryOutcome.TIE_WITH_WRONG_ATOM, iteration=t)
+        if atom not in truth_set:
+            return RecoveryOutcome(RecoveryOutcome.WRONG_ATOM, iteration=t, atom=int(atom))
+    if trace.early_stop is not None:
+        return RecoveryOutcome(RecoveryOutcome.EARLY_ZERO_RESIDUAL, iteration=trace.early_stop)
+    if len(trace.selected) != trace.requested:
+        return RecoveryOutcome(RecoveryOutcome.EARLY_ZERO_RESIDUAL, iteration=len(trace.selected))
+    return RecoveryOutcome(RecoveryOutcome.SUCCESS)
+
+
 # the sweep one trial at a time, as it ran before cells were batched: the
 # per-trial generator, then one pursuit and one classify per trial and variant
 
@@ -496,7 +533,7 @@ def sweep_per_trial(config, scratch: bool = False) -> SweepReport:
                 cell.accepted += 1
                 cell.mu_sum += mu
                 cell.mu_max = max(cell.mu_max, mu)
-                field = _COUNT_OF[classify(trace, support).kind]
+                field = _COUNT_OF[classify_stepwise(trace, support).kind]
                 setattr(cell, field, getattr(cell, field) + 1)
         for v in variants:
             cell = per_variant[v]

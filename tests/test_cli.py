@@ -98,6 +98,18 @@ def test_run_rejects_truth_outside_the_dictionary(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["outcome"]["atom"] is not None
 
 
+
+def test_run_rejects_an_observation_whose_squared_norm_overflows(tmp_path, capsys):
+    save_dictionary(random_dictionary(6, 9, seed=3), tmp_path / "d.csv")
+    save_vector(np.full(6, 1e300), tmp_path / "y.csv")
+    argv = ["run", "--dict", str(tmp_path / "d.csv"), "--k", "2"]
+    assert main(argv + ["--instance", "0:1e300,1:1e300"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: observation is too large: its squared norm overflows a float\n")
+    assert main(argv + ["--y", str(tmp_path / "y.csv")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: vector is too large: its squared norm overflows a float\n")
+
 def test_run_seed_support_flag(ortho_dict, capsys):
     code = main(["run", "--dict", ortho_dict, "--instance", "0:1,3:1,5:1", "--k", "3",
                  "--seed-support", "3"])
@@ -237,6 +249,30 @@ def test_sweep_command_and_determinism(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--format", "json"]) == 0
     json.loads(capsys.readouterr().out)
 
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_sweep_json_of_an_unreachable_cell_is_strict_json(tmp_path, capsys):
+    cfg = dict(m=6, n=12, k_range=[2, 2], l_range=[0, 0], trials=3, coherence_target=0.05,
+               seed=1, variant="both")  # 0.05 is below the Welch bound of 6 x 12
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path), "--format", "json"]) == 0
+    printed = _strict_json(capsys.readouterr().out)
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _strict_json((tmp_path / "sweep.json").read_text()) == printed
+    for cell in printed["cells"]:
+        assert cell["skipped"] and cell["accepted"] == 0
+        assert cell["mu_mean"] is cell["success_rate"] is cell["tie_rate"] is None
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == [
+        "omp,2,0,nan,0.33333333333333331,nan,nan", "ols,2,0,nan,0.33333333333333331,nan,nan"]
 
 def test_sweep_seed_override(tmp_path, capsys):
     cfg = dict(m=8, n=8, k_range=[2, 2], l_range=[0, 0], trials=2,

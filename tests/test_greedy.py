@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from greedycert import (Dictionary, GreedyTrace, InvalidArgs, InvalidSeed, Recov
                         classify, greedy, make_instance, partial_erc, random_dictionary, run,
                         select_atom)
 
-from oracles import EDGE_FLOATS, ols_candidate_norms, trace_dict_per_scalar
+from oracles import EDGE_FLOATS, classify_stepwise, ols_candidate_norms, trace_dict_per_scalar
 
 
 def test_variant_coercion():
@@ -81,6 +82,24 @@ def test_seeded_prefix_is_respected():
     assert len(tr.scores) == 1  # only the non-seeded iteration scores atoms
     assert len(tr.residual_norms) == 4
     assert classify(tr, [2, 5, 9]).is_success
+
+
+def test_trace_scores_are_one_read_only_array():
+    d = random_dictionary(8, 12, seed=6)
+    y = np.random.default_rng(6).standard_normal(8)
+    tr = run("omp", d, y, 4, seed_support=[3])
+    assert isinstance(tr.scores, np.ndarray) and tr.scores.shape == (3, 12)
+    assert not tr.scores.flags.writeable
+    with pytest.raises(ValueError):
+        tr.scores[0, 0] = 1.0
+
+
+def test_traces_compare_and_hash_by_identity():
+    d = random_dictionary(6, 9, seed=2)
+    y = np.random.default_rng(2).standard_normal(6)
+    a, b = run("ols", d, y, 3), run("ols", d, y, 3)
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert hash(a) == hash(a)
 
 
 def test_tie_prefers_lowest_index():
@@ -207,7 +226,7 @@ def test_replay_to_dict_keeps_the_float_lists(variant):
         s = build_scenario(k, l, variant)
         tr = run(variant, s.dictionary, s.y, k, seed_support=list(s.partial)[:1])
         out = classify(tr, s.truth)
-        assert tr.scores and tr.seeded == min(l, 1)
+        assert len(tr.scores) and tr.seeded == min(l, 1)
         assert repr(tr.to_dict(out)) == repr(trace_dict_per_scalar(tr, out))
 
 
@@ -222,7 +241,8 @@ def test_run_is_deterministic():
 
 
 # classify's precedence, pinned on hand-made traces and checked against the
-# batched classification the sweeps use, with the traces stacked as rows
+# stepwise oracle, and against the batched classification of the sweeps with the
+# traces stacked as rows
 
 def _made(selected, scores, k=3, seeded=0, early_stop=None):
     return GreedyTrace(variant=SolverVariant.OMP, requested=k, seeded=seeded,
@@ -231,9 +251,9 @@ def _made(selected, scores, k=3, seeded=0, early_stop=None):
                        residual_norms=(), tie_at=None, early_stop=early_stop)
 
 
-def _stacked_kinds(traces, truths, n=None):
+def _stacked(traces, truths, n=None):
     """The batched classification of traces that share k, seeded and n (by default
-    the length of the first trace's first score vector)."""
+    the length of the first trace's first score vector), as outcomes."""
     k, seeded = traces[0].requested, traces[0].seeded
     n = len(traces[0].scores[0]) if n is None else n
     selected = np.full((len(traces), k), -1)
@@ -244,9 +264,11 @@ def _stacked_kinds(traces, truths, n=None):
         selected[i, :len(tr.selected)] = tr.selected.indices
         scores[i, :len(tr.scores)] = np.reshape(tr.scores, (-1, n))
         planted[i, list(truth)] = True
-        if tr.early_stop is not None:
-            stops[i] = tr.early_stop
-    return [greedy._KINDS[c] for c in greedy._outcomes(planted, seeded, selected, scores, stops)]
+        stops[i] = len(tr.selected) if tr.early_stop is None else tr.early_stop
+    codes, steps = greedy._outcomes(planted, seeded, selected, scores, stops)
+    return [RecoveryOutcome(greedy._KINDS[c], None if c == greedy._SUCCESS else int(t),
+                            int(sel[t]) if c == greedy._WRONG else None)
+            for c, t, sel in zip(codes, steps, selected)]
 
 
 def test_classify_precedence_matches_the_batched_classification():
@@ -272,14 +294,16 @@ def test_classify_precedence_matches_the_batched_classification():
     ]
     traces, expected = zip(*made)
     truths = [[0, 1, 2]] * len(made)
+    assert [classify_stepwise(tr, t) for tr, t in zip(traces, truths)] == list(expected)
     assert [classify(tr, t) for tr, t in zip(traces, truths)] == list(expected)
-    assert _stacked_kinds(traces, truths) == [out.kind for out in expected]
+    assert _stacked(traces, truths) == list(expected)
     seeded = [_made([2, 0, 1], steps[:2], seeded=1),
               _made([2, 0, 3], [steps[0], [0, 1, 0, 1, 0, 0]], seeded=1),
               _made([5, 0, 1], steps[:2], seeded=1)]
     expected = [RecoveryOutcome(S), RecoveryOutcome(T, 2), RecoveryOutcome(W, 0, 5)]
+    assert [classify_stepwise(tr, [0, 1, 2]) for tr in seeded] == expected
     assert [classify(tr, [0, 1, 2]) for tr in seeded] == expected
-    assert _stacked_kinds(seeded, truths[:3]) == [out.kind for out in expected]
+    assert _stacked(seeded, truths[:3]) == expected
 
 
 def test_classify_precedence_on_pursuits():
@@ -294,14 +318,18 @@ def test_classify_precedence_on_pursuits():
              (fallback, [0, 1], RecoveryOutcome.SUCCESS)]
     assert fallback.tie_at == 0 and not any(s.any() for s in fallback.scores)
     for trace, truth, kind in cases:
-        assert classify(trace, truth).kind == kind and _stacked_kinds([trace], [truth]) == [kind]
+        out = classify_stepwise(trace, truth)
+        assert out.kind == kind and classify(trace, truth) == out
+        assert _stacked([trace], [truth]) == [out]
 
 
 @st.composite
 def _trace_batches(draw):
     """Traces of k selections among n atoms that share k, seeded and n, with their
     planted supports: seeded prefixes, outside atoms, exact ties (score entries
-    from {0, 1, 2}), all-zero fallback steps and early stops."""
+    from {0, 1, 2}), all-zero fallback steps, early stops, short traces without
+    one, and traces with no score rows; the scores a tuple of rows or, as run
+    gives them, one array."""
     n = draw(st.integers(2, 7))
     k = draw(st.integers(1, n - 1))
     seeded = draw(st.integers(0, k - 1))
@@ -314,8 +342,11 @@ def _trace_batches(draw):
         entries = st.sampled_from([0.0, 1.0, 2.0])
         scores = [[0.0] * n if draw(st.booleans()) else draw(st.lists(entries, min_size=n, max_size=n))
                   for _ in range(stop - seeded)]
-        traces.append(_made(selected, scores, k=k, seeded=seeded,
-                            early_stop=stop if stop < k else None))
+        trace = _made(selected, scores, k=k, seeded=seeded,
+                      early_stop=stop if stop < k and draw(st.booleans()) else None)
+        if draw(st.booleans()):
+            trace = dataclasses.replace(trace, scores=np.reshape(trace.scores, (-1, n)))
+        traces.append(trace)
         truths.append(truth)
     return n, traces, truths
 
@@ -324,8 +355,9 @@ def _trace_batches(draw):
 @given(_trace_batches())
 def test_classify_matches_the_batched_classification_on_random_traces(batch):
     n, traces, truths = batch
-    expected = [classify(tr, truth).kind for tr, truth in zip(traces, truths)]
-    assert _stacked_kinds(traces, truths, n) == expected
+    expected = [classify_stepwise(tr, truth) for tr, truth in zip(traces, truths)]
+    assert [classify(tr, truth) for tr, truth in zip(traces, truths)] == expected
+    assert _stacked(traces, truths, n) == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedycert import (Dictionary, InvalidArgs, RankDeficient, build_scenario, build_worst_case,
-                        classify, least_squares, prip_exact, project_atoms, projected_coherence,
-                        random_dictionary, residual, run, select_atom)
+                        classify, least_squares, make_instance, prip_exact, project_atoms,
+                        projected_coherence, random_dictionary, residual, run, select_atom)
 from greedycert.greedy import TIE_REL_TOL, _Pursuit, _pursue, as_variant
 from greedycert.projection import _span
 
@@ -71,6 +71,20 @@ def test_residual_input_validation():
     with pytest.raises(InvalidArgs):
         residual(d, [9], np.ones(5))  # index out of range
 
+
+
+def test_vectors_whose_squared_norm_overflows_are_rejected():
+    d = random_dictionary(6, 9, seed=3)
+    big = np.array([1e300, 1e300, 0.0, 0.0, 0.0, 0.0])  # finite entries, an infinite square
+    for call in (lambda: run("omp", d, big, 2), lambda: select_atom("ols", d, [0], big),
+                 lambda: residual(d, [0], big), lambda: least_squares(d, [0], big),
+                 lambda: make_instance(d, [0, 1], [1e300, 1e300]),
+                 lambda: make_instance(d, [0, 1], [1.7e308, 1.7e308])):
+        with pytest.raises(InvalidArgs, match="squared norm overflows"):
+            call()  # and no RuntimeWarning, which the suite turns into an error
+    large = make_instance(d, [0, 1], [1e150, -1e150]).observation  # a finite square
+    assert list(run("ols", d, large, 2).selected) == [0, 1]
+    assert np.isfinite(residual(d, [0], large)).all()
 
 def test_project_atoms_geometry():
     d = random_dictionary(8, 10, seed=5)
