@@ -470,8 +470,9 @@ def load_dictionary(path) -> tuple[Dictionary, bool]:
     """Read a dictionary from plain CSV (one matrix row per line).
 
     Columns whose norm deviates from 1 by more than UNIT_NORM_TOL are
-    re-normalized; the second return value flags whether that happened.
-    Non-finite entries and ragged rows are rejected.
+    re-normalized, whatever their scale; the second return value flags whether
+    that happened.  Non-finite entries, all-zero columns and ragged rows are
+    rejected.
     """
     rows = []
     with open(path) as fh:
@@ -491,13 +492,14 @@ def load_dictionary(path) -> tuple[Dictionary, bool]:
     a = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(a)):
         raise InvalidArgs(f"{path}: non-finite entries are not allowed")
-    norms = np.linalg.norm(a, axis=0)
-    if np.any(norms < 1e-12):
+    top = np.abs(a).max(axis=0)
+    if not top.all():
         raise InvalidArgs(f"{path}: zero column cannot be normalized")
-    renormalized = bool(np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL))
-    if renormalized:
-        a = a / norms
-    return Dictionary(a), renormalized
+    scaled = a / top  # with entries in [-1, 1], its squares neither overflow nor all underflow
+    lengths = np.sqrt(np.add.reduce(scaled * scaled, axis=0))
+    with np.errstate(over="ignore"):  # a norm past the float range is far from 1 as well
+        renormalized = bool(np.any(np.abs(top * lengths - 1.0) > UNIT_NORM_TOL))
+    return Dictionary(scaled / lengths if renormalized else a), renormalized
 
 
 def save_vector(v: np.ndarray, path) -> None:

@@ -165,9 +165,11 @@ def _projected_grams(d: Dictionary, l: int):
     """(supports, Grams of the atoms outside each, in index order) stacks covering every
     l-subset of atoms in combinations() order, from a C-ordered copy of the atoms.  A
     push is one Schur-complement step G - h h^T, h = g / sqrt(g_i), g the pushed atom's
-    row and g_i its pivot: the Cholesky downdate of Batch-OMP, O(n^2) per push.  The
-    children of a support are pushed as one stacked step, at most
-    dictionary.BATCH_ELEMENTS // (N-1)^2 of them at a time for an N x N Gram."""
+    row and g_i its pivot: the Cholesky downdate of Batch-OMP, O(n^2) per push.  A support
+    of fewer than l - 1 atoms pushes its children as one stacked step, depth first; the
+    leaves are pushed across their parents.  A stack holds one Gram or at most a quarter of
+    dictionary.BATCH_ELEMENTS entries: a consumer holds a few temporaries of its size, and
+    the next stack is built while it holds the last."""
     # A step adds about 2 eps per entry (|h_j h_k| <= 1 by Cauchy-Schwarz) and divides
     # the errors already in G by the pivot: a Gram downdated since it was formed from
     # vectors is off by about eps / P, P the product of those pivots (0.1 eps / P the
@@ -176,39 +178,73 @@ def _projected_grams(d: Dictionary, l: int):
     # near 2^10 eps ~ 2e-13 and leaves the rank rule and RankDeficient to that path.
     guard = 2.0 ** -10
     atoms = np.ascontiguousarray(d.atoms)
-    exact = lru_cache(lambda: Dictionary(atoms))  # validated once, at the first fallback
+    budget = dictionary.BATCH_ELEMENTS // 4
 
-    def walk(support, gram, pivots, start):  # pivots: P so far
-        t = len(support)
-        if t == l:
-            yield [support], gram[None]
+    def push(rows, r, i, pivots):
+        """(children, P, mask of those that pass the guard) of pushing position i[c] of the
+        Gram whose row i[c] is row r[c] of rows (Grams stacked row-wise), P pivots[c] before."""
+        size = rows.shape[1]
+        pivot = rows[r, i]
+        p = pivots * pivot  # P once the child is pushed
+        ok = p >= guard
+        keep = np.arange(size - 1)
+        keep = keep + (keep >= i[:, None])  # every position but i, per child
+        # a child failing the guard divides by 1: no warning from a pivot <= 0
+        h = rows[r[:, None], keep] / np.sqrt(np.where(ok, pivot, 1.0))[:, None]
+        children = rows.take(((r - i)[:, None] + keep)[:, :, None] * size + keep[:, None, :])
+        children -= np.einsum("ci,cj->cij", h, h)
+        return children, p, ok & (p * children.diagonal(0, 1, 2).min(axis=1) >= guard)
+
+    def exact_gram(support):  # validates the atoms at each call: fallbacks are rare
+        rest = np.delete(project_atoms(Dictionary(atoms), support).projected, support, axis=1)
+        return rest.T @ rest
+
+    def children(support, gram, pivots, start):  # (children, *push) stacks of one support
+        t, width = len(support), max(1, budget // (len(gram) - 1) ** 2)
+        for first in range(start - t, d.n - l + 1, width):  # the children's positions
+            i = np.arange(first, min(first + width, d.n - l + 1))
+            yield [support + (t + j,) for j in i.tolist()], *push(gram, i, i, pivots)
+
+    def parents(support, gram, pivots, start):
+        """(Gram, P, first child's position) of each support of size l - 1 below support,
+        depth first, and None before each project_atoms call."""
+        if len(support) == l - 1:
+            yield gram, pivots, start - len(support)
             return
-        stop = d.n - l + t + 1
-        width = max(1, dictionary.BATCH_ELEMENTS // (len(gram) - 1) ** 2)
-        for first in range(start, stop, width):
-            js = range(first, min(first + width, stop))
-            i = np.arange(first - t, js.stop - t)  # the js' positions, all below them
-            pivot = gram[i, i]
-            p = pivots * pivot  # P once j is pushed
-            ok = p >= guard
-            keep = np.arange(len(gram) - 1)
-            keep = keep + (keep >= i[:, None])  # every position but i, per child
-            # a child failing the guard divides by 1: no warning from a pivot <= 0
-            h = gram[i[:, None], keep] / np.sqrt(np.where(ok, pivot, 1.0))[:, None]
-            grams = gram.take(keep[:, :, None] * len(gram) + keep[:, None, :])
-            grams -= np.einsum("ci,cj->cij", h, h)
-            ok &= p * grams.diagonal(0, 1, 2).min(axis=1) >= guard
-            for c, j in enumerate(js):
-                child = support + (j,)
+        for kids, grams, p, ok in children(support, gram, pivots, start):
+            for c, kid in enumerate(kids):
                 if not ok[c]:
-                    rest = np.delete(project_atoms(exact(), child).projected, child, axis=1)
-                    grams[c] = rest.T @ rest
-                if t + 1 < l:
-                    yield from walk(child, grams[c], p[c] if ok[c] else 1.0, j + 1)
-            if t + 1 == l:
-                yield [support + (j,) for j in js], grams
+                    yield None  # the pending leaves take their fallbacks first
+                    grams[c], p[c] = exact_gram(kid), 1.0
+                yield from parents(kid, grams[c], p[c], kid[-1] + 1)
 
-    yield from walk((), atoms.T @ atoms, 1.0, 0)
+    def leaves():  # (leaves, *push) stacks of at most width, parents gathered in walk order
+        supports, size = combinations(range(d.n), l), d.n - l + 1
+        width = max(1, budget // (size - 1) ** 2)
+        pending, count = [], 0  # parents whose children are still to push, and those children
+        for parent in chain(parents((), gram, 1.0, 0), [None]):
+            if count and (parent is None or count + size - parent[2] > width):
+                # (parent, position) of every pending child, in walk order
+                par, i = (np.arange(size) >= np.array([[s] for _, _, s in pending])).nonzero()
+                rows = np.array([g for g, _, _ in pending]).reshape(-1, size)
+                r, pivots = par * size + i, np.array([p for _, p, _ in pending])[par]
+                for s in range(0, count, width):
+                    pushed = push(rows, r[s:s + width], i[s:s + width], pivots[s:s + width])
+                    yield list(islice(supports, len(pushed[0]))), *pushed
+                pending, count = [], 0
+            if parent is not None:
+                pending.append(parent)
+                count += size - parent[2]
+
+    gram = atoms.T @ atoms
+    if l == 0:
+        yield [()], gram[None]
+        return
+    # at l = 1 the root is the only parent: its children skip the gathering of leaves()
+    for supports, grams, _, ok in children((), gram, 1.0, 0) if l == 1 else leaves():
+        for c in (~ok).nonzero()[0]:
+            grams[c] = exact_gram(supports[c])
+        yield supports, grams
 
 
 @lru_cache(maxsize=16)
@@ -285,8 +321,8 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     lower = 1 - min eigenvalue, upper = max eigenvalue - 1.
 
     The supports' Grams come from the Schur-complement walk _projected_grams,
-    its stacks re-cut into the chunks below.  Only blocks that could move the
-    running minimum lo or maximum hi get an eigensolve; two tests rule the
+    whose stacks are sliced into the chunks below.  Only blocks that could move
+    the running minimum lo or maximum hi get an eigensolve; two tests rule the
     others out, one after the other.  First, by Gershgorin's disc theorem the
     eigenvalues of a block B lie in [low, up], low = min_i (b_ii - r_i) and up =
     max_i (b_ii + r_i), where r_i sums |b_ij| over the rest of row i: a block
@@ -298,14 +334,14 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     the rounding of the bounds, of the factorization and of the eigensolver (see
     below), so a skipped block cannot reach the result.  The supports are walked
     in chunks of at most PRIP_CHUNK (support, block) pairs that hold at most
-    dictionary.BATCH_ELEMENTS Gram entries (a support with more blocks is cut
-    into pieces).  While lo and hi are unset, each support's block with the
-    lowest low and its block with the highest up are solved first, as one stack;
-    after that, per piece, the blocks that fail the Cholesky test on a side
-    their bounds reach are solved, as one stack.  Every solved block is gathered
-    from the same Gram entries and goes through the same per-matrix LAPACK call
-    as when every block is solved, and min and max are exact, so the constants
-    keep those bits.
+    dictionary.BATCH_ELEMENTS Gram entries, each a view of one stack of the walk
+    (a support with more blocks is cut into pieces).  While lo and hi are unset,
+    each support's block with the lowest low and its block with the highest up
+    are solved first, as one stack; after that, per piece, the blocks that fail
+    the Cholesky test on a side their bounds reach are solved, as one stack.
+    Every solved block is gathered from the same Gram entries and goes through
+    the same per-matrix LAPACK call as when every block is solved, and min and
+    max are exact, so the constants keep those bits.
 
     Raises CapExceeded when the number of (support, block) pairs exceeds cap,
     evaluated or not, and RankDeficient if some support is numerically
@@ -343,10 +379,9 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     # that passes at hi - tol (its sign flipped) a greatest one below hi.
     tol = 2.0 ** -32 * q * q
     lo, hi = np.inf, -np.inf
-    walk = chain.from_iterable(grams for _, grams in _projected_grams(d, l))
-    while chunk := list(islice(walk, supports)):
-        rows = np.arange(len(chunk))
-        grams = np.stack(chunk)
+    for grams in (stack[s:s + supports] for _, stack in _projected_grams(d, l)
+                  for s in range(0, len(stack), supports)):
+        rows = np.arange(len(grams))
         for piece in pieces:
             low, up = _discs(grams, piece, pairs, incidence)
             if lo > hi:  # nothing solved yet: each support's most extreme blocks first

@@ -57,6 +57,17 @@ def test_coherence_command(wc_dict, capsys):
     assert lines[0].startswith("m,n,coherence")
 
 
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_coherence_of_a_csv_with_a_column_far_from_unit_norm(tmp_path, capsys, scale):
+    # the column is normalized, with no overflow warning and no false zero column
+    path = tmp_path / "d.csv"
+    path.write_text(f"{scale},0\n{scale},1\n")
+    assert main(["coherence", "--dict", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["coherence"] == pytest.approx(2 ** -0.5, abs=1e-15)
+    assert err == f"warning: {path}: columns were re-normalized to unit length\n"
+
+
 def test_run_command_success_and_failure(ortho_dict, wc_dict, capsys):
     code = main(["run", "--dict", ortho_dict, "--instance", "0:1,3:-2", "--k", "2"])
     assert code == 0

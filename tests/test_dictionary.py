@@ -315,6 +315,17 @@ def test_load_dictionary_renormalizes(tmp_path):
     assert np.allclose(d.atoms, np.eye(2))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, np.finfo(float).max, 5e-324, 1e-13])
+def test_load_dictionary_normalizes_columns_of_any_scale(tmp_path, scale):
+    # the column norms are taken over each column's largest magnitude: no squares
+    # overflow (a RuntimeWarning, an error here) or underflow to a zero column
+    path = tmp_path / "d.csv"
+    path.write_text(f"{scale:.17g},0\n{scale:.17g},1\n")
+    d, renorm = load_dictionary(path)
+    assert renorm
+    assert np.allclose(d.atoms, unit([[1, 0], [1, 1]]), rtol=0, atol=1e-15)
+
+
 def test_load_dictionary_rejects_bad_input(tmp_path):
     for text in ["nan,0\n0,1\n", "1,0\n0\n", "0,0\n0,1\n", ""]:
         path = tmp_path / "bad.csv"
@@ -360,6 +371,52 @@ def test_csv_lines_keep_the_bytes_of_per_scalar_formatting(a):
     assert f.flags.f_contiguous and col.shape[1] == 1
     for rows in (c, f, col):
         assert dictionary._csv_lines(rows) == csv_lines_per_scalar(rows)
+
+
+# CSV text as the readers meet it: entries of any magnitude from 1e-300 to 1e300,
+# zeros, non-finite and unparsable tokens, ragged rows and empty files
+_TOKENS = st.one_of(
+    st.builds(lambda sign, digits, exp: f"{sign}{digits:.6f}e{exp}", st.sampled_from(["", "-"]),
+              st.floats(1.0, 9.999999), st.integers(-300, 300)),
+    st.sampled_from(["0", "-0", "0.0", "nan", "inf", "-inf", "1e400", "-1e-400", "", "x"]))
+_CSV_ROWS = st.lists(st.lists(_TOKENS, min_size=1, max_size=4), max_size=4)
+
+
+def _parsed(rows):
+    """The rows as floats, or None if a token does not parse."""
+    try:
+        return [[float(t) for t in row] for row in rows]
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_CSV_ROWS)
+def test_csv_readers_return_unit_columns_or_finite_values_or_reject(rows):
+    # a RuntimeWarning fails the test; only malformed input raises, and only InvalidArgs
+    text = "\n".join(",".join(row) for row in rows)
+    values = _parsed(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text)
+        a = np.array(values) if values and len({len(row) for row in values}) == 1 else None
+        # at least two columns, every entry finite and no column all zeros
+        well_formed = (a is not None and a.shape[1] >= 2 and np.isfinite(a).all()
+                       and np.abs(a).max(axis=0).all())
+        if well_formed:
+            d, _ = load_dictionary(path)
+            assert d.atoms.shape == a.shape and np.isfinite(d.atoms).all()
+            assert np.abs(np.linalg.norm(d.atoms, axis=0) - 1.0).max() <= dictionary.UNIT_NORM_TOL
+            assert (np.sign(d.atoms) * np.sign(a) >= 0).all()  # an entry may underflow to 0
+        else:
+            with pytest.raises(InvalidArgs):
+                load_dictionary(path)
+        flat = _parsed([[t for row in rows for t in row if t]])
+        if flat and flat[0] and np.isfinite(flat[0]).all():
+            assert load_vector(path).tolist() == flat[0]
+        else:
+            with pytest.raises(InvalidArgs):
+                load_vector(path)
 
 
 def test_vector_roundtrip(tmp_path):

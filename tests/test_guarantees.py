@@ -591,6 +591,10 @@ WALK_SOURCES = {  # name: a dictionary and the support sizes to walk
     **{f"near dependence {dist}": (lambda dist=dist: (near_dependent(8, 11, dist, 0), range(5)))
        for dist in (1e-7, 1e-4, 0.03, 0.1, 0.3)},
     "small remaining norm": lambda: (near_dependent(6, 8, 0.01, 0, span=2), range(4)),
+    # the same with atoms 0..4 moved to 3..7 and 5..7 to 0..2: the support (3, 4) falls back
+    # after the leaves of the parents before it, which one stack would hold
+    "late small remaining norm": lambda: (
+        Dictionary(np.roll(near_dependent(6, 8, 0.01, 0, span=2).atoms, 3, axis=1)), range(5)),
     # every pivot just above the guard, and pivots whose product is just above it
     **{f"kahan-like {l} {how} #{seed}": (
         lambda l=l, pivot=pivot, seed=seed: (kahan_like(10, l, pivot, 3, seed), (l,)))
@@ -632,6 +636,29 @@ def test_walk_sources_put_a_fallback_inside_a_stack(exact_grams):
     d, _ = WALK_SOURCES["near dependence 0.03"]()
     list(guarantees._projected_grams(d, 3))
     assert (1, 2, 5) in exact_grams and not {(1, 2, 4), (1, 2, 6)} & set(exact_grams)
+
+
+def test_walk_puts_a_support_that_falls_back_between_the_stacks_of_leaves(exact_grams):
+    # atom 5 lies 0.01 from the span of atoms 3 and 4: at l = 3 the parent (3, 4) of
+    # leaves takes project_atoms's Gram; the leaves of the parents before it, among them
+    # (2, 4, 5), which falls back too, are pushed first, so all 56 leaves, which one
+    # stack would hold, come in a stack up to (2, 6, 7) and stacks from (3, 4, 5)
+    d, _ = WALK_SOURCES["late small remaining norm"]()
+    assert comb(d.n, 3) * (d.n - 3) ** 2 <= dictionary.BATCH_ELEMENTS // 4
+    stacks = list(guarantees._projected_grams(d, 3))
+    assert stacks[0][0][-1] == (2, 6, 7) and stacks[1][0][0] == (3, 4, 5)
+    assert exact_grams.index((2, 4, 5)) < exact_grams.index((3, 4)) < exact_grams.index((3, 4, 5))
+
+
+def test_leaf_stacks_span_parents():
+    # on a dictionary of the certify workload's shape, the 1,140 supports of size 3
+    # come in stacks of up to a quarter of BATCH_ELEMENTS entries (56 Grams of 17 x 17),
+    # each holding the leaves of several parents, not in one stack per parent (171)
+    d = random_dictionary(12, 20, 0.24, seed=1)
+    stacks = list(guarantees._projected_grams(d, 3))
+    assert len(stacks) <= 24
+    assert min(len({support[:2] for support in supports}) for supports, _ in stacks) > 1
+    assert all(grams.size <= dictionary.BATCH_ELEMENTS // 4 for _, grams in stacks)
 
 
 @pytest.mark.parametrize("source", WALK_SOURCES)
