@@ -15,8 +15,8 @@ import os
 import sys
 
 from . import __version__
-from .dictionary import (_check_kl, _fmt, as_support, check_support, coherence, load_dictionary,
-                         load_vector, make_instance, save_vector, spark)
+from .dictionary import (_check_kl, _fmt, _json, as_support, check_support, coherence,
+                         load_dictionary, load_vector, make_instance, save_vector, spark)
 from .errors import CalibrationFailed, GreedyCertError, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import RecoveryOutcome, classify, run
 from .guarantees import coherence_threshold, partial_erc, prip_coherence_bounds, prip_exact, tropp_erc
@@ -63,7 +63,7 @@ def _emit(fmt: str, report: dict, head: list, rows: list) -> None:
         for row in rows:
             print(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     else:
-        print(json.dumps(report, indent=2, allow_nan=False))
+        print(_json(report))
 
 
 def _load_dict(path):
@@ -149,7 +149,7 @@ def cmd_worstcase(args) -> int:
     payload["replay"] = trace.to_dict(outcome)
     payload["reproduced"] = reproduced
     with open(os.path.join(args.out, "scenario.json"), "w") as fh:
-        fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        fh.write(_json(payload) + "\n")
     print(f"coherence = {_fmt(scenario.coherence)} (threshold {_fmt(scenario.threshold)})")
     print(f"prefix selections = {list(scenario.partial)}")
     print(f"truth = {list(scenario.truth)}; predicted wrong atom = {scenario.predicted_wrong}")

@@ -8,11 +8,11 @@ random generator with an optional coherence target, which makes the
 dictionaries of many seeds in one batch (`random_dictionaries`).
 """
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -452,6 +452,11 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
 def _fmt(x) -> str:
     """A number in 17 significant digits, enough to round-trip a float: the CLI's number format."""
     return f"{float(x):.17g}"
+
+
+def _json(obj) -> str:
+    """obj as JSON indented by 2, NaN and infinities refused: the CLI's JSON format."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def _csv_lines(rows) -> str:

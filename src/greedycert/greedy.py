@@ -20,13 +20,12 @@ under a pessimistic adversary.
 """
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dictionary import Dictionary, Support, as_support, check_support
+from .dictionary import Dictionary, Support, _json, as_support, check_support
 from .errors import InvalidArgs, InvalidSeed, ZeroResidual
 from .projection import VANISH_TOL, _check_vector, _direction
 
@@ -280,7 +279,7 @@ class GreedyTrace:
         }
 
     def to_json(self, outcome=None) -> str:
-        return json.dumps(self.to_dict(outcome), indent=2, allow_nan=False)
+        return _json(self.to_dict(outcome))
 
 
 def run(variant, d: Dictionary, y, k: int, seed_support=None) -> GreedyTrace:

@@ -13,7 +13,7 @@ forms in the mutual coherence and as exact enumerations for small dictionaries.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -165,11 +165,13 @@ def _projected_grams(d: Dictionary, l: int):
     """(supports, Grams of the atoms outside each, in index order) stacks covering every
     l-subset of atoms in combinations() order, from a C-ordered copy of the atoms.  A
     push is one Schur-complement step G - h h^T, h = g / sqrt(g_i), g the pushed atom's
-    row and g_i its pivot: the Cholesky downdate of Batch-OMP, O(n^2) per push.  A support
-    of fewer than l - 1 atoms pushes its children as one stacked step, depth first; the
-    leaves are pushed across their parents.  A stack holds one Gram or at most a quarter of
-    dictionary.BATCH_ELEMENTS entries: a consumer holds a few temporaries of its size, and
-    the next stack is built while it holds the last."""
+    row and g_i its pivot: the Cholesky downdate of Batch-OMP, O(n^2) per push.  One step
+    serves every level: it lists the children of a stack of supports of one size, across
+    their parents and in walk order, pushes them in stacks, and yields each stack of leaves
+    (supports of size l) or steps on with it to the next level, depth first.  A stack
+    holds one Gram or at most a quarter of dictionary.BATCH_ELEMENTS entries: a consumer
+    holds a few temporaries of its size, and the next stack is built while it holds the
+    last.  The walk never reads a yielded stack again: the consumer may overwrite it."""
     # A step adds about 2 eps per entry (|h_j h_k| <= 1 by Cauchy-Schwarz) and divides
     # the errors already in G by the pivot: a Gram downdated since it was formed from
     # vectors is off by about eps / P, P the product of those pivots (0.1 eps / P the
@@ -199,52 +201,33 @@ def _projected_grams(d: Dictionary, l: int):
         rest = np.delete(project_atoms(Dictionary(atoms), support).projected, support, axis=1)
         return rest.T @ rest
 
-    def children(support, gram, pivots, start):  # (children, *push) stacks of one support
-        t, width = len(support), max(1, budget // (len(gram) - 1) ** 2)
-        for first in range(start - t, d.n - l + 1, width):  # the children's positions
-            i = np.arange(first, min(first + width, d.n - l + 1))
-            yield [support + (t + j,) for j in i.tolist()], *push(gram, i, i, pivots)
-
-    def parents(support, gram, pivots, start):
-        """(Gram, P, first child's position) of each support of size l - 1 below support,
-        depth first, and None before each project_atoms call."""
-        if len(support) == l - 1:
-            yield gram, pivots, start - len(support)
-            return
-        for kids, grams, p, ok in children(support, gram, pivots, start):
-            for c, kid in enumerate(kids):
-                if not ok[c]:
-                    yield None  # the pending leaves take their fallbacks first
-                    grams[c], p[c] = exact_gram(kid), 1.0
-                yield from parents(kid, grams[c], p[c], kid[-1] + 1)
-
-    def leaves():  # (leaves, *push) stacks of at most width, parents gathered in walk order
-        supports, size = combinations(range(d.n), l), d.n - l + 1
-        width = max(1, budget // (size - 1) ** 2)
-        pending, count = [], 0  # parents whose children are still to push, and those children
-        for parent in chain(parents((), gram, 1.0, 0), [None]):
-            if count and (parent is None or count + size - parent[2] > width):
-                # (parent, position) of every pending child, in walk order
-                par, i = (np.arange(size) >= np.array([[s] for _, _, s in pending])).nonzero()
-                rows = np.array([g for g, _, _ in pending]).reshape(-1, size)
-                r, pivots = par * size + i, np.array([p for _, p, _ in pending])[par]
-                for s in range(0, count, width):
-                    pushed = push(rows, r[s:s + width], i[s:s + width], pivots[s:s + width])
-                    yield list(islice(supports, len(pushed[0]))), *pushed
-                pending, count = [], 0
-            if parent is not None:
-                pending.append(parent)
-                count += size - parent[2]
-
-    gram = atoms.T @ atoms
-    if l == 0:
-        yield [()], gram[None]
-        return
-    # at l = 1 the root is the only parent: its children skip the gathering of leaves()
-    for supports, grams, _, ok in children((), gram, 1.0, 0) if l == 1 else leaves():
+    def step(supports, grams, pivots, ok):
+        """(supports, Grams) stacks of the l-subsets that extend the stacked supports, all of
+        one size t <= l, given their Grams, P and guard mask; those that fail the guard take
+        project_atoms's Gram first, and P restarts at 1."""
         for c in (~ok).nonzero()[0]:
-            grams[c] = exact_gram(supports[c])
-        yield supports, grams
+            grams[c], pivots[c] = exact_gram(supports[c]), 1.0
+        t, size = len(supports[0]), grams.shape[1]
+        if t == l:
+            yield supports, grams
+            return
+        width = max(1, budget // (size - 1) ** 2)
+        # (parent, position) of every child in walk order: the positions after the
+        # parent's last atom that leave room for l - t - 1 more atoms
+        first = np.array([support[-1] + 1 - t if t else 0 for support in supports])
+        par, i = (np.arange(d.n - l + 1) >= first[:, None]).nonzero()
+        rows, r = grams.reshape(-1, size), par * size + i
+        for s in range(0, len(r), width):
+            at = slice(s, s + width)
+            kids = [supports[q] + (t + j,) for q, j in zip(par[at].tolist(), i[at].tolist())]
+            children, p, ok = push(rows, r[at], i[at], pivots[par[at]])
+            # inner stacks step on in runs cut before each child that falls back, so
+            # project_atoms sees the supports in depth-first order
+            cuts = [0, *(~ok[1:]).nonzero()[0] + 1, len(ok)] if t + 1 < l else [0, len(ok)]
+            for a, b in zip(cuts, cuts[1:]):
+                yield from step(kids[a:b], children[a:b], p[a:b], ok[a:b])
+
+    yield from step([()], (atoms.T @ atoms)[None], np.ones(1), np.ones(1, dtype=bool))
 
 
 @lru_cache(maxsize=16)
@@ -417,7 +400,7 @@ def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> 
         if variant is SolverVariant.OLS:
             norms = np.sqrt(grams.diagonal(0, 1, 2))
             scale = 1.0 / np.where(norms <= VANISH_TOL, np.inf, norms)
-            grams = grams * (scale[:, :, None] * scale[:, None, :])
+            grams *= scale[:, :, None] * scale[:, None, :]
         best = max(best, float(_off_diagonal_max(grams).max()))
     return best
 

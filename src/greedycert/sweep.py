@@ -9,7 +9,6 @@ in one stack of pursuits (the trials share m, n and k), classified by the
 rule that `classify` applies to a stack of one (`greedy._outcomes`).
 """
 
-import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import reduce
@@ -17,7 +16,7 @@ from operator import add
 
 import numpy as np
 
-from .dictionary import BATCH_ELEMENTS, _fmt, _grams, _off_diagonal_max, random_dictionaries
+from .dictionary import BATCH_ELEMENTS, _fmt, _grams, _json, _off_diagonal_max, random_dictionaries
 from .errors import InvalidArgs, TargetUnreachable
 from .greedy import _KINDS, SolverVariant, _outcomes, _pursue
 from .guarantees import coherence_threshold
@@ -178,7 +177,7 @@ class SweepReport:
         return {"config": self.config.to_dict(), "cells": [c.to_dict() for c in self.cells]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        return _json(self.to_dict())
 
     def to_csv(self) -> str:
         lines = ["variant,k,l,mu_mean,threshold,success_rate,tie_rate"]

@@ -10,12 +10,11 @@ remaining atom score identically.  The scale factors that keep the prefix
 selections strict are calibrated numerically by repeated halving.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import (Dictionary, Support, _csv_lines, as_support, build_worst_case,
+from .dictionary import (Dictionary, Support, _csv_lines, _json, as_support, build_worst_case,
                          check_support, coherence)
 from .errors import CalibrationFailed, InvalidArgs
 from .greedy import TIE_REL_TOL, SolverVariant, _pursue, _Runs, as_variant, select_atom
@@ -189,7 +188,7 @@ class WorstCaseScenario:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        return _json(self.to_dict())
 
 
 def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:

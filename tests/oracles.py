@@ -252,7 +252,7 @@ def prip_every_block(d, q: int, l: int,
 
 
 # the enumerations' support walk on Grams one push at a time, as the package ran it
-# before it stacked the children of a support; the stacked walk must give its bits
+# before it pushed children in stacks; the stacked walk must give its bits
 
 def walk_per_push(d, l: int):
     """(support, Gram of the atoms outside it, in index order) for each l-subset of

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedycert import (build_scenario, build_worst_case, load_dictionary, load_vector, random_dictionary,
                         save_dictionary, save_vector)
@@ -508,3 +514,115 @@ def test_console_script_installed(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "greedycert" in proc.stdout
+
+
+# a fuzz of main over all six subcommands on small generated files: every call returns
+# a documented exit code, with one stderr line of the documented prefix for codes 1 and
+# 3 and strict JSON on stdout in JSON mode
+
+_NUMBERS = st.one_of(st.floats(-2.0, 2.0).map(repr),
+                     st.sampled_from(["0", "1e-300", "1e200", "nan", "inf", "x", ""]))
+_PREFIXES = {1: ("usage error: ", "error: "), 3: ("rank deficiency: ",)}
+
+
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def _mostly(valid, invalid):
+    """valid three times in four, invalid otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: invalid if i == 3 else valid)
+
+
+def _indices(n: int):
+    """Comma-separated atom indices: mostly distinct ones inside a dictionary of n atoms."""
+    return _mostly(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+                   st.lists(st.integers(-1, n), max_size=3)).map(
+        lambda v: ",".join(map(str, v)))
+
+
+@st.composite
+def _dictionary_csv(draw, path):
+    """Writes m x n numbers to path, mostly Gaussian ones (a duplicated column makes
+    the dictionary rank deficient), and returns n."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    if draw(st.integers(0, 3)) < 3:
+        a = np.random.default_rng(draw(st.integers(0, 99))).normal(size=(m, max(n, 2)))
+        if draw(st.integers(0, 3)) == 3:
+            a[:, -1] = a[:, 0]
+        rows = [[repr(x) for x in row] for row in a.tolist()]
+    else:
+        rows = [draw(st.lists(_NUMBERS, min_size=n, max_size=n)) for _ in range(m)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(",".join(row) for row in rows) + "\n")
+    return m, len(rows[0])
+
+
+@st.composite
+def _argv(draw, tmp):
+    """A subcommand's argument list over files written to tmp."""
+    path = os.path.join(tmp, "d.csv")
+    m, n = draw(_dictionary_csv(path))
+    command = draw(st.sampled_from(["run", "certify", "worstcase", "sweep", "prip", "coherence"]))
+    fmt = draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
+    variant = draw(st.sampled_from([[], ["--variant", "omp"], ["--variant", "ols"]]))
+    if command == "run":
+        vector = os.path.join(tmp, "y.csv")
+        with open(vector, "w") as fh:
+            fh.write(",".join(draw(_mostly(st.lists(st.floats(-2.0, 2.0).map(repr),
+                                                   min_size=m, max_size=m),
+                                          st.lists(_NUMBERS, max_size=5)))) + "\n")
+        observed = draw(st.one_of(st.just(["--y", vector]), st.lists(
+            st.tuples(st.integers(-1, n), st.floats(-2.0, 2.0)), min_size=1, max_size=3).map(
+            lambda pairs: ["--instance", ",".join(f"{i}:{c!r}" for i, c in pairs)])))
+        extra = [[flag, draw(_indices(n))] for flag in ("--truth", "--seed-support")
+                 if draw(st.booleans())]
+        k = draw(_mostly(st.integers(1, min(m, n)), st.sampled_from([-1, 0, 9, "x"])))
+        return [command, "--dict", path, *observed, "--k", str(k), *variant, *sum(extra, [])]
+    if command == "certify":
+        q = ["--q", draw(_indices(n))] if draw(st.booleans()) else []
+        return [command, "--dict", path, "--qstar", draw(_indices(n)), *q, *variant, *fmt]
+    if command == "worstcase":
+        k = draw(st.integers(0, 4))
+        return [command, "--k", str(k), "--l", str(draw(st.integers(-1, k))), *variant,
+                "--out", os.path.join(tmp, "out")]
+    if command == "sweep":
+        m = draw(st.integers(1, 4))
+        config = {"m": m, "n": draw(_mostly(st.integers(2, 6), st.just(1))),
+                  "trials": draw(_mostly(st.integers(1, 3), st.just(0))),
+                  "k_range": sorted(draw(st.lists(st.integers(0, 4), min_size=2, max_size=2))),
+                  "l_range": sorted(draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))),
+                  "coherence_target": draw(st.sampled_from([None, 0.3, 0.9, "threshold", "x"])),
+                  "variant": draw(st.sampled_from(["omp", "ols", "both"])),
+                  "seed_partial": draw(st.booleans())}
+        config_path = os.path.join(tmp, "sweep.json")
+        with open(config_path, "w") as fh:
+            fh.write(draw(_mostly(st.just(json.dumps(config)), st.just("{"))))
+        out = ["--out", os.path.join(tmp, "out")] if draw(st.booleans()) else []
+        seed = ["--seed", str(draw(_mostly(st.integers(0, 9), st.sampled_from([-1, "x"]))))]
+        return [command, "--config", config_path, *out, *seed[:2 * draw(st.integers(0, 1))],
+                "--jobs", str(draw(_mostly(st.integers(1, 2), st.just(0)))), *fmt]
+    if command == "prip":
+        return [command, "--dict", path, "--q", str(draw(st.integers(0, 2))),
+                "--l", str(draw(st.integers(-1, 2))), *fmt]
+    spark = ["--spark"] if draw(st.booleans()) else []
+    return [command, "--dict", path, *spark, *fmt]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_main_returns_a_documented_code_on_generated_input(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(_argv(tmp))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in range(5), argv
+    lines = [line for line in err.getvalue().splitlines()
+             if not (line.startswith("warning: ") and line.endswith("re-normalized to unit length"))]
+    if code in _PREFIXES:
+        assert len(lines) == 1 and lines[0].startswith(_PREFIXES[code]), (argv, lines)
+    json_mode = argv[0] == "run" or (argv[0] in ("certify", "prip", "coherence")
+                                     and argv[-2:] != ["--format", "csv"])
+    if code in (0, 2) and json_mode:
+        json.loads(out.getvalue(), parse_constant=_refuse)

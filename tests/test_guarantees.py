@@ -560,8 +560,8 @@ def test_enumerations_match_the_vector_walk_on_worst_cases(k, l):
 
 
 def test_wide_projected_coherence_holds_a_few_grams():
-    # a push costs O(n^2) whatever m is; the walk holds l + 1 Grams and the
-    # OLS normalization a few n x n temporaries, nothing per support
+    # a push costs O(n^2) whatever m is; the walk holds a stack per level, here of one
+    # Gram, and the OLS normalization a few n x n temporaries, nothing per support
     d = random_dictionary(64, 256, seed=5)
     for variant in ("omp", "ols"):
         tracemalloc.start()
@@ -573,9 +573,25 @@ def test_wide_projected_coherence_holds_a_few_grams():
         assert peak < 8 * d.n * d.n * 8, variant
 
 
-# the walk pushes all children of a support, or a stack of them, as one step; it
-# must give the supports, the Grams and the project_atoms calls of the walk that
-# pushes one child at a time, in the same order, and the enumerations their bits
+def test_ols_normalization_scales_the_grams_in_place():
+    # the OLS rule scales each stack of the walk where it lies: on a dictionary of the
+    # certify workload's shape its traced peak stays within BATCH_ELEMENTS // 8 entries
+    # of the OMP rule's, where a scaled copy of a stack holds up to a quarter of them
+    d = random_dictionary(12, 20, 0.24, seed=1)
+    peaks = {}
+    for variant in ("omp", "ols"):
+        tracemalloc.start()
+        try:
+            projected_coherence(variant, d, 3)
+            peaks[variant] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["ols"] - peaks["omp"] < dictionary.BATCH_ELEMENTS // 8 * 8
+
+
+# the walk pushes the children of a stack of supports, across their parents, as one
+# step; it must give the supports, the Grams and the project_atoms calls of the walk
+# that pushes one child at a time, in the same order, and the enumerations their bits
 
 def dependent_pair(offset: float) -> Dictionary:
     """Four unit atoms in R^4, atom 1 at distance about `offset` from atom 0."""
@@ -631,8 +647,8 @@ def test_stacked_walk_gives_the_bits_of_the_per_push_walk(source, batch, exact_g
 
 def test_walk_sources_put_a_fallback_inside_a_stack(exact_grams):
     # atom 3 lies 0.03 from the span of atoms 0..2: on this dictionary, among the
-    # children of (1, 2), pushed as one stack, (1, 2, 5) takes project_atoms's Gram
-    # and its neighbours (1, 2, 4) and (1, 2, 6) do not
+    # leaves, all pushed in one stack, (1, 2, 5) takes project_atoms's Gram and its
+    # neighbours (1, 2, 4) and (1, 2, 6) do not
     d, _ = WALK_SOURCES["near dependence 0.03"]()
     list(guarantees._projected_grams(d, 3))
     assert (1, 2, 5) in exact_grams and not {(1, 2, 4), (1, 2, 6)} & set(exact_grams)
@@ -640,9 +656,10 @@ def test_walk_sources_put_a_fallback_inside_a_stack(exact_grams):
 
 def test_walk_puts_a_support_that_falls_back_between_the_stacks_of_leaves(exact_grams):
     # atom 5 lies 0.01 from the span of atoms 3 and 4: at l = 3 the parent (3, 4) of
-    # leaves takes project_atoms's Gram; the leaves of the parents before it, among them
-    # (2, 4, 5), which falls back too, are pushed first, so all 56 leaves, which one
-    # stack would hold, come in a stack up to (2, 6, 7) and stacks from (3, 4, 5)
+    # leaves takes project_atoms's Gram; the stack of parents is cut before it, so the
+    # leaves of the parents before it, among them (2, 4, 5), which falls back too, come
+    # first: all 56 leaves, which one stack would hold, come in a stack up to (2, 6, 7)
+    # and stacks from (3, 4, 5)
     d, _ = WALK_SOURCES["late small remaining norm"]()
     assert comb(d.n, 3) * (d.n - 3) ** 2 <= dictionary.BATCH_ELEMENTS // 4
     stacks = list(guarantees._projected_grams(d, 3))
