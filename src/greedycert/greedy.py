@@ -6,9 +6,9 @@ the correlation with the atom's projection against that span: the first
 variant uses it as it is (classic matching pursuit scoring), the second
 divides it by the projected atom's norm, which makes the argmax equal to the
 single-step residual minimizer.  Nothing m x n is rebuilt per step: a pursuit
-keeps an orthonormal basis of the selected span, each basis vector's
-correlations with the atoms and the squared projected norms, downdated on
-each selection (the state of Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).
+keeps an orthonormal basis of the selected span, grown by projection._direction,
+and the squared projected norms, downdated by each new direction's correlations
+with the atoms (after Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).
 The state takes an optional leading axis of rows, so that the trials of a
 sweep cell, each on its own dictionary, and the candidate inputs of a
 worst-case calibration run as one stack of pursuits; `run` and `select_atom`
@@ -75,22 +75,21 @@ def _tied(scores: np.ndarray) -> np.ndarray:
 class _Pursuit:
     """The state of one pursuit on m x n atoms, or of a stack of them with atoms
     (B, m, n), row i on its own atoms[i]: an m x cap orthonormal basis of the pushed
-    atoms' span, coef[..., t, :] = basis[..., t] @ atoms, the atoms' squared projected
-    norms sq (PUSHED at pushed atoms), the pushed atoms, the residual res of the
-    vector the pursuit started from and its correlations corr = res @ atoms.  The
-    newest direction and res share one 2 x m array, so that one product with the atoms
-    per push gives both its coef row and corr.  A stack also keeps rows, each row's
-    index in the stack it started as; rows leave it through take."""
+    atoms' span, the atoms' squared projected norms sq (PUSHED at pushed atoms), the
+    pushed atoms, the residual res of the vector the pursuit started from and its
+    correlations corr = res @ atoms.  The newest direction and res share one 2 x m
+    array: one product with the atoms per push downdates sq and gives corr.  A stack
+    also keeps rows, each row's index in the stack it started as; rows leave it
+    through take."""
 
     def __init__(self, atoms: np.ndarray, res, cap: int):
-        *lead, m, n = atoms.shape
+        *lead, m, _ = atoms.shape
         self.atoms = atoms
         self.pair = np.empty((*lead, 2, m))
         self.pair[..., 1, :] = res
         self.res = self.pair[..., 1, :]
         self.corr = None
         self.basis = np.empty((*lead, m, cap))
-        self.coef = np.empty((*lead, cap, n))
         self.sq = np.einsum("...ij,...ij->...j", atoms, atoms)
         self.support = np.empty((*lead, cap), dtype=int)
         self.t = 0
@@ -102,7 +101,7 @@ class _Pursuit:
 
     def take(self, keep: np.ndarray) -> None:
         """Keep only the rows of a stack in the mask."""
-        for name in ("atoms", "pair", "basis", "coef", "sq", "support", "rows"):
+        for name in ("atoms", "pair", "basis", "sq", "support", "rows"):
             setattr(self, name, getattr(self, name)[keep])
         self.res = self.pair[..., 1, :]
         if self.corr is not None:
@@ -115,10 +114,8 @@ class _Pursuit:
         for the select that follows; O(mn) reads per row."""
         t, lead = self.t, self._lead
         self.support[..., t] = js
-        done = self.basis[..., :t]
-        c = self.coef[(*lead, slice(None, t), js)]
-        v = self.atoms[(*lead, slice(None), js)] - (done @ c[..., None])[..., 0]
-        q = _direction(done, v, self.support[..., :t + 1])
+        q = _direction(self.basis[..., :t], self.atoms[(*lead, slice(None), js)],
+                       self.support[..., :t + 1])
         self.basis[..., t] = q
         self.res -= q * _dot(q, self.res)[..., None]
         if correlate:
@@ -127,7 +124,6 @@ class _Pursuit:
             g, self.corr = prod[..., 0, :], prod[..., 1, :]
         else:
             g, self.corr = (q[..., None, :] @ self.atoms)[..., 0, :], None
-        self.coef[..., t, :] = g
         self.sq -= g * g
         self.sq[(*lead, js)] = PUSHED  # its downdated sq is only rounding
         self.t = t + 1

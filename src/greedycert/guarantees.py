@@ -137,8 +137,8 @@ def omp_partial_bound(k: int, l: int, mu: float) -> float:
     """Closed-form ceiling (k-l)*mu / (1-(k-1)*mu) on the partial test for the
     raw-projection scoring rule, valid for mu < 1/(k-1)."""
     _check_kl(k, l)
-    if mu < 0:
-        raise InvalidArgs("mu must be non-negative")
+    if not (0.0 <= mu <= 1.0):
+        raise InvalidArgs(f"mu must lie in [0, 1], got {mu:g}")
     if k > 1 and mu >= 1.0 / (k - 1):
         raise OutOfDomain(f"bound needs mu < 1/(k-1) = {1.0 / (k - 1):g}, got mu={mu:g}")
     return (k - l) * mu / (1.0 - (k - 1) * mu)
@@ -427,6 +427,8 @@ def prip_erc_bound(k: int, l: int, pair: PripConstants, block: PripConstants) ->
     if block.q != k - l or block.l != l:
         raise InvalidArgs(
             f"block constants must be for (q={k - l}, l={l}), got (q={block.q}, l={block.l})")
+    if not np.isfinite([pair.lower, pair.upper, block.lower, block.upper]).all():
+        raise InvalidArgs("restricted-isometry constants must be finite")
     if block.lower >= 1.0:
         raise OutOfDomain(f"need block lower constant < 1, got {block.lower:g}")
     return (k - l) * (pair.upper + pair.lower) / (2.0 * (1.0 - block.lower))
@@ -452,6 +454,10 @@ def cross_gram_bound_check(d: Dictionary, q, qp, qpp, u, mu_l: float | None = No
     u = np.asarray(u, dtype=float)
     if u.shape != (len(b),):
         raise InvalidArgs(f"u must have length {len(b)}, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise InvalidArgs("u must be finite")
+    if mu_l is not None and not 0.0 <= mu_l < math.inf:
+        raise InvalidArgs(f"mu_l must be finite and non-negative, got {mu_l!r}")
     projected = project_atoms(d, qs).projected
     lhs = float(np.linalg.norm(projected[:, a.array()].T @ (projected[:, b.array()] @ u)))
     if mu_l is None:

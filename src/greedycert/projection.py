@@ -1,11 +1,11 @@
 """Orthogonal projection kernels: residuals, projected atom families, least squares.
 
 Everything here projects against the span of the selected atoms, whose
-orthonormal basis grows one atom at a time: a Gram-Schmidt step with one
-re-orthogonalization pass ("twice is enough"; Giraud, Langou, Rozloznik 2005).
+orthonormal basis grows one raw atom at a time by _direction, the one
+Gram-Schmidt step, with one re-orthogonalization pass ("twice is enough"; Giraud,
+Langou, Rozloznik 2005); the pursuits in greedy grow theirs with it too.
 project_atoms projects the whole family against a support with one block
-update; the enumerations in guarantees walk on Grams and fall back on it, and
-pursuits keep a leaner state in greedy.
+update; the enumerations in guarantees walk on Grams and fall back on it.
 An atom whose projection has norm <= RANK_SV_TOL, its distance to the span of
 the atoms before it, is numerically dependent.
 """
@@ -22,26 +22,28 @@ from .errors import InvalidArgs, RankDeficient
 VANISH_TOL = 1e-10  # projected atoms with norm at or below this are treated as gone
 
 
-def _direction(basis, v, atoms) -> np.ndarray:
-    """Unit vector that atoms[-1] adds to span(basis), from v, that atom already projected
-    against basis, after one re-orthogonalization; RankDeficient if |v| <= RANK_SV_TOL.
+def _direction(basis, a, atoms) -> np.ndarray:
+    """Unit vector that atom a, atoms[-1], adds to span(basis): one Gram-Schmidt step,
+    projecting a against basis and normalizing, then once more ("twice is enough");
+    RankDeficient if a lies within RANK_SV_TOL of the span.
 
-    Also takes a stack, one problem per row: basis (B, m, t), v (B, m) and atoms (B, t + 1).
+    Also takes a stack, one problem per row: basis (B, m, t), a (B, m) and atoms (B, t + 1).
     A row gets the bits it would get alone: its products are the same BLAS calls."""
-    if v.ndim == 1:  # vector products: a fraction of the call overhead of stacked ones
+    if a.ndim == 1:  # vector products: a fraction of the call overhead of stacked ones
+        v = a - basis @ (basis.T @ a)
         dist = np.sqrt(v @ v)
         if dist <= RANK_SV_TOL:
             raise _dependent(atoms, dist)
         q = v / dist
         q -= basis @ (basis.T @ q)
         return q / np.sqrt(q @ q)
-    col = v[..., None]
-    dist = np.sqrt(col.swapaxes(-1, -2) @ col).ravel()
+    v = a[..., None] - basis @ (basis.swapaxes(-1, -2) @ a[..., None])
+    dist = np.sqrt(v.swapaxes(-1, -2) @ v).ravel()
     low = dist <= RANK_SV_TOL
     if low.any():
         i = int(low.argmax())
         raise _dependent(atoms[i], dist[i])
-    q = col / dist[:, None, None]
+    q = v / dist[:, None, None]
     q -= basis @ (basis.swapaxes(-1, -2) @ q)
     return (q / np.sqrt(q.swapaxes(-1, -2) @ q))[..., 0]
 
@@ -53,19 +55,13 @@ def _dependent(atoms, dist) -> RankDeficient:
 
 
 def _span(d: Dictionary, atoms) -> np.ndarray:
-    """Orthonormal basis of the span of the atoms, filled column by column: one
-    projection and _direction each."""
+    """Orthonormal basis of the span of the atoms, filled column by column by _direction."""
     if len(atoms) > d.m:
         raise RankDeficient(f"{len(atoms)} atoms cannot be independent in dimension {d.m}")
     atoms = tuple(atoms)
     basis = np.empty((d.m, len(atoms)))
     for t, j in enumerate(atoms):
-        # OpenBLAS sums over a block of one to three columns in another order when
-        # its row stride exceeds its width; copying those keeps the bits of a basis
-        # grown by concatenation, and with them the worst-case y.csv outputs
-        done = basis[:, :t] if t > 3 else basis[:, :t].copy()
-        a = d.atoms[:, j]
-        basis[:, t] = _direction(done, a - done @ (done.T @ a), atoms[:t + 1])
+        basis[:, t] = _direction(basis[:, :t], d.atoms[:, j], atoms[:t + 1])
     return basis
 
 
@@ -100,9 +96,7 @@ def least_squares(d: Dictionary, support, y) -> np.ndarray:
     sup = check_support(d, as_support(support))
     y = _check_vector(d, y)
     _span(d, sup)  # rank gate
-    sub = d.atoms[:, sup.array()]
-    coef, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
-    return coef
+    return np.linalg.lstsq(d.atoms[:, sup.array()], y, rcond=None)[0]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Monte Carlo sweeps over (k, l) cells with deterministic per-trial seeding.
 
 Each trial derives its own random streams from (master seed, k, l, trial
-index), so its outcome does not depend on what else runs.  A cell runs as one
-batch: its dictionaries are generated together (`random_dictionaries`,
+index), so its outcome does not depend on what else runs.  A cell runs in
+batches of at most BATCH_ELEMENTS atom entries, each dropped before the next:
+a batch's dictionaries are generated together (`random_dictionaries`,
 byte-identical to generating each trial alone), their coherences come from
-one stack of Gram matrices, and each variant pursues all of the cell's trials
+one stack of Gram matrices, and each variant pursues all of the batch's trials
 in one stack of pursuits (the trials share m, n and k), classified by the
 rule that `classify` applies to a stack of one (`greedy._outcomes`).
 """
@@ -190,12 +191,11 @@ class SweepReport:
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
     """Execute the sweep and aggregate per-cell counts.
 
-    Each cell runs as one batch: its dictionaries are generated together, then
-    each variant pursues every accepted trial in one stack of pursuits, at most
-    BATCH_ELEMENTS atom entries at a time.  jobs is validated and otherwise
-    ignored: a cell is a handful of stacked numpy calls in the calling thread,
-    and threads only added overhead.  Cells whose coherence target is
-    unreachable for the configured shape are marked skipped rather than failed.
+    Each cell runs in batches of trials, as the module docstring says.  jobs is
+    validated and otherwise ignored: a cell is a handful of stacked numpy calls
+    in the calling thread, and threads only added overhead.  Cells whose
+    coherence target is unreachable for the configured shape are marked
+    skipped rather than failed.
     """
     if jobs < 1:
         raise InvalidArgs(f"jobs must be >= 1, got {jobs}")
@@ -213,44 +213,47 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
 
 
 def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
-    """The accepted trials of cell (k, l): their coherences in trial order and,
-    per variant, how many of them ended in each outcome of _KINDS.
-
-    Trial t's dictionary comes from the seed [seed, k, l, t]; its planted support,
-    coefficients and seeded atoms from the generator [seed, k, l, t, 1]."""
-    m, n = config.m, config.n
+    """The accepted trials of cell (k, l): their coherences in trial order and, per
+    variant, how many of them ended in each outcome of _KINDS, one batch at a time."""
     cell_mus, counts = [], {v: np.zeros(len(_KINDS), dtype=int) for v in variants}
-    try:
-        dicts = random_dictionaries(m, n, config.cell_target(k, l),
-                                    [[config.seed, k, l, t] for t in range(config.trials)])
-    except TargetUnreachable:  # below the Welch bound, so no draw reaches it
-        return cell_mus, counts
-    drawn = [(t, d.atoms) for t, d in enumerate(dicts) if d is not None]
-    per_batch = max(1, BATCH_ELEMENTS // (m * n))
-    for start in range(0, len(drawn), per_batch):
-        trials, atoms = zip(*drawn[start:start + per_batch])
-        atoms = np.stack(atoms)
-        mus = _off_diagonal_max(_grams(atoms))
-        if config.coherence_target == THRESHOLD_SENTINEL:
-            keep = mus < coherence_threshold(k, l)  # defensive; the generation target sits below
-            trials, atoms, mus = [t for t, ok in zip(trials, keep) if ok], atoms[keep], mus[keep]
-            if not trials:
-                continue
-        supports, coeffs, seeds = [], [], []
-        for t in trials:
-            rng = np.random.default_rng([config.seed, k, l, t, 1])
-            support = rng.choice(n, size=k, replace=False)
-            supports.append(support)
-            coeffs.append(rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k))
-            seeds.append(support[rng.choice(k, size=l, replace=False)]
-                         if config.seed_partial and l > 0 else support[:0])
-        supports, coeffs, seeds = np.array(supports), np.array(coeffs), np.array(seeds)
-        ys = (np.take_along_axis(atoms, supports[:, None, :], axis=2) @ coeffs[..., None])[..., 0]
-        planted = np.zeros((len(trials), n), dtype=bool)
-        np.put_along_axis(planted, supports, True, axis=1)
-        cell_mus += mus.tolist()
-        for v in variants:
-            runs = _pursue(SolverVariant(v), atoms, ys, k, seeds)
-            codes, _ = _outcomes(planted, seeds.shape[1], runs.selected, runs.scores, runs.stops)
-            counts[v] += np.bincount(codes, minlength=len(_KINDS))
+    per_batch, trials = max(1, BATCH_ELEMENTS // (config.m * config.n)), range(config.trials)
+    for start in trials[::per_batch]:
+        try:
+            cell_mus += _batch_outcomes(config, k, l, counts, trials[start:start + per_batch])
+        except TargetUnreachable:  # below the Welch bound, so no draw reaches it
+            break
     return cell_mus, counts
+
+
+def _batch_outcomes(config: SweepConfig, k: int, l: int, counts: dict, trials: range) -> list:
+    """The coherences of the accepted ones among some trials of cell (k, l), their
+    outcomes added to counts per variant.  Trial t's dictionary comes from the seed
+    [seed, k, l, t]; its support, coefficients and seeded atoms from [seed, k, l, t, 1]."""
+    m, n = config.m, config.n
+    dicts = random_dictionaries(m, n, config.cell_target(k, l),
+                                [[config.seed, k, l, t] for t in trials])
+    trials = [t for t, d in zip(trials, dicts) if d is not None]
+    atoms = np.array([d.atoms for d in dicts if d is not None]).reshape(-1, m, n)
+    mus = _off_diagonal_max(_grams(atoms))
+    if config.coherence_target == THRESHOLD_SENTINEL:
+        keep = mus < coherence_threshold(k, l)  # defensive; the generation target sits below
+        trials, atoms, mus = [t for t, ok in zip(trials, keep) if ok], atoms[keep], mus[keep]
+    if not trials:
+        return []
+    supports, coeffs, seeds = [], [], []
+    for t in trials:
+        rng = np.random.default_rng([config.seed, k, l, t, 1])
+        support = rng.choice(n, size=k, replace=False)
+        supports.append(support)
+        coeffs.append(rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k))
+        seeds.append(support[rng.choice(k, size=l, replace=False)]
+                     if config.seed_partial and l > 0 else support[:0])
+    supports, coeffs, seeds = np.array(supports), np.array(coeffs), np.array(seeds)
+    ys = (np.take_along_axis(atoms, supports[:, None, :], axis=2) @ coeffs[..., None])[..., 0]
+    planted = np.zeros((len(trials), n), dtype=bool)
+    np.put_along_axis(planted, supports, True, axis=1)
+    for v in counts:
+        runs = _pursue(SolverVariant(v), atoms, ys, k, seeds)
+        codes, _ = _outcomes(planted, seeds.shape[1], runs.selected, runs.scores, runs.stops)
+        counts[v] += np.bincount(codes, minlength=len(_KINDS))
+    return mus.tolist()

@@ -18,7 +18,7 @@ from greedycert import (CalibrationFailed, CellResult, Dictionary, GreedyTrace, 
 from greedycert import dictionary, guarantees
 from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL, _tied
 from greedycert.guarantees import _projected_grams
-from greedycert.projection import VANISH_TOL, _direction
+from greedycert.projection import VANISH_TOL
 
 
 def projector(cols: np.ndarray) -> np.ndarray:
@@ -147,19 +147,6 @@ def orthonormal_basis(a: np.ndarray, support) -> np.ndarray:
         raise RankDeficient(f"atoms {sup} are numerically dependent")
     q, _ = np.linalg.qr(sub)
     return q
-
-
-def span_concatenated(a: np.ndarray, atoms) -> np.ndarray:
-    """The package's Gram-Schmidt basis (one projection, one re-orthogonalization
-    per atom), grown by one concatenation per atom; the package fills a
-    preallocated array instead and must give these bits."""
-    basis = np.zeros((a.shape[0], 0))
-    for j in atoms:
-        v = a[:, j] - basis @ (basis.T @ a[:, j])
-        q = v / float(np.sqrt(v @ v))
-        q -= basis @ (basis.T @ q)
-        basis = np.column_stack((basis, q / np.sqrt(q @ q)))
-    return basis
 
 
 def projected_family(a: np.ndarray, support, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +304,13 @@ def walk_vectors(d, l: int):
             yield support, projected
             return
         for j in range(start, d.n - l + len(support) + 1):
-            q = _direction(basis, projected[:, j], support + (j,))
+            dist = np.sqrt(projected[:, j] @ projected[:, j])
+            if dist <= dictionary.RANK_SV_TOL:
+                raise RankDeficient(f"atoms {support + (j,)} are numerically dependent "
+                                    f"(atom {j} lies {dist:.3g} from the span of the others)")
+            q = projected[:, j] / dist
+            q -= basis @ (basis.T @ q)
+            q /= np.sqrt(q @ q)
             pushed = q[:, None] * -(q @ projected)
             pushed += projected
             pushed[:, j] = 0.0

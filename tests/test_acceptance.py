@@ -10,7 +10,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from greedycert import (SweepConfig, build_worst_case, coherence, coherence_threshold,
                         cross_gram_bound_check, dual_representation, gram, ols_coherence_bound,

@@ -508,6 +508,31 @@ def test_report_stdout_is_pinned(tmp_path, capsys, command, fmt):
     assert captured.err == ""
 
 
+README_WORSTCASE = """\
+coherence = 0.25000000000000011 (threshold 0.25)
+prefix selections = [0]
+truth = [0, 3, 4]; predicted wrong atom = 1
+failure iteration = 2 (1-based), kind = tie_with_wrong_atom
+wrote dictionary.csv, y.csv, scenario.json to wc31
+"""
+
+
+def test_readme_worstcase_and_run_examples_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["worstcase", "--k", "3", "--l", "1", "--variant", "omp", "--out", "wc31"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == README_WORSTCASE and captured.err == ""
+    assert main(["run", "--dict", "wc31/dictionary.csv", "--y", "wc31/y.csv", "--variant", "omp",
+                 "--k", "3", "--truth", "0,3,4"]) == 2
+    trace = json.loads(capsys.readouterr().out)
+    assert trace["selected"] == [0, 1, 2]
+    assert trace["tie_at"] == 1 and trace["early_stop"] is None
+    assert trace["outcome"] == {"kind": "tie_with_wrong_atom", "iteration": 1, "atom": None}
+    norms = trace["residual_norms"]  # to the digits the README prints
+    assert norms[0] == 1.5 and [str(x)[:5] for x in norms[1:3]] == ["1.118", "0.912"]
+    assert f"{norms[3]:.3e}" == "1.241e-16"
+
+
 def test_console_script_installed(tmp_path):
     # one end-to-end check through the real entry point
     proc = subprocess.run([sys.executable, "-m", "greedycert.cli", "--version"],

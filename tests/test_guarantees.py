@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from math import comb
 from unittest import mock
@@ -104,6 +105,12 @@ def test_omp_partial_bound_values_and_domain():
     assert omp_partial_bound(4, 2, 0.2) < omp_partial_bound(4, 1, 0.2)
     with pytest.raises(OutOfDomain):
         omp_partial_bound(4, 1, 1.0 / 3.0)
+    # not coherences: outside [0, 1], including where k = 1 leaves no other ceiling
+    for k, l, mu in ((2, 0, np.nan), (1, 0, np.inf), (1, 0, 5.0), (1, 0, 1.0 + 1e-12),
+                     (3, 1, -0.1), (1, 0, -np.inf)):
+        with pytest.raises(InvalidArgs):
+            omp_partial_bound(k, l, mu)
+    assert omp_partial_bound(1, 0, 1.0) == 1.0
 
 
 def test_prip_coherence_bounds_formulas():
@@ -207,6 +214,13 @@ def test_prip_erc_bound_validation():
     assert bad_block.lower >= 1.0
     with pytest.raises(OutOfDomain):
         prip_erc_bound(4, 1, prip_coherence_bounds(2, 1, 0.45), bad_block)
+    # non-finite constants: a NaN block.lower would pass the `< 1` test and return nan
+    for field in ("lower", "upper"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidArgs):
+                prip_erc_bound(4, 1, pair, dataclasses.replace(block, **{field: value}))
+            with pytest.raises(InvalidArgs):
+                prip_erc_bound(4, 1, dataclasses.replace(pair, **{field: value}), block)
 
 
 def test_cross_gram_bound_holds():
@@ -228,6 +242,13 @@ def test_cross_gram_bound_validation():
         cross_gram_bound_check(d, [0], [1], [2], np.ones(3))  # u length
     with pytest.raises(InvalidArgs):
         cross_gram_bound_check(d, [0], [], [2], np.ones(1))
+    for u in ([np.nan], [np.inf], [-np.inf]):
+        with pytest.raises(InvalidArgs):
+            cross_gram_bound_check(d, [0], [1], [2], u)
+    for mu_l in (np.nan, np.inf, -np.inf, -0.1):
+        with pytest.raises(InvalidArgs):
+            cross_gram_bound_check(d, [0], [1], [2], [1.0], mu_l=mu_l)
+    assert cross_gram_bound_check(d, [0], [1], [2], [1.0], mu_l=0.0)[1] == 0.0
 
 
 LAYOUT_SOURCES = {

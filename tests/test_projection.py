@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedycert import (Dictionary, InvalidArgs, RankDeficient, build_scenario, build_worst_case,
-                        classify, least_squares, make_instance, prip_exact, project_atoms,
+from greedycert import (Dictionary, InvalidArgs, RankDeficient, build_scenario, classify,
+                        least_squares, make_instance, prip_exact, project_atoms,
                         projected_coherence, random_dictionary, residual, run, select_atom)
 from greedycert.greedy import TIE_REL_TOL, _Pursuit, _pursue, as_variant
-from greedycert.projection import _span
 
 from oracles import (ls_normal_equations, orthonormal_basis, prip_scratch, projected_family,
-                     projected_coherence_scratch, pursuit_scratch, residual_oracle,
-                     span_concatenated)
+                     projected_coherence_scratch, pursuit_scratch, residual_oracle)
 
 
 def test_residual_empty_support():
@@ -178,16 +176,6 @@ def test_enumerations_match_scratch():
                 lower, upper = prip_scratch(d.atoms, q, l)
                 assert got.lower == pytest.approx(lower, abs=1e-12)
                 assert got.upper == pytest.approx(upper, abs=1e-12)
-
-
-def test_span_gives_the_bits_of_a_concatenated_basis():
-    # the worst-case y.csv outputs are sums of atoms projected against this basis
-    for k, l in ((4, 2), (18, 4), (25, 2), (32, 16)):
-        d = build_worst_case(k, l)
-        assert np.array_equal(_span(d, range(l)), span_concatenated(d.atoms, range(l)))
-    d = random_dictionary(64, 96, seed=3)
-    atoms = list(range(0, 80, 2))
-    assert np.array_equal(_span(d, atoms), span_concatenated(d.atoms, atoms))
 
 
 def _duplicate_atom():

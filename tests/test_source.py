@@ -1,11 +1,12 @@
-"""The package's modules import only names they use."""
+"""The package's modules and the tests import only names they use."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "greedycert"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "greedycert"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,6 +34,7 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["os (line 1)", "Iterable (line 3)"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)  # no test file shares a module's name
 def test_modules_use_every_import(path):
     assert unused_imports(path.read_text()) == []

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,37 @@ def test_run_sweep_matches_the_per_trial_sweep(overrides):
         report = run_sweep(cfg, jobs=jobs)
         assert report.to_csv() == reference.to_csv()
         assert report.to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(trials=8),
+    dict(trials=8, m=6, n=10, k_range=(3, 4), coherence_target=None),  # outcomes vary by trial
+    dict(trials=7, m=8, n=10, k_range=(2, 2), coherence_target=0.1869),  # batches with none
+])
+def test_run_sweep_in_small_batches_matches_the_per_trial_sweep(monkeypatch, overrides):
+    cfg = small_config(**overrides)
+    monkeypatch.setattr(sweep, "BATCH_ELEMENTS", 2 * cfg.m * cfg.n)  # two trials a batch
+    report = run_sweep(cfg)
+    reference = sweep_per_trial(cfg)
+    assert report.to_csv() == reference.to_csv()
+    assert report.to_json() == reference.to_json()
+
+
+def test_run_sweep_memory_does_not_grow_with_trials():
+    # a cell generates, pursues and drops its dictionaries one batch of trials at a time
+    def peak(trials):
+        cfg = SweepConfig(m=16, n=16, k_range=(3, 3), l_range=(1, 1), trials=trials,
+                          coherence_target="threshold", variant="omp")
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(250)  # warm-up: allocations made once per process stay out of the comparison
+    peaks = {trials: peak(trials) for trials in (250, 4000)}
+    assert peaks[4000] <= 1.2 * peaks[250], peaks
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -7,10 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from greedycert import (CalibrationFailed, InvalidArgs, RecoveryOutcome, build_scenario,
-                        build_worst_case, classify, coherence, coherence_threshold,
-                        dual_representation, gram, project_atoms, projected_gram_closed_form,
-                        reach_input, residual, run)
+from greedycert import (InvalidArgs, RecoveryOutcome, build_scenario, build_worst_case,
+                        classify, coherence, coherence_threshold, dual_representation, gram,
+                        project_atoms, projected_gram_closed_form, reach_input, residual, run)
 
 from greedycert import worstcase
 
