@@ -145,6 +145,12 @@ def make_instance(d: Dictionary, support, coefficients) -> SparseInstance:
     return SparseInstance(support=sup, coefficients=c, observation=y)
 
 
+def _check_real(x, what: str) -> None:
+    """Raise InvalidArgs unless x is a real number; a bool is not one here."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidArgs(f"{what} must be a real number, got {x!r}")
+
+
 def _check_square_norm(y: np.ndarray, what: str) -> None:
     """Raise InvalidArgs unless the squared norm of y, which the pursuits and
     projections take, is finite; an overflow in this check raises no warning."""
@@ -395,8 +401,8 @@ def random_dictionaries(m: int, n: int, coherence_target: float | None,
             noise = np.random.default_rng(seed).normal(size=(m, n))
             out.append(Dictionary(_unit_columns(noise)))
         return out
-    if (isinstance(coherence_target, bool) or not isinstance(coherence_target, numbers.Real)
-            or not coherence_target >= 0):
+    _check_real(coherence_target, "coherence_target")
+    if not coherence_target >= 0:
         raise InvalidArgs(f"coherence_target must be a non-negative number, got {coherence_target!r}")
     target = float(coherence_target)
     if target < welch_bound(m, n):

@@ -10,10 +10,12 @@ keeps an orthonormal basis of the selected span, grown by projection._direction,
 and the squared projected norms, downdated by each new direction's correlations
 with the atoms (after Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).
 The state takes an optional leading axis of rows, so that the trials of a
-sweep cell, each on its own dictionary, and the candidate inputs of a
-worst-case calibration run as one stack of pursuits; `run` and `select_atom`
-use it without that axis, which keeps a single pursuit's per-step call
-overhead down.  Each row of a stack gets the bits of a pursuit of its own.
+sweep cell, each on its own dictionary, run as one stack of pursuits; `run`
+and `select_atom` use it without that axis, which keeps a single pursuit's
+per-step call overhead down.  Each row of a stack gets the bits of a pursuit
+of its own.  A worst-case calibration shares one pursuit's basis and squared
+norms between its candidate inputs, which all must select the same atoms, and
+scores them by the same rule (_scores) and margin (_margins).
 Ties are broken toward the lowest atom index and flagged, since a tie
 involving an atom outside the planted support already dooms exact recovery
 under a pessimistic adversary.
@@ -70,6 +72,27 @@ def _tied(scores: np.ndarray) -> np.ndarray:
     the last axis; where that largest score is not positive, nothing is tied."""
     top = np.maximum.reduce(scores, axis=-1, keepdims=scores.ndim > 1)  # a scalar for one vector
     return (scores >= top * (1.0 - TIE_REL_TOL)) & (top > 0.0)
+
+
+def _scores(variant: SolverVariant, corr: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """The scores of the atoms, from their correlations with the residual and their
+    squared projected norms sq (PUSHED at pushed atoms), zero at pushed and vanished
+    atoms; one sq serves a stack of correlations."""
+    live = sq > VANISH_TOL * VANISH_TOL
+    if variant is SolverVariant.OLS:  # abs: PUSHED is negative; those atoms score 0 anyway
+        return np.abs(corr) / np.where(live, np.sqrt(np.abs(sq)), np.inf)
+    return np.where(live, np.abs(corr), 0.0)
+
+
+def _margins(scores: np.ndarray, picks) -> np.ndarray:
+    """Relative margin (top - runner-up) / top of the score top of atom picks over the
+    best other score along the last axis, with picks one per row or one for all rows;
+    -inf where top is not positive.  The pick is the strict argmax where its margin is
+    positive, and not tied (_tied) where its margin is well above TIE_REL_TOL."""
+    pick = np.arange(scores.shape[-1]) == np.asarray(picks)[..., None]
+    top = np.where(pick, scores, 0.0).max(axis=-1)  # scores are non-negative
+    rival = np.where(pick, 0.0, scores).max(axis=-1)
+    return np.divide(top - rival, top, out=np.full(top.shape, -np.inf), where=top > 0.0)
 
 
 class _Pursuit:
@@ -146,11 +169,7 @@ class _Pursuit:
         is taken, tied with the rest."""
         if self.corr is None:
             self.corr = (self.res[..., None, :] @ self.atoms)[..., 0, :]
-        live = self.sq > VANISH_TOL * VANISH_TOL
-        if variant is SolverVariant.OLS:  # abs: PUSHED is negative; those atoms score 0 anyway
-            scores = np.abs(self.corr) / np.where(live, np.sqrt(np.abs(self.sq)), np.inf)
-        else:
-            scores = np.where(live, np.abs(self.corr), 0.0)
+        scores = _scores(variant, self.corr, self.sq)
         tied = _tied(scores)
         choice, count = tied.argmax(axis=-1), np.add.reduce(tied, axis=-1)
         empty = count == 0

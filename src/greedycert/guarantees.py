@@ -18,8 +18,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import dictionary
-from .dictionary import (RANK_SV_TOL, Dictionary, _check_kl, _off_diagonal_max, as_support,
-                         check_support)
+from .dictionary import (RANK_SV_TOL, Dictionary, _check_kl, _check_real, _off_diagonal_max,
+                         as_support, check_support)
 from .errors import CapExceeded, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import SolverVariant, as_variant
 from .projection import VANISH_TOL, project_atoms
@@ -137,8 +137,9 @@ def omp_partial_bound(k: int, l: int, mu: float) -> float:
     """Closed-form ceiling (k-l)*mu / (1-(k-1)*mu) on the partial test for the
     raw-projection scoring rule, valid for mu < 1/(k-1)."""
     _check_kl(k, l)
+    _check_real(mu, "mu")
     if not (0.0 <= mu <= 1.0):
-        raise InvalidArgs(f"mu must lie in [0, 1], got {mu:g}")
+        raise InvalidArgs(f"mu must lie in [0, 1], got {mu!r}")
     if k > 1 and mu >= 1.0 / (k - 1):
         raise OutOfDomain(f"bound needs mu < 1/(k-1) = {1.0 / (k - 1):g}, got mu={mu:g}")
     return (k - l) * mu / (1.0 - (k - 1) * mu)
@@ -152,8 +153,9 @@ def prip_coherence_bounds(q: int, l: int, mu: float) -> PripConstants:
     """
     if q < 1 or l < 0:
         raise InvalidArgs(f"need q >= 1 and l >= 0, got q={q}, l={l}")
+    _check_real(mu, "mu")
     if not (0.0 <= mu < 1.0):
-        raise InvalidArgs(f"mu must lie in [0, 1), got {mu:g}")
+        raise InvalidArgs(f"mu must lie in [0, 1), got {mu!r}")
     if l >= 2 and mu >= 1.0 / (l - 1):
         raise OutOfDomain(f"closed form needs mu < 1/(l-1) = {1.0 / (l - 1):g}, got mu={mu:g}")
     upper = (q - 1) * mu
@@ -410,8 +412,9 @@ def ols_coherence_bound(l: int, mu: float) -> float:
     after l selections, valid for mu < 1/l."""
     if l < 0:
         raise InvalidArgs(f"need l >= 0, got l={l}")
+    _check_real(mu, "mu")
     if not (0.0 <= mu <= 1.0):
-        raise InvalidArgs(f"mu must lie in [0, 1], got {mu:g}")
+        raise InvalidArgs(f"mu must lie in [0, 1], got {mu!r}")
     if l >= 1 and mu >= 1.0 / l:
         raise OutOfDomain(f"bound needs mu < 1/l = {1.0 / l:g}, got mu={mu:g}")
     return mu / (1.0 - l * mu)
@@ -456,8 +459,10 @@ def cross_gram_bound_check(d: Dictionary, q, qp, qpp, u, mu_l: float | None = No
         raise InvalidArgs(f"u must have length {len(b)}, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise InvalidArgs("u must be finite")
-    if mu_l is not None and not 0.0 <= mu_l < math.inf:
-        raise InvalidArgs(f"mu_l must be finite and non-negative, got {mu_l!r}")
+    if mu_l is not None:
+        _check_real(mu_l, "mu_l")
+        if not 0.0 <= mu_l < math.inf:
+            raise InvalidArgs(f"mu_l must be finite and non-negative, got {mu_l!r}")
     projected = project_atoms(d, qs).projected
     lhs = float(np.linalg.norm(projected[:, a.array()].T @ (projected[:, b.array()] @ u)))
     if mu_l is None:

@@ -7,7 +7,10 @@ the null space of the dictionary is spanned by the all-ones vector, so the sum
 of the projected atoms over one half of the remaining indices equals minus the
 sum over the other half, and an observation built on one half makes every
 remaining atom score identically.  The scale factors that keep the prefix
-selections strict are calibrated numerically by repeated halving.
+selections strict are calibrated numerically by repeated halving.  Every
+accepted candidate selects the same atoms, so a calibration pushes the prefix
+once, as one pursuit, and scores its candidate scales in stacks against that
+pursuit's basis and squared norms, one product with the atoms per prefix atom.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,8 @@ import numpy as np
 from .dictionary import (Dictionary, Support, _csv_lines, _json, as_support, build_worst_case,
                          check_support, coherence)
 from .errors import CalibrationFailed, InvalidArgs
-from .greedy import TIE_REL_TOL, SolverVariant, _pursue, _Runs, as_variant, select_atom
+from .greedy import (RESIDUAL_TOL, TIE_REL_TOL, SolverVariant, _margins, _Pursuit, _scores,
+                     as_variant, select_atom)
 from .guarantees import coherence_threshold
 from .projection import project_atoms, residual
 
@@ -59,34 +63,39 @@ def projected_gram_closed_form(k: int, l: int, r) -> tuple[float, float]:
     return -mu - mu * mu * s, 1.0 - mu * mu * s
 
 
-def _margins_ok(runs: _Runs, prefix: np.ndarray) -> np.ndarray:
-    """Per row of a stack of unseeded pursuits: whether it selected exactly `prefix`,
-    each time without a tie and with a clear margin over the runner-up."""
-    steps = np.arange(len(prefix))
-    top = runs.scores[:, steps, prefix]
-    rivals = runs.scores.copy()
-    rivals[:, steps, prefix] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = (top - rivals.max(axis=-1)) / top
-    clear = (top > 0.0) & (margin >= MARGIN_FACTOR * TIE_REL_TOL)
-    return (runs.selected == prefix).all(axis=1) & ~runs.ties.any(axis=1) & clear.all(axis=1)
-
-
 def _calibrate(variant, d: Dictionary, base, direction, prefix, what: str) -> float:
     """First of the scales 1, 1/2, 1/4, ... at which base + scale * direction reproduces prefix.
 
-    The scales are tried CALIBRATION_STACK at a time, then twice as many, and so on,
-    each stack in one batched pursuit; every row gets the bits of a pursuit of its own."""
-    prefix = np.asarray(prefix, dtype=int)
+    A scale is accepted when a pursuit from that input selects exactly prefix, each
+    time before its residual norm falls to RESIDUAL_TOL and with a positive score and a
+    margin (_margins) of MARGIN_FACTOR * TIE_REL_TOL over every other atom.  A candidate
+    that stays in the race has pushed the prefix atoms before each step, so the basis
+    and squared projected norms are one pursuit's, which pushes each prefix atom once,
+    when a candidate first selects it.  The scales are tried CALIBRATION_STACK at a time,
+    then twice as many, and so on; per prefix atom a stack takes one product of its
+    residuals with the atoms, and it drops each candidate at its first failed step."""
+    variant = as_variant(variant)
+    shared = _Pursuit(d.atoms, 0.0, len(prefix))  # pushes the prefix from the zero vector
+    sqs = [shared.sq.copy()]  # the squared projected norms at each step reached so far
     start, size = 0, CALIBRATION_STACK
     while start < HALVING_STEPS:
         eps = np.ldexp(1.0, -np.arange(start, min(start + size, HALVING_STEPS)))
-        atoms = np.broadcast_to(d.atoms, (len(eps), d.m, d.n))
-        runs = _pursue(variant, atoms, base + eps[:, None] * direction, len(prefix),
-                       np.empty((len(eps), 0), dtype=int))
-        ok = _margins_ok(runs, prefix)
-        if ok.any():
-            return float(eps[ok.argmax()])
+        res = base + eps[:, None] * direction
+        for t, j in enumerate(prefix):
+            if t:  # push the previous prefix atom, into the shared pursuit on first reaching it
+                if len(sqs) == t:
+                    shared.push(prefix[t - 1])
+                    sqs.append(shared.sq.copy())
+                q = shared.basis[:, t - 1]
+                res -= (res @ q)[:, None] * q
+            keep = ((np.sqrt(np.einsum("ij,ij->i", res, res)) > RESIDUAL_TOL)
+                    & (_margins(_scores(variant, res @ d.atoms, sqs[t]), j)
+                       >= MARGIN_FACTOR * TIE_REL_TOL))
+            eps, res = eps[keep], res[keep]
+            if not len(eps):
+                break
+        else:
+            return float(eps[0])
         start, size = start + size, 2 * size
     raise CalibrationFailed(f"could not calibrate {what} after {HALVING_STEPS} halvings")
 

@@ -113,6 +113,46 @@ def test_omp_partial_bound_values_and_domain():
     assert omp_partial_bound(1, 0, 1.0) == 1.0
 
 
+# not real numbers: a bool is rejected as the coherence targets of the generator are
+NOT_REAL = ("0.1", None, True, False, 1j, [0.1])
+
+
+@pytest.mark.parametrize("mu", NOT_REAL)
+def test_omp_partial_bound_rejects_a_mu_that_is_not_a_real_number(mu):
+    with pytest.raises(InvalidArgs, match="mu must be a real number"):
+        omp_partial_bound(2, 0, mu)
+
+
+@pytest.mark.parametrize("mu", NOT_REAL)
+def test_ols_coherence_bound_rejects_a_mu_that_is_not_a_real_number(mu):
+    with pytest.raises(InvalidArgs, match="mu must be a real number"):
+        ols_coherence_bound(1, mu)
+
+
+@pytest.mark.parametrize("mu", NOT_REAL)
+def test_prip_coherence_bounds_rejects_a_mu_that_is_not_a_real_number(mu):
+    with pytest.raises(InvalidArgs, match="mu must be a real number"):
+        prip_coherence_bounds(2, 1, mu)
+
+
+@pytest.mark.parametrize("mu_l", [mu for mu in NOT_REAL if mu is not None])
+def test_cross_gram_bound_check_rejects_a_mu_l_that_is_not_a_real_number(mu_l):
+    d = random_dictionary(6, 8, seed=1)
+    with pytest.raises(InvalidArgs, match="mu_l must be a real number"):
+        cross_gram_bound_check(d, [0], [1], [2], [1.0], mu_l=mu_l)
+
+
+def test_closed_forms_take_any_real_mu():
+    # numpy scalars and integers are real numbers; an integer too large for a float
+    # is out of range, not an overflow
+    assert omp_partial_bound(3, 1, np.float64(0.1)) == omp_partial_bound(3, 1, 0.1)
+    assert omp_partial_bound(3, 1, 0) == 0.0
+    assert ols_coherence_bound(1, np.float32(0.25)) == pytest.approx(1 / 3)
+    assert prip_coherence_bounds(2, 1, np.int64(0)).upper == 0.0
+    with pytest.raises(InvalidArgs, match="must lie in"):
+        omp_partial_bound(2, 0, 10 ** 400)
+
+
 def test_prip_coherence_bounds_formulas():
     mu = 0.15
     b = prip_coherence_bounds(3, 0, mu)

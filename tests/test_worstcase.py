@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from greedycert import (InvalidArgs, RecoveryOutcome, build_scenario, build_worst_case,
-                        classify, coherence, coherence_threshold, dual_representation, gram,
-                        project_atoms, projected_gram_closed_form, reach_input, residual, run)
+from greedycert import (CalibrationFailed, InvalidArgs, RecoveryOutcome, build_scenario,
+                        build_worst_case, classify, coherence, coherence_threshold,
+                        dual_representation, gram, project_atoms, projected_gram_closed_form,
+                        random_dictionary, reach_input, residual, run)
 
-from greedycert import worstcase
+from greedycert import cli, worstcase
 
 from oracles import (EDGE_FLOATS, calibrate_sequential, construction_projected_pair,
                      scenario_dict_per_scalar)
@@ -206,17 +207,100 @@ def test_stacked_calibration_matches_one_run_per_scale(monkeypatch, k, l):
 
 
 def test_calibration_margins_reject_ties_close_calls_and_other_selections():
-    from greedycert.greedy import TIE_REL_TOL, _Runs
-    gap = 10 * TIE_REL_TOL  # the smallest margin a calibrated selection may have
-    rows = [  # (atoms selected, tie flags, scores of the two steps over 4 atoms, accepted)
-        ([2, 0], [0, 0], [[0, 0, 1, 0.5], [1, 0, 0, 0.5]], True),
-        ([2, 0], [0, 1], [[0, 0, 1, 0.5], [1, 0, 0, 0.5]], False),  # a tie flagged
-        ([2, 0], [0, 0], [[0, 0, 1, 1 - 0.5 * gap], [1, 0, 0, 0.5]], False),  # too close
-        ([2, 0], [0, 0], [[0, 0, 1, 1 - 2 * gap], [1, 0, 0, 0.5]], True),
-        ([2, 1], [0, 0], [[0, 0, 1, 0.5], [0, 1, 0, 0.5]], False),  # another atom
-        ([2, -1], [0, 0], [[0, 0, 1, 0.5], [0, 0, 0, 0]], False),  # the residual vanished
+    from greedycert.greedy import TIE_REL_TOL, _margins, _tied
+    gap = worstcase.MARGIN_FACTOR * TIE_REL_TOL  # the smallest margin a calibrated selection may have
+    rows = [  # (scores of the two steps over 4 atoms, accepted as selecting the prefix 2, 0)
+        ([[0, 0, 1, 0.5], [1, 0, 0, 0.5]], True),
+        ([[0, 0, 1, 0.5], [1, 0, 0, 1]], False),  # a tie
+        ([[0, 0, 1, 1 - 0.5 * gap], [1, 0, 0, 0.5]], False),  # too close
+        ([[0, 0, 1, 1 - 2 * gap], [1, 0, 0, 0.5]], True),
+        ([[0, 0, 1, 0.5], [0.5, 1, 0, 0.5]], False),  # another atom ahead
+        ([[0, 0, 1, 0.5], [0, 0, 0, 0]], False),  # the residual vanished
     ]
-    selected, ties, scores, accepted = zip(*rows)
-    runs = _Runs(np.array(selected), None, np.array(scores, dtype=float), None,
-                 np.array(ties, dtype=bool))
-    assert worstcase._margins_ok(runs, np.array([2, 0])).tolist() == list(accepted)
+    scores, accepted = zip(*rows)
+    scores = np.array(scores, dtype=float)
+    margins = _margins(scores, [2, 0])  # one pick per step, the same for every row
+    assert margins.shape == (6, 2)
+    assert ((margins >= gap).all(axis=1)).tolist() == list(accepted)
+    assert margins[0].tolist() == [0.5, 0.5]
+    assert margins[1, 1] == 0.0 and _tied(scores[1, 1]).sum() == 2
+    assert margins[4, 1] == -1.0
+    assert margins[5, 1] == -np.inf
+    # one pick for a stack of rows, and one row with its pick
+    assert _margins(scores[:, 0], 2).tolist() == margins[:, 0].tolist()
+    assert _margins(scores[0, 1], 0) == 0.5
+
+
+def _same_calibration(variant, d, base, direction, prefix):
+    """_calibrate and the one-run-per-scale oracle give the same scale, or both fail."""
+    def outcome(calibrate):
+        try:
+            return calibrate(variant, d, base, direction, prefix, "the scale")
+        except CalibrationFailed as exc:
+            return str(exc)
+
+    got = outcome(worstcase._calibrate)
+    assert got == outcome(calibrate_sequential)
+    return got
+
+
+# (m, n, seed, base atom, direction atom): from base + scale * direction, OMP's second
+# pick is never the direction's atom, whatever the scale.  Near scale 1e-16 rounding can
+# make it win, but then the residual norm is at or below RESIDUAL_TOL, which only a
+# residual updated step by step shows (not |y|^2 minus the squared correlations)
+CALIBRATION_TRAPS = [(6, 8, 0, 7, 1), (7, 8, 0, 1, 2), (7, 8, 0, 1, 7), (8, 10, 0, 4, 2)]
+
+
+@pytest.mark.parametrize("m, n, seed, i, j", CALIBRATION_TRAPS)
+def test_calibration_fails_where_the_residual_vanishes(m, n, seed, i, j):
+    d = random_dictionary(m, n, seed=seed)
+    got = _same_calibration("omp", d, d.atoms[:, i], d.atoms[:, j], [i, j])
+    assert got == "could not calibrate the scale after 80 halvings"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_calibration_matches_one_run_per_scale(data):
+    if data.draw(st.booleans(), label="worst case"):
+        k = data.draw(st.integers(2, 6), label="k")
+        d = build_worst_case(k, data.draw(st.integers(0, k - 1), label="l"))
+    else:
+        m = data.draw(st.integers(3, 8), label="m")
+        d = random_dictionary(m, data.draw(st.integers(m, m + 4), label="n"),
+                              seed=data.draw(st.integers(0, 99), label="seed"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="rng"))
+    prefix = data.draw(st.permutations(range(d.n)), label="order")
+    prefix = prefix[:data.draw(st.integers(1, min(d.m - 1, d.n - 2)), label="size")]
+    if data.draw(st.booleans(), label="atom base"):
+        base = d.atoms[:, data.draw(st.sampled_from([prefix[0], *range(d.n)]), label="base")]
+    else:
+        base = rng.standard_normal(d.m)
+    direction = d.atoms[:, data.draw(st.sampled_from([prefix[-1], *range(d.n)]), label="dir")]
+    noise = data.draw(st.sampled_from([0.0, 1e-8, 1e-4, 0.1, 1.0]), label="noise")
+    direction = direction + noise * rng.standard_normal(d.m)
+    variant = data.draw(st.sampled_from(["omp", "ols"]), label="variant")
+    if data.draw(st.booleans(), label="prefix of a run"):  # the atoms a run takes at some scale
+        scale = 2.0 ** -data.draw(st.integers(0, 12), label="at scale")
+        taken = list(run(variant, d, base + scale * direction, len(prefix)).selected)
+        prefix = taken or prefix
+    _same_calibration(variant, d, base, direction, prefix)
+
+
+@pytest.mark.parametrize("variant", ["omp", "ols"])
+def test_calibration_failure_is_reported(monkeypatch, tmp_path, capsys, variant):
+    # build_scenario(5, 3) needs the scale 2^-2 for prefix atom 2
+    monkeypatch.setattr(worstcase, "HALVING_STEPS", 2)
+    with pytest.raises(CalibrationFailed) as exc:
+        build_scenario(5, 3, variant)
+    assert str(exc.value) == "could not calibrate the scale for prefix atom 2 after 2 halvings"
+    out = tmp_path / "wc"
+    code = cli.main(["worstcase", "--k", "5", "--l", "3", "--variant", variant,
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == ("calibration failed: could not calibrate the scale for "
+                            "prefix atom 2 after 2 halvings\n")
+    assert not out.exists()
+    monkeypatch.setattr(worstcase, "HALVING_STEPS", 3)
+    assert build_scenario(5, 3, variant).prefix_epsilons == (0.5, 0.25)
