@@ -5,14 +5,16 @@ norm.  This module owns the plain-text CSV format used by the CLI (one matrix
 row per line) and the two generators used throughout: a symmetric construction
 that sits exactly at the coherence threshold for greedy recovery, and a seeded
 random generator with an optional coherence target, which makes the
-dictionaries of many seeds in one batch (`random_dictionaries`).
+dictionaries of many seeds in batches of at most BATCH_ELEMENTS entries per
+stack (`_batches`, whose stacked arrays the sweeps take as they are).
 """
 
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -27,7 +29,7 @@ SPARK_CAP = 20
 BISECT_STEPS = 60
 SHRINK_STEPS = 1500
 SHRINK_STALL = 50  # shrinkage steps in a row without a new lowest coherence before it gives up
-BATCH_ELEMENTS = 1 << 16  # matrix entries per stack in one batch of random_dictionaries
+BATCH_ELEMENTS = 1 << 16  # matrix entries per stack in a generator batch: n*max(m, n) a trial
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -74,7 +76,7 @@ class Support:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_index(i, "a support index") for i in self.indices)
         if any(i < 0 for i in idx):
             raise InvalidArgs("support indices must be non-negative")
         if len(set(idx)) != len(idx):
@@ -149,6 +151,17 @@ def _check_real(x, what: str) -> None:
     """Raise InvalidArgs unless x is a real number; a bool is not one here."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise InvalidArgs(f"{what} must be a real number, got {x!r}")
+
+
+def _index(x, what: str) -> int:
+    """x as an int (numpy integers included), or InvalidArgs for anything that
+    is not an integer, a bool included: nothing is truncated."""
+    try:
+        if isinstance(x, bool):
+            raise TypeError
+        return operator.index(x)
+    except TypeError:
+        raise InvalidArgs(f"{what} must be an integer, got {x!r}") from None
 
 
 def _check_square_norm(y: np.ndarray, what: str) -> None:
@@ -337,36 +350,62 @@ def _bisect_blend(frames: np.ndarray, noise: np.ndarray, target: float) -> np.nd
     return _blend(frames, noise, lo)
 
 
-def _generate(m: int, n: int, target: float, seeds: list) -> list:
-    """One batch of random_dictionaries: the atoms of each trial, or None.
+def _rng(seed) -> np.random.Generator:
+    """numpy's default_rng of a seed, with InvalidArgs for a seed that it refuses."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgs(f"seed {seed!r} is not a valid numpy seed: {exc}") from None
 
-    Every trial takes the first path whose check it passes: pure noise, then
-    the bisected blend when the frame itself is within the target, then (for
-    n > m) Gram shrinkage from the blend at noise weight 0.1, in lockstep."""
-    noise, draws = [], []
-    for seed in seeds:  # each trial's generator draws its noise, then its frame's matrix
-        rng = np.random.default_rng(seed)
-        noise.append(rng.normal(size=(m, n)))
-        draws.append(rng.normal(size=(max(m, n), n)))
-    noise = np.stack(noise)
+
+def _generate(m: int, n: int, target: float | None, seeds: list) -> tuple[np.ndarray, np.ndarray]:
+    """One batch of trials: their atoms (B, m, n), and a mask of those that reached the target.
+
+    Every trial takes the first path whose check it passes: pure noise (the
+    only one without a target), then the bisected blend when the frame itself
+    is within the target, then (for n > m) Gram shrinkage from the blend at
+    noise weight 0.1, in lockstep."""
+    rngs = [_rng(seed) for seed in seeds]  # each draws its trial's noise, then its frame's matrix
+    noise = np.stack([rng.normal(size=(m, n)) for rng in rngs])
+    atoms = _unit_columns(noise)  # the blend at noise weight 1
+    if target is None:
+        return atoms, np.ones(len(seeds), dtype=bool)
     # one stacked QR: orthonormal frames, or for n > m the unit-norm first m rows of Haar matrices
-    q, r = np.linalg.qr(np.stack(draws))
+    q, r = np.linalg.qr(np.stack([rng.normal(size=(max(m, n), n)) for rng in rngs]))
     frames = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     frames = _unit_columns(frames[:, :m, :]) if n > m else frames
-    pure = _blend(frames, noise, np.ones(len(seeds)))
-    noisy = _off_diagonal_max(_grams(pure)) <= target
-    framed = ~noisy & (_off_diagonal_max(_grams(frames)) <= target)
-    out = [atoms if ok else None for atoms, ok in zip(pure, noisy)]
-    picks = np.flatnonzero(framed)
-    if picks.size:
-        for i, atoms in zip(picks, _bisect_blend(frames[picks], noise[picks], target)):
-            out[i] = atoms
+    reached = _off_diagonal_max(_grams(atoms)) <= target
+    framed = ~reached & (_off_diagonal_max(_grams(frames)) <= target)
+    if framed.any():
+        atoms[framed] = _bisect_blend(frames[framed], noise[framed], target)
+    reached |= framed
     if n > m:
-        rest = np.flatnonzero(~noisy & ~framed)
+        rest = np.flatnonzero(~reached)
         starts = _blend(frames[rest], noise[rest], np.full(rest.size, 0.1))
-        for i, atoms in zip(rest, _shrink_grams(starts, target)):
-            out[i] = atoms
-    return out
+        for i, shrunk in zip(rest, _shrink_grams(starts, target)):
+            if shrunk is not None:
+                atoms[i], reached[i] = shrunk, True
+    return atoms, reached
+
+
+def _batches(m: int, n: int, target: float | None, seeds):
+    """Check the arguments of random_dictionaries, then yield `_generate`'s (atoms, reached)
+    for the seeds in order, BATCH_ELEMENTS // (n*max(m, n)) a batch: the one batch rule.
+    Seeds are read a batch at a time: drop each batch before asking for the next."""
+    m, n = _index(m, "m"), _index(n, "n")
+    if m < 1 or n < 2:
+        raise InvalidArgs(f"need m >= 1 and n >= 2, got m={m}, n={n}")
+    if target is not None:
+        _check_real(target, "coherence_target")
+        if not target >= 0:
+            raise InvalidArgs(f"coherence_target must be a non-negative number, got {target!r}")
+        target = float(target)
+        if target < welch_bound(m, n):
+            raise TargetUnreachable(
+                f"target {target:g} is below the {welch_bound(m, n):.6g} lower bound for shape {m}x{n}")
+    seeds, per_batch = iter(seeds), max(1, BATCH_ELEMENTS // (n * max(m, n)))
+    while batch := list(islice(seeds, per_batch)):
+        yield _generate(m, n, target, batch)
 
 
 def random_dictionaries(m: int, n: int, coherence_target: float | None,
@@ -384,37 +423,15 @@ def random_dictionaries(m: int, n: int, coherence_target: float | None,
     Raises
     ------
     InvalidArgs
-        For a bad shape, or a target that is not a non-negative number.
+        For a bad shape (not two ints, or too small), a target that is not a
+        non-negative number, or a seed that numpy's default_rng refuses.
     TargetUnreachable
         If the target is below the analytic lower bound for (m, n), which no
         draw can reach.
     """
-    if m < 1 or n < 2:
-        raise InvalidArgs(f"need m >= 1 and n >= 2, got m={m}, n={n}")
-    if coherence_target is None:
-        out = []
-        for seed in seeds:
-            # noise stays referenced until its Dictionary copy exists, as in
-            # the per-trial generator: freeing it first changed glibc malloc's
-            # state so that later 256x512 pursuits in the same process
-            # page-faulted afresh (~7,800 faults per pursuit benchmark round)
-            noise = np.random.default_rng(seed).normal(size=(m, n))
-            out.append(Dictionary(_unit_columns(noise)))
-        return out
-    _check_real(coherence_target, "coherence_target")
-    if not coherence_target >= 0:
-        raise InvalidArgs(f"coherence_target must be a non-negative number, got {coherence_target!r}")
-    target = float(coherence_target)
-    if target < welch_bound(m, n):
-        raise TargetUnreachable(
-            f"target {target:g} is below the {welch_bound(m, n):.6g} lower bound for shape {m}x{n}")
-    seeds = list(seeds)
-    per_batch = max(1, BATCH_ELEMENTS // (n * max(m, n)))
-    out = []
-    for start in range(0, len(seeds), per_batch):
-        out += [None if atoms is None else Dictionary(atoms)
-                for atoms in _generate(m, n, target, seeds[start:start + per_batch])]
-    return out
+    return [Dictionary(a) if ok else None
+            for atoms, reached in _batches(m, n, coherence_target, seeds)
+            for a, ok in zip(atoms, reached)]
 
 
 def random_dictionary(m: int, n: int, coherence_target: float | None = None,
@@ -440,8 +457,8 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
     Raises
     ------
     InvalidArgs
-        For a bad shape, or a target that is not a non-negative number
-        (NaN included).
+        For a bad shape (not two ints, or too small), a target that is not a
+        non-negative number (NaN included), or a seed that default_rng refuses.
     TargetUnreachable
         If the target is below the analytic lower bound for (m, n), or the
         blend/shrinkage search ends above the target: the shrinkage stops

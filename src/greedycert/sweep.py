@@ -1,13 +1,13 @@
 """Monte Carlo sweeps over (k, l) cells with deterministic per-trial seeding.
 
 Each trial derives its own random streams from (master seed, k, l, trial
-index), so its outcome does not depend on what else runs.  A cell runs in
-batches of at most BATCH_ELEMENTS atom entries, each dropped before the next:
-a batch's dictionaries are generated together (`random_dictionaries`,
-byte-identical to generating each trial alone), their coherences come from
-one stack of Gram matrices, and each variant pursues all of the batch's trials
-in one stack of pursuits (the trials share m, n and k), classified by the
-rule that `classify` applies to a stack of one (`greedy._outcomes`).
+index), so its outcome does not depend on what else runs.  A cell runs in the
+generator's batches (`dictionary._batches`), each dropped before the next: a
+batch's dictionaries come as one stack (byte-identical to generating each trial
+alone), their coherences from one stack of Gram matrices, and each variant
+pursues all of the batch's accepted trials in one stack of pursuits (the trials
+share m, n and k), classified by the rule that `classify` applies to a stack of
+one (`greedy._outcomes`).
 """
 
 import math
@@ -17,7 +17,7 @@ from operator import add
 
 import numpy as np
 
-from .dictionary import BATCH_ELEMENTS, _fmt, _grams, _json, _off_diagonal_max, random_dictionaries
+from .dictionary import _batches, _fmt, _grams, _json, _off_diagonal_max
 from .errors import InvalidArgs, TargetUnreachable
 from .greedy import _KINDS, SolverVariant, _outcomes, _pursue
 from .guarantees import coherence_threshold
@@ -214,26 +214,28 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
 
 def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
     """The accepted trials of cell (k, l): their coherences in trial order and, per
-    variant, how many of them ended in each outcome of _KINDS, one batch at a time."""
+    variant, how many of them ended in each outcome of _KINDS, one generator batch
+    at a time.  Trial t's dictionary comes from the seed [seed, k, l, t]."""
     cell_mus, counts = [], {v: np.zeros(len(_KINDS), dtype=int) for v in variants}
-    per_batch, trials = max(1, BATCH_ELEMENTS // (config.m * config.n)), range(config.trials)
-    for start in trials[::per_batch]:
-        try:
-            cell_mus += _batch_outcomes(config, k, l, counts, trials[start:start + per_batch])
-        except TargetUnreachable:  # below the Welch bound, so no draw reaches it
-            break
+    seeds = ([config.seed, k, l, t] for t in range(config.trials))
+    start = 0
+    try:
+        for atoms, reached in _batches(config.m, config.n, config.cell_target(k, l), seeds):
+            trials = (start + np.flatnonzero(reached)).tolist()
+            start += len(reached)
+            cell_mus += _batch_outcomes(config, k, l, counts, trials, atoms[reached])
+            del atoms, reached  # the generator's next batch is made after this one is freed
+    except TargetUnreachable:  # below the Welch bound, so no draw reaches it
+        pass
     return cell_mus, counts
 
 
-def _batch_outcomes(config: SweepConfig, k: int, l: int, counts: dict, trials: range) -> list:
-    """The coherences of the accepted ones among some trials of cell (k, l), their
-    outcomes added to counts per variant.  Trial t's dictionary comes from the seed
-    [seed, k, l, t]; its support, coefficients and seeded atoms from [seed, k, l, t, 1]."""
-    m, n = config.m, config.n
-    dicts = random_dictionaries(m, n, config.cell_target(k, l),
-                                [[config.seed, k, l, t] for t in trials])
-    trials = [t for t, d in zip(trials, dicts) if d is not None]
-    atoms = np.array([d.atoms for d in dicts if d is not None]).reshape(-1, m, n)
+def _batch_outcomes(config: SweepConfig, k: int, l: int, counts: dict, trials: list,
+                    atoms: np.ndarray) -> list:
+    """The coherences of the accepted ones among some generated trials of cell (k, l),
+    with their atoms (B, m, n), their outcomes added to counts per variant.  Trial t's
+    support, coefficients and seeded atoms come from the seed [seed, k, l, t, 1]."""
+    n = config.n
     mus = _off_diagonal_max(_grams(atoms))
     if config.coherence_target == THRESHOLD_SENTINEL:
         keep = mus < coherence_threshold(k, l)  # defensive; the generation target sits below

@@ -7,10 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from greedycert import (CapExceeded, Dictionary, InvalidArgs, Support, TargetUnreachable,
-                        as_support, build_worst_case, coherence, dictionary, gram,
-                        load_dictionary, load_vector, make_instance, random_dictionaries,
-                        random_dictionary, save_dictionary, save_vector, spark, welch_bound)
+from greedycert import (CapExceeded, Dictionary, InvalidArgs, InvalidSeed, Support,
+                        TargetUnreachable, as_support, build_worst_case, coherence, dictionary,
+                        gram, load_dictionary, load_vector, make_instance, random_dictionaries,
+                        random_dictionary, run, save_dictionary, save_vector, spark, welch_bound)
 
 from oracles import (EDGE_FLOATS, _haar_frame, csv_lines_per_scalar, random_dictionary_per_trial,
                      shrink_gram, spark_bruteforce)
@@ -47,6 +47,16 @@ def test_support_basics():
     with pytest.raises(InvalidArgs):
         as_support([-1])
     assert len(as_support(Support(()))) == 0
+
+
+def test_support_refuses_indices_that_are_not_integers():
+    assert Support((np.int64(2), 0)) == Support((2, 0))  # numpy integers are integers
+    for bad in (1.5, 0.9, np.float64(1.0), True, np.True_, "1", None):
+        with pytest.raises(InvalidArgs):
+            Support((0, bad))  # none is truncated or coerced to an index
+    d, y = random_dictionary(5, 8, seed=0), np.ones(5)
+    with pytest.raises(InvalidSeed):  # as any unusable seed support, not a seed of atom 0
+        run("omp", d, y, 2, seed_support=[0.9])
 
 
 def test_make_instance():
@@ -224,8 +234,32 @@ def test_random_dictionaries_batches_are_capped(monkeypatch):
 
     monkeypatch.setattr(dictionary, "_generate", recording)
     monkeypatch.setattr(dictionary, "BATCH_ELEMENTS", 3 * 4 * 4 + 1)  # three 3x4 trials
-    _same_as_per_trial(3, 4, 0.7748, list(range(20)))
-    assert sizes == [3] * 6 + [2]
+    for target in (0.7748, None):  # with a target, and the Gaussian path without one
+        sizes.clear()
+        _same_as_per_trial(3, 4, target, list(range(20)))
+        assert sizes == [3] * 6 + [2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_dictionary(3.5, 4),
+    lambda: random_dictionary(3, 4.0),
+    lambda: random_dictionary(True, 4),
+    lambda: random_dictionary(3, np.True_),
+    lambda: random_dictionary(3, 4, seed=-1),
+    lambda: random_dictionary(3, 4, 0.8, seed=1.5),
+    lambda: random_dictionary(3, 4, seed="0"),
+    lambda: random_dictionaries(3, 4, 0.8, [-1]),
+    lambda: random_dictionaries(3, 4, None, [0, [1, -2]]),
+], ids=["float m", "float n", "bool m", "numpy bool n", "negative seed", "float seed",
+        "str seed", "negative seeds", "negative seed entry"])
+def test_generator_refuses_bad_shapes_and_seeds(call):
+    with pytest.raises(InvalidArgs):
+        call()
+
+
+def test_generator_takes_numpy_integers():
+    d = random_dictionary(np.int64(3), np.int32(4), 0.8, seed=np.uint8(7))
+    assert d.atoms.tobytes() == random_dictionary(3, 4, 0.8, seed=7).atoms.tobytes()
 
 
 def test_shrinkage_gives_up_when_it_stalls(monkeypatch):

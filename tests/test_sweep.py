@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedycert import (Dictionary, InvalidArgs, SweepConfig, TargetUnreachable,
-                        coherence_threshold, run_sweep, sweep, welch_bound)
+from greedycert import (InvalidArgs, SweepConfig, TargetUnreachable, coherence_threshold,
+                        dictionary, run_sweep, sweep, welch_bound)
 
 from oracles import random_dictionary_per_trial, sweep_per_trial
 
@@ -200,12 +200,13 @@ def test_jobs_start_no_thread(monkeypatch):
     assert report.to_json() == serial.to_json()
 
 
-def per_trial_dictionaries(m, n, target, seeds):
-    """A cell's dictionaries from one per-trial oracle call each."""
+def per_trial_batches(m, n, target, seeds):
+    """A cell's dictionaries from one per-trial oracle call each, as one (atoms, reached) batch."""
     if target is not None and target < welch_bound(m, n):
         raise TargetUnreachable("below the Welch bound")
-    return [None if atoms is None else Dictionary(atoms)
-            for _, atoms in (random_dictionary_per_trial(m, n, target, s) for s in seeds)]
+    draws = [random_dictionary_per_trial(m, n, target, s)[1] for s in seeds]
+    reached = np.array([atoms is not None for atoms in draws], dtype=bool)
+    yield np.array([np.zeros((m, n)) if a is None else a for a in draws]).reshape(-1, m, n), reached
 
 
 @pytest.mark.parametrize("overrides, accepted", [
@@ -216,7 +217,7 @@ def per_trial_dictionaries(m, n, target, seeds):
 def test_run_sweep_matches_per_trial_generation(monkeypatch, overrides, accepted):
     cfg = small_config(**{"trials": 6, **overrides})
     batched = [run_sweep(cfg, jobs=jobs) for jobs in (1, 4)]
-    monkeypatch.setattr(sweep, "random_dictionaries", per_trial_dictionaries)
+    monkeypatch.setattr(sweep, "_batches", per_trial_batches)
     reference = run_sweep(cfg)
     assert [c.accepted for c in reference.cells if c.variant == "omp"] == accepted
     for report in batched:
@@ -256,8 +257,37 @@ def test_run_sweep_matches_the_per_trial_sweep(overrides):
 ])
 def test_run_sweep_in_small_batches_matches_the_per_trial_sweep(monkeypatch, overrides):
     cfg = small_config(**overrides)
-    monkeypatch.setattr(sweep, "BATCH_ELEMENTS", 2 * cfg.m * cfg.n)  # two trials a batch
+    # two trials a batch
+    monkeypatch.setattr(dictionary, "BATCH_ELEMENTS", 2 * cfg.n * max(cfg.m, cfg.n))
     report = run_sweep(cfg)
+    reference = sweep_per_trial(cfg)
+    assert report.to_csv() == reference.to_csv()
+    assert report.to_json() == reference.to_json()
+
+
+def test_run_sweep_cell_is_generated_in_the_generator_batches(monkeypatch):
+    # n > m: a batch holds BATCH_ELEMENTS // (n*max(m, n)) trials, all made by one _generate
+    # call, and each variant pursues the batch's accepted trials before the next is made
+    events = []
+    generate, pursue = dictionary._generate, sweep._pursue
+
+    def recording_generate(m, n, target, seeds):
+        atoms, reached = generate(m, n, target, seeds)
+        events.append(("generate", len(seeds), int(reached.sum())))
+        return atoms, reached
+
+    def recording_pursue(variant, atoms, *args):
+        events.append(("pursue", len(atoms)))
+        return pursue(variant, atoms, *args)
+
+    monkeypatch.setattr(dictionary, "_generate", recording_generate)
+    monkeypatch.setattr(sweep, "_pursue", recording_pursue)
+    monkeypatch.setattr(dictionary, "BATCH_ELEMENTS", 3 * 4 * 4 + 1)  # three 3x4 trials
+    cfg = small_config(m=3, n=4, k_range=(2, 2), l_range=(1, 1), trials=7, coherence_target=0.7748)
+    report = run_sweep(cfg)
+    generated = [e for e in events if e[0] == "generate"]
+    assert [size for _, size, _ in generated] == [3, 3, 1]
+    assert events == [e for g in generated for e in [g] + [("pursue", g[2])] * 2 * (g[2] > 0)]
     reference = sweep_per_trial(cfg)
     assert report.to_csv() == reference.to_csv()
     assert report.to_json() == reference.to_json()
