@@ -218,10 +218,13 @@ def spark(d: Dictionary, cap: int = SPARK_CAP) -> int:
     return min(d.n, d.m + 1)
 
 
-def _check_kl(k: int, l: int) -> None:
-    """Reject (k, l) outside the domain of recovering k >= 1 atoms after 0 <= l < k correct ones."""
+def _check_kl(k: int, l: int) -> tuple[int, int]:
+    """(k, l) as ints (_index), or InvalidArgs outside the domain of recovering k >= 1 atoms
+    after 0 <= l < k correct ones."""
+    k, l = _index(k, "k"), _index(l, "l")
     if k < 1 or l < 0 or l >= k:
         raise InvalidArgs(f"need k >= 1 and 0 <= l < k, got k={k}, l={l}")
+    return k, l
 
 
 def build_worst_case(k: int, l: int) -> Dictionary:
@@ -237,9 +240,7 @@ def build_worst_case(k: int, l: int) -> Dictionary:
     all-ones vector to the last canonical basis vector, so the output is
     deterministic (bitwise identical across calls).
     """
-    if not (isinstance(k, int) and isinstance(l, int)):
-        raise InvalidArgs("k and l must be ints")
-    _check_kl(k, l)
+    k, l = _check_kl(k, l)
     n = 2 * k - l
     m = n - 1
     ones_dir = np.full(n, 1.0 / math.sqrt(n))

@@ -13,9 +13,9 @@ The state takes an optional leading axis of rows, so that the trials of a
 sweep cell, each on its own dictionary, run as one stack of pursuits; `run`
 and `select_atom` use it without that axis, which keeps a single pursuit's
 per-step call overhead down.  Each row of a stack gets the bits of a pursuit
-of its own.  A worst-case calibration shares one pursuit's basis and squared
-norms between its candidate inputs, which all must select the same atoms, and
-scores them by the same rule (_scores) and margin (_margins).
+of its own.  A worst-case scenario's calibrations share one pursuit's basis and
+squared norms between all their candidate inputs, which must select prefixes of
+the same atoms, and score them by the same rule (_scores) and margin (_margins).
 Ties are broken toward the lowest atom index and flagged, since a tie
 involving an atom outside the planted support already dooms exact recovery
 under a pessimistic adversary.
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dictionary import Dictionary, Support, _json, as_support, check_support
+from .dictionary import Dictionary, Support, _index, _json, as_support, check_support
 from .errors import InvalidArgs, InvalidSeed, ZeroResidual
 from .projection import VANISH_TOL, _check_vector, _direction
 
@@ -320,6 +320,7 @@ def run(variant, d: Dictionary, y, k: int, seed_support=None) -> GreedyTrace:
     """
     variant = as_variant(variant)
     y = _check_vector(d, y)
+    k = _index(k, "k")
     if not (1 <= k <= d.m):
         raise InvalidArgs(f"need 1 <= k <= m={d.m}, got k={k}")
     if k > d.n:

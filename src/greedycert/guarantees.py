@@ -18,8 +18,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import dictionary
-from .dictionary import (RANK_SV_TOL, Dictionary, _check_kl, _check_real, _off_diagonal_max,
-                         as_support, check_support)
+from .dictionary import (RANK_SV_TOL, Dictionary, _check_kl, _check_real, _index,
+                         _off_diagonal_max, as_support, check_support)
 from .errors import CapExceeded, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import SolverVariant, as_variant
 from .projection import VANISH_TOL, project_atoms
@@ -129,14 +129,14 @@ def partial_erc(variant, d: Dictionary, q, qstar) -> ErcReport:
 def coherence_threshold(k: int, l: int) -> float:
     """Coherence level 1/(2k-l-1) below which recovery of k atoms is assured
     once l correct ones are in hand (and at which it provably can fail)."""
-    _check_kl(k, l)
+    k, l = _check_kl(k, l)
     return 1.0 / (2 * k - l - 1)
 
 
 def omp_partial_bound(k: int, l: int, mu: float) -> float:
     """Closed-form ceiling (k-l)*mu / (1-(k-1)*mu) on the partial test for the
     raw-projection scoring rule, valid for mu < 1/(k-1)."""
-    _check_kl(k, l)
+    k, l = _check_kl(k, l)
     _check_real(mu, "mu")
     if not (0.0 <= mu <= 1.0):
         raise InvalidArgs(f"mu must lie in [0, 1], got {mu!r}")
@@ -151,6 +151,7 @@ def prip_coherence_bounds(q: int, l: int, mu: float) -> PripConstants:
     upper = (q-1)*mu and lower = (q-1)*mu + mu^2*q*l/(1-(l-1)*mu); the two
     coincide at l = 0.  Requires mu < 1/(l-1) when l >= 2.
     """
+    q, l = _index(q, "q"), _index(l, "l")
     if q < 1 or l < 0:
         raise InvalidArgs(f"need q >= 1 and l >= 0, got q={q}, l={l}")
     _check_real(mu, "mu")
@@ -332,6 +333,7 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     evaluated or not, and RankDeficient if some support is numerically
     dependent.
     """
+    q, l = _index(q, "q"), _index(l, "l")
     if q < 1 or l < 0:
         raise InvalidArgs(f"need q >= 1 and l >= 0, got q={q}, l={l}")
     if l + q > d.n:
@@ -393,6 +395,7 @@ def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> 
     Each stack of Grams from _projected_grams is normalized and maximized at once.
     """
     variant = as_variant(variant)
+    l = _index(l, "l")
     if l < 0 or l > d.n - 2:
         raise InvalidArgs(f"need 0 <= l <= n-2, got l={l}, n={d.n}")
     if math.comb(d.n, l) > cap:
@@ -410,6 +413,7 @@ def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> 
 def ols_coherence_bound(l: int, mu: float) -> float:
     """Closed-form ceiling mu/(1-l*mu) on the normalized projected coherence
     after l selections, valid for mu < 1/l."""
+    l = _index(l, "l")
     if l < 0:
         raise InvalidArgs(f"need l >= 0, got l={l}")
     _check_real(mu, "mu")
@@ -424,7 +428,7 @@ def prip_erc_bound(k: int, l: int, pair: PripConstants, block: PripConstants) ->
     """Partial-test ceiling (k-l)*(pair.upper+pair.lower) / (2*(1-block.lower))
     assembled from restricted-isometry constants for atom pairs and for blocks
     of the k-l remaining atoms, both projected against l selections."""
-    _check_kl(k, l)
+    k, l = _check_kl(k, l)
     if pair.q != 2 or pair.l != l:
         raise InvalidArgs(f"pair constants must be for (q=2, l={l}), got (q={pair.q}, l={pair.l})")
     if block.q != k - l or block.l != l:

@@ -7,18 +7,17 @@ the null space of the dictionary is spanned by the all-ones vector, so the sum
 of the projected atoms over one half of the remaining indices equals minus the
 sum over the other half, and an observation built on one half makes every
 remaining atom score identically.  The scale factors that keep the prefix
-selections strict are calibrated numerically by repeated halving.  Every
-accepted candidate selects the same atoms, so a calibration pushes the prefix
-once, as one pursuit, and scores its candidate scales in stacks against that
-pursuit's basis and squared norms, one product with the atoms per prefix atom.
+selections strict, and the mixing scale, are calibrated by repeated halving as
+steps of one loop.  Every accepted candidate selects a prefix of the same atoms,
+so the steps share one pursuit, which pushes each prefix atom once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import (Dictionary, Support, _csv_lines, _json, as_support, build_worst_case,
-                         check_support, coherence)
+from .dictionary import (Dictionary, Support, _check_kl, _csv_lines, _index, _json, as_support,
+                         build_worst_case, check_support, coherence)
 from .errors import CalibrationFailed, InvalidArgs
 from .greedy import (RESIDUAL_TOL, TIE_REL_TOL, SolverVariant, _margins, _Pursuit, _scores,
                      as_variant, select_atom)
@@ -46,12 +45,12 @@ def projected_gram_closed_form(k: int, l: int, r) -> tuple[float, float]:
     size, so r may be either the subset itself or a plain count.
     """
     mu = coherence_threshold(k, l)  # validates k, l
-    if isinstance(r, (int, np.integer)):
-        if r < 0:
-            raise InvalidArgs(f"|R| must be non-negative, got {r}")
-        size = int(r)
-    else:
+    if np.iterable(r):
         size = len(as_support(r))
+    else:
+        size = _index(r, "|R|")  # neither a float nor a bool is a count
+        if size < 0:
+            raise InvalidArgs(f"|R| must be non-negative, got {r}")
     n = 2 * k - l
     if size >= n:
         raise InvalidArgs(f"|R| must be below 2k-l = {n}, got {size}")
@@ -63,70 +62,75 @@ def projected_gram_closed_form(k: int, l: int, r) -> tuple[float, float]:
     return -mu - mu * mu * s, 1.0 - mu * mu * s
 
 
-def _calibrate(variant, d: Dictionary, base, direction, prefix, what: str) -> float:
-    """First of the scales 1, 1/2, 1/4, ... at which base + scale * direction reproduces prefix.
+def _calibrate(variant, d: Dictionary, base, order, steps) -> tuple[list, list]:
+    """From base, each step (direction, length, what) adds direction times the first of the
+    scales 1, 1/2, 1/4, ... at which the input reproduces order[:length]; returns the
+    inputs before and after each step, and the scales.
 
-    A scale is accepted when a pursuit from that input selects exactly prefix, each
+    A scale is accepted when a pursuit from that input selects exactly the prefix, each
     time before its residual norm falls to RESIDUAL_TOL and with a positive score and a
-    margin (_margins) of MARGIN_FACTOR * TIE_REL_TOL over every other atom.  A candidate
-    that stays in the race has pushed the prefix atoms before each step, so the basis
-    and squared projected norms are one pursuit's, which pushes each prefix atom once,
-    when a candidate first selects it.  The scales are tried CALIBRATION_STACK at a time,
-    then twice as many, and so on; per prefix atom a stack takes one product of its
-    residuals with the atoms, and it drops each candidate at its first failed step."""
+    margin (_margins) of MARGIN_FACTOR * TIE_REL_TOL over every other atom.  One pursuit
+    from the zero vector serves every step, as all prefixes are prefixes of order; it
+    pushes an atom when a candidate first selects it.  A step tries CALIBRATION_STACK
+    scales at once, then twice as many, and so on; per prefix atom a stack takes one
+    product of its residuals with the atoms, and drops each candidate at its first failure."""
     variant = as_variant(variant)
-    shared = _Pursuit(d.atoms, 0.0, len(prefix))  # pushes the prefix from the zero vector
+    shared = _Pursuit(d.atoms, 0.0, len(order))
     sqs = [shared.sq.copy()]  # the squared projected norms at each step reached so far
-    start, size = 0, CALIBRATION_STACK
-    while start < HALVING_STEPS:
-        eps = np.ldexp(1.0, -np.arange(start, min(start + size, HALVING_STEPS)))
-        res = base + eps[:, None] * direction
-        for t, j in enumerate(prefix):
-            if t:  # push the previous prefix atom, into the shared pursuit on first reaching it
-                if len(sqs) == t:
-                    shared.push(prefix[t - 1])
-                    sqs.append(shared.sq.copy())
-                q = shared.basis[:, t - 1]
-                res -= (res @ q)[:, None] * q
-            keep = ((np.sqrt(np.einsum("ij,ij->i", res, res)) > RESIDUAL_TOL)
-                    & (_margins(_scores(variant, res @ d.atoms, sqs[t]), j)
-                       >= MARGIN_FACTOR * TIE_REL_TOL))
-            eps, res = eps[keep], res[keep]
-            if not len(eps):
-                break
+    inputs, scales = [base], []
+    for direction, length, what in steps:
+        start = 0
+        while start < HALVING_STEPS:
+            end = min(2 * start + CALIBRATION_STACK, HALVING_STEPS)
+            eps = np.ldexp(1.0, -np.arange(start, end))
+            res = inputs[-1] + eps[:, None] * direction
+            for t, j in enumerate(order[:length]):
+                if t:  # push the previous prefix atom, into the shared pursuit on first reaching it
+                    if len(sqs) == t:
+                        shared.push(order[t - 1])
+                        sqs.append(shared.sq.copy())
+                    q = shared.basis[:, t - 1]
+                    res -= (res @ q)[:, None] * q
+                keep = ((np.sqrt(np.einsum("ij,ij->i", res, res)) > RESIDUAL_TOL)
+                        & (_margins(_scores(variant, res @ d.atoms, sqs[t]), j)
+                           >= MARGIN_FACTOR * TIE_REL_TOL))
+                eps, res = eps[keep], res[keep]
+                if not len(eps):
+                    break
+            else:
+                break  # eps[0] reproduces the prefix
+            start = end
         else:
-            return float(eps[0])
-        start, size = start + size, 2 * size
-    raise CalibrationFailed(f"could not calibrate {what} after {HALVING_STEPS} halvings")
+            raise CalibrationFailed(f"could not calibrate {what} after {HALVING_STEPS} halvings")
+        scales.append(float(eps[0]))
+        inputs.append(inputs[-1] + scales[-1] * direction)
+    return inputs, scales
+
+
+def _reach(d: Dictionary, order) -> tuple[np.ndarray, list]:
+    """The base and steps of _calibrate that walk a pursuit through order: its first atom
+    (zero for an empty order), then one step per later atom."""
+    base = d.atoms[:, order[0]].copy() if order else np.zeros(d.m)
+    return base, [(d.atoms[:, j], p + 1, f"the scale for prefix atom {j}")
+                  for p, j in enumerate(order) if p]
 
 
 def reach_input(d: Dictionary, q, variant) -> tuple[np.ndarray, tuple[float, ...]]:
     """Input that walks the solver through the atoms of q, in order.
 
-    Built recursively: start at the first atom and add each next atom with a
-    scale factor, halved until the run of len(q) iterations reproduces q with
-    strict selections.  Works for any q of size up to n - 2 on the symmetric
-    construction.  Returns (input, scale factors for atoms 2..len(q)); an
-    empty q yields the zero vector.
-
-    Raises CalibrationFailed when some scale cannot be halved into acceptance
-    within the step budget.
+    It starts at the first atom and adds each next atom with a scale factor, halved
+    until a run reproduces q up to that atom with strict selections (_calibrate).
+    Works for any q of size up to n - 2 on the symmetric construction.  Returns
+    (input, scale factors for atoms 2..len(q)); an empty q yields the zero vector.
+    Raises CalibrationFailed when some scale finds no acceptance in HALVING_STEPS.
     """
     variant = as_variant(variant)
     sup = check_support(d, as_support(q))
     if len(sup) > d.n - 2:
         raise InvalidArgs(f"prefix of size {len(sup)} exceeds n-2 = {d.n - 2}")
-    if len(sup) == 0:
-        return np.zeros(d.m), ()
-    order = list(sup.indices)
-    y = d.atoms[:, order[0]].copy()
-    factors = []
-    for p in range(1, len(order)):
-        eps = _calibrate(variant, d, y, d.atoms[:, order[p]], order[: p + 1],
-                         f"the scale for prefix atom {order[p]}")
-        y = y + eps * d.atoms[:, order[p]]
-        factors.append(eps)
-    return y, tuple(factors)
+    base, steps = _reach(d, sup.indices)
+    inputs, scales = _calibrate(variant, d, base, sup.indices, steps)
+    return inputs[-1], tuple(scales)
 
 
 def dual_representation(d: Dictionary, q, variant) -> tuple[np.ndarray, Support, Support]:
@@ -209,24 +213,21 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
     the truth atoms.
     """
     variant = as_variant(variant)
-    d = build_worst_case(k, l)  # validates k, l
+    k, l = _check_kl(k, l)
+    d = build_worst_case(k, l)
     mu = coherence(d)
     prefix = Support(tuple(range(l)))
-    y1, prefix_eps = reach_input(d, prefix, variant)
     y2, q1, q2 = dual_representation(d, prefix, variant)
-
     j, _, _ = select_atom(variant, d, prefix, y2)
     if j in q1:
         truth = Support(tuple(prefix.indices) + tuple(q2.indices))
     else:
         truth = Support(tuple(prefix.indices) + tuple(q1.indices))
 
-    if l == 0:
-        eps = 1.0
-        y = y2.copy()
-    else:
-        eps = _calibrate(variant, d, y1, y2, prefix.indices, "the mixing scale")
-        y = y1 + eps * y2
+    base, steps = _reach(d, prefix.indices)
+    inputs, scales = _calibrate(variant, d, base, prefix.indices,
+                                steps + [(y2, l, "the mixing scale")])
+    (y1, y), eps = inputs[-2:], scales[-1]
 
     gap = float(np.linalg.norm(residual(d, truth, y)))
     if gap > SPAN_TOL * float(np.linalg.norm(y)):
@@ -237,6 +238,6 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
         k=k, l=l, variant=variant.value, dictionary=d,
         partial=prefix, truth=truth, half_low=q1, half_high=q2,
         y=y, reach_component=y1, null_component=y2,
-        prefix_epsilons=prefix_eps, mix_epsilon=eps, predicted_wrong=j,
+        prefix_epsilons=tuple(scales[:-1]), mix_epsilon=eps, predicted_wrong=j,
         coherence=mu, threshold=coherence_threshold(k, l),
     )

@@ -542,8 +542,11 @@ def sweep_per_trial(config, scratch: bool = False) -> SweepReport:
 def calibrate_sequential(variant, d, base, direction, prefix, what: str) -> float:
     """The first of the scales 1, 1/2, 1/4, ... (80 of them) at which the run from
     base + scale * direction selects exactly prefix, without a tie and each time
-    with a margin of at least 10 TIE_REL_TOL over the runner-up."""
+    with a margin of at least 10 TIE_REL_TOL over the runner-up; every input
+    reproduces an empty prefix."""
     eps = 1.0
+    if not len(prefix):
+        return eps
     for _ in range(80):
         trace = run(variant, d, base + eps * direction, len(prefix))
         ok = list(trace.selected) == list(prefix) and trace.tie_at is None
@@ -556,6 +559,17 @@ def calibrate_sequential(variant, d, base, direction, prefix, what: str) -> floa
             return eps
         eps *= 0.5
     raise CalibrationFailed(f"could not calibrate {what} after 80 halvings")
+
+
+def calibrate_chain(variant, d, base, order, steps) -> tuple[list, list]:
+    """`worstcase._calibrate`, one calibrate_sequential call per step (direction, length,
+    what) from the input the steps before it reached."""
+    inputs, scales = [base], []
+    for direction, length, what in steps:
+        scales.append(calibrate_sequential(variant, d, inputs[-1], direction, order[:length],
+                                           what))
+        inputs.append(inputs[-1] + scales[-1] * direction)
+    return inputs, scales
 
 
 # ---- per-element number formatting, the reference for the `.tolist()` forms ---

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedycert import (build_scenario, build_worst_case, load_dictionary, load_vector, random_dictionary,
-                        save_dictionary, save_vector)
+from greedycert import (Dictionary, build_scenario, build_worst_case, load_dictionary, load_vector,
+                        random_dictionary, save_dictionary, save_vector)
 from greedycert import cli
 from greedycert.cli import main
 from greedycert.errors import CalibrationFailed, CapExceeded, RankDeficient
@@ -388,6 +389,46 @@ def test_sweep_range_past_the_shape_runs_only_its_cells(tmp_path, capsys):
     assert main(["sweep", "--config", str(p)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split(",")[:3] for row in rows] == [["omp", "8", "7"], ["ols", "8", "7"]]
+
+
+def test_worstcase_that_does_not_reproduce_exits_4(tmp_path, capsys, monkeypatch):
+    # an observation in the span of the truth atoms, which the replay recovers
+    s = build_scenario(3, 1, "omp")
+    y = s.dictionary.atoms[:, list(s.truth)] @ np.array([4.0, 2.0, 1.0])
+    monkeypatch.setattr(cli, "build_scenario", lambda *args: dataclasses.replace(s, y=y))
+    out = tmp_path / "scen"
+    assert main(["worstcase", "--k", "3", "--l", "1", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "scenario did NOT reproduce the predicted failure\n"
+    assert "failure iteration" not in captured.out
+    blob = json.loads((out / "scenario.json").read_text())
+    assert blob["reproduced"] is False and blob["replay"]["outcome"]["kind"] == "success"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["run", "--k", "1", "--instance", "0:1,2"],
+     "expected index:coefficient pairs like '0:1.5,3:-2', got '0:1,2'"),
+    (["run", "--k", "1", "--instance", "0:x"],
+     "expected index:coefficient pairs like '0:1.5,3:-2', got '0:x'"),
+    (["run", "--k", "1", "--instance", "0:1", "--truth", "0;1"],
+     "expected a comma-separated index list, got '0;1'"),
+    (["certify", "--qstar", "0,a"], "expected a comma-separated index list, got '0,a'"),
+])
+def test_unparsable_index_lists_exit_1(wc_dict, capsys, argv, line):
+    assert main(argv + ["--dict", wc_dict]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {line}\n"
+
+
+def test_prip_reports_no_coherence_bound_outside_its_domain(tmp_path, capsys):
+    # coherence 0.91 with l = 3: the closed form needs mu < 1/(l-1) = 0.5
+    v = np.array([0.9, 0.3, 0.2, 0.2]) / np.sqrt(0.98)
+    path = tmp_path / "tight.csv"
+    save_dictionary(Dictionary(np.column_stack([np.eye(4), v])), path)
+    assert main(["prip", "--dict", str(path), "--q", "1", "--l", "3"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["coherence"] > 0.5 and blob["coherence_bound"] is None
+    assert blob["exact"]["q"] == 1 and blob["exact"]["l"] == 3
 
 
 def test_prip_command(wc_dict, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 from math import comb
 from unittest import mock
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedycert import (CapExceeded, Dictionary, InvalidArgs, OutOfDomain, RankDeficient,
-                        build_worst_case, coherence, coherence_threshold,
+                        build_scenario, build_worst_case, coherence, coherence_threshold,
                         cross_gram_bound_check, dictionary, guarantees, ols_coherence_bound,
                         omp_partial_bound, partial_erc, prip_coherence_bounds, prip_erc_bound,
-                        prip_exact, projected_coherence, random_dictionary, tropp_erc)
+                        prip_exact, projected_coherence, projected_gram_closed_form,
+                        random_dictionary, run, tropp_erc)
 
 from oracles import (coherence_of_walk_vectors, coherence_per_support, construction_erc_lhs,
                      flat, grams_of_walk_vectors, partial_erc_pinv, prip_bruteforce,
@@ -153,6 +155,40 @@ def test_closed_forms_take_any_real_mu():
         omp_partial_bound(2, 0, 10 ** 400)
 
 
+_PAIR, _BLOCK = prip_coherence_bounds(2, 1, 0.1), prip_coherence_bounds(3, 1, 0.1)
+_WC = build_worst_case(3, 1)
+
+# (the argument's name, a call that passes x as that count, a valid count)
+COUNTS = [
+    ("k", lambda x: coherence_threshold(x, 1), 3),
+    ("l", lambda x: coherence_threshold(3, x), 1),
+    ("k", lambda x: omp_partial_bound(x, 1, 0.1), 3),
+    ("l", lambda x: omp_partial_bound(3, x, 0.1), 1),
+    ("q", lambda x: prip_coherence_bounds(x, 1, 0.1), 2),
+    ("l", lambda x: prip_coherence_bounds(2, x, 0.1), 1),
+    ("l", lambda x: ols_coherence_bound(x, 0.1), 1),
+    ("k", lambda x: prip_erc_bound(x, 1, _PAIR, _BLOCK), 4),
+    ("l", lambda x: prip_erc_bound(4, x, _PAIR, _BLOCK), 1),
+    ("q", lambda x: prip_exact(_WC, x, 0), 2),
+    ("l", lambda x: prip_exact(_WC, 2, x), 1),
+    ("l", lambda x: projected_coherence("omp", _WC, x), 1),
+    ("k", lambda x: build_worst_case(x, 1), 3),
+    ("l", lambda x: build_worst_case(3, x), 1),
+    ("k", lambda x: build_scenario(x, 1, "ols"), 3),
+    ("|R|", lambda x: projected_gram_closed_form(3, 1, x), 1),
+    ("k", lambda x: run("omp", _WC, _WC.atoms[:, 0], x), 2),
+]
+
+
+@pytest.mark.parametrize("what, call, good", COUNTS)
+def test_counts_must_be_integers(what, call, good):
+    # nothing is truncated and a bool is no count; a numpy integer is one
+    for bad in (float(good), good + 0.5, True, False, None):
+        with pytest.raises(InvalidArgs, match=f"^{re.escape(what)} must be an integer"):
+            call(bad)
+    assert repr(call(np.int64(good))) == repr(call(good))
+
+
 def test_prip_coherence_bounds_formulas():
     mu = 0.15
     b = prip_coherence_bounds(3, 0, mu)
@@ -213,6 +249,23 @@ def test_projected_coherence_basics():
     assert projected_coherence("ols", d, 0) == pytest.approx(mu, abs=1e-12)
     with pytest.raises(InvalidArgs):
         projected_coherence("omp", d, 10)
+    with pytest.raises(CapExceeded, match="^55 supports exceed the cap of 54$"):
+        projected_coherence("ols", d, 2, cap=54)  # 11 choose 2
+    assert projected_coherence("ols", d, 2, cap=55) >= 0.0
+
+
+@pytest.mark.parametrize("call, line", [
+    (lambda: ols_coherence_bound(-1, 0.1), "need l >= 0, got l=-1"),
+    (lambda: ols_coherence_bound(1, 1.5), "mu must lie in [0, 1], got 1.5"),
+    (lambda: prip_coherence_bounds(0, 1, 0.1), "need q >= 1 and l >= 0, got q=0, l=1"),
+    (lambda: prip_coherence_bounds(2, -1, 0.1), "need q >= 1 and l >= 0, got q=2, l=-1"),
+    (lambda: prip_coherence_bounds(2, 1, 1.0), "mu must lie in [0, 1), got 1.0"),
+    (lambda: prip_coherence_bounds(2, 1, -0.1), "mu must lie in [0, 1), got -0.1"),
+])
+def test_closed_forms_reject_counts_and_coherences_out_of_range(call, line):
+    with pytest.raises(InvalidArgs) as exc:
+        call()
+    assert str(exc.value) == line
 
 
 def test_ols_coherence_bound_chain():

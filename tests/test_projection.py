@@ -204,6 +204,14 @@ def test_dependent_atom_raises_everywhere(make):
         projected_coherence("ols", d, len(dependent))  # the first support walked
 
 
+def test_a_stacked_step_names_the_atoms_of_the_dependent_row():
+    # row 0 pushes the independent atoms 2, 3; row 1 pushes atom 0 onto its copy, atom 1
+    atoms = np.stack([np.eye(4), np.eye(4)[:, [0, 0, 1, 2]]])
+    with pytest.raises(RankDeficient, match=r"^atoms \(1, 0\) are numerically dependent "
+                                            r"\(atom 0 lies 0 from the span of the others\)$"):
+        _pursue(as_variant("omp"), atoms, np.ones((2, 4)), 3, np.array([[2, 3], [1, 0]]))
+
+
 def test_rank_rule_is_distance_to_span():
     for offset, dependent in ((1e-9, True), (1e-7, False)):
         near = np.eye(3)[:, 0] + offset * np.eye(3)[:, 1]

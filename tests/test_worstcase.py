@@ -12,10 +12,10 @@ from greedycert import (CalibrationFailed, InvalidArgs, RecoveryOutcome, build_s
                         dual_representation, gram, project_atoms, projected_gram_closed_form,
                         random_dictionary, reach_input, residual, run)
 
-from greedycert import cli, worstcase
+from greedycert import cli, greedy, worstcase
 
-from oracles import (EDGE_FLOATS, calibrate_sequential, construction_projected_pair,
-                     scenario_dict_per_scalar)
+from oracles import (EDGE_FLOATS, calibrate_chain, calibrate_sequential,
+                     construction_projected_pair, scenario_dict_per_scalar)
 
 
 PAIRS = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 2), (5, 3)]
@@ -96,6 +96,14 @@ def test_dual_representation_cancels(variant):
         assert np.allclose(y2, fam[:, list(q1)].sum(axis=1), atol=1e-12)
         assert sorted(list(q1) + list(q2)) == [i for i in range(d.n) if i not in prefix]
         assert len(q1) == len(q2) == k - l
+
+
+def test_dual_representation_needs_an_even_complement():
+    d = build_worst_case(3, 1)  # n = 5
+    for q, rest in (([0, 1], 3), ([], 5), ([4, 0, 2, 1], 1)):
+        with pytest.raises(InvalidArgs) as exc:
+            dual_representation(d, q, "omp")
+        assert str(exc.value) == f"complement of q has odd size {rest}; cannot split in half"
 
 
 @pytest.mark.parametrize("k,l", PAIRS)
@@ -199,7 +207,7 @@ def test_stacked_calibration_matches_one_run_per_scale(monkeypatch, k, l):
     for variant in ("omp", "ols"):
         stacked = build_scenario(k, l, variant)
         with monkeypatch.context() as patch:
-            patch.setattr(worstcase, "_calibrate", calibrate_sequential)
+            patch.setattr(worstcase, "_calibrate", calibrate_chain)
             sequential = build_scenario(k, l, variant)
         assert stacked.prefix_epsilons == sequential.prefix_epsilons
         assert stacked.mix_epsilon == sequential.mix_epsilon
@@ -233,14 +241,17 @@ def test_calibration_margins_reject_ties_close_calls_and_other_selections():
 
 def _same_calibration(variant, d, base, direction, prefix):
     """_calibrate and the one-run-per-scale oracle give the same scale, or both fail."""
-    def outcome(calibrate):
-        try:
-            return calibrate(variant, d, base, direction, prefix, "the scale")
-        except CalibrationFailed as exc:
-            return str(exc)
-
-    got = outcome(worstcase._calibrate)
-    assert got == outcome(calibrate_sequential)
+    try:
+        inputs, scales = worstcase._calibrate(variant, d, base, prefix,
+                                              [(direction, len(prefix), "the scale")])
+        got = scales[0]
+        assert inputs[0] is base and inputs[1].tobytes() == (base + got * direction).tobytes()
+    except CalibrationFailed as exc:
+        got = str(exc)
+    try:
+        assert got == calibrate_sequential(variant, d, base, direction, prefix, "the scale")
+    except CalibrationFailed as exc:
+        assert got == str(exc)
     return got
 
 
@@ -304,3 +315,20 @@ def test_calibration_failure_is_reported(monkeypatch, tmp_path, capsys, variant)
     assert not out.exists()
     monkeypatch.setattr(worstcase, "HALVING_STEPS", 3)
     assert build_scenario(5, 3, variant).prefix_epsilons == (0.5, 0.25)
+
+
+@pytest.mark.parametrize("variant", ["omp", "ols"])
+def test_scenario_pushes_each_prefix_atom_once(monkeypatch, variant):
+    # the calibrations share one pursuit, which pushes atoms 0..14 once each (a
+    # candidate only selects the last prefix atom, 15), and select_atom pushes the
+    # 16 prefix atoms into a pursuit of its own
+    pushes, push = [], greedy._Pursuit.push
+
+    def counted(self, js, *args, **kwargs):
+        pushes.append(js)
+        return push(self, js, *args, **kwargs)
+
+    monkeypatch.setattr(greedy._Pursuit, "push", counted)
+    build_scenario(32, 16, variant)
+    assert len(pushes) == 31
+    assert sorted(pushes) == sorted([*range(15), *range(16)])
