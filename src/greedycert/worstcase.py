@@ -9,7 +9,11 @@ sum over the other half, and an observation built on one half makes every
 remaining atom score identically.  The scale factors that keep the prefix
 selections strict, and the mixing scale, are calibrated by repeated halving as
 steps of one loop.  Every accepted candidate selects a prefix of the same atoms,
-so the steps share one pursuit, which pushes each prefix atom once.
+so the steps share one pursuit, which pushes each prefix atom once.  A
+candidate's residual at each prefix level, and its correlations with the atoms,
+are affine in its scale: a step projects its input and its direction once, and
+scores a stack of candidate scales at every level in one pass (after the
+correlation updates of Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).
 """
 
 from dataclasses import dataclass
@@ -69,40 +73,53 @@ def _calibrate(variant, d: Dictionary, base, order, steps) -> tuple[list, list]:
 
     A scale is accepted when a pursuit from that input selects exactly the prefix, each
     time before its residual norm falls to RESIDUAL_TOL and with a positive score and a
-    margin (_margins) of MARGIN_FACTOR * TIE_REL_TOL over every other atom.  One pursuit
-    from the zero vector serves every step, as all prefixes are prefixes of order; it
-    pushes an atom when a candidate first selects it.  A step tries CALIBRATION_STACK
-    scales at once, then twice as many, and so on; per prefix atom a stack takes one
-    product of its residuals with the atoms, and drops each candidate at its first failure."""
+    margin (_margins) of MARGIN_FACTOR * TIE_REL_TOL over every other atom; an empty
+    prefix takes scale 1.  One pursuit from the zero vector serves every step, as all
+    prefixes are prefixes of order; a step first pushes the prefix atoms before its last
+    one that no earlier step pushed.  A candidate's residual at prefix level t is affine
+    in its scale, P_t (x + eps d) = P_t x + eps P_t d, and so are its correlations with
+    the atoms.  So a step projects its input x and its direction d at every level, and
+    takes one product of those projections with the atoms.  It then tries
+    CALIBRATION_STACK scales at once, then twice as many, and so on: a stack forms the
+    residual vectors of all its scales at all levels (their norms are taken from the
+    vectors, never as |y|^2 minus squared correlations) and their correlations, scores
+    them with each level's squared projected norms, and checks every level in one pass."""
     variant = as_variant(variant)
     shared = _Pursuit(d.atoms, 0.0, len(order))
-    sqs = [shared.sq.copy()]  # the squared projected norms at each step reached so far
+    # per level t: the basis vector t - 1 it projects away (zero at level 0), and the
+    # squared projected norms after it
+    basis, sqs = np.zeros((len(order) + 1, d.m)), np.empty((len(order) + 1, d.n))
+    sqs[0] = shared.sq
+    halvings = np.ldexp(1.0, -np.arange(HALVING_STEPS))
     inputs, scales = [base], []
     for direction, length, what in steps:
+        if not length:  # every input reproduces an empty prefix
+            scales.append(1.0)
+            inputs.append(inputs[-1] + direction)
+            continue
+        while shared.t + 1 < length:
+            shared.push(order[shared.t])
+            basis[shared.t], sqs[shared.t] = shared.basis[:, shared.t - 1], shared.sq
+        # the input x and the direction d at every level (each minus its components along
+        # the basis vectors before that level), and their correlations with the atoms
+        q, pair = basis[:length], np.array((inputs[-1], direction))
+        proj = pair[:, None] - np.add.accumulate((pair @ q.T)[..., None] * q, axis=1)
+        (x, dx), (cx, cdx) = proj, proj @ d.atoms
+        sq, picks = sqs[:length], order[:length]
         start = 0
         while start < HALVING_STEPS:
             end = min(2 * start + CALIBRATION_STACK, HALVING_STEPS)
-            eps = np.ldexp(1.0, -np.arange(start, end))
-            res = inputs[-1] + eps[:, None] * direction
-            for t, j in enumerate(order[:length]):
-                if t:  # push the previous prefix atom, into the shared pursuit on first reaching it
-                    if len(sqs) == t:
-                        shared.push(order[t - 1])
-                        sqs.append(shared.sq.copy())
-                    q = shared.basis[:, t - 1]
-                    res -= (res @ q)[:, None] * q
-                keep = ((np.sqrt(np.einsum("ij,ij->i", res, res)) > RESIDUAL_TOL)
-                        & (_margins(_scores(variant, res @ d.atoms, sqs[t]), j)
-                           >= MARGIN_FACTOR * TIE_REL_TOL))
-                eps, res = eps[keep], res[keep]
-                if not len(eps):
-                    break
-            else:
-                break  # eps[0] reproduces the prefix
+            eps = halvings[start:end, None, None]
+            res = x + eps * dx  # (scale, level, m), with the correlations cx + eps * cdx
+            ok = ((np.sqrt(np.einsum("slm,slm->sl", res, res)) > RESIDUAL_TOL)
+                  & (_margins(_scores(variant, cx + eps * cdx, sq), picks)
+                     >= MARGIN_FACTOR * TIE_REL_TOL)).all(axis=1)
+            if ok.any():
+                break  # the first scale that passes every level reproduces the prefix
             start = end
         else:
             raise CalibrationFailed(f"could not calibrate {what} after {HALVING_STEPS} halvings")
-        scales.append(float(eps[0]))
+        scales.append(float(halvings[start + ok.argmax()]))
         inputs.append(inputs[-1] + scales[-1] * direction)
     return inputs, scales
 
@@ -145,7 +162,9 @@ def dual_representation(d: Dictionary, q, variant) -> tuple[np.ndarray, Support,
     variant = as_variant(variant)
     sup = check_support(d, as_support(q))
     rest = [i for i in range(d.n) if i not in sup]
-    if len(rest) % 2 != 0 or len(rest) == 0:
+    if not rest:
+        raise InvalidArgs("complement of q is empty; no atom is left to split")
+    if len(rest) % 2:
         raise InvalidArgs(f"complement of q has odd size {len(rest)}; cannot split in half")
     half = len(rest) // 2
     q1, q2 = Support(tuple(rest[:half])), Support(tuple(rest[half:]))

@@ -106,6 +106,14 @@ def test_dual_representation_needs_an_even_complement():
         assert str(exc.value) == f"complement of q has odd size {rest}; cannot split in half"
 
 
+def test_dual_representation_needs_an_atom_left_to_split():
+    d = build_worst_case(3, 1)  # n = 5
+    for q in (range(5), [3, 0, 4, 1, 2]):
+        with pytest.raises(InvalidArgs) as exc:
+            dual_representation(d, q, "omp")
+        assert str(exc.value) == "complement of q is empty; no atom is left to split"
+
+
 @pytest.mark.parametrize("k,l", PAIRS)
 @pytest.mark.parametrize("variant", ["omp", "ols"])
 def test_scenario_reproduces_failure(k, l, variant):
@@ -201,9 +209,10 @@ def test_scenario_validation():
         build_scenario(3, 1, "sp")
 
 
-@pytest.mark.parametrize("k, l", PAIRS + [(18, 4), (25, 2), (32, 16)])
+@pytest.mark.parametrize("k, l", PAIRS + [(18, 4), (25, 2), (32, 16), (40, 16), (30, 20)])
 def test_stacked_calibration_matches_one_run_per_scale(monkeypatch, k, l):
-    # (32, 16) needs up to 16 halvings per prefix atom: stacks of 4, 8 and 16 scales
+    # (32, 16) needs up to 16 halvings per prefix atom: stacks of 4, 8 and 16 scales;
+    # (40, 16) and (30, 20) are the most atoms and the longest prefix the CLI allows
     for variant in ("omp", "ols"):
         stacked = build_scenario(k, l, variant)
         with monkeypatch.context() as patch:
@@ -297,6 +306,34 @@ def test_calibration_matches_one_run_per_scale(data):
     _same_calibration(variant, d, base, direction, prefix)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_calibration_chains_match_one_run_per_scale(data):
+    # the steps of one _calibrate call share its pursuit and start from the input the
+    # step before them reached: chains of 2 or more atoms, as reach_input walks them
+    m = data.draw(st.integers(3, 8), label="m")
+    d = random_dictionary(m, data.draw(st.integers(max(m, 4), m + 4), label="n"),
+                          seed=data.draw(st.integers(0, 99), label="seed"))
+    order = data.draw(st.permutations(range(d.n)), label="order")
+    longest = min(d.m - 1, d.n - 2)
+    order = order[:longest - data.draw(st.integers(0, longest - 2), label="shorter by")]
+    base, steps = worstcase._reach(d, order)
+    if data.draw(st.booleans(), label="mixing step"):  # one more step at the full length
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="rng"))
+        steps.append((rng.standard_normal(d.m), len(order), "the mixing scale"))
+    variant = data.draw(st.sampled_from(["omp", "ols"]), label="variant")
+    try:
+        got = worstcase._calibrate(variant, d, base, order, steps)
+    except CalibrationFailed as exc:
+        with pytest.raises(CalibrationFailed) as want:
+            calibrate_chain(variant, d, base, order, steps)
+        assert str(exc) == str(want.value)
+        return
+    inputs, scales = calibrate_chain(variant, d, base, order, steps)
+    assert got[1] == scales
+    assert [x.tobytes() for x in got[0]] == [x.tobytes() for x in inputs]
+
+
 @pytest.mark.parametrize("variant", ["omp", "ols"])
 def test_calibration_failure_is_reported(monkeypatch, tmp_path, capsys, variant):
     # build_scenario(5, 3) needs the scale 2^-2 for prefix atom 2
@@ -332,3 +369,25 @@ def test_scenario_pushes_each_prefix_atom_once(monkeypatch, variant):
     build_scenario(32, 16, variant)
     assert len(pushes) == 31
     assert sorted(pushes) == sorted([*range(15), *range(16)])
+
+
+@pytest.mark.parametrize("variant", ["omp", "ols"])
+def test_scenario_scores_each_stack_of_scales_once(monkeypatch, variant):
+    # a stack of candidate scales is scored at every prefix level in one _scores call:
+    # (32, 16) calibrates 16 steps (prefix atoms 1..15 and the mixing scale), and a step
+    # whose scale is 2^-i ends with the stack that holds halving i (stacks of 4, 8, 16, ...)
+    calls, scores = [], worstcase._scores
+
+    def counted(variant, corr, sq):
+        calls.append(corr.shape)
+        return scores(variant, corr, sq)
+
+    monkeypatch.setattr(worstcase, "_scores", counted)
+    scenario = build_scenario(32, 16, variant)
+    ends = np.cumsum([4, 8, 16, 32, 20])  # the halvings after each stack, up to 80
+    stacks = [int(np.searchsorted(ends, -np.log2(eps), side="right")) + 1
+              for eps in (*scenario.prefix_epsilons, scenario.mix_epsilon)]
+    assert len(calls) == sum(stacks) == 34
+    levels = [length for length, count in zip([*range(2, 17), 16], stacks)
+              for _ in range(count)]
+    assert [shape[1:] for shape in calls] == [(length, 48) for length in levels]  # n = 48
