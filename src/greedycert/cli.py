@@ -136,8 +136,8 @@ def cmd_worstcase(args) -> int:
     scenario = build_scenario(args.k, args.l, args.variant)
     trace = run(scenario.variant, scenario.dictionary, scenario.y, args.k)
     outcome = classify(trace, scenario.truth)
-    reproduced = (
-        list(trace.selected)[: args.l] == list(scenario.partial)
+    reproduced = (  # the prefix, then the predicted wrong atom, at iteration l
+        list(trace.selected)[: args.l + 1] == [*scenario.partial, scenario.predicted_wrong]
         and outcome.kind in (RecoveryOutcome.WRONG_ATOM, RecoveryOutcome.TIE_WITH_WRONG_ATOM)
         and outcome.iteration == args.l
     )

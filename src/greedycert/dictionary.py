@@ -227,6 +227,15 @@ def _check_kl(k: int, l: int) -> tuple[int, int]:
     return k, l
 
 
+def _check_shape(m: int, n: int) -> tuple[int, int]:
+    """(m, n) as ints (_index), or InvalidArgs unless m >= 1 and n >= 2: the shapes a
+    dictionary with a pair of atoms can take."""
+    m, n = _index(m, "m"), _index(n, "n")
+    if m < 1 or n < 2:
+        raise InvalidArgs(f"need m >= 1 and n >= 2, got m={m}, n={n}")
+    return m, n
+
+
 def build_worst_case(k: int, l: int) -> Dictionary:
     """Symmetric dictionary of 2k-l atoms in dimension 2k-l-1 at coherence 1/(2k-l-1).
 
@@ -320,7 +329,8 @@ def _shrink_grams(starts: np.ndarray, target: float) -> list:
 
 
 def welch_bound(m: int, n: int) -> float:
-    """Lower bound on the coherence of any m x n unit-norm dictionary."""
+    """Lower bound on the coherence of any m x n unit-norm dictionary (m >= 1, n >= 2)."""
+    m, n = _check_shape(m, n)
     if n <= m:
         return 0.0
     return math.sqrt((n - m) / (m * (n - 1.0)))
@@ -393,9 +403,7 @@ def _batches(m: int, n: int, target: float | None, seeds):
     """Check the arguments of random_dictionaries, then yield `_generate`'s (atoms, reached)
     for the seeds in order, BATCH_ELEMENTS // (n*max(m, n)) a batch: the one batch rule.
     Seeds are read a batch at a time: drop each batch before asking for the next."""
-    m, n = _index(m, "m"), _index(n, "n")
-    if m < 1 or n < 2:
-        raise InvalidArgs(f"need m >= 1 and n >= 2, got m={m}, n={n}")
+    m, n = _check_shape(m, n)
     if target is not None:
         _check_real(target, "coherence_target")
         if not target >= 0:

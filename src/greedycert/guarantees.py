@@ -25,7 +25,6 @@ from .greedy import SolverVariant, as_variant
 from .projection import VANISH_TOL, project_atoms
 
 ENUM_CAP = 10 ** 6
-PRIP_CHUNK = 4096  # (support, block) pairs prip_exact gathers and solves at once
 
 
 @dataclass(frozen=True)
@@ -318,13 +317,14 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     one of (hi - tol) I - B, vectorized over the blocks (_definite): when every
     pivot is positive, the block cannot move that extreme either.  tol covers
     the rounding of the bounds, of the factorization and of the eigensolver (see
-    below), so a skipped block cannot reach the result.  The supports are walked
-    in chunks of at most PRIP_CHUNK (support, block) pairs that hold at most
-    dictionary.BATCH_ELEMENTS Gram entries, each a view of one stack of the walk
-    (a support with more blocks is cut into pieces).  While lo and hi are unset,
-    each support's block with the lowest low and its block with the highest up
-    are solved first, as one stack; after that, per piece, the blocks that fail
-    the Cholesky test on a side their bounds reach are solved, as one stack.
+    below), so a skipped block cannot reach the result.  One budget,
+    dictionary.BATCH_ELEMENTS, cuts the work: the supports are walked in chunks
+    whose Grams and blocks hold at most that many entries, each a view of one
+    stack of the walk, and a support with more blocks is cut into pieces of at
+    most that many block entries.  While lo and hi are unset, each support's
+    block with the lowest low and its block with the highest up are solved
+    first, as one stack; after that, per piece, the blocks that fail the
+    Cholesky test on a side their bounds reach are solved, as one stack.
     Every solved block is gathered from the same Gram entries and goes through
     the same per-matrix LAPACK call as when every block is solved, and min and
     max are exact, so the constants keep those bits.
@@ -342,11 +342,10 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     if total > cap:
         raise CapExceeded(f"{total} support/block pairs exceed the cap of {cap}")
     table, pairs, incidence = _block_table(d.n - l, q)
-    # a chunk of supports, with their Grams, or a piece of one support's blocks
-    # stays within both budgets
-    supports = max(1, min(PRIP_CHUNK // len(table), dictionary.BATCH_ELEMENTS
-                          // (len(table) * q * q + (d.n - l) ** 2)))
-    step = max(1, min(PRIP_CHUNK, dictionary.BATCH_ELEMENTS // (q * q)))
+    # a chunk of supports, with their Grams and blocks, or a piece of one support's
+    # blocks stays within the budget
+    supports = max(1, dictionary.BATCH_ELEMENTS // (len(table) * q * q + (d.n - l) ** 2))
+    step = max(1, dictionary.BATCH_ELEMENTS // (q * q))
     pieces = [table[i:i + step] for i in range(0, len(table), step)]
     # Atoms have unit norm (to UNIT_NORM_TOL) and projection only shortens them,
     # so every |g_ij| of a projected Gram is at most about 1 and the eigenvalues of

@@ -24,7 +24,7 @@ from .dictionary import (Dictionary, Support, _check_kl, _csv_lines, _index, _js
                          build_worst_case, check_support, coherence)
 from .errors import CalibrationFailed, InvalidArgs
 from .greedy import (RESIDUAL_TOL, TIE_REL_TOL, SolverVariant, _margins, _Pursuit, _scores,
-                     as_variant, select_atom)
+                     as_variant)
 from .guarantees import coherence_threshold
 from .projection import project_atoms, residual
 
@@ -46,16 +46,20 @@ def projected_gram_closed_form(k: int, l: int, r) -> tuple[float, float]:
 
     with mu = 1/(2k-l-1) and s the sum of the entries of the inverse Gram of
     the R atoms.  Returns (cross, norm_sq); both depend on R only through its
-    size, so r may be either the subset itself or a plain count.
+    size, so r may be either the subset itself (of atoms 0..2k-l-1) or a plain
+    count.
     """
     mu = coherence_threshold(k, l)  # validates k, l
+    n = 2 * k - l
     if np.iterable(r):
-        size = len(as_support(r))
+        sup = as_support(r)
+        if len(sup) and max(sup) >= n:
+            raise InvalidArgs(f"R index {max(sup)} out of range for 2k-l = {n} atoms")
+        size = len(sup)
     else:
         size = _index(r, "|R|")  # neither a float nor a bool is a count
         if size < 0:
             raise InvalidArgs(f"|R| must be non-negative, got {r}")
-    n = 2 * k - l
     if size >= n:
         raise InvalidArgs(f"|R| must be below 2k-l = {n}, got {size}")
     if size == 0:
@@ -180,7 +184,7 @@ class WorstCaseScenario:
     The observation y = reach_component + mix_epsilon * null_component lies in
     the span of the truth atoms, drives the solver through `partial` exactly,
     and then offers identical scores to every remaining atom, half of which
-    are outside the truth; predicted_wrong is the lowest-index culprit.
+    are outside the truth (half_low); the tie rule takes its first, predicted_wrong.
     """
 
     k: int
@@ -228,8 +232,10 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
 
     The first l atoms form the prescribed prefix; the observation combines the
     prefix-reaching input with a calibrated multiple of the half-sum direction
-    from dual_representation.  The result is verified to lie in the span of
-    the truth atoms.
+    y2 from dual_representation.  Every atom outside the prefix scores the same
+    against y2 and the tie rule takes the lowest, q1's first (predicted_wrong),
+    so the truth is the prefix and q2; the worstcase command's replay checks
+    this.  The result is verified to lie in the span of the truth atoms.
     """
     variant = as_variant(variant)
     k, l = _check_kl(k, l)
@@ -237,11 +243,7 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
     mu = coherence(d)
     prefix = Support(tuple(range(l)))
     y2, q1, q2 = dual_representation(d, prefix, variant)
-    j, _, _ = select_atom(variant, d, prefix, y2)
-    if j in q1:
-        truth = Support(tuple(prefix.indices) + tuple(q2.indices))
-    else:
-        truth = Support(tuple(prefix.indices) + tuple(q1.indices))
+    truth = Support(tuple(prefix.indices) + tuple(q2.indices))
 
     base, steps = _reach(d, prefix.indices)
     inputs, scales = _calibrate(variant, d, base, prefix.indices,
@@ -257,6 +259,6 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
         k=k, l=l, variant=variant.value, dictionary=d,
         partial=prefix, truth=truth, half_low=q1, half_high=q2,
         y=y, reach_component=y1, null_component=y2,
-        prefix_epsilons=tuple(scales[:-1]), mix_epsilon=eps, predicted_wrong=j,
+        prefix_epsilons=tuple(scales[:-1]), mix_epsilon=eps, predicted_wrong=q1.indices[0],
         coherence=mu, threshold=coherence_threshold(k, l),
     )

@@ -405,6 +405,24 @@ def test_worstcase_that_does_not_reproduce_exits_4(tmp_path, capsys, monkeypatch
     assert blob["reproduced"] is False and blob["replay"]["outcome"]["kind"] == "success"
 
 
+@pytest.mark.parametrize("variant", ["omp", "ols"])
+def test_worstcase_whose_replay_picks_another_wrong_atom_exits_4(tmp_path, capsys,
+                                                                 monkeypatch, variant):
+    # the replay ties at iteration l as predicted, but takes atom 1, not the predicted 2
+    s = build_scenario(3, 1, variant)
+    assert s.predicted_wrong == 1
+    monkeypatch.setattr(cli, "build_scenario",
+                        lambda *args: dataclasses.replace(s, predicted_wrong=2))
+    out = tmp_path / "scen"
+    assert main(["worstcase", "--k", "3", "--l", "1", "--variant", variant,
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "scenario did NOT reproduce the predicted failure\n"
+    assert "failure iteration = 2 (1-based), kind = tie_with_wrong_atom" in captured.out
+    blob = json.loads((out / "scenario.json").read_text())
+    assert blob["reproduced"] is False and blob["replay"]["selected"][:2] == [0, 1]
+
+
 @pytest.mark.parametrize("argv, line", [
     (["run", "--k", "1", "--instance", "0:1,2"],
      "expected index:coefficient pairs like '0:1.5,3:-2', got '0:1,2'"),

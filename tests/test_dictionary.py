@@ -163,6 +163,18 @@ def test_random_dictionary_overcomplete_target():
     assert coherence(d) <= 0.199 + 1e-12
 
 
+def test_welch_bound_takes_the_generator_shapes():
+    # the shape rule of random_dictionaries: m >= 1 rows and n >= 2 atoms
+    for m, n in ((0, 5), (-1, 3), (3, 1), (1, 0)):
+        with pytest.raises(InvalidArgs) as exc:
+            welch_bound(m, n)
+        assert str(exc.value) == f"need m >= 1 and n >= 2, got m={m}, n={n}"
+        with pytest.raises(InvalidArgs) as same:
+            random_dictionary(m, n, seed=0)
+        assert str(same.value) == str(exc.value)
+    assert welch_bound(1, 2) == 1.0 and welch_bound(5, 5) == welch_bound(6, 2) == 0.0
+
+
 def test_random_dictionary_unreachable():
     assert welch_bound(20, 30) == pytest.approx(np.sqrt(10.0 / (20.0 * 29.0)))
     with pytest.raises(TargetUnreachable):

@@ -14,7 +14,7 @@ from greedycert import (CapExceeded, Dictionary, InvalidArgs, OutOfDomain, RankD
                         cross_gram_bound_check, dictionary, guarantees, ols_coherence_bound,
                         omp_partial_bound, partial_erc, prip_coherence_bounds, prip_erc_bound,
                         prip_exact, projected_coherence, projected_gram_closed_form,
-                        random_dictionary, run, tropp_erc)
+                        random_dictionary, run, tropp_erc, welch_bound)
 
 from oracles import (coherence_of_walk_vectors, coherence_per_support, construction_erc_lhs,
                      flat, grams_of_walk_vectors, partial_erc_pinv, prip_bruteforce,
@@ -177,6 +177,8 @@ COUNTS = [
     ("k", lambda x: build_scenario(x, 1, "ols"), 3),
     ("|R|", lambda x: projected_gram_closed_form(3, 1, x), 1),
     ("k", lambda x: run("omp", _WC, _WC.atoms[:, 0], x), 2),
+    ("m", lambda x: welch_bound(x, 30), 20),
+    ("n", lambda x: welch_bound(20, x), 30),
 ]
 
 
@@ -428,9 +430,9 @@ def test_prip_exact_bits_over_shapes_and_chunks(m, n, data):
     d = random_dictionary(m, n, seed=data.draw(st.integers(0, 10 ** 6)))
     q = data.draw(st.integers(1, n))
     l = data.draw(st.integers(0, min(n - q, m - 1)))
-    # small chunks split the walk into many chunks and a support's blocks into pieces
-    chunk = data.draw(st.sampled_from([1, 2, 5, 64, guarantees.PRIP_CHUNK]))
-    with mock.patch.object(guarantees, "PRIP_CHUNK", chunk):
+    # small budgets split the walk into many chunks and a support's blocks into pieces
+    batch = data.draw(st.sampled_from([1, 2, 5, 64, 512, dictionary.BATCH_ELEMENTS]))
+    with mock.patch.object(dictionary, "BATCH_ELEMENTS", batch):
         assert_prip_bits(d, [(q, l)])
 
 
@@ -481,15 +483,15 @@ def test_prip_exact_solves_bounded_stacks_and_prunes(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
 
     def counted(a):
-        assert len(a) <= guarantees.PRIP_CHUNK and a.size <= dictionary.BATCH_ELEMENTS
+        assert a.size <= dictionary.BATCH_ELEMENTS
         sizes.append(len(a))
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     definite = guarantees._definite
 
-    def tested(a, shift, sign):  # the stacks of the Cholesky test keep the same budgets
-        assert len(a) <= guarantees.PRIP_CHUNK and a.size <= dictionary.BATCH_ELEMENTS
+    def tested(a, shift, sign):  # the stacks of the Cholesky test keep the same budget
+        assert a.size <= dictionary.BATCH_ELEMENTS
         return definite(a, shift, sign)
 
     monkeypatch.setattr(guarantees, "_definite", tested)

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from greedycert import (CalibrationFailed, InvalidArgs, RecoveryOutcome, build_scenario,
                         build_worst_case, classify, coherence, coherence_threshold,
                         dual_representation, gram, project_atoms, projected_gram_closed_form,
-                        random_dictionary, reach_input, residual, run)
+                        random_dictionary, reach_input, residual, run, select_atom)
 
 from greedycert import cli, greedy, worstcase
 
@@ -52,6 +52,17 @@ def test_closed_form_spot_values():
     assert nlast == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(InvalidArgs):
         projected_gram_closed_form(3, 1, 5)
+    with pytest.raises(InvalidArgs, match=r"^\|R\| must be non-negative, got -1$"):
+        projected_gram_closed_form(3, 1, -1)
+    # a subset counts by its size, and its atoms must be among the 2k-l = 5
+    for r in ([], [3], [4, 0], (1, 2, 3, 4)):
+        assert projected_gram_closed_form(3, 1, r) == projected_gram_closed_form(3, 1, len(r))
+    for r in ([7], [0, 5]):
+        with pytest.raises(InvalidArgs) as exc:
+            projected_gram_closed_form(3, 1, r)
+        assert str(exc.value) == f"R index {max(r)} out of range for 2k-l = 5 atoms"
+    with pytest.raises(InvalidArgs, match="must be below 2k-l = 5"):
+        projected_gram_closed_form(3, 1, range(5))
 
 
 @pytest.mark.parametrize("variant", ["omp", "ols"])
@@ -123,7 +134,8 @@ def test_scenario_reproduces_failure(k, l, variant):
     assert s.threshold == pytest.approx(coherence_threshold(k, l), abs=1e-15)
     assert list(s.partial) == list(range(l))
     assert set(s.partial) <= set(s.truth)
-    assert len(s.truth) == k
+    assert list(s.truth) == [*s.partial, *s.half_high] and len(s.truth) == k
+    assert s.predicted_wrong == s.half_low.indices[0]
     assert s.predicted_wrong not in set(s.truth)
     # the observation really lives in the span of the claimed support
     rel = np.linalg.norm(residual(s.dictionary, s.truth, s.y)) / np.linalg.norm(s.y)
@@ -355,10 +367,49 @@ def test_calibration_failure_is_reported(monkeypatch, tmp_path, capsys, variant)
 
 
 @pytest.mark.parametrize("variant", ["omp", "ols"])
+def test_observation_off_the_truth_span_is_reported(monkeypatch, tmp_path, capsys, variant):
+    # a null component with a part along an atom outside the truth: the prefix still
+    # calibrates, but the observation leaves the span of the truth atoms
+    dual = worstcase.dual_representation
+
+    def off_span(d, q, variant):
+        y2, q1, q2 = dual(d, q, variant)
+        return y2 + 0.5 * d.atoms[:, q1.indices[0]], q1, q2
+
+    monkeypatch.setattr(worstcase, "dual_representation", off_span)
+    message = "constructed observation strays from the truth span (relative gap "
+    with pytest.raises(CalibrationFailed) as exc:
+        build_scenario(3, 1, variant)
+    assert str(exc.value).startswith(message)
+    out = tmp_path / "wc"
+    assert cli.main(["worstcase", "--k", "3", "--l", "1", "--variant", variant,
+                     "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("calibration failed: " + message)
+    assert not out.exists()
+
+
+# every l for k <= 12, l in steps of 5 up to k = 32, and the CLI's largest cases
+TIE_GRID = ([(k, l) for k in range(1, 13) for l in range(k)]
+            + [(k, l) for k in range(13, 33) for l in range(0, k, 5)]
+            + [(40, 16), (40, 17), (33, 2)])
+
+
+@pytest.mark.parametrize("variant", ["omp", "ols"])
+def test_the_tie_against_the_null_component_goes_to_the_lower_half(variant):
+    # build_scenario predicts the wrong atom without a pursuit: every atom outside the
+    # prefix scores the same against y2, so the tie rule takes the lowest one, q1[0]
+    for k, l in TIE_GRID:
+        d = build_worst_case(k, l)
+        prefix = list(range(l))
+        y2, q1, _ = dual_representation(d, prefix, variant)
+        assert select_atom(variant, d, prefix, y2)[::2] == (q1.indices[0], True), (k, l)
+
+
+@pytest.mark.parametrize("variant", ["omp", "ols"])
 def test_scenario_pushes_each_prefix_atom_once(monkeypatch, variant):
     # the calibrations share one pursuit, which pushes atoms 0..14 once each (a
-    # candidate only selects the last prefix atom, 15), and select_atom pushes the
-    # 16 prefix atoms into a pursuit of its own
+    # candidate only selects the last prefix atom, 15); no other pursuit runs
     pushes, push = [], greedy._Pursuit.push
 
     def counted(self, js, *args, **kwargs):
@@ -367,8 +418,7 @@ def test_scenario_pushes_each_prefix_atom_once(monkeypatch, variant):
 
     monkeypatch.setattr(greedy._Pursuit, "push", counted)
     build_scenario(32, 16, variant)
-    assert len(pushes) == 31
-    assert sorted(pushes) == sorted([*range(15), *range(16)])
+    assert pushes == list(range(15))
 
 
 @pytest.mark.parametrize("variant", ["omp", "ols"])
