@@ -310,8 +310,8 @@ def _shrink_grams(starts: np.ndarray, target: float) -> list:
         keep = ~hit & (stalled < SHRINK_STALL)
         if not keep.all():
             d, g, rows, best, stalled = d[keep], g[keep], rows[keep], best[keep], stalled[keep]
-            if not len(d):
-                break
+        if not len(d):  # every row has stopped, or the stack came empty
+            break
         clipped = np.clip(g, -gamma, gamma)
         clipped[:, range(n), range(n)] = 1.0
         w, vecs = np.linalg.eigh(clipped)

@@ -233,68 +233,65 @@ def _projected_grams(d: Dictionary, l: int):
 
 
 @lru_cache(maxsize=16)
-def _block_table(rest: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (blocks, pairs, incidence): every block as q positions in a
-    support's rest, the `rest` atoms outside it in order (combinations() order);
-    every pair (i, j), i < j, of rows of a block; and the (row, pair) matrix
-    with 1 where the row is in the pair and 0 elsewhere.  Cached: building the
-    table costs about a fifth of a small prip_exact call."""
+def _block_table(rest: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Read-only (blocks, lower, incidence, tails), the row layout prip_exact prunes
+    in.  blocks: every block as q positions in a support's rest, the `rest` atoms
+    outside it in order (combinations() order).  lower: (q(q+1)/2, block), the flat
+    index into a rest x rest Gram of every lower-triangle entry b_ij, i >= j, of every
+    block, one row per entry: the q diagonal entries b_ii first, then the entries
+    below the diagonal column by column.  incidence: the (i, off-diagonal row)
+    matrix with 1 where i is in the row's (i, j) and 0 elsewhere.  tails: per LDL^T
+    step k, the (i, j) into column k's entries below the diagonal whose products
+    h_i h_j update, in order, the off-diagonal rows of the columns after k.  Cached:
+    building the table costs about as much as a small prip_exact call."""
     blocks = np.fromiter(chain.from_iterable(combinations(range(rest), q)), dtype=np.intp,
                          count=math.comb(rest, q) * q).reshape(-1, q)
-    pairs = np.array(list(combinations(range(q), 2)), dtype=np.intp).reshape(-1, 2)
-    incidence = np.eye(q)[pairs].sum(axis=1).T
-    for arr in (blocks, pairs, incidence):
+    ij = np.array([(i, i) for i in range(q)]  # the (i, j) of each row
+                  + [(i, j) for j in range(q) for i in range(j + 1, q)], dtype=np.intp)
+    lower = (blocks[:, ij[:, 0]] * rest + blocks[:, ij[:, 1]]).T.copy()
+    incidence = np.eye(q)[ij[q:]].sum(axis=1).T
+    tails = tuple(np.triu_indices(q - k - 1, 1)[::-1] for k in range(q))
+    for arr in (blocks, lower, incidence, *chain.from_iterable(tails)):
         arr.setflags(write=False)
-    return blocks, pairs, incidence
+    return blocks, lower, incidence, tails
 
 
-def _discs(grams: np.ndarray, piece: np.ndarray, pairs: np.ndarray, incidence: np.ndarray):
-    """(low, up), each (support, block): the Gershgorin bounds min_i (g_ii - r_i)
-    and max_i (g_ii + r_i) on the eigenvalues of the blocks `piece` of each of
-    the stacked grams, r_i summing |g_ij| over the rest of row i as eigvalsh
-    reads it, from the lower triangle."""
-    at = piece.T  # (q, block): each block's positions by row
-    centre = grams.diagonal(0, 1, 2)[:, at]
-    off = grams[:, at[pairs[:, 1]], at[pairs[:, 0]]]  # g_ji, j > i
-    radius = np.einsum("ip,spb->sib", incidence, np.abs(off, out=off))
-    low = (centre - radius).min(axis=1)
-    return low, np.add(centre, radius, out=centre).max(axis=1)
-
-
-def _definite(a: np.ndarray, shift: float, sign: float) -> np.ndarray:
-    """Mask of the stacked symmetric matrices a, overwritten, for which the unpivoted
-    Cholesky (LDL^T) factorization of sign * (a - shift I), vectorized over the
-    stack, has only positive pivots.  Up to the rounding bounded in prip_exact,
-    every eigenvalue of a matrix that passes lies above the shift for sign 1 and
-    below it for sign -1.  The shift may be infinite."""
-    n = a.shape[1]
-    diag = np.arange(n)
+def _definite(a: np.ndarray, shift: float, sign: float, tails: tuple) -> np.ndarray:
+    """Mask of the columns of a, overwritten, each the lower triangle of a symmetric
+    q x q matrix in the row order of _block_table, whose tails for this q it takes, for
+    which the unpivoted Cholesky (LDL^T) factorization of sign * (B - shift I),
+    vectorized over the columns, has only positive pivots.  Step k takes the pivot
+    row k and the column h below it, then subtracts h h^T from the trailing rows in
+    outer-product form, each product h_i h_j once.  Up to the rounding bounded in
+    prip_exact, every eigenvalue of a matrix that passes lies above the shift for
+    sign 1 and below it for sign -1.  The shift may be infinite."""
+    q = len(tails)
     a *= sign
-    a[:, diag, diag] -= sign * shift
-    ok = np.ones(len(a), dtype=bool)
-    for k in range(n):
-        pivot = a[:, k, k]
+    a[:q] -= sign * shift
+    ok = np.ones(a.shape[1], dtype=bool)
+    col = q  # the first row of column k below the diagonal
+    for k, (i, j) in enumerate(tails):
+        pivot = a[k]
         ok &= pivot > 0
-        if k + 1 < n:
+        rest = q - k - 1
+        if rest:
             # a matrix with a pivot <= 0 divides by inf: no updates from then on
-            h = a[:, k, k + 1:] / np.sqrt(np.where(ok, pivot, np.inf))[:, None]
-            a[:, k + 1:, k + 1:] -= np.einsum("ci,cj->cij", h, h)
+            h = a[col:col + rest] / np.sqrt(np.where(ok, pivot, np.inf))
+            col += rest
+            a[k + 1:q] -= h * h
+            a[col:] -= h[i] * h[j]
     return ok
 
 
-def _blocks(grams: np.ndarray, piece: np.ndarray, si: np.ndarray, bi: np.ndarray) -> np.ndarray:
-    """The blocks piece[bi] of the grams si, gathered as one stack."""
-    at = piece[bi]
-    return grams[si[:, None, None], at[:, :, None], at[:, None, :]]
-
-
-def _widen(lo: float, hi: float, grams: np.ndarray, piece: np.ndarray, si: np.ndarray,
-           bi: np.ndarray):
-    """(lo, hi) widened to the extreme eigenvalues of the blocks piece[bi] of the
-    grams si, solved as one stack."""
-    if len(si) == 0:
+def _widen(lo: float, hi: float, grams: np.ndarray, blocks: np.ndarray, cols: np.ndarray):
+    """(lo, hi) widened to the extreme eigenvalues of the pairs at the columns cols of
+    a piece's rows, each block blocks[c // len(grams)] of Gram c % len(grams),
+    gathered from the grams and solved as one (cols, q, q) stack."""
+    if len(cols) == 0:
         return lo, hi
-    eig = np.linalg.eigvalsh(_blocks(grams, piece, si, bi))
+    at, si = np.divmod(cols, len(grams))
+    at = blocks[at]
+    eig = np.linalg.eigvalsh(grams[si[:, None, None], at[:, :, None], at[:, None, :]])
     return min(lo, float(eig[:, 0].min())), max(hi, float(eig[:, -1].max()))
 
 
@@ -308,26 +305,31 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     The supports' Grams come from the Schur-complement walk _projected_grams,
     whose stacks are sliced into the chunks below.  Only blocks that could move
     the running minimum lo or maximum hi get an eigensolve; two tests rule the
-    others out, one after the other.  First, by Gershgorin's disc theorem the
-    eigenvalues of a block B lie in [low, up], low = min_i (b_ii - r_i) and up =
-    max_i (b_ii + r_i), where r_i sums |b_ij| over the rest of row i: a block
-    with low > lo + tol cannot move lo, and one with up < hi - tol cannot move
-    hi.  Second, the blocks left on the low side take an unpivoted Cholesky
-    (LDL^T) factorization of B - (lo + tol) I, and those left on the high side
-    one of (hi - tol) I - B, vectorized over the blocks (_definite): when every
-    pivot is positive, the block cannot move that extreme either.  tol covers
-    the rounding of the bounds, of the factorization and of the eigensolver (see
-    below), so a skipped block cannot reach the result.  One budget,
+    others out, one after the other, in a row layout: per piece, one gather of the
+    flat Gram indices of _block_table lays the lower triangle of every (support,
+    block) pair out as one column, each entry b_ij one contiguous row over the
+    pairs, so that both tests run on whole rows.  First, by Gershgorin's disc
+    theorem the eigenvalues of a block B lie in [low, up],
+    low = min_i (b_ii - r_i) and up = max_i (b_ii + r_i), where r_i sums |b_ij|
+    over the rest of row i, from the diagonal rows and the absolute off-diagonal
+    ones: a block with low > lo + tol cannot move lo, and one with up < hi - tol
+    cannot move hi.  Second, the columns left on the low side take an unpivoted
+    Cholesky (LDL^T) factorization of B - (lo + tol) I, and those left on the high
+    side one of (hi - tol) I - B, vectorized over the columns (_definite): when
+    every pivot is positive, the block cannot move that extreme either.  tol
+    covers the rounding of the bounds, of the factorization and of the eigensolver
+    (see below), so a skipped block cannot reach the result.  One budget,
     dictionary.BATCH_ELEMENTS, cuts the work: the supports are walked in chunks
     whose Grams and blocks hold at most that many entries, each a view of one
     stack of the walk, and a support with more blocks is cut into pieces of at
-    most that many block entries.  While lo and hi are unset, each support's
-    block with the lowest low and its block with the highest up are solved
-    first, as one stack; after that, per piece, the blocks that fail the
-    Cholesky test on a side their bounds reach are solved, as one stack.
-    Every solved block is gathered from the same Gram entries and goes through
-    the same per-matrix LAPACK call as when every block is solved, and min and
-    max are exact, so the constants keep those bits.
+    most that many block entries.  While lo and hi are unset, each support's block
+    with the lowest low and its block with the highest up are solved first, as one
+    stack; after that, per piece, the blocks that fail the Cholesky test on a side
+    their bounds reach are solved, as one stack.  The layout only decides which
+    blocks are solved, never their values: every solved block is gathered from the
+    same Gram entries as a (blocks, q, q) stack and goes through the same
+    per-matrix LAPACK call as when every block is solved, and min and max are
+    exact, so the constants keep those bits.
 
     Raises CapExceeded when the number of (support, block) pairs exceeds cap,
     evaluated or not, and RankDeficient if some support is numerically
@@ -341,12 +343,12 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     total = math.comb(d.n, l) * math.comb(d.n - l, q)
     if total > cap:
         raise CapExceeded(f"{total} support/block pairs exceed the cap of {cap}")
-    table, pairs, incidence = _block_table(d.n - l, q)
+    blocks, lower, incidence, tails = _block_table(d.n - l, q)
     # a chunk of supports, with their Grams and blocks, or a piece of one support's
     # blocks stays within the budget
-    supports = max(1, dictionary.BATCH_ELEMENTS // (len(table) * q * q + (d.n - l) ** 2))
+    supports = max(1, dictionary.BATCH_ELEMENTS // (len(blocks) * q * q + (d.n - l) ** 2))
     step = max(1, dictionary.BATCH_ELEMENTS // (q * q))
-    pieces = [table[i:i + step] for i in range(0, len(table), step)]
+    pieces = [slice(i, i + step) for i in range(0, len(blocks), step)]
     # Atoms have unit norm (to UNIT_NORM_TOL) and projection only shortens them,
     # so every |g_ij| of a projected Gram is at most about 1 and the eigenvalues of
     # a block lie in [0, q].  The computed Gershgorin bounds are then off by at most
@@ -367,21 +369,29 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     lo, hi = np.inf, -np.inf
     for grams in (stack[s:s + supports] for _, stack in _projected_grams(d, l)
                   for s in range(0, len(stack), supports)):
-        rows = np.arange(len(grams))
+        # one row per Gram entry, one column per support of the chunk, so that
+        # gathering rows of it lays each entry of a block out for every support at once
+        width = len(grams)
+        entries = np.ascontiguousarray(grams.reshape(width, -1).T)
         for piece in pieces:
-            low, up = _discs(grams, piece, pairs, incidence)
+            # (entry, pair): the pair of block b and support s is column b * width + s
+            rows = entries.take(lower[:, piece], axis=0).reshape(len(lower), -1)
+            radius = incidence @ np.abs(rows[q:])
+            low = (rows[:q] - radius).min(axis=0)
+            up = np.add(rows[:q], radius, out=radius).max(axis=0)
             if lo > hi:  # nothing solved yet: each support's most extreme blocks first
-                solved = (np.concatenate((rows, rows)),
-                          np.concatenate((low.argmin(axis=1), up.argmax(axis=1))))
-                lo, hi = _widen(lo, hi, grams, piece, *solved)
+                solved = np.concatenate((low.reshape(-1, width).argmin(axis=0),
+                                         up.reshape(-1, width).argmax(axis=0)))
+                solved = solved * width + np.tile(np.arange(width), 2)
+                lo, hi = _widen(lo, hi, grams, blocks[piece], solved)
                 low[solved], up[solved] = np.inf, -np.inf  # out of both tests below
-            need = np.zeros(low.shape, dtype=bool)
+            need = np.zeros(len(low), dtype=bool)
             for near, shift, sign in ((low <= lo + tol, lo + tol, 1.0),
                                       (up >= hi - tol, hi - tol, -1.0)):
-                si, bi = near.nonzero()
-                if len(si):
-                    need[si, bi] |= ~_definite(_blocks(grams, piece, si, bi), shift, sign)
-            lo, hi = _widen(lo, hi, grams, piece, *need.nonzero())
+                cols = near.nonzero()[0]
+                if len(cols):
+                    need[cols] |= ~_definite(rows.take(cols, axis=1), shift, sign, tails)
+            lo, hi = _widen(lo, hi, grams, blocks[piece], need.nonzero()[0])
     return PripConstants(q=q, l=l, lower=1.0 - lo, upper=hi - 1.0, kind="exact")
 
 

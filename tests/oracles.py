@@ -238,6 +238,26 @@ def prip_every_block(d, q: int, l: int,
     return 1.0 - lo, hi - 1.0
 
 
+def definite_stacked(a: np.ndarray, shift: float, sign: float) -> np.ndarray:
+    """Mask of the stacked symmetric matrices a (N, q, q), overwritten, for which the
+    unpivoted Cholesky (LDL^T) factorization of sign * (a - shift I) has only positive
+    pivots: the test prip_exact ran on gathered (N, q, q) blocks before it pruned in a
+    row layout.  The row-layout test guarantees._definite must give the same mask."""
+    n = a.shape[1]
+    diag = np.arange(n)
+    a *= sign
+    a[:, diag, diag] -= sign * shift
+    ok = np.ones(len(a), dtype=bool)
+    for k in range(n):
+        pivot = a[:, k, k]
+        ok &= pivot > 0
+        if k + 1 < n:
+            # a matrix with a pivot <= 0 divides by inf: no updates from then on
+            h = a[:, k, k + 1:] / np.sqrt(np.where(ok, pivot, np.inf))[:, None]
+            a[:, k + 1:, k + 1:] -= np.einsum("ci,cj->cij", h, h)
+    return ok
+
+
 # the enumerations' support walk on Grams one push at a time, as the package ran it
 # before it pushed children in stacks; the stacked walk must give its bits
 

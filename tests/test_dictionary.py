@@ -283,6 +283,16 @@ def test_shrinkage_gives_up_when_it_stalls(monkeypatch):
     assert dictionary.SHRINK_STALL <= len(calls) < dictionary.SHRINK_STEPS // 10
 
 
+def test_shrinkage_of_no_trial_does_no_step(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    # every trial of this 16 x 20 batch reaches 0.5 before shrinkage
+    assert coherence(random_dictionary(16, 20, 0.5, seed=3)) <= 0.5
+    assert dictionary._shrink_grams(np.empty((0, 4, 6)), 0.5) == []
+    assert calls == []
+
+
 def _shrink_starts(m, n, seeds):
     """The shrinkage starts _generate takes for these seeds: blends at noise weight 0.1."""
     noise, frames = [], []

@@ -17,9 +17,9 @@ from greedycert import (CapExceeded, Dictionary, InvalidArgs, OutOfDomain, RankD
                         random_dictionary, run, tropp_erc, welch_bound)
 
 from oracles import (coherence_of_walk_vectors, coherence_per_support, construction_erc_lhs,
-                     flat, grams_of_walk_vectors, partial_erc_pinv, prip_bruteforce,
-                     prip_every_block, ric_bruteforce, stacks_of_one, walk_per_push,
-                     walk_vectors)
+                     definite_stacked, flat, grams_of_walk_vectors, partial_erc_pinv,
+                     prip_bruteforce, prip_every_block, ric_bruteforce, stacks_of_one,
+                     walk_per_push, walk_vectors)
 
 
 def test_tropp_erc_orthonormal_satisfied():
@@ -458,24 +458,56 @@ def definite_test_blocks(kind: str, q: int, seed: int) -> np.ndarray:
     return np.stack(blocks)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(1, 6), st.sampled_from(["random", "near singular", "equiangular"]),
-       st.integers(0, 2 ** 32 - 1), st.data())
-def test_definite_certifies_only_blocks_beyond_the_shift(q, kind, seed, data):
-    # prip_exact skips a block when _definite passes it at lo + tol (or, with sign
-    # -1, at hi - tol): its eigvalsh extremes must then lie strictly beyond lo (hi)
-    blocks = definite_test_blocks(kind, q, seed)
+def as_rows(blocks: np.ndarray) -> np.ndarray:
+    """The stacked q x q blocks as prip_exact's row layout: one column per block,
+    one row per lower-triangle entry, in the order of guarantees._block_table."""
+    q = blocks.shape[1]
+    _, lower, _, _ = guarantees._block_table(q, q)  # one block: positions 0..q-1
+    return np.ascontiguousarray(blocks.reshape(len(blocks), -1)[:, lower[:, 0]].T)
+
+
+@st.composite
+def shifted_blocks(draw):
+    """(q, blocks, their eigvalsh values, a shift): shifts at an eigenvalue, within
+    1e-13 of one, at +-inf and in [-1, q + 1]."""
+    q = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "near singular", "equiangular"]))
+    blocks = definite_test_blocks(kind, q, draw(st.integers(0, 2 ** 32 - 1)))
+    assert np.array_equal(blocks, blocks.transpose(0, 2, 1))  # as prip_exact's Grams
     eig = np.linalg.eigvalsh(blocks)
-    tol = 2.0 ** -32 * q * q  # as in prip_exact
-    at = eig[data.draw(st.integers(0, len(blocks) - 1)), data.draw(st.integers(0, q - 1))]
-    sigma = data.draw(st.one_of(
+    at = eig[draw(st.integers(0, len(blocks) - 1)), draw(st.integers(0, q - 1))]
+    sigma = draw(st.one_of(
         st.just(at), st.floats(-1e-13, 1e-13).map(lambda e: at + e),
         st.sampled_from([np.inf, -np.inf]), st.floats(-1.0, q + 1.0)))
+    return q, blocks, eig, sigma
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shifted_blocks())
+def test_definite_certifies_only_blocks_beyond_the_shift(case):
+    # prip_exact skips a block when _definite passes it at lo + tol (or, with sign
+    # -1, at hi - tol): its eigvalsh extremes must then lie strictly beyond lo (hi)
+    q, blocks, eig, sigma = case
+    tol = 2.0 ** -32 * q * q  # as in prip_exact
+    tails = guarantees._block_table(q, q)[3]
     for sign, extreme in ((1.0, eig[:, 0]), (-1.0, eig[:, -1])):
-        passed = guarantees._definite(blocks.copy(), sigma + sign * tol, sign)
+        passed = guarantees._definite(as_rows(blocks), sigma + sign * tol, sign, tails)
         assert np.all(sign * extreme[passed] > sign * sigma), (sign, sigma)
         # and it is no stricter than it has to be
         assert passed[sign * (extreme - sigma) > 1e-6].all(), (sign, sigma)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shifted_blocks())
+def test_definite_rows_give_the_mask_of_the_stacked_test(case):
+    # the row layout runs the stacked test's arithmetic, entry by entry
+    q, blocks, _, sigma = case
+    tails = guarantees._block_table(q, q)[3]
+    for shift in (sigma, sigma + 2.0 ** -32 * q * q, sigma - 2.0 ** -32 * q * q):
+        for sign in (1.0, -1.0):
+            want = definite_stacked(blocks.copy(), shift, sign)
+            got = guarantees._definite(as_rows(blocks), shift, sign, tails)
+            assert np.array_equal(got, want), (shift, sign)
 
 
 def test_prip_exact_solves_bounded_stacks_and_prunes(monkeypatch):
@@ -490,9 +522,9 @@ def test_prip_exact_solves_bounded_stacks_and_prunes(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     definite = guarantees._definite
 
-    def tested(a, shift, sign):  # the stacks of the Cholesky test keep the same budget
+    def tested(a, shift, sign, tails):  # the Cholesky test's rows keep the same budget
         assert a.size <= dictionary.BATCH_ELEMENTS
-        return definite(a, shift, sign)
+        return definite(a, shift, sign, tails)
 
     monkeypatch.setattr(guarantees, "_definite", tested)
     d = random_dictionary(12, 20, 0.24, seed=[1, 3, 2])
