@@ -129,6 +129,14 @@ def cmd_certify(args) -> int:
     return 0 if operative.satisfied else 2
 
 
+def _reproduces(scenario, trace, outcome) -> bool:
+    """Whether the replay of a worst-case scenario selected its prefix, then its predicted
+    wrong atom at iteration l, as a wrong selection or a tie."""
+    return (list(trace.selected)[: scenario.l + 1] == [*scenario.partial, scenario.predicted_wrong]
+            and outcome.kind in (RecoveryOutcome.WRONG_ATOM, RecoveryOutcome.TIE_WITH_WRONG_ATOM)
+            and outcome.iteration == scenario.l)
+
+
 def cmd_worstcase(args) -> int:
     _check_kl(args.k, args.l)
     if 2 * args.k - args.l > 64:
@@ -136,11 +144,7 @@ def cmd_worstcase(args) -> int:
     scenario = build_scenario(args.k, args.l, args.variant)
     trace = run(scenario.variant, scenario.dictionary, scenario.y, args.k)
     outcome = classify(trace, scenario.truth)
-    reproduced = (  # the prefix, then the predicted wrong atom, at iteration l
-        list(trace.selected)[: args.l + 1] == [*scenario.partial, scenario.predicted_wrong]
-        and outcome.kind in (RecoveryOutcome.WRONG_ATOM, RecoveryOutcome.TIE_WITH_WRONG_ATOM)
-        and outcome.iteration == args.l
-    )
+    reproduced = _reproduces(scenario, trace, outcome)
     os.makedirs(args.out, exist_ok=True)
     payload = scenario.to_dict()
     with open(os.path.join(args.out, "dictionary.csv"), "w") as fh:

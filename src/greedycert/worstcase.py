@@ -6,14 +6,17 @@ and then forces a wrong atom (or a tie with one) on the very next iteration:
 the null space of the dictionary is spanned by the all-ones vector, so the sum
 of the projected atoms over one half of the remaining indices equals minus the
 sum over the other half, and an observation built on one half makes every
-remaining atom score identically.  The scale factors that keep the prefix
-selections strict, and the mixing scale, are calibrated by repeated halving as
-steps of one loop.  Every accepted candidate selects a prefix of the same atoms,
-so the steps share one pursuit, which pushes each prefix atom once.  A
-candidate's residual at each prefix level, and its correlations with the atoms,
-are affine in its scale: a step projects its input and its direction once, and
-scores a stack of candidate scales at every level in one pass (after the
-correlation updates of Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).
+remaining atom score identically.  The prefix part of that input is solved in
+closed form, one level at a time (_prefix_coefficients): after any t atoms are
+projected out the rest of the construction is again equiangular, so every score
+of a prefix level is affine in one coefficient.  Only the mixing scale is
+calibrated, by repeated halving; the calibration loop also walks a pursuit
+through a prefix on any dictionary (reach_input), one scale per atom, as steps
+that share one pursuit, which pushes each prefix atom once.  A candidate's
+residual at each prefix level, and its correlations with the atoms, are affine
+in its scale: a step projects its input and its direction once, and scores a
+stack of candidate scales at every level in one pass (after the correlation
+updates of Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).
 """
 
 from dataclasses import dataclass
@@ -31,6 +34,10 @@ from .projection import project_atoms, residual
 HALVING_STEPS = 80
 CALIBRATION_STACK = 4  # scales in the first stack a calibration tries at once
 MARGIN_FACTOR = 10.0  # selection margins must exceed this multiple of the tie tolerance
+# the relative margin (_margins) of each prefix selection of a worst-case input before
+# mixing: it must stay well above MARGIN_FACTOR * TIE_REL_TOL once the mixing component
+# is added, and the grid 2k-l <= 64 reproduces from 1e-4 to 0.1
+PREFIX_MARGIN = 1e-2
 SPAN_TOL = 1e-10
 
 
@@ -70,6 +77,39 @@ def projected_gram_closed_form(k: int, l: int, r) -> tuple[float, float]:
     return -mu - mu * mu * s, 1.0 - mu * mu * s
 
 
+def _prefix_coefficients(k: int, l: int) -> np.ndarray:
+    """The coefficients c of the prefix part y1 = sum over j < l of c_j a_j of the
+    worst-case input for (k, l): from y1 a pursuit on build_worst_case(k, l) selects
+    atoms 0, 1, ..., l-1 in turn, each with a margin (_margins) of at least
+    PREFIX_MARGIN over every other atom.
+
+    With atoms 0..t-1 projected out, the other atoms have equal squared norms and equal
+    inner products, -mu_t times those norms, with mu_t = 1/(2k-l-1-t)
+    (projected_gram_closed_form).  So at level t, with S_t = c_t + ... + c_{l-1}, a
+    remaining prefix atom i scores in proportion to |c_i (1 + mu_t) - mu_t S_t| and every
+    atom outside the prefix to mu_t |S_t|, under either variant, as the projected norms
+    are equal; level t depends on c_t, ..., c_{l-1} only.  So c_{l-1} = 1 and, for
+    t = l-2 down to 0, c_t is the value of least magnitude at which atom t's margin
+    reaches PREFIX_MARGIN.  Every score of level t is |b + g c_t| for some b and g, so
+    that value is one of the points where a rival's score is (1 - PREFIX_MARGIN) times
+    atom t's, moved away from zero by a relative 1e-12 to stay feasible under rounding.
+    Scaled to a largest magnitude of 1."""
+    n, keep = 2 * k - l, 1.0 - PREFIX_MARGIN
+    c, sign = np.ones(l), np.array([[1.0], [-1.0]])
+    for t in range(l - 2, -1, -1):
+        mu, tail = 1.0 / (n - 1 - t), c[t + 1:]
+        a = mu * tail.sum()
+        # the scores of level t are |b + g c_t|: atom t's, the later prefix atoms', and
+        # the atoms' outside the prefix
+        b = np.concatenate(((-a,), (1.0 + mu) * tail - a, (a,)))
+        g = np.concatenate(((1.0,), np.full(len(tail), -mu), (mu,)))
+        # the roots of keep (x - a) = +-(b_r + g_r x), for every rival r
+        x = ((keep * a + sign * b[1:]) / (keep - sign * g[1:])).ravel() * (1.0 + 1e-12)
+        x = x[_margins(np.abs(b + g * x[:, None]), 0) >= PREFIX_MARGIN]
+        c[t] = x[np.abs(x).argmin()]
+    return c / np.abs(c).max(initial=1.0)  # c_{l-1} = 1: the initial only serves l = 0
+
+
 def _calibrate(variant, d: Dictionary, base, order, steps) -> tuple[list, list]:
     """From base, each step (direction, length, what) adds direction times the first of the
     scales 1, 1/2, 1/4, ... at which the input reproduces order[:length]; returns the
@@ -106,8 +146,12 @@ def _calibrate(variant, d: Dictionary, base, order, steps) -> tuple[list, list]:
             basis[shared.t], sqs[shared.t] = shared.basis[:, shared.t - 1], shared.sq
         # the input x and the direction d at every level (each minus its components along
         # the basis vectors before that level), and their correlations with the atoms
-        q, pair = basis[:length], np.array((inputs[-1], direction))
-        proj = pair[:, None] - np.add.accumulate((pair @ q.T)[..., None] * q, axis=1)
+        pair = np.array((inputs[-1], direction))
+        if length == 1:  # level 0 projects against nothing
+            proj = pair[:, None]
+        else:
+            q = basis[:length]
+            proj = pair[:, None] - np.add.accumulate((pair @ q.T)[..., None] * q, axis=1)
         (x, dx), (cx, cdx) = proj, proj @ d.atoms
         sq, picks = sqs[:length], order[:length]
         start = 0
@@ -185,6 +229,8 @@ class WorstCaseScenario:
     the span of the truth atoms, drives the solver through `partial` exactly,
     and then offers identical scores to every remaining atom, half of which
     are outside the truth (half_low); the tie rule takes its first, predicted_wrong.
+    reach_component is the sum of prefix_coefficients[j] times atom j over the
+    prefix (_prefix_coefficients), and mix_epsilon the calibrated mixing scale.
     """
 
     k: int
@@ -198,7 +244,7 @@ class WorstCaseScenario:
     y: np.ndarray
     reach_component: np.ndarray
     null_component: np.ndarray
-    prefix_epsilons: tuple
+    prefix_coefficients: tuple
     mix_epsilon: float
     predicted_wrong: int
     coherence: float
@@ -216,7 +262,7 @@ class WorstCaseScenario:
             "y": np.asarray(self.y, dtype=float).tolist(),
             "reach_component": np.asarray(self.reach_component, dtype=float).tolist(),
             "null_component": np.asarray(self.null_component, dtype=float).tolist(),
-            "prefix_epsilons": np.asarray(self.prefix_epsilons, dtype=float).tolist(),
+            "prefix_coefficients": np.asarray(self.prefix_coefficients, dtype=float).tolist(),
             "mix_epsilon": float(self.mix_epsilon),
             "predicted_wrong": self.predicted_wrong,
             "coherence": float(self.coherence),
@@ -231,11 +277,13 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
     """Assemble the guaranteed-failure instance for (k, l).
 
     The first l atoms form the prescribed prefix; the observation combines the
-    prefix-reaching input with a calibrated multiple of the half-sum direction
-    y2 from dual_representation.  Every atom outside the prefix scores the same
-    against y2 and the tie rule takes the lowest, q1's first (predicted_wrong),
-    so the truth is the prefix and q2; the worstcase command's replay checks
-    this.  The result is verified to lie in the span of the truth atoms.
+    prefix-reaching input y1, whose coefficients on the prefix atoms come in
+    closed form from _prefix_coefficients, with a multiple of the half-sum
+    direction y2 from dual_representation, whose scale is the one calibrated
+    step.  Every atom outside the prefix scores the same against y2 and the tie
+    rule takes the lowest, q1's first (predicted_wrong), so the truth is the
+    prefix and q2; the worstcase command's replay checks this.  The result is
+    verified to lie in the span of the truth atoms.
     """
     variant = as_variant(variant)
     k, l = _check_kl(k, l)
@@ -245,10 +293,10 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
     y2, q1, q2 = dual_representation(d, prefix, variant)
     truth = Support(tuple(prefix.indices) + tuple(q2.indices))
 
-    base, steps = _reach(d, prefix.indices)
-    inputs, scales = _calibrate(variant, d, base, prefix.indices,
-                                steps + [(y2, l, "the mixing scale")])
-    (y1, y), eps = inputs[-2:], scales[-1]
+    coefficients = _prefix_coefficients(k, l)
+    y1 = d.atoms[:, :l] @ coefficients
+    (_, y), (eps,) = _calibrate(variant, d, y1, prefix.indices,
+                                [(y2, l, "the mixing scale")])
 
     gap = float(np.linalg.norm(residual(d, truth, y)))
     if gap > SPAN_TOL * float(np.linalg.norm(y)):
@@ -259,6 +307,7 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
         k=k, l=l, variant=variant.value, dictionary=d,
         partial=prefix, truth=truth, half_low=q1, half_high=q2,
         y=y, reach_component=y1, null_component=y2,
-        prefix_epsilons=tuple(scales[:-1]), mix_epsilon=eps, predicted_wrong=q1.indices[0],
+        prefix_coefficients=tuple(coefficients.tolist()), mix_epsilon=eps,
+        predicted_wrong=q1.indices[0],
         coherence=mu, threshold=coherence_threshold(k, l),
     )

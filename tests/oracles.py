@@ -614,4 +614,4 @@ def scenario_dict_per_scalar(scenario) -> dict:
     """`WorstCaseScenario.to_dict` with its number lists built by `float(x)`."""
     return {**scenario.to_dict(),
             **{key: [float(x) for x in getattr(scenario, key)]
-               for key in ("y", "reach_component", "null_component", "prefix_epsilons")}}
+               for key in ("y", "reach_component", "null_component", "prefix_coefficients")}}

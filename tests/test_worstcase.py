@@ -196,7 +196,7 @@ _VECTORS = arrays(float, st.integers(0, 6), elements=st.floats())
 @example(np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1]), np.zeros(0), list(EDGE_FLOATS))
 def test_scenario_to_dict_keeps_the_float_lists_of_any_floats(y, reach, null, eps):
     s = dataclasses.replace(build_scenario(2, 0, "omp"), y=y, reach_component=reach,
-                            null_component=null, prefix_epsilons=tuple(eps))
+                            null_component=null, prefix_coefficients=tuple(eps))
     assert repr(s.to_dict()) == repr(scenario_dict_per_scalar(s))
 
 
@@ -209,7 +209,7 @@ def test_scenario_serialization_roundtrip(tmp_path):
     rows = blob["dictionary_csv"].split("\n")
     a = np.array([[float(x) for x in row.split(",")] for row in rows])
     assert a.tobytes() == s.dictionary.atoms.tobytes()  # 17 digits round-trip
-    assert blob["prefix_epsilons"] == list(s.prefix_epsilons)
+    assert blob["prefix_coefficients"] == list(s.prefix_coefficients)
 
 
 def test_scenario_validation():
@@ -221,16 +221,18 @@ def test_scenario_validation():
         build_scenario(3, 1, "sp")
 
 
-@pytest.mark.parametrize("k, l", PAIRS + [(18, 4), (25, 2), (32, 16), (40, 16), (30, 20)])
+@pytest.mark.parametrize("k, l", PAIRS + [(18, 4), (25, 2), (32, 16), (40, 16), (30, 20),
+                                         (26, 25), (34, 32), (63, 62)])
 def test_stacked_calibration_matches_one_run_per_scale(monkeypatch, k, l):
-    # (32, 16) needs up to 16 halvings per prefix atom: stacks of 4, 8 and 16 scales;
-    # (40, 16) and (30, 20) are the most atoms and the longest prefix the CLI allows
+    # the mixing scale is the one calibrated step: (3, 2) takes 2^-7, from its second
+    # stack of scales; (40, 16), (30, 20) and (63, 62) are the most atoms, a long prefix
+    # and the longest prefix the CLI allows
     for variant in ("omp", "ols"):
         stacked = build_scenario(k, l, variant)
         with monkeypatch.context() as patch:
             patch.setattr(worstcase, "_calibrate", calibrate_chain)
             sequential = build_scenario(k, l, variant)
-        assert stacked.prefix_epsilons == sequential.prefix_epsilons
+        assert stacked.prefix_coefficients == sequential.prefix_coefficients
         assert stacked.mix_epsilon == sequential.mix_epsilon
         assert stacked.y.tobytes() == sequential.y.tobytes()
 
@@ -348,22 +350,38 @@ def test_calibration_chains_match_one_run_per_scale(data):
 
 @pytest.mark.parametrize("variant", ["omp", "ols"])
 def test_calibration_failure_is_reported(monkeypatch, tmp_path, capsys, variant):
-    # build_scenario(5, 3) needs the scale 2^-2 for prefix atom 2
-    monkeypatch.setattr(worstcase, "HALVING_STEPS", 2)
+    # build_scenario(5, 3) needs the mixing scale 2^-1
+    monkeypatch.setattr(worstcase, "HALVING_STEPS", 1)
     with pytest.raises(CalibrationFailed) as exc:
         build_scenario(5, 3, variant)
-    assert str(exc.value) == "could not calibrate the scale for prefix atom 2 after 2 halvings"
+    assert str(exc.value) == "could not calibrate the mixing scale after 1 halvings"
     out = tmp_path / "wc"
     code = cli.main(["worstcase", "--k", "5", "--l", "3", "--variant", variant,
                      "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
-    assert captured.err == ("calibration failed: could not calibrate the scale for "
-                            "prefix atom 2 after 2 halvings\n")
+    assert captured.err == ("calibration failed: could not calibrate the mixing scale "
+                            "after 1 halvings\n")
     assert not out.exists()
+    monkeypatch.setattr(worstcase, "HALVING_STEPS", 2)
+    s = build_scenario(5, 3, variant)
+    assert s.mix_epsilon == 0.5
+    # c_2 = 1 and c_1 is the least c with 0.99 |c - 1/5| >= |1 - c/5| and >= |1/5 + c/5|
+    assert s.prefix_coefficients[1] == 1.0
+    assert s.prefix_coefficients[2] == pytest.approx(1.19 / 1.198, rel=1e-11)
+
+
+@pytest.mark.parametrize("variant", ["omp", "ols"])
+def test_reach_failure_names_the_prefix_atom(monkeypatch, variant):
+    # reach_input on build_worst_case(5, 3) needs the scale 2^-2 for prefix atom 2
+    d = build_worst_case(5, 3)
+    monkeypatch.setattr(worstcase, "HALVING_STEPS", 2)
+    with pytest.raises(CalibrationFailed) as exc:
+        reach_input(d, [0, 1, 2], variant)
+    assert str(exc.value) == "could not calibrate the scale for prefix atom 2 after 2 halvings"
     monkeypatch.setattr(worstcase, "HALVING_STEPS", 3)
-    assert build_scenario(5, 3, variant).prefix_epsilons == (0.5, 0.25)
+    assert reach_input(d, [0, 1, 2], variant)[1] == (0.5, 0.25)
 
 
 @pytest.mark.parametrize("variant", ["omp", "ols"])
@@ -408,8 +426,8 @@ def test_the_tie_against_the_null_component_goes_to_the_lower_half(variant):
 
 @pytest.mark.parametrize("variant", ["omp", "ols"])
 def test_scenario_pushes_each_prefix_atom_once(monkeypatch, variant):
-    # the calibrations share one pursuit, which pushes atoms 0..14 once each (a
-    # candidate only selects the last prefix atom, 15); no other pursuit runs
+    # the mixing step's pursuit pushes atoms 0..14 once each (a candidate only selects
+    # the last prefix atom, 15); no other pursuit runs
     pushes, push = [], greedy._Pursuit.push
 
     def counted(self, js, *args, **kwargs):
@@ -423,9 +441,8 @@ def test_scenario_pushes_each_prefix_atom_once(monkeypatch, variant):
 
 @pytest.mark.parametrize("variant", ["omp", "ols"])
 def test_scenario_scores_each_stack_of_scales_once(monkeypatch, variant):
-    # a stack of candidate scales is scored at every prefix level in one _scores call:
-    # (32, 16) calibrates 16 steps (prefix atoms 1..15 and the mixing scale), and a step
-    # whose scale is 2^-i ends with the stack that holds halving i (stacks of 4, 8, 16, ...)
+    # a stack of candidate mixing scales is scored at every prefix level in one _scores
+    # call: a scale 2^-i ends with the stack that holds halving i (stacks of 4, 8, 16, ...)
     calls, scores = [], worstcase._scores
 
     def counted(variant, corr, sq):
@@ -433,11 +450,86 @@ def test_scenario_scores_each_stack_of_scales_once(monkeypatch, variant):
         return scores(variant, corr, sq)
 
     monkeypatch.setattr(worstcase, "_scores", counted)
-    scenario = build_scenario(32, 16, variant)
-    ends = np.cumsum([4, 8, 16, 32, 20])  # the halvings after each stack, up to 80
-    stacks = [int(np.searchsorted(ends, -np.log2(eps), side="right")) + 1
-              for eps in (*scenario.prefix_epsilons, scenario.mix_epsilon)]
-    assert len(calls) == sum(stacks) == 34
-    levels = [length for length, count in zip([*range(2, 17), 16], stacks)
-              for _ in range(count)]
-    assert [shape[1:] for shape in calls] == [(length, 48) for length in levels]  # n = 48
+    for (k, l), want in (((32, 16), [(4, 16, 48)]), ((3, 2), [(4, 2, 4), (8, 2, 4)])):
+        calls.clear()
+        scenario = build_scenario(k, l, variant)
+        ends = np.cumsum([4, 8, 16, 32, 20])  # the halvings after each stack, up to 80
+        stacks = int(np.searchsorted(ends, -np.log2(scenario.mix_epsilon), side="right")) + 1
+        assert calls == want and len(calls) == stacks, (k, l)
+
+
+def _level_scores(c, t: int, n: int) -> np.ndarray:
+    """The closed-form scores of the n atoms of build_worst_case at prefix level t for
+    the prefix input sum_j c_j a_j, over a common factor: zero at atoms 0..t-1,
+    |c_i (1 + mu_t) - mu_t S_t| at prefix atoms i >= t and mu_t |S_t| at the others, with
+    mu_t = 1/(n-1-t) and S_t = c_t + ... + c_{l-1}; c_t may be a column of candidates."""
+    c = np.asarray(c, dtype=float)
+    mu, lead = 1.0 / (n - 1 - t), c.shape[:-1]
+    s = c[..., t:].sum(axis=-1, keepdims=True)
+    return np.concatenate((np.zeros((*lead, t)), np.abs(c[..., t:] * (1.0 + mu) - mu * s),
+                           np.broadcast_to(mu * np.abs(s), (*lead, n - c.shape[-1]))), axis=-1)
+
+
+@st.composite
+def _grid_pairs(draw):
+    """(k, l) with 1 <= k, 0 <= l < k and 2k-l <= 64, as the worstcase command allows."""
+    k = draw(st.integers(1, 63))
+    return k, draw(st.integers(max(0, 2 * k - 64), k - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_grid_pairs())
+@example((63, 62))
+@example((33, 2))
+@example((32, 16))
+def test_prefix_coefficients_are_the_least_that_keep_each_margin(pair):
+    k, l = pair
+    n, target = 2 * k - l, worstcase.PREFIX_MARGIN
+    c = worstcase._prefix_coefficients(k, l)
+    assert c.shape == (l,) and (l == 0 or np.abs(c).max() == 1.0)
+    d = build_worst_case(k, l)
+    for variant in ("omp", "ols"):
+        pursuit = greedy._Pursuit(d.atoms, d.atoms[:, :l] @ c, l)
+        for t in range(l):
+            # a real pursuit pushed to level t scores as the closed form says, with the
+            # factor of the equal projected norms
+            _, real, _ = pursuit.select(greedy.as_variant(variant))
+            _, norm_sq = projected_gram_closed_form(k, l, t)
+            scale = norm_sq if variant == "omp" else np.sqrt(norm_sq)
+            closed = _level_scores(c, t, n) * scale
+            assert np.abs(closed - real).max() <= 1e-12 * real.max(), (t, variant)
+            pursuit.push(t)
+    for t in range(l):
+        assert greedy._margins(_level_scores(c, t, n), t) >= target, t
+        if t == l - 1:
+            continue  # c_{l-1} is the scale, not a solved value
+        # no c_t of smaller magnitude reaches the margin: a dense scan, denser near 0
+        bound = abs(c[t]) * (1.0 - 1e-9)
+        grid = np.concatenate((np.linspace(-bound, bound, 4001),
+                               np.geomspace(bound * 1e-6, bound, 400)))
+        grid = np.concatenate((grid, -grid))
+        trial = np.repeat(c[None], len(grid), axis=0)
+        trial[:, t] = grid
+        assert not (greedy._margins(_level_scores(trial, t, n), t) >= target).any(), t
+
+
+GRID = [(k, l) for k in range(1, 64) for l in range(max(0, 2 * k - 64), k)]
+
+
+@pytest.mark.parametrize("k", range(1, 64))
+def test_every_scenario_inside_the_cap_reproduces(k):
+    # every (k, l, variant) with 2k-l <= 64, replayed by the worstcase command's rule: the
+    # prefix, then the predicted wrong atom at iteration l; build_scenario has checked
+    # that y lies within SPAN_TOL of the truth span
+    for l in (l for kk, l in GRID if kk == k):
+        for variant in ("omp", "ols"):
+            s = build_scenario(k, l, variant)
+            trace = run(variant, s.dictionary, s.y, k)
+            assert cli._reproduces(s, trace, classify(trace, s.truth)), (k, l, variant)
+            gap = np.linalg.norm(residual(s.dictionary, s.truth, s.y))
+            assert gap <= worstcase.SPAN_TOL * np.linalg.norm(s.y)
+
+
+def test_the_grid_has_every_scenario_inside_the_cap():
+    assert len(GRID) * 2 == 2048 and max(2 * k - l for k, l in GRID) == 64
+    assert {k for k, _ in GRID} == set(range(1, 64))  # the k of the replay test
