@@ -172,7 +172,7 @@ def cmd_sweep(args) -> int:
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     config = SweepConfig.from_dict(raw)
-    report = run_sweep(config, jobs=args.jobs)
+    report = run_sweep(config)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         csv_path = os.path.join(args.out, "sweep.csv")
@@ -250,9 +250,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="sweep config JSON file")
     p.add_argument("--out", help="directory for sweep.csv and sweep.json")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility and must be >= 1; each cell runs as one "
-                        "batch in a single thread, so it changes nothing")
     p.add_argument("--format", choices=["json", "csv"], default="csv")
 
     p = sub.add_parser("prip", help="projected restricted-isometry constants")

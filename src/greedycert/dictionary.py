@@ -26,7 +26,7 @@ UNIT_NORM_TOL = 1e-9
 # distance to the span of the atoms before it is at or below this as dependent on them.
 RANK_SV_TOL = 1e-8
 SPARK_CAP = 20
-BISECT_STEPS = 60
+BISECT_STEPS = 24  # halvings of the blend's noise-weight bracket: it ends 2^-24 wide
 SHRINK_STEPS = 1500
 SHRINK_STALL = 50  # shrinkage steps in a row without a new lowest coherence before it gives up
 BATCH_ELEMENTS = 1 << 16  # matrix entries per stack in a generator batch: n*max(m, n) a trial
@@ -344,18 +344,14 @@ def _blend(frames: np.ndarray, noise: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _bisect_blend(frames: np.ndarray, noise: np.ndarray, target: float) -> np.ndarray:
-    """Blends with the largest noise weight that keeps the coherence within
-    the target, bisected in lockstep over a stack of trials, each with its own
-    bracket.  Once every midpoint has rounded onto an end of its bracket, no
-    later step can move a bracket, so the loop stops there.  Brackets start
-    at [0, 1] and halve exactly while their ends fit in a float's 53-bit
-    significand, so no midpoint can round onto an end before step 53 and the
-    check starts there."""
+    """Blends at the low end of a noise-weight bracket bisected BISECT_STEPS times from
+    [0, 1], in lockstep over a stack of trials, each with its own bracket.  The low end
+    always keeps the coherence within the target, so every trial is accepted; the bracket's
+    final width only sets how far below the target it lands: within a relative gap of
+    1e-5 on the sweeps' threshold cells (tested), far inside sweep.THRESHOLD_SAFETY."""
     lo, hi = np.zeros(len(frames)), np.ones(len(frames))
-    for step in range(BISECT_STEPS):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if step >= 53 and ((mid == lo) | (mid == hi)).all():
-            break
         ok = _off_diagonal_max(_grams(_blend(frames, noise, mid))) <= target
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return _blend(frames, noise, lo)
@@ -423,9 +419,9 @@ def random_dictionaries(m: int, n: int, coherence_target: float | None,
 
     Trial i is exactly `random_dictionary(m, n, coherence_target, seeds[i])`,
     byte for byte, with None where that call raises TargetUnreachable for
-    its draw.  The trials are generated together: each step of the blend
-    bisection, and of the Gram shrinkage, is one stacked evaluation over every
-    trial that needs it.
+    its draw.  The trials are generated together: each of the BISECT_STEPS
+    steps of the blend bisection, and each step of the Gram shrinkage, is one
+    stacked evaluation over every trial that needs it.
     Batches hold at most BATCH_ELEMENTS matrix entries per stack, so the
     working memory does not grow with the number of seeds.
 
@@ -447,12 +443,14 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
                       seed=0) -> Dictionary:
     """Seeded random dictionary, optionally with a coherence ceiling.
 
-    Without a target the atoms are normalized i.i.d. Gaussian columns.  With a
-    target, an orthogonal frame is blended with i.i.d. noise and the blend
-    weight is bisected until the coherence drops below the target; for n > m,
-    where no frame in the blend family is incoherent enough for tight targets,
-    a deterministic Gram-shrinkage refinement takes over.  This is a batch of
-    one of `random_dictionaries`.
+    Without a target the atoms are normalized i.i.d. Gaussian columns, which
+    are kept when they meet the target too.  Otherwise an orthogonal frame
+    that meets it is blended with the noise, and the blend at the low end of
+    a noise-weight bracket bisected BISECT_STEPS times is kept: its coherence
+    meets the target and sits a little below it (`_bisect_blend`).  For n > m,
+    where the frame itself may miss tight targets, a deterministic
+    Gram-shrinkage refinement takes over.  This is a batch of one of
+    `random_dictionaries`.
 
     Parameters
     ----------
@@ -470,9 +468,9 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
         non-negative number (NaN included), or a seed that default_rng refuses.
     TargetUnreachable
         If the target is below the analytic lower bound for (m, n), or the
-        blend/shrinkage search ends above the target: the shrinkage stops
-        after SHRINK_STALL steps without a new lowest coherence, or at
-        SHRINK_STEPS.
+        frame misses the target and the shrinkage (n > m only) ends above it:
+        the shrinkage stops after SHRINK_STALL steps without a new lowest
+        coherence, or at SHRINK_STEPS.
     """
     (d,) = random_dictionaries(m, n, coherence_target, [seed])
     if d is None:

@@ -24,6 +24,10 @@ from .guarantees import coherence_threshold
 
 THRESHOLD_SENTINEL = "threshold"
 THRESHOLD_SAFETY = 1e-3  # generate strictly below the cell threshold by this relative margin
+# why a cell accepted no trial: its CellResult.skip_reason
+SKIP_BELOW_WELCH = "coherence target below the Welch bound for this shape: no trial was drawn"
+SKIP_UNREACHED = "no trial reached the coherence target within the generator's step budget"
+SKIP_DROPPED = "every trial that reached the target had coherence at or above the threshold"
 
 _VARIANT_CHOICES = ("omp", "ols", "both")
 
@@ -124,7 +128,8 @@ class SweepConfig:
 
 @dataclass
 class CellResult:
-    """Aggregated counts for one (variant, k, l) cell."""
+    """Aggregated counts for one (variant, k, l) cell.  A cell that accepted no trial is
+    skipped, and its skip_reason is SKIP_BELOW_WELCH, SKIP_UNREACHED or SKIP_DROPPED."""
 
     variant: str
     k: int
@@ -188,46 +193,44 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepReport:
+def run_sweep(config: SweepConfig) -> SweepReport:
     """Execute the sweep and aggregate per-cell counts.
 
-    Each cell runs in batches of trials, as the module docstring says.  jobs is
-    validated and otherwise ignored: a cell is a handful of stacked numpy calls
-    in the calling thread, and threads only added overhead.  Cells whose
-    coherence target is unreachable for the configured shape are marked
-    skipped rather than failed.
+    Each cell runs in batches of trials in the calling thread, as the module
+    docstring says.  Cells that accept no trial are marked skipped, with the
+    reason, rather than failed.
     """
-    if jobs < 1:
-        raise InvalidArgs(f"jobs must be >= 1, got {jobs}")
     variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
     cells = []
     for (k, l) in config.cells():
-        mus, counts = _cell_outcomes(config, k, l, variants)
+        mus, counts, reason = _cell_outcomes(config, k, l, variants)
         for v in variants:
             cells.append(CellResult(  # the counts of _KINDS fill successes .. early_stops
                 v, k, l, coherence_threshold(k, l), config.trials, len(mus), *counts[v].tolist(),
                 mu_sum=reduce(add, mus, 0.0),  # in trial order: sum() compensates from 3.12 on
-                mu_max=max(mus, default=0.0), skipped=not mus,
-                skip_reason=None if mus else "coherence target unreachable for this shape"))
+                mu_max=max(mus, default=0.0), skipped=reason is not None, skip_reason=reason))
     return SweepReport(config=config, cells=tuple(cells))
 
 
 def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
-    """The accepted trials of cell (k, l): their coherences in trial order and, per
-    variant, how many of them ended in each outcome of _KINDS, one generator batch
-    at a time.  Trial t's dictionary comes from the seed [seed, k, l, t]."""
+    """The accepted trials of cell (k, l): their coherences in trial order, per variant
+    how many of them ended in each outcome of _KINDS, and the cell's skip reason (None
+    when it accepted a trial), one generator batch at a time.  Trial t's dictionary
+    comes from the seed [seed, k, l, t]."""
     cell_mus, counts = [], {v: np.zeros(len(_KINDS), dtype=int) for v in variants}
     seeds = ([config.seed, k, l, t] for t in range(config.trials))
-    start = 0
+    start, reached_any = 0, False
     try:
         for atoms, reached in _batches(config.m, config.n, config.cell_target(k, l), seeds):
             trials = (start + np.flatnonzero(reached)).tolist()
-            start += len(reached)
+            start, reached_any = start + len(reached), reached_any or bool(trials)
             cell_mus += _batch_outcomes(config, k, l, counts, trials, atoms[reached])
             del atoms, reached  # the generator's next batch is made after this one is freed
-    except TargetUnreachable:  # below the Welch bound, so no draw reaches it
-        pass
-    return cell_mus, counts
+    except TargetUnreachable:  # below the Welch bound, raised before any draw
+        return [], counts, SKIP_BELOW_WELCH
+    if cell_mus:
+        return cell_mus, counts, None
+    return [], counts, SKIP_DROPPED if reached_any else SKIP_UNREACHED
 
 
 def _batch_outcomes(config: SweepConfig, k: int, l: int, counts: dict, trials: list,

@@ -15,7 +15,7 @@ from greedycert import (CalibrationFailed, CellResult, Dictionary, GreedyTrace, 
                         RankDeficient, RecoveryOutcome, SolverVariant, Support, SweepReport,
                         as_support, coherence, coherence_threshold, make_instance, run,
                         welch_bound)
-from greedycert import dictionary, guarantees
+from greedycert import dictionary, guarantees, sweep
 from greedycert.greedy import RESIDUAL_TOL, TIE_REL_TOL, _tied
 from greedycert.guarantees import _projected_grams
 from greedycert.projection import VANISH_TOL
@@ -458,7 +458,7 @@ def random_dictionary_per_trial(m: int, n: int, coherence_target=None, seed=0):
         return "noise", blend(1.0)
     if mu_of(frame) <= target:
         lo, hi = 0.0, 1.0
-        for _ in range(60):
+        for _ in range(dictionary.BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             if mu_of(blend(mid)) <= target:
                 lo = mid
@@ -525,10 +525,12 @@ def sweep_per_trial(config, scratch: bool = False) -> SweepReport:
                                      requested=config.trials) for v in variants}
         target = config.cell_target(k, l)
         reachable = target is None or target >= welch_bound(m, n)
+        reached = 0
         for t in range(config.trials if reachable else 0):
             _, atoms = random_dictionary_per_trial(m, n, target, [config.seed, k, l, t])
             if atoms is None:
                 continue
+            reached += 1
             d = Dictionary(atoms)
             mu = coherence(d)
             if config.coherence_target == "threshold" and not mu < coherence_threshold(k, l):
@@ -552,7 +554,8 @@ def sweep_per_trial(config, scratch: bool = False) -> SweepReport:
             cell = per_variant[v]
             if cell.accepted == 0:
                 cell.skipped = True
-                cell.skip_reason = "coherence target unreachable for this shape"
+                cell.skip_reason = (sweep.SKIP_BELOW_WELCH if not reachable else
+                                    sweep.SKIP_DROPPED if reached else sweep.SKIP_UNREACHED)
             cells.append(cell)
     return SweepReport(config=config, cells=tuple(cells))
 

@@ -67,7 +67,7 @@ def test_criterion_2_seeded_sufficiency():
     cfg = SweepConfig(m=16, n=16, k_range=(2, 5), l_range=(0, 4), trials=75,
                       coherence_target="threshold", seed=1234, variant="both",
                       seed_partial=True)
-    report = run_sweep(cfg, jobs=2)
+    report = run_sweep(cfg)
     failures = []
     accepted = {"omp": 0, "ols": 0}
     for cell in report.cells:
@@ -94,7 +94,7 @@ def test_criterion_3_unseeded_sufficiency():
     cfg = SweepConfig(m=16, n=16, k_range=(2, 5), l_range=(0, 0), trials=130,
                       coherence_target="threshold", seed=99, variant="both",
                       seed_partial=False)
-    report = run_sweep(cfg, jobs=2)
+    report = run_sweep(cfg)
     failures = []
     accepted = {"omp": 0, "ols": 0}
     for cell in report.cells:
@@ -320,16 +320,12 @@ def test_criterion_9_sweep_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     outs = [tmp_path / f"run{i}" for i in range(3)]
-    codes = [
-        cli_main(["sweep", "--config", str(cfg_path), "--out", str(outs[0])]),
-        cli_main(["sweep", "--config", str(cfg_path), "--out", str(outs[1]), "--jobs", "4"]),
-        cli_main(["sweep", "--config", str(cfg_path), "--out", str(outs[2])]),
-    ]
+    codes = [cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) for out in outs]
     failures = []
     if codes != [0, 0, 0]:
         failures.append(f"exit codes {codes}")
     else:
         blobs = [(o / "sweep.csv").read_bytes() for o in outs]
         if not (blobs[0] == blobs[1] == blobs[2]):
-            failures.append("CSV bytes differ between serial/parallel/repeat runs")
+            failures.append("CSV bytes differ between the three runs")
     _verdict(9, "byte-identical sweep output", failures)

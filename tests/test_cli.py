@@ -254,10 +254,13 @@ def test_sweep_command_and_determinism(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out2),
-                 "--jobs", "3"]) == 0
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out2)]) == 0
     capsys.readouterr()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    assert (out1 / "sweep.json").read_bytes() == (out2 / "sweep.json").read_bytes()
+    # the retired --jobs is an unknown option
+    assert main(["sweep", "--config", str(cfg_path), "--jobs", "3"]) == 1
+    assert "usage error" in capsys.readouterr().err
     blob = json.loads((out1 / "sweep.json").read_text())
     assert blob["config"]["seed"] == 9
 
@@ -685,7 +688,7 @@ def _argv(draw, tmp):
         out = ["--out", os.path.join(tmp, "out")] if draw(st.booleans()) else []
         seed = ["--seed", str(draw(_mostly(st.integers(0, 9), st.sampled_from([-1, "x"]))))]
         return [command, "--config", config_path, *out, *seed[:2 * draw(st.integers(0, 1))],
-                "--jobs", str(draw(_mostly(st.integers(1, 2), st.just(0)))), *fmt]
+                *draw(_mostly(st.just([]), st.just(["--jobs", "2"]))), *fmt]  # --jobs is retired
     if command == "prip":
         return [command, "--dict", path, "--q", str(draw(st.integers(0, 2))),
                 "--l", str(draw(st.integers(-1, 2))), *fmt]

@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from greedycert import (CapExceeded, Dictionary, InvalidArgs, InvalidSeed, Support,
-                        TargetUnreachable, as_support, build_worst_case, coherence, dictionary,
-                        gram, load_dictionary, load_vector, make_instance, random_dictionaries,
-                        random_dictionary, run, save_dictionary, save_vector, spark, welch_bound)
+                        TargetUnreachable, as_support, build_worst_case, coherence,
+                        coherence_threshold, dictionary, gram, load_dictionary, load_vector,
+                        make_instance, random_dictionaries, random_dictionary, run,
+                        save_dictionary, save_vector, spark, welch_bound)
+from greedycert.sweep import THRESHOLD_SAFETY
 
 from oracles import (EDGE_FLOATS, _haar_frame, csv_lines_per_scalar, random_dictionary_per_trial,
                      shrink_gram, spark_bruteforce)
@@ -234,6 +237,44 @@ def test_random_dictionaries_match_the_per_trial_generator():
     assert random_dictionaries(6, 9, 0.5, []) == []
     with pytest.raises(TargetUnreachable):
         random_dictionaries(20, 30, 0.5 * welch_bound(20, 30), [0, 1])
+
+
+def _threshold_target(k, l):
+    """The target of sweep cell (k, l) at coherence_target "threshold"."""
+    return (1.0 - THRESHOLD_SAFETY) * coherence_threshold(k, l)
+
+
+# sha256 of the dictionaries that take the noise or the shrinkage path, all of a group in
+# seed order, as generated while the blend bisection still ran to the float edge of its
+# bracket; stopping it at a bracket of 2^-24 moves the bisection path alone
+UNBISECTED_SHA256 = [
+    # the benchmark's four certify dictionaries at seeds 1-5, all on the shrinkage path
+    (10, 12, 0.19, [[s, 3, 0] for s in range(1, 6)],
+     "e02ffba702866aebc98faa76dc2f30bab2c3de6170bca54e26e70cd90cc781e9"),
+    (10, 12, 0.19, [[s, 3, 1] for s in range(1, 6)],
+     "41e61049bb3a66009a7182d13b62b7025d817c6f03fd66a8b131be5141912bf9"),
+    (12, 20, 0.24, [[s, 3, 2] for s in range(1, 6)],
+     "8782f1843b4abc2fc5b5cd4af12270d6f3a942e23e06e6203beca37dc730cfb9"),
+    (12, 20, 0.24, [[s, 3, 3] for s in range(1, 6)],
+     "ed0c6e3672e3af2cc39dfc8039fd242fdd05d18398471103200b69986c7c8b3d"),
+    (6, 9, None, list(range(20)),  # no target: the noise path
+     "0ea7fd466ed47a02a5651d081f010346eb020bac62353e85c4cea950cdfa77ec"),
+    (3, 4, 0.7748, list(range(20)),  # the noise and shrinkage trials of a mixed batch
+     "9fe302f6702aceb97e836627efb0ce67d42688c8c6d0c8e8e0a824868a3cd277"),
+    (16, 20, _threshold_target(3, 0), [[7, 3, 0, t] for t in range(10)],  # sweep cells
+     "0eaa26c23813f7143faaaf8a13d07a923dd61125cdfdb7b2739149343c474e52"),
+    (16, 20, _threshold_target(4, 0), [[7, 4, 0, t] for t in range(10)],
+     "004c733bc475a26454874268b07d1136526a672971e5e27aaf391268a1999304"),
+]
+
+
+@pytest.mark.parametrize("m, n, target, seeds, digest", UNBISECTED_SHA256)
+def test_noise_and_shrinkage_paths_keep_their_bytes(m, n, target, seeds, digest):
+    paths = [random_dictionary_per_trial(m, n, target, seed)[0] for seed in seeds]
+    got = random_dictionaries(m, n, target, seeds)
+    assert None not in got
+    kept = b"".join(d.atoms.tobytes() for d, path in zip(got, paths) if path != "bisect")
+    assert hashlib.sha256(kept).hexdigest() == digest
 
 
 def test_random_dictionaries_batches_are_capped(monkeypatch):

@@ -1,9 +1,13 @@
-"""The README's library quick start runs as written and prints what its comments say."""
+"""The README's library quick start runs as written and prints what its comments say, and
+its sweep example prints what the CLI prints for the README's config."""
 
 import pathlib
 import re
+import shlex
 
 import pytest
+
+from greedycert.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +32,18 @@ def test_readme_quick_start_prints_its_commented_results(capsys):
     assert lhs.startswith("0.762") and satisfied == "True"
     mu, truth = scenario.split(" ", 1)
     assert float(mu) == pytest.approx(0.25, rel=1e-15) and truth == "Support(indices=(0, 3, 4))"
+
+
+def test_readme_sweep_example_is_what_the_cli_prints(tmp_path, capsys):
+    text = README.read_text()
+    section = text[text.index("### sweep"):]
+    example = re.search(r"```text\n(.*?)```", section, re.S).group(1).splitlines()
+    config = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    command, *rows = example
+    assert rows[-1] == "..." and len(rows) > 2
+    argv = shlex.split(command.removeprefix("$ "))
+    assert argv[:2] == ["greedycert", "sweep"] and "sweep.json" in argv
+    (tmp_path / "sweep.json").write_text(config)
+    assert main([str(tmp_path / a) if a == "sweep.json" else a for a in argv[1:]]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:len(rows) - 1] == rows[:-1]

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedycert import (InvalidArgs, SweepConfig, TargetUnreachable, coherence_threshold,
-                        dictionary, run_sweep, sweep, welch_bound)
+from greedycert import (InvalidArgs, SweepConfig, TargetUnreachable, coherence,
+                        coherence_threshold, dictionary, random_dictionaries, run_sweep, sweep,
+                        welch_bound)
 
 from oracles import random_dictionary_per_trial, sweep_per_trial
 
@@ -142,15 +143,47 @@ def test_run_sweep_unreachable_cells_are_skipped():
     report = run_sweep(cfg)
     (cell,) = report.cells
     assert cell.skipped and cell.accepted == 0
-    assert cell.skip_reason
+    assert cell.skip_reason == sweep.SKIP_BELOW_WELCH
     assert np.isnan(cell.success_rate) and np.isnan(cell.mu_mean)
 
 
-def test_run_sweep_deterministic_and_parallel():
+SKIPPED_CELLS = [  # (config overrides, THRESHOLD_SAFETY, the cells' skip reason)
+    # 0.05 is below the 6x12 Welch bound, about 0.30: no trial is drawn
+    (dict(m=6, n=12, coherence_target=0.05), None, sweep.SKIP_BELOW_WELCH),
+    # above the 20x30 Welch bound, about 0.131, but out of the shrinkage's reach
+    (dict(m=20, n=30, coherence_target=0.14), None, sweep.SKIP_UNREACHED),
+    # a negative safety puts the target above the threshold: the bisection lands every trial
+    # within the target, and the defensive check drops them all
+    (dict(m=16, n=16), -0.5, sweep.SKIP_DROPPED),
+]
+
+
+@pytest.mark.parametrize("overrides, safety, reason", SKIPPED_CELLS,
+                         ids=["below_welch", "unreached", "dropped"])
+def test_a_skipped_cell_says_why(monkeypatch, overrides, safety, reason):
+    if safety is not None:
+        monkeypatch.setattr(sweep, "THRESHOLD_SAFETY", safety)
+    cfg = small_config(**{"k_range": (2, 2), "l_range": (0, 0), "trials": 3, **overrides})
+    report = run_sweep(cfg)
+    assert [(c.skipped, c.accepted, c.skip_reason) for c in report.cells] == [(True, 0, reason)] * 2
+    if reason == sweep.SKIP_DROPPED:  # each trial reached its target, above the threshold
+        target = cfg.cell_target(2, 0)
+        assert target > coherence_threshold(2, 0)
+        for d in random_dictionaries(cfg.m, cfg.n, target, [[cfg.seed, 2, 0, t] for t in range(3)]):
+            assert coherence_threshold(2, 0) <= coherence(d) <= target
+    reference = sweep_per_trial(cfg)
+    assert report.to_csv() == reference.to_csv()
+    assert report.to_json() == reference.to_json()
+
+
+def test_the_skip_reasons_are_distinct():
+    reasons = {sweep.SKIP_BELOW_WELCH, sweep.SKIP_UNREACHED, sweep.SKIP_DROPPED}
+    assert len(reasons) == 3 and all(reasons)
+
+
+def test_run_sweep_deterministic():
     cfg = small_config(trials=6)
-    a = run_sweep(cfg, jobs=1)
-    b = run_sweep(cfg, jobs=4)
-    c = run_sweep(cfg, jobs=1)
+    a, b, c = (run_sweep(cfg) for _ in range(3))
     assert a.to_csv() == b.to_csv() == c.to_csv()
     assert a.to_json() == b.to_json()
     # the seed matters once mu isn't pinned to a target by bisection
@@ -178,9 +211,9 @@ def test_report_json_carries_config():
     assert all(c["variant"] == "ols" for c in blob["cells"])
 
 
-def test_invalid_jobs():
-    with pytest.raises(InvalidArgs):
-        run_sweep(small_config(), jobs=0)
+def test_run_sweep_takes_no_jobs():
+    with pytest.raises(TypeError):
+        run_sweep(small_config(), jobs=1)
 
 
 def test_jobs_start_no_thread(monkeypatch):
@@ -194,7 +227,7 @@ def test_jobs_start_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     before = threading.active_count()
-    report = run_sweep(cfg, jobs=10 ** 6)
+    report = run_sweep(cfg)
     assert not started and threading.active_count() == before
     assert report.to_csv() == serial.to_csv()
     assert report.to_json() == serial.to_json()
@@ -216,7 +249,7 @@ def per_trial_batches(m, n, target, seeds):
 ])
 def test_run_sweep_matches_per_trial_generation(monkeypatch, overrides, accepted):
     cfg = small_config(**{"trials": 6, **overrides})
-    batched = [run_sweep(cfg, jobs=jobs) for jobs in (1, 4)]
+    batched = [run_sweep(cfg) for _ in range(2)]
     monkeypatch.setattr(sweep, "_batches", per_trial_batches)
     reference = run_sweep(cfg)
     assert [c.accepted for c in reference.cells if c.variant == "omp"] == accepted
@@ -244,10 +277,31 @@ CRITERION_CONFIGS = {  # the sweeps of acceptance criteria 2, 3 and 9 (also the 
 def test_run_sweep_matches_the_per_trial_sweep(overrides):
     cfg = small_config(**overrides)
     reference = sweep_per_trial(cfg)
-    for jobs in (1, 4):
-        report = run_sweep(cfg, jobs=jobs)
+    for report in (run_sweep(cfg), run_sweep(cfg)):
         assert report.to_csv() == reference.to_csv()
         assert report.to_json() == reference.to_json()
+
+
+BISECT_GAP = 1e-5  # the relative gap below the target that _bisect_blend's docstring states
+
+
+@pytest.mark.parametrize("overrides", [
+    # the benchmark's 16x16 threshold cells, at three of its seeds
+    *(dict(m=16, n=16, k_range=(2, 5), l_range=(0, 4), trials=20, seed=s) for s in range(3)),
+    *CRITERION_CONFIGS.values(),
+])
+def test_bisected_trials_sit_just_below_their_target(overrides):
+    # the bisection stops at a bracket of 2^-BISECT_STEPS, whose low end is within the target
+    cfg = small_config(**overrides)
+    bisected = 0
+    for k, l in cfg.cells():
+        target = cfg.cell_target(k, l)
+        seeds = [[cfg.seed, k, l, t] for t in range(cfg.trials)]
+        for seed, d in zip(seeds, random_dictionaries(cfg.m, cfg.n, target, seeds)):
+            if random_dictionary_per_trial(cfg.m, cfg.n, target, seed)[0] == "bisect":
+                assert target * (1.0 - BISECT_GAP) <= coherence(d) <= target, (k, l, seed)
+                bisected += 1
+    assert bisected == cfg.trials * len(cfg.cells())
 
 
 @pytest.mark.parametrize("overrides", [
@@ -313,10 +367,9 @@ def test_run_sweep_memory_does_not_grow_with_trials():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), m=st.integers(3, 10), extra=st.integers(0, 6),
        target=st.sampled_from([None, "threshold", "number"]), seed=st.integers(0, 10 ** 6),
-       variant=st.sampled_from(["omp", "ols", "both"]), seed_partial=st.booleans(),
-       jobs=st.sampled_from([1, 4, 10 ** 6]))
+       variant=st.sampled_from(["omp", "ols", "both"]), seed_partial=st.booleans())
 def test_run_sweep_matches_the_per_trial_sweep_property(data, m, extra, target, seed, variant,
-                                                         seed_partial, jobs):
+                                                         seed_partial):
     n = m + extra
     k_hi = data.draw(st.integers(1, m), label="k_hi")
     k_lo = data.draw(st.integers(max(1, k_hi - 1), k_hi), label="k_lo")
@@ -328,7 +381,7 @@ def test_run_sweep_matches_the_per_trial_sweep_property(data, m, extra, target, 
                       trials=data.draw(st.integers(1, 3), label="trials"),
                       coherence_target=target, seed=seed, variant=variant,
                       seed_partial=seed_partial)
-    report = run_sweep(cfg, jobs=jobs)
+    report = run_sweep(cfg)
     for reference in (sweep_per_trial(cfg), sweep_per_trial(cfg, scratch=True)):
         assert report.to_csv() == reference.to_csv()
         assert report.to_json() == reference.to_json()
