@@ -165,11 +165,12 @@ def test_a_skipped_cell_says_why(monkeypatch, overrides, safety, reason):
         monkeypatch.setattr(sweep, "THRESHOLD_SAFETY", safety)
     cfg = small_config(**{"k_range": (2, 2), "l_range": (0, 0), "trials": 3, **overrides})
     report = run_sweep(cfg)
-    assert [(c.skipped, c.accepted, c.skip_reason) for c in report.cells] == [(True, 0, reason)] * 2
+    cells = [(c.skipped, c.accepted, c.skip_reason) for c in report.cells]
+    assert cells == [(True, 0, reason)] * 2
     if reason == sweep.SKIP_DROPPED:  # each trial reached its target, above the threshold
-        target = cfg.cell_target(2, 0)
+        target, seeds = cfg.cell_target(2, 0), [[cfg.seed, 2, 0, t] for t in range(3)]
         assert target > coherence_threshold(2, 0)
-        for d in random_dictionaries(cfg.m, cfg.n, target, [[cfg.seed, 2, 0, t] for t in range(3)]):
+        for d in random_dictionaries(cfg.m, cfg.n, target, seeds):
             assert coherence_threshold(2, 0) <= coherence(d) <= target
     reference = sweep_per_trial(cfg)
     assert report.to_csv() == reference.to_csv()
