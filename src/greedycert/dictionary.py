@@ -370,8 +370,9 @@ def _generate(m: int, n: int, target: float | None, seeds: list) -> tuple[np.nda
 
     Every trial takes the first path whose check it passes: pure noise (the
     only one without a target), then the bisected blend when the frame itself
-    is within the target, then (for n > m) Gram shrinkage from the blend at
-    noise weight 0.1, in lockstep."""
+    is within the target, then (for n > m) Gram shrinkage in lockstep, starting
+    at the frame: its rows are those of a Haar matrix, so with unit-norm atoms it
+    is near tight, as a coherence near the Welch bound requires."""
     rngs = [_rng(seed) for seed in seeds]  # each draws its trial's noise, then its frame's matrix
     noise = np.stack([rng.normal(size=(m, n)) for rng in rngs])
     atoms = _unit_columns(noise)  # the blend at noise weight 1
@@ -388,8 +389,7 @@ def _generate(m: int, n: int, target: float | None, seeds: list) -> tuple[np.nda
     reached |= framed
     if n > m:
         rest = np.flatnonzero(~reached)
-        starts = _blend(frames[rest], noise[rest], np.full(rest.size, 0.1))
-        for i, shrunk in zip(rest, _shrink_grams(starts, target)):
+        for i, shrunk in zip(rest, _shrink_grams(frames[rest], target)):
             if shrunk is not None:
                 atoms[i], reached[i] = shrunk, True
     return atoms, reached
@@ -448,8 +448,8 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
     that meets it is blended with the noise, and the blend at the low end of
     a noise-weight bracket bisected BISECT_STEPS times is kept: its coherence
     meets the target and sits a little below it (`_bisect_blend`).  For n > m,
-    where the frame itself may miss tight targets, a deterministic
-    Gram-shrinkage refinement takes over.  This is a batch of one of
+    where the frame itself may miss tight targets, a deterministic Gram
+    shrinkage takes over, starting at the frame.  This is a batch of one of
     `random_dictionaries`.
 
     Parameters

@@ -361,7 +361,7 @@ def coherence_of_walk_vectors(d, normalize: bool, l: int) -> float:
 
 
 # the per-trial generator: one dictionary per call, one blend-and-Gram
-# evaluation at a time, and a Gram shrinkage that runs its whole step budget;
+# evaluation at a time, and a Gram shrinkage of one start at a time;
 # the package's batched generator must reproduce its bytes
 
 def shrink_gram(start: np.ndarray, target: float):
@@ -383,30 +383,6 @@ def shrink_gram(start: np.ndarray, target: float):
             stalled += 1
             if stalled == dictionary.SHRINK_STALL:
                 return None
-        clipped = np.clip(g, -gamma, gamma)
-        np.fill_diagonal(clipped, 1.0)
-        w, vecs = np.linalg.eigh(clipped)
-        top = np.clip(w[n - m:], 0.0, None)
-        d = (vecs[:, n - m:] * np.sqrt(top)).T
-        norms = np.linalg.norm(d, axis=0)
-        dead = np.flatnonzero(norms < 1e-12)
-        if dead.size:
-            d[:, dead] = 0.0
-            d[dead % m, dead] = 1.0
-            norms = np.linalg.norm(d, axis=0)
-        d = d / norms
-    return None
-
-
-def shrink_gram_full_budget(start: np.ndarray, target: float, max_iter: int = 1500):
-    d = start.copy()
-    m, n = d.shape
-    gamma = 0.95 * target
-    for _ in range(max_iter):
-        g = d.T @ d
-        mu = np.abs(g - np.diag(np.diag(g))).max()
-        if mu <= target:
-            return d
         clipped = np.clip(g, -gamma, gamma)
         np.fill_diagonal(clipped, 1.0)
         w, vecs = np.linalg.eigh(clipped)
@@ -466,7 +442,7 @@ def random_dictionary_per_trial(m: int, n: int, coherence_target=None, seed=0):
                 hi = mid
         return "bisect", blend(lo)
     if n > m:
-        return "shrink", shrink_gram_full_budget(blend(0.1), target)
+        return "shrink", shrink_gram(frame, target)
     return "bisect", None
 
 

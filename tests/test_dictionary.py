@@ -245,26 +245,26 @@ def _threshold_target(k, l):
 
 
 # sha256 of the dictionaries that take the noise or the shrinkage path, all of a group in
-# seed order, as generated while the blend bisection still ran to the float edge of its
-# bracket; stopping it at a bracket of 2^-24 moves the bisection path alone
+# seed order (the bisection path is left out), computed with the per-trial oracle, whose
+# shrinkage starts at the frame
 UNBISECTED_SHA256 = [
     # the benchmark's four certify dictionaries at seeds 1-5, all on the shrinkage path
     (10, 12, 0.19, [[s, 3, 0] for s in range(1, 6)],
-     "e02ffba702866aebc98faa76dc2f30bab2c3de6170bca54e26e70cd90cc781e9"),
+     "858702802d2a071cb90f5b3a34d742927645110a574dc3094641b5965ef6abda"),
     (10, 12, 0.19, [[s, 3, 1] for s in range(1, 6)],
-     "41e61049bb3a66009a7182d13b62b7025d817c6f03fd66a8b131be5141912bf9"),
+     "0a854b0bfbdb6db39176f2590ab69c1b5373d0c542197e2c83bdd224433f4919"),
     (12, 20, 0.24, [[s, 3, 2] for s in range(1, 6)],
-     "8782f1843b4abc2fc5b5cd4af12270d6f3a942e23e06e6203beca37dc730cfb9"),
+     "40a7c918206c813c162b254f6518cde827befa0696f28d26da7d3ed107798258"),
     (12, 20, 0.24, [[s, 3, 3] for s in range(1, 6)],
-     "ed0c6e3672e3af2cc39dfc8039fd242fdd05d18398471103200b69986c7c8b3d"),
+     "9ba64b1395cc6401a69c78b514f333c7af802662cbd52df02c7fd424c3ee9237"),
     (6, 9, None, list(range(20)),  # no target: the noise path
      "0ea7fd466ed47a02a5651d081f010346eb020bac62353e85c4cea950cdfa77ec"),
     (3, 4, 0.7748, list(range(20)),  # the noise and shrinkage trials of a mixed batch
-     "9fe302f6702aceb97e836627efb0ce67d42688c8c6d0c8e8e0a824868a3cd277"),
+     "5c59fc42e69250c7705cffc0fedd95a9c5630323487bda3b4748d6fab181f1ce"),
     (16, 20, _threshold_target(3, 0), [[7, 3, 0, t] for t in range(10)],  # sweep cells
-     "0eaa26c23813f7143faaaf8a13d07a923dd61125cdfdb7b2739149343c474e52"),
+     "308f229f0efdaef5717355e77e38901212a44c563b92b5bc9d9d76990ad0f421"),
     (16, 20, _threshold_target(4, 0), [[7, 4, 0, t] for t in range(10)],
-     "004c733bc475a26454874268b07d1136526a672971e5e27aaf391268a1999304"),
+     "4b968b4cf044d94015cb9caab733e3310c0a1db768bc94b6a3376346a136dd50"),
 ]
 
 
@@ -334,14 +334,21 @@ def test_shrinkage_of_no_trial_does_no_step(monkeypatch):
     assert calls == []
 
 
-def _shrink_starts(m, n, seeds):
-    """The shrinkage starts _generate takes for these seeds: blends at noise weight 0.1."""
+def _frames_and_noise(m, n, seeds):
+    """The unit-norm frames, where _generate starts its shrinkage, and the noise of these seeds."""
     noise, frames = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         noise.append(rng.normal(size=(m, n)))
         frames.append(_haar_frame(rng, m, n))
-    return dictionary._blend(np.stack(frames), np.stack(noise), np.full(len(seeds), 0.1))
+    return np.stack(frames), np.stack(noise)
+
+
+def _shrink_starts(m, n, seeds):
+    """Blends of the frames of these seeds with their noise at noise weight 0.1: shrinkage
+    starts further from a tight frame than the frames themselves."""
+    frames, noise = _frames_and_noise(m, n, seeds)
+    return dictionary._blend(frames, noise, np.full(len(seeds), 0.1))
 
 
 def _lockstep_vs_per_trial(monkeypatch, starts, target):
@@ -394,6 +401,33 @@ def test_lockstep_shrinkage_rescues_a_dead_column(monkeypatch):
     assert not np.linalg.eigh(clipped)[1][0, 2:].any()  # the rescue is reached
     starts = np.concatenate([_shrink_starts(2, 4, [[5, t] for t in range(3)]), crafted[None]])
     _lockstep_vs_per_trial(monkeypatch, starts, target)
+
+
+@pytest.mark.parametrize("factor", [1.15, 1.2, 1.25, 1.3])
+@pytest.mark.parametrize("m, n", [(8, 10), (10, 12), (12, 20), (16, 20), (16, 24)])
+def test_shrinkage_from_the_frame_reaches_what_the_blend_reaches(m, n, factor):
+    # near the Welch bound the shrinkage does not always reach its target; from the frame,
+    # near tight, it reaches as many trials as from a blend at noise weight 0.1, or more
+    target = factor * welch_bound(m, n)
+    seeds = [[m, n, t] for t in range(20)]
+    reached = []
+    for starts in (_frames_and_noise(m, n, seeds)[0], _shrink_starts(m, n, seeds)):
+        shrunk = [a for a in (shrink_gram(start, target) for start in starts) if a is not None]
+        assert all(dictionary._off_diagonal_max(a.T @ a) <= target for a in shrunk)
+        reached.append(len(shrunk))
+    assert reached[0] >= reached[1]
+
+
+def test_the_slowest_benchmark_cell_shrinks_in_few_steps(monkeypatch):
+    # the benchmark's slowest shrinkage cell, 16x20 (4, 0) at seed 7, which takes 58
+    # lockstep steps from the 0.1 blend
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    got = random_dictionaries(16, 20, _threshold_target(4, 0), [[7, 4, 0, t] for t in range(20)])
+    assert None not in got
+    assert 0 < len(sizes) <= 30
+
 
 def test_save_load_roundtrip(tmp_path):
     d = random_dictionary(7, 9, seed=11)

@@ -22,14 +22,14 @@ def test_readme_quick_start_prints_its_commented_results(capsys):
     code = _quick_start()
     comments = [line.split("#", 1)[1].strip() for line in code.splitlines()
                 if line.startswith("print(")]
-    assert comments == ["Support(indices=(5, 1, 9))", "success", "0.762... True",
+    assert comments == ["Support(indices=(5, 1, 9))", "success", "0.640... True",
                         "0.25  Support(indices=(0, 3, 4))"]
     exec(compile(code, str(README), "exec"), {})
     selected, kind, erc, scenario = capsys.readouterr().out.splitlines()
     assert selected == "Support(indices=(5, 1, 9))"
     assert kind == "success"
     lhs, satisfied = erc.split()
-    assert lhs.startswith("0.762") and satisfied == "True"
+    assert lhs.startswith("0.640") and satisfied == "True"
     mu, truth = scenario.split(" ", 1)
     assert float(mu) == pytest.approx(0.25, rel=1e-15) and truth == "Support(indices=(0, 3, 4))"
 
