@@ -27,8 +27,7 @@ UNIT_NORM_TOL = 1e-9
 RANK_SV_TOL = 1e-8
 SPARK_CAP = 20
 BISECT_STEPS = 24  # halvings of the blend's noise-weight bracket: it ends 2^-24 wide
-SHRINK_STEPS = 1500
-SHRINK_STALL = 50  # shrinkage steps in a row without a new lowest coherence before it gives up
+SHRINK_STEPS = 1500  # shrinkage steps a trial takes at most before it gives up
 BATCH_ELEMENTS = 1 << 16  # matrix entries per stack in a generator batch: n*max(m, n) a trial
 
 
@@ -289,28 +288,25 @@ def _shrink_grams(starts: np.ndarray, target: float) -> list:
     lockstep over a stack of starting points (B, m, n).
 
     Returns, per start, a unit-norm matrix with coherence <= target, or None
-    once SHRINK_STALL steps in a row bring no new lowest coherence, or after
-    SHRINK_STEPS steps; rows leave the stack when they stop.  Each row gets the
-    bits of shrinking it alone, and is deterministic for a fixed start.
+    when SHRINK_STEPS steps do not reach it; rows leave the stack when they
+    reach the target.  There is no earlier stop: a row can sit on a plateau
+    for hundreds of steps and still reach the target.  Each row gets the bits
+    of shrinking it alone, and is deterministic for a fixed start.
     """
     d = starts.copy()
     m, n = d.shape[1:]
     gamma = 0.95 * target
     out = [None] * len(d)
     rows = np.arange(len(d))
-    best, stalled = np.full(len(d), np.inf), np.zeros(len(d), dtype=int)
     for _ in range(SHRINK_STEPS):
         g = _grams(d)
         mu = _off_diagonal_max(g)
         hit = mu <= target
         for i, atoms in zip(rows[hit], d[hit]):
             out[i] = atoms
-        better = mu < best
-        best, stalled = np.where(better, mu, best), np.where(better, 0, stalled + 1)
-        keep = ~hit & (stalled < SHRINK_STALL)
-        if not keep.all():
-            d, g, rows, best, stalled = d[keep], g[keep], rows[keep], best[keep], stalled[keep]
-        if not len(d):  # every row has stopped, or the stack came empty
+        if hit.any():
+            d, g, rows = d[~hit], g[~hit], rows[~hit]
+        if not len(d):  # every row has reached the target, or the stack came empty
             break
         clipped = np.clip(g, -gamma, gamma)
         clipped[:, range(n), range(n)] = 1.0
@@ -468,9 +464,8 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
         non-negative number (NaN included), or a seed that default_rng refuses.
     TargetUnreachable
         If the target is below the analytic lower bound for (m, n), or the
-        frame misses the target and the shrinkage (n > m only) ends above it:
-        the shrinkage stops after SHRINK_STALL steps without a new lowest
-        coherence, or at SHRINK_STEPS.
+        frame misses the target and the shrinkage (n > m only) ends above it
+        after SHRINK_STEPS steps.
     """
     (d,) = random_dictionaries(m, n, coherence_target, [seed])
     if d is None:

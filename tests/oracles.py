@@ -361,28 +361,24 @@ def coherence_of_walk_vectors(d, normalize: bool, l: int) -> float:
 
 
 # the per-trial generator: one dictionary per call, one blend-and-Gram
-# evaluation at a time, and a Gram shrinkage of one start at a time;
+# evaluation at a time, and a Gram shrinkage that runs its whole step budget;
 # the package's batched generator must reproduce its bytes
 
 def shrink_gram(start: np.ndarray, target: float):
-    """The package's Gram shrinkage for one start, one step at a time, with its
-    stall rule and step cap (read from the package at call time); the lockstep
-    shrinkage must give each row these bytes."""
+    """The package's Gram shrinkage for one start, with its step cap read from the
+    package at call time; the lockstep shrinkage must give each row these bytes."""
+    return shrink_gram_full_budget(start, target, dictionary.SHRINK_STEPS)
+
+
+def shrink_gram_full_budget(start: np.ndarray, target: float, max_iter: int = 1500):
     d = start.copy()
     m, n = d.shape
     gamma = 0.95 * target
-    best, stalled = np.inf, 0
-    for _ in range(dictionary.SHRINK_STEPS):
+    for _ in range(max_iter):
         g = d.T @ d
-        mu = dictionary._off_diagonal_max(g)
+        mu = np.abs(g - np.diag(np.diag(g))).max()
         if mu <= target:
             return d
-        if mu < best:
-            best, stalled = mu, 0
-        else:
-            stalled += 1
-            if stalled == dictionary.SHRINK_STALL:
-                return None
         clipped = np.clip(g, -gamma, gamma)
         np.fill_diagonal(clipped, 1.0)
         w, vecs = np.linalg.eigh(clipped)
@@ -442,7 +438,7 @@ def random_dictionary_per_trial(m: int, n: int, coherence_target=None, seed=0):
                 hi = mid
         return "bisect", blend(lo)
     if n > m:
-        return "shrink", shrink_gram(frame, target)
+        return "shrink", shrink_gram_full_budget(frame, target)
     return "bisect", None
 
 

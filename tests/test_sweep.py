@@ -246,7 +246,7 @@ def per_trial_batches(m, n, target, seeds):
 @pytest.mark.parametrize("overrides, accepted", [
     ({}, [6, 6, 6, 6]),  # bisection at 12x12
     (dict(m=8, n=10, k_range=(2, 4)), [6, 6, 6, 6, 0, 0]),  # shrinkage; (4, l) below Welch
-    (dict(m=8, n=10, k_range=(2, 2), coherence_target=0.1869), [1, 2]),  # shrinkage mostly fails
+    (dict(m=8, n=10, k_range=(2, 2), coherence_target=0.1869), [2, 3]),  # shrinkage mostly fails
 ])
 def test_run_sweep_matches_per_trial_generation(monkeypatch, overrides, accepted):
     cfg = small_config(**{"trials": 6, **overrides})
