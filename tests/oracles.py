@@ -364,12 +364,6 @@ def coherence_of_walk_vectors(d, normalize: bool, l: int) -> float:
 # evaluation at a time, and a Gram shrinkage that runs its whole step budget;
 # the package's batched generator must reproduce its bytes
 
-def shrink_gram(start: np.ndarray, target: float):
-    """The package's Gram shrinkage for one start, with its step cap read from the
-    package at call time; the lockstep shrinkage must give each row these bytes."""
-    return shrink_gram_full_budget(start, target, dictionary.SHRINK_STEPS)
-
-
 def shrink_gram_full_budget(start: np.ndarray, target: float, max_iter: int = 1500):
     d = start.copy()
     m, n = d.shape

@@ -16,7 +16,7 @@ from greedycert import (CapExceeded, Dictionary, InvalidArgs, InvalidSeed, Suppo
 from greedycert.sweep import THRESHOLD_SAFETY
 
 from oracles import (EDGE_FLOATS, _haar_frame, csv_lines_per_scalar, random_dictionary_per_trial,
-                     shrink_gram, spark_bruteforce)
+                     shrink_gram_full_budget, spark_bruteforce)
 
 
 def unit(cols):
@@ -231,6 +231,9 @@ def test_random_dictionaries_match_the_per_trial_generator():
     for size in (1, 2):
         _same_as_per_trial(3, 4, 0.7748, list(range(size)))
     assert set(_same_as_per_trial(8, 10, 0.1869, [0, 1, 2, 7])) == {"shrink", "unreachable"}
+    # two trials whose coherence finds no new low for 115 and 84 steps in a row, then meets
+    # the target at step 234 and 211
+    assert _same_as_per_trial(8, 10, 0.1869, [[5, 2, 0, 1], [5, 2, 1, 5]]) == ["shrink"] * 2
     cell = [[7, 4, 0, t] for t in range(20)]  # a 16x16 sweep cell at its threshold target
     assert set(_same_as_per_trial(16, 16, 0.999 / 7, cell)) == {"bisect"}
     assert set(_same_as_per_trial(6, 9, None, list(range(20)))) == {"noise"}
@@ -324,12 +327,6 @@ def test_shrinkage_gives_up_at_the_step_cap(monkeypatch):
     assert len(calls) == dictionary.SHRINK_STEPS
 
 
-def test_shrinkage_reaches_the_target_after_a_long_plateau():
-    # 8x10 trials whose coherence finds no new low for 115 and 84 steps in a row, then
-    # reaches the target at step 234 and 211: the full step budget keeps them
-    assert _same_as_per_trial(8, 10, 0.1869, [[5, 2, 0, 1], [5, 2, 1, 5]]) == ["shrink"] * 2
-
-
 def test_shrinkage_of_no_trial_does_no_step(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
@@ -376,7 +373,7 @@ def _lockstep_vs_per_trial(monkeypatch, starts, target):
     want = []
     for start in starts:
         steps.append(0)
-        want.append(shrink_gram(start, target))
+        want.append(shrink_gram_full_budget(start, target, dictionary.SHRINK_STEPS))
     for g, w in zip(got, want):
         assert (g is None) == (w is None)
         assert w is None or g.tobytes() == w.tobytes()
@@ -422,8 +419,8 @@ def test_shrinkage_from_the_frame_reaches_what_the_blend_reaches(m, n, factor):
         assert (dictionary._off_diagonal_max(dictionary._grams(start)) > target).all()
     generated = [d for d in random_dictionaries(m, n, target, seeds) if d is not None]
     assert all(coherence(d) <= target for d in generated)
-    blended = [a for a in (shrink_gram(s, target) for s in _shrink_starts(m, n, seeds))
-               if a is not None]
+    starts = _shrink_starts(m, n, seeds)
+    blended = [a for a in (shrink_gram_full_budget(s, target) for s in starts) if a is not None]
     assert all(dictionary._off_diagonal_max(a.T @ a) <= target for a in blended)
     assert len(generated) >= len(blended)
 
