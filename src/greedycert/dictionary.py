@@ -4,9 +4,11 @@ A dictionary is an m x n real matrix whose columns (atoms) have unit Euclidean
 norm.  This module owns the plain-text CSV format used by the CLI (one matrix
 row per line) and the two generators used throughout: a symmetric construction
 that sits exactly at the coherence threshold for greedy recovery, and a seeded
-random generator with an optional coherence target, which makes the
-dictionaries of many seeds in batches of at most BATCH_ELEMENTS entries per
-stack (`_batches`, whose stacked arrays the sweeps take as they are).
+random generator with an optional coherence target, met by a false-position
+search over blends of an orthogonal frame with noise or by Gram shrinkage,
+which makes the dictionaries of many seeds in batches of at most
+BATCH_ELEMENTS entries per stack (`_batches`, whose stacked arrays and
+coherences the sweeps take as they are).
 """
 
 import json
@@ -26,7 +28,8 @@ UNIT_NORM_TOL = 1e-9
 # distance to the span of the atoms before it is at or below this as dependent on them.
 RANK_SV_TOL = 1e-8
 SPARK_CAP = 20
-BISECT_STEPS = 24  # halvings of the blend's noise-weight bracket: it ends 2^-24 wide
+BLEND_GAP = 1e-6  # a blend's search stops within this relative gap below the target
+BLEND_PROBES = 24  # noise weights a blend's search probes at most
 SHRINK_STEPS = 1500  # shrinkage steps a trial takes at most before it gives up
 BATCH_ELEMENTS = 1 << 16  # matrix entries per stack in a generator batch: n*max(m, n) a trial
 
@@ -283,28 +286,27 @@ def _off_diagonal_max(g: np.ndarray) -> np.ndarray:
     return off.max(axis=-1)
 
 
-def _shrink_grams(starts: np.ndarray, target: float) -> list:
+def _shrink_grams(starts: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
     """Iteratively clip off-diagonal Gram entries and re-factor to rank m, in
     lockstep over a stack of starting points (B, m, n).
 
-    Returns, per start, a unit-norm matrix with coherence <= target, or None
-    when SHRINK_STEPS steps do not reach it; rows leave the stack when they
+    Returns per start a unit-norm matrix with coherence <= target, and that
+    coherence; a start that SHRINK_STEPS steps do not bring within the target
+    is returned as it is, with coherence inf.  Rows leave the stack when they
     reach the target.  There is no earlier stop: a row can sit on a plateau
     for hundreds of steps and still reach the target.  Each row gets the bits
     of shrinking it alone, and is deterministic for a fixed start.
     """
-    d = starts.copy()
+    d, out, mus = starts.copy(), starts.copy(), np.full(len(starts), np.inf)
     m, n = d.shape[1:]
     gamma = 0.95 * target
-    out = [None] * len(d)
     rows = np.arange(len(d))
     for _ in range(SHRINK_STEPS):
         g = _grams(d)
         mu = _off_diagonal_max(g)
         hit = mu <= target
-        for i, atoms in zip(rows[hit], d[hit]):
-            out[i] = atoms
         if hit.any():
+            out[rows[hit]], mus[rows[hit]] = d[hit], mu[hit]
             d, g, rows = d[~hit], g[~hit], rows[~hit]
         if not len(d):  # every row has reached the target, or the stack came empty
             break
@@ -321,7 +323,7 @@ def _shrink_grams(starts: np.ndarray, target: float) -> list:
             d[row, dead % m, dead] = 1.0
             norms = np.sqrt(np.add.reduce(d * d, axis=-2, keepdims=True))
         d = d / norms
-    return out
+    return out, mus
 
 
 def welch_bound(m: int, n: int) -> float:
@@ -339,18 +341,43 @@ def _blend(frames: np.ndarray, noise: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _unit_columns((1.0 - t) * frames + t * noise)
 
 
-def _bisect_blend(frames: np.ndarray, noise: np.ndarray, target: float) -> np.ndarray:
-    """Blends at the low end of a noise-weight bracket bisected BISECT_STEPS times from
-    [0, 1], in lockstep over a stack of trials, each with its own bracket.  The low end
-    always keeps the coherence within the target, so every trial is accepted; the bracket's
-    final width only sets how far below the target it lands: within a relative gap of
-    1e-5 on the sweeps' threshold cells (tested), far inside sweep.THRESHOLD_SAFETY."""
+def _search_blend(frames: np.ndarray, noise: np.ndarray, mu_frames: np.ndarray,
+                  mu_noise: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """Blends of a stack of trials whose frame (noise weight t = 0, coherence mu_frames)
+    is within the target and whose noise (t = 1, coherence mu_noise) is not: per trial,
+    the blend at the low end of a bracket in t, and its coherence.
+
+    The bracket starts at [0, 1] and narrows by false position with the Illinois
+    rule (Dowell and Jarratt, BIT 11, 1971), in lockstep over the trials: each probe
+    is the root of the secant of coherence minus target between the bracket's ends,
+    clipped strictly inside it; a probe within the target moves the low end, any
+    other the high end, and an end kept twice in a row has its value halved.  A
+    trial leaves the stack once its low end is within a relative BLEND_GAP below
+    the target, or after BLEND_PROBES probes.  The low end always keeps the
+    coherence within the target, so every trial is accepted, and each gets the bits
+    of searching it alone."""
+    atoms, mus = frames.copy(), mu_frames.copy()  # the low ends' blends: at t = 0 the frames
     lo, hi = np.zeros(len(frames)), np.ones(len(frames))
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        ok = _off_diagonal_max(_grams(_blend(frames, noise, mid))) <= target
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return _blend(frames, noise, lo)
+    g_lo, g_hi = mu_frames - target, mu_noise - target  # coherence - target at the ends
+    moved = np.zeros(len(frames))  # +1 where the last probe moved lo, -1 where it moved hi
+    rows, gap = np.arange(len(frames)), BLEND_GAP * target
+    for _ in range(BLEND_PROBES):
+        rows = rows[target - mus[rows] > gap]
+        if not len(rows):
+            break
+        a, b = lo[rows], hi[rows]
+        t = a + (b - a) * (g_lo[rows] / (g_lo[rows] - g_hi[rows]))
+        t = np.minimum(np.maximum(t, np.nextafter(a, b)), np.nextafter(b, a))
+        blends = _blend(frames[rows], noise[rows], t)
+        mu = _off_diagonal_max(_grams(blends))
+        ok = mu <= target
+        up, down = rows[ok], rows[~ok]
+        g_hi[up[moved[up] > 0]] *= 0.5  # Illinois: an end kept twice in a row has its value halved
+        g_lo[down[moved[down] < 0]] *= 0.5
+        atoms[up], mus[up], lo[up], moved[up] = blends[ok], mu[ok], t[ok], 1.0
+        hi[down], moved[down] = t[~ok], -1.0
+        g_lo[up], g_hi[down] = mu[ok] - target, mu[~ok] - target
+    return atoms, mus
 
 
 def _rng(seed) -> np.random.Generator:
@@ -361,39 +388,40 @@ def _rng(seed) -> np.random.Generator:
         raise InvalidArgs(f"seed {seed!r} is not a valid numpy seed: {exc}") from None
 
 
-def _generate(m: int, n: int, target: float | None, seeds: list) -> tuple[np.ndarray, np.ndarray]:
-    """One batch of trials: their atoms (B, m, n), and a mask of those that reached the target.
+def _generate(m: int, n: int, target: float | None,
+              seeds: list) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One batch of trials: their atoms (B, m, n), a mask of those that reached the target,
+    and with a target the coherence of each trial that reached it, above the target for
+    one that did not (None without a target).
 
     Every trial takes the first path whose check it passes: pure noise (the
-    only one without a target), then the bisected blend when the frame itself
-    is within the target, then (for n > m) Gram shrinkage in lockstep, starting
-    at the frame: its rows are those of a Haar matrix, so with unit-norm atoms it
-    is near tight, as a coherence near the Welch bound requires."""
+    only one without a target), then the blend searched by `_search_blend` when
+    the frame itself is within the target, then (for n > m) Gram shrinkage in
+    lockstep, starting at the frame: its rows are those of a Haar matrix, so with
+    unit-norm atoms it is near tight, as a coherence near the Welch bound requires.
+    The coherences are the ones each path took of the atoms it kept."""
     rngs = [_rng(seed) for seed in seeds]  # each draws its trial's noise, then its frame's matrix
     noise = np.stack([rng.normal(size=(m, n)) for rng in rngs])
     atoms = _unit_columns(noise)  # the blend at noise weight 1
     if target is None:
-        return atoms, np.ones(len(seeds), dtype=bool)
+        return atoms, np.ones(len(seeds), dtype=bool), None
     # one stacked QR: orthonormal frames, or for n > m the unit-norm first m rows of Haar matrices
     q, r = np.linalg.qr(np.stack([rng.normal(size=(max(m, n), n)) for rng in rngs]))
     frames = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     frames = _unit_columns(frames[:, :m, :]) if n > m else frames
-    reached = _off_diagonal_max(_grams(atoms)) <= target
-    framed = ~reached & (_off_diagonal_max(_grams(frames)) <= target)
-    if framed.any():
-        atoms[framed] = _bisect_blend(frames[framed], noise[framed], target)
-    reached |= framed
+    mus, mu_frames = _off_diagonal_max(_grams(atoms)), _off_diagonal_max(_grams(frames))
+    framed = (mus > target) & (mu_frames <= target)
+    atoms[framed], mus[framed] = _search_blend(frames[framed], noise[framed], mu_frames[framed],
+                                               mus[framed], target)
     if n > m:
-        rest = np.flatnonzero(~reached)
-        for i, shrunk in zip(rest, _shrink_grams(frames[rest], target)):
-            if shrunk is not None:
-                atoms[i], reached[i] = shrunk, True
-    return atoms, reached
+        rest = mus > target
+        atoms[rest], mus[rest] = _shrink_grams(frames[rest], target)
+    return atoms, mus <= target, mus
 
 
 def _batches(m: int, n: int, target: float | None, seeds):
-    """Check the arguments of random_dictionaries, then yield `_generate`'s (atoms, reached)
-    for the seeds in order, BATCH_ELEMENTS // (n*max(m, n)) a batch: the one batch rule.
+    """Check the arguments of random_dictionaries, then yield `_generate`'s (atoms, reached,
+    coherences) for the seeds in order, BATCH_ELEMENTS // (n*max(m, n)) a batch: the one batch rule.
     Seeds are read a batch at a time: drop each batch before asking for the next."""
     m, n = _check_shape(m, n)
     if target is not None:
@@ -415,8 +443,8 @@ def random_dictionaries(m: int, n: int, coherence_target: float | None,
 
     Trial i is exactly `random_dictionary(m, n, coherence_target, seeds[i])`,
     byte for byte, with None where that call raises TargetUnreachable for
-    its draw.  The trials are generated together: each of the BISECT_STEPS
-    steps of the blend bisection, and each step of the Gram shrinkage, is one
+    its draw.  The trials are generated together: each probe of the blend
+    search (at most BLEND_PROBES), and each step of the Gram shrinkage, is one
     stacked evaluation over every trial that needs it.
     Batches hold at most BATCH_ELEMENTS matrix entries per stack, so the
     working memory does not grow with the number of seeds.
@@ -431,7 +459,7 @@ def random_dictionaries(m: int, n: int, coherence_target: float | None,
         draw can reach.
     """
     return [Dictionary(a) if ok else None
-            for atoms, reached in _batches(m, n, coherence_target, seeds)
+            for atoms, reached, _ in _batches(m, n, coherence_target, seeds)
             for a, ok in zip(atoms, reached)]
 
 
@@ -441,9 +469,10 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
 
     Without a target the atoms are normalized i.i.d. Gaussian columns, which
     are kept when they meet the target too.  Otherwise an orthogonal frame
-    that meets it is blended with the noise, and the blend at the low end of
-    a noise-weight bracket bisected BISECT_STEPS times is kept: its coherence
-    meets the target and sits a little below it (`_bisect_blend`).  For n > m,
+    that meets it is blended with the noise, and a false-position search over
+    the noise weight keeps the blend at the low end of its bracket: its
+    coherence meets the target and sits within a relative BLEND_GAP below it,
+    unless BLEND_PROBES probes do not get there (`_search_blend`).  For n > m,
     where the frame itself may miss tight targets, a deterministic Gram
     shrinkage takes over, starting at the frame.  This is a batch of one of
     `random_dictionaries`.
@@ -463,14 +492,18 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
         For a bad shape (not two ints, or too small), a target that is not a
         non-negative number (NaN included), or a seed that default_rng refuses.
     TargetUnreachable
-        If the target is below the analytic lower bound for (m, n), or the
-        frame misses the target and the shrinkage (n > m only) ends above it
-        after SHRINK_STEPS steps.
+        If the target is below the analytic lower bound for (m, n).  Also
+        when the frame and the noise of the draw both miss it: for n <= m,
+        where the frame is orthonormal, only a target below the coherence that
+        rounding leaves in it (of order 1e-16); for n > m, when the Gram
+        shrinkage ends above it after SHRINK_STEPS steps.
     """
     (d,) = random_dictionaries(m, n, coherence_target, [seed])
     if d is None:
+        cause = (f"the Gram shrinkage ended above it after {SHRINK_STEPS} steps" if n > m else
+                 "it is below the rounding-level coherence of the draw's orthonormal frame")
         raise TargetUnreachable(f"could not reach coherence {float(coherence_target):g} "
-                                f"for shape {m}x{n} within the step budget")
+                                f"for shape {m}x{n}: {cause}")
     return d
 
 

@@ -4,7 +4,8 @@ Each trial derives its own random streams from (master seed, k, l, trial
 index), so its outcome does not depend on what else runs.  A cell runs in the
 generator's batches (`dictionary._batches`), each dropped before the next: a
 batch's dictionaries come as one stack (byte-identical to generating each trial
-alone), their coherences from one stack of Gram matrices, and each variant
+alone), their coherences as the generator took them (from one stack of Gram
+matrices in a cell without a target, where it takes none), and each variant
 pursues all of the batch's accepted trials in one stack of pursuits (the trials
 share m, n and k), classified by the rule that `classify` applies to a stack of
 one (`greedy._outcomes`).
@@ -26,7 +27,9 @@ THRESHOLD_SENTINEL = "threshold"
 THRESHOLD_SAFETY = 1e-3  # generate strictly below the cell threshold by this relative margin
 # why a cell accepted no trial: its CellResult.skip_reason
 SKIP_BELOW_WELCH = "coherence target below the Welch bound for this shape: no trial was drawn"
-SKIP_UNREACHED = "no trial reached the coherence target within the generator's step budget"
+SKIP_UNREACHED = "no trial reached the coherence target within the Gram shrinkage's step cap"
+SKIP_ROUNDING = ("coherence target below the rounding-level coherence of an orthonormal frame: "
+                 "no trial reached it")
 SKIP_DROPPED = "every trial that reached the target had coherence at or above the threshold"
 
 _VARIANT_CHOICES = ("omp", "ols", "both")
@@ -129,7 +132,8 @@ class SweepConfig:
 @dataclass
 class CellResult:
     """Aggregated counts for one (variant, k, l) cell.  A cell that accepted no trial is
-    skipped, and its skip_reason is SKIP_BELOW_WELCH, SKIP_UNREACHED or SKIP_DROPPED."""
+    skipped, and its skip_reason is SKIP_BELOW_WELCH, SKIP_UNREACHED (n > m),
+    SKIP_ROUNDING (n <= m) or SKIP_DROPPED."""
 
     variant: str
     k: int
@@ -221,25 +225,28 @@ def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
     seeds = ([config.seed, k, l, t] for t in range(config.trials))
     start, reached_any = 0, False
     try:
-        for atoms, reached in _batches(config.m, config.n, config.cell_target(k, l), seeds):
+        for atoms, reached, mus in _batches(config.m, config.n, config.cell_target(k, l), seeds):
             trials = (start + np.flatnonzero(reached)).tolist()
             start, reached_any = start + len(reached), reached_any or bool(trials)
-            cell_mus += _batch_outcomes(config, k, l, counts, trials, atoms[reached])
-            del atoms, reached  # the generator's next batch is made after this one is freed
+            atoms = atoms[reached]
+            mus = _off_diagonal_max(_grams(atoms)) if mus is None else mus[reached]
+            cell_mus += _batch_outcomes(config, k, l, counts, trials, atoms, mus)
+            del atoms, reached, mus  # the generator's next batch is made after this one is freed
     except TargetUnreachable:  # below the Welch bound, raised before any draw
         return [], counts, SKIP_BELOW_WELCH
     if cell_mus:
         return cell_mus, counts, None
-    return [], counts, SKIP_DROPPED if reached_any else SKIP_UNREACHED
+    if reached_any:
+        return [], counts, SKIP_DROPPED
+    return [], counts, SKIP_UNREACHED if config.n > config.m else SKIP_ROUNDING
 
 
 def _batch_outcomes(config: SweepConfig, k: int, l: int, counts: dict, trials: list,
-                    atoms: np.ndarray) -> list:
+                    atoms: np.ndarray, mus: np.ndarray) -> list:
     """The coherences of the accepted ones among some generated trials of cell (k, l),
-    with their atoms (B, m, n), their outcomes added to counts per variant.  Trial t's
-    support, coefficients and seeded atoms come from the seed [seed, k, l, t, 1]."""
+    with their atoms (B, m, n) and coherences, their outcomes added to counts per variant.
+    Trial t's support, coefficients and seeded atoms come from the seed [seed, k, l, t, 1]."""
     n = config.n
-    mus = _off_diagonal_max(_grams(atoms))
     if config.coherence_target == THRESHOLD_SENTINEL:
         keep = mus < coherence_threshold(k, l)  # defensive; the generation target sits below
         trials, atoms, mus = [t for t, ok in zip(trials, keep) if ok], atoms[keep], mus[keep]

@@ -404,7 +404,7 @@ def _haar_frame(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 def random_dictionary_per_trial(m: int, n: int, coherence_target=None, seed=0):
     """(path, atoms) of one seeded dictionary.  The path is "noise", "bisect"
-    or "shrink"; atoms is None where the target is not reached."""
+    (the searched blend) or "shrink"; atoms is None where the target is not reached."""
     rng = np.random.default_rng(seed)
     noise = rng.normal(size=(m, n))
     if coherence_target is None:
@@ -420,17 +420,29 @@ def random_dictionary_per_trial(m: int, n: int, coherence_target=None, seed=0):
         g = mat.T @ mat
         return float(np.abs(g - np.diag(np.diag(g))).max())
 
-    if mu_of(blend(1.0)) <= target:
+    mu_noise, mu_frame = mu_of(blend(1.0)), mu_of(frame)
+    if mu_noise <= target:
         return "noise", blend(1.0)
-    if mu_of(frame) <= target:
-        lo, hi = 0.0, 1.0
-        for _ in range(dictionary.BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if mu_of(blend(mid)) <= target:
-                lo = mid
+    if mu_frame <= target:
+        # false position with the Illinois rule: an end kept twice in a row has its value halved
+        atoms, mu_lo, lo, hi = frame, mu_frame, 0.0, 1.0
+        g_lo, g_hi, moved = mu_frame - target, mu_noise - target, 0
+        for _ in range(dictionary.BLEND_PROBES):
+            if target - mu_lo <= dictionary.BLEND_GAP * target:
+                break
+            t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+            t = min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+            probe = blend(t)
+            mu = mu_of(probe)
+            if mu <= target:
+                if moved > 0:
+                    g_hi *= 0.5
+                atoms, mu_lo, lo, g_lo, moved = probe, mu, t, mu - target, 1
             else:
-                hi = mid
-        return "bisect", blend(lo)
+                if moved < 0:
+                    g_lo *= 0.5
+                hi, g_hi, moved = t, mu - target, -1
+        return "bisect", atoms
     if n > m:
         return "shrink", shrink_gram_full_budget(frame, target)
     return "bisect", None
@@ -521,7 +533,8 @@ def sweep_per_trial(config, scratch: bool = False) -> SweepReport:
             if cell.accepted == 0:
                 cell.skipped = True
                 cell.skip_reason = (sweep.SKIP_BELOW_WELCH if not reachable else
-                                    sweep.SKIP_DROPPED if reached else sweep.SKIP_UNREACHED)
+                                    sweep.SKIP_DROPPED if reached else
+                                    sweep.SKIP_UNREACHED if n > m else sweep.SKIP_ROUNDING)
             cells.append(cell)
     return SweepReport(config=config, cells=tuple(cells))
 

@@ -182,10 +182,25 @@ def test_random_dictionary_unreachable():
     assert welch_bound(20, 30) == pytest.approx(np.sqrt(10.0 / (20.0 * 29.0)))
     with pytest.raises(TargetUnreachable):
         random_dictionary(20, 30, coherence_target=0.5 * welch_bound(20, 30), seed=0)
-    with pytest.raises(TargetUnreachable):
+    with pytest.raises(TargetUnreachable) as exc:
         random_dictionary(20, 30, coherence_target=0.14, seed=0)  # beyond the generator
+    assert str(exc.value) == ("could not reach coherence 0.14 for shape 20x30: the Gram "
+                              f"shrinkage ended above it after {dictionary.SHRINK_STEPS} steps")
     with pytest.raises(InvalidArgs):
         random_dictionary(10, 12, coherence_target=-0.1, seed=0)
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (6, 4)])
+def test_a_target_below_the_frames_rounding_says_so(m, n):
+    # for n <= m the frame is orthonormal, but rounding leaves it a coherence of order
+    # 1e-16: a target of 0 passes the Welch bound and no draw meets it; there is no step
+    # budget in play
+    assert welch_bound(m, n) == 0.0
+    with pytest.raises(TargetUnreachable) as exc:
+        random_dictionary(m, n, 0.0, seed=0)
+    assert str(exc.value) == (f"could not reach coherence 0 for shape {m}x{n}: it is below "
+                              "the rounding-level coherence of the draw's orthonormal frame")
+    assert random_dictionaries(m, n, 0.0, [1, 2]) == [None, None]
 
 
 
@@ -271,6 +286,22 @@ UNBISECTED_SHA256 = [
 ]
 
 
+@pytest.mark.parametrize("m, n, target, seeds", [
+    (3, 4, 0.7748, list(range(20))),  # the noise, search and shrinkage paths in one batch
+    (16, 16, _threshold_target(2, 1), [[7, 2, 1, t] for t in range(20)]),  # searched blends
+    (16, 20, _threshold_target(4, 0), [[7, 4, 0, t] for t in range(10)]),  # shrinkage
+    (8, 10, 0.1869, [0, 1, 2, 7]),  # shrinkage with unreached trials
+])
+def test_generated_coherences_are_the_bits_of_the_atoms(m, n, target, seeds):
+    # the sweep takes the generator's coherences in place of a pass over the kept atoms,
+    # so they must be that pass's bits
+    for atoms, reached, mus in dictionary._batches(m, n, target, seeds):
+        want = dictionary._off_diagonal_max(dictionary._grams(atoms[reached]))
+        assert reached.any() and mus[reached].tobytes() == want.tobytes()
+        assert (mus[reached] <= target).all()
+    assert [mus for _, _, mus in dictionary._batches(6, 9, None, [0, 1])] == [None]
+
+
 @pytest.mark.parametrize("m, n, target, seeds, digest", UNBISECTED_SHA256)
 def test_noise_and_shrinkage_paths_keep_their_bytes(m, n, target, seeds, digest):
     paths = [random_dictionary_per_trial(m, n, target, seed)[0] for seed in seeds]
@@ -333,7 +364,8 @@ def test_shrinkage_of_no_trial_does_no_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
     # every trial of this 16 x 20 batch reaches 0.5 before shrinkage
     assert coherence(random_dictionary(16, 20, 0.5, seed=3)) <= 0.5
-    assert dictionary._shrink_grams(np.empty((0, 4, 6)), 0.5) == []
+    shrunk, mus = dictionary._shrink_grams(np.empty((0, 4, 6)), 0.5)
+    assert shrunk.shape == (0, 4, 6) and mus.shape == (0,)
     assert calls == []
 
 
@@ -369,14 +401,17 @@ def _lockstep_vs_per_trial(monkeypatch, starts, target):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    got = dictionary._shrink_grams(starts, target)
+    got, mus = dictionary._shrink_grams(starts, target)
     want = []
     for start in starts:
         steps.append(0)
         want.append(shrink_gram_full_budget(start, target, dictionary.SHRINK_STEPS))
-    for g, w in zip(got, want):
-        assert (g is None) == (w is None)
-        assert w is None or g.tobytes() == w.tobytes()
+    for g, mu, start, w in zip(got, mus, starts, want):
+        if w is None:  # unreached: the start comes back, with coherence inf
+            assert mu == np.inf and g.tobytes() == start.tobytes()
+        else:
+            assert g.tobytes() == w.tobytes()
+            assert mu == dictionary._off_diagonal_max(w.T @ w) <= target
     assert sizes == [sum(c > s for c in steps) for s in range(max(steps))]
     return [w is not None for w in want], sizes
 
@@ -434,6 +469,19 @@ def test_the_slowest_benchmark_cell_shrinks_in_few_steps(monkeypatch):
     got = random_dictionaries(16, 20, _threshold_target(4, 0), [[7, 4, 0, t] for t in range(20)])
     assert None not in got
     assert 0 < len(sizes) <= 30
+
+
+@pytest.mark.parametrize("m, n, k, l", [*((16, 16, k, l) for k in range(2, 6) for l in range(k)),
+                                        (16, 20, 2, 1)])
+def test_the_benchmark_blend_cells_search_in_few_probes(monkeypatch, m, n, k, l):
+    # the benchmark's cells whose trials take the blend search, at seed 7: one lockstep
+    # probe is one _blend call over every trial still searching
+    probes = []
+    blend = dictionary._blend
+    monkeypatch.setattr(dictionary, "_blend", lambda *a: probes.append(1) or blend(*a))
+    got = random_dictionaries(m, n, _threshold_target(k, l), [[7, k, l, t] for t in range(20)])
+    assert None not in got
+    assert 0 < len(probes) <= 16
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedycert import (InvalidArgs, SweepConfig, TargetUnreachable, coherence,
+from greedycert import (Dictionary, InvalidArgs, SweepConfig, TargetUnreachable, coherence,
                         coherence_threshold, dictionary, random_dictionaries, run_sweep, sweep,
                         welch_bound)
 
@@ -152,14 +152,16 @@ SKIPPED_CELLS = [  # (config overrides, THRESHOLD_SAFETY, the cells' skip reason
     (dict(m=6, n=12, coherence_target=0.05), None, sweep.SKIP_BELOW_WELCH),
     # above the 20x30 Welch bound, about 0.131, but out of the shrinkage's reach
     (dict(m=20, n=30, coherence_target=0.14), None, sweep.SKIP_UNREACHED),
-    # a negative safety puts the target above the threshold: the bisection lands every trial
+    # a target of 0 at 12x12, below the coherence that rounding leaves in an orthonormal frame
+    (dict(coherence_target=0.0), None, sweep.SKIP_ROUNDING),
+    # a negative safety puts the target above the threshold: the search lands every trial
     # within the target, and the defensive check drops them all
     (dict(m=16, n=16), -0.5, sweep.SKIP_DROPPED),
 ]
 
 
 @pytest.mark.parametrize("overrides, safety, reason", SKIPPED_CELLS,
-                         ids=["below_welch", "unreached", "dropped"])
+                         ids=["below_welch", "unreached", "rounding", "dropped"])
 def test_a_skipped_cell_says_why(monkeypatch, overrides, safety, reason):
     if safety is not None:
         monkeypatch.setattr(sweep, "THRESHOLD_SAFETY", safety)
@@ -178,8 +180,9 @@ def test_a_skipped_cell_says_why(monkeypatch, overrides, safety, reason):
 
 
 def test_the_skip_reasons_are_distinct():
-    reasons = {sweep.SKIP_BELOW_WELCH, sweep.SKIP_UNREACHED, sweep.SKIP_DROPPED}
-    assert len(reasons) == 3 and all(reasons)
+    reasons = {sweep.SKIP_BELOW_WELCH, sweep.SKIP_UNREACHED, sweep.SKIP_ROUNDING,
+               sweep.SKIP_DROPPED}
+    assert len(reasons) == 4 and all(reasons)
 
 
 def test_run_sweep_deterministic():
@@ -187,7 +190,7 @@ def test_run_sweep_deterministic():
     a, b, c = (run_sweep(cfg) for _ in range(3))
     assert a.to_csv() == b.to_csv() == c.to_csv()
     assert a.to_json() == b.to_json()
-    # the seed matters once mu isn't pinned to a target by bisection
+    # the seed matters once mu isn't pinned to a target by the blend search
     free = dict(coherence_target=None, trials=6)
     assert (run_sweep(small_config(seed=6, **free)).to_csv()
             != run_sweep(small_config(seed=5, **free)).to_csv())
@@ -235,16 +238,19 @@ def test_jobs_start_no_thread(monkeypatch):
 
 
 def per_trial_batches(m, n, target, seeds):
-    """A cell's dictionaries from one per-trial oracle call each, as one (atoms, reached) batch."""
+    """A cell's dictionaries from one per-trial oracle call each, as one (atoms, reached,
+    coherences) batch."""
     if target is not None and target < welch_bound(m, n):
         raise TargetUnreachable("below the Welch bound")
     draws = [random_dictionary_per_trial(m, n, target, s)[1] for s in seeds]
     reached = np.array([atoms is not None for atoms in draws], dtype=bool)
-    yield np.array([np.zeros((m, n)) if a is None else a for a in draws]).reshape(-1, m, n), reached
+    mus = np.array([np.inf if a is None else coherence(Dictionary(a)) for a in draws])
+    yield (np.array([np.zeros((m, n)) if a is None else a for a in draws]).reshape(-1, m, n),
+           reached, mus)
 
 
 @pytest.mark.parametrize("overrides, accepted", [
-    ({}, [6, 6, 6, 6]),  # bisection at 12x12
+    ({}, [6, 6, 6, 6]),  # the blend search at 12x12
     (dict(m=8, n=10, k_range=(2, 4)), [6, 6, 6, 6, 0, 0]),  # shrinkage; (4, l) below Welch
     (dict(m=8, n=10, k_range=(2, 2), coherence_target=0.1869), [2, 3]),  # shrinkage mostly fails
 ])
@@ -283,7 +289,7 @@ def test_run_sweep_matches_the_per_trial_sweep(overrides):
         assert report.to_json() == reference.to_json()
 
 
-BISECT_GAP = 1e-5  # the relative gap below the target that _bisect_blend's docstring states
+BISECT_GAP = 1e-5  # the relative gap below the target that the README states for searched blends
 
 
 @pytest.mark.parametrize("overrides", [
@@ -292,7 +298,8 @@ BISECT_GAP = 1e-5  # the relative gap below the target that _bisect_blend's docs
     *CRITERION_CONFIGS.values(),
 ])
 def test_bisected_trials_sit_just_below_their_target(overrides):
-    # the bisection stops at a bracket of 2^-BISECT_STEPS, whose low end is within the target
+    # the blend search keeps the low end of its bracket, always within the target, and
+    # every trial stops there by the gap dictionary.BLEND_GAP, none by the probe cap
     cfg = small_config(**overrides)
     bisected = 0
     for k, l in cfg.cells():
@@ -301,6 +308,7 @@ def test_bisected_trials_sit_just_below_their_target(overrides):
         for seed, d in zip(seeds, random_dictionaries(cfg.m, cfg.n, target, seeds)):
             if random_dictionary_per_trial(cfg.m, cfg.n, target, seed)[0] == "bisect":
                 assert target * (1.0 - BISECT_GAP) <= coherence(d) <= target, (k, l, seed)
+                assert target - coherence(d) <= dictionary.BLEND_GAP * target, (k, l, seed)
                 bisected += 1
     assert bisected == cfg.trials * len(cfg.cells())
 
@@ -327,9 +335,9 @@ def test_run_sweep_cell_is_generated_in_the_generator_batches(monkeypatch):
     generate, pursue = dictionary._generate, sweep._pursue
 
     def recording_generate(m, n, target, seeds):
-        atoms, reached = generate(m, n, target, seeds)
+        atoms, reached, mus = generate(m, n, target, seeds)
         events.append(("generate", len(seeds), int(reached.sum())))
-        return atoms, reached
+        return atoms, reached, mus
 
     def recording_pursue(variant, atoms, *args):
         events.append(("pursue", len(atoms)))
