@@ -177,7 +177,7 @@ def _check_square_norm(y: np.ndarray, what: str) -> None:
 
 def gram(d: Dictionary) -> np.ndarray:
     """Gram matrix of the atoms (n x n, symmetric, unit diagonal)."""
-    return d.atoms.T @ d.atoms
+    return _grams(d.atoms)
 
 
 def coherence(d: Dictionary) -> float:

@@ -1,14 +1,15 @@
-"""Monte Carlo sweeps over (k, l) cells with deterministic per-trial seeding.
+"""Monte Carlo sweeps over (k, l) cells with deterministic per-trial draws.
 
-Each trial derives its own random streams from (master seed, k, l, trial
-index), so its outcome does not depend on what else runs.  A cell runs in the
-generator's batches (`dictionary._batches`), each dropped before the next: a
-batch's dictionaries come as one stack (byte-identical to generating each trial
-alone), their coherences as the generator took them (from one stack of Gram
-matrices in a cell without a target, where it takes none), and each variant
-pursues all of the batch's accepted trials in one stack of pursuits (the trials
-share m, n and k), classified by the rule that `classify` applies to a stack of
-one (`greedy._outcomes`).
+Trial t draws its dictionary from the seed [master seed, k, l, t] and its support,
+coefficients and seeded atoms from row t of its cell's outcome stream, so its outcome
+does not depend on what else runs.  A cell runs in the generator's batches
+(`dictionary._batches`), each dropped before the next: a batch's dictionaries come
+as one stack (byte-identical to generating each trial alone), their coherences as
+the generator took them (from one stack of Gram matrices in a cell without a target,
+where it takes none), their outcome draws as one block of the stream, and each
+variant pursues all of the batch's accepted trials in one stack of pursuits (the
+trials share m, n and k), classified by the rule that `classify` applies to a stack
+of one (`greedy._outcomes`).
 """
 
 import math
@@ -18,7 +19,7 @@ from operator import add
 
 import numpy as np
 
-from .dictionary import _batches, _fmt, _grams, _json, _off_diagonal_max
+from .dictionary import _batches, _check_shape, _fmt, _grams, _json, _off_diagonal_max
 from .errors import InvalidArgs, TargetUnreachable
 from .greedy import _KINDS, SolverVariant, _outcomes, _pursue
 from .guarantees import coherence_threshold
@@ -78,8 +79,7 @@ class SweepConfig:
                 raise InvalidArgs(f"{name} must be an inclusive (lo, hi) pair, got {rng!r}")
             object.__setattr__(self, name, tuple(rng))
         _typed(self.seed_partial, "seed_partial", bool)
-        if self.m < 1 or self.n < 2:
-            raise InvalidArgs(f"need m >= 1 and n >= 2, got m={self.m}, n={self.n}")
+        _check_shape(self.m, self.n)
         if self.trials < 1:
             raise InvalidArgs("trials must be positive")
         if self.variant not in _VARIANT_CHOICES:
@@ -220,17 +220,18 @@ def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
     """The accepted trials of cell (k, l): their coherences in trial order, per variant
     how many of them ended in each outcome of _KINDS, and the cell's skip reason (None
     when it accepted a trial), one generator batch at a time.  Trial t's dictionary
-    comes from the seed [seed, k, l, t]."""
+    comes from the seed [seed, k, l, t] and its outcome from row t of the cell's stream
+    [seed, k, l, 0, 1] (a row per generated trial; the last word keeps it off trial 0's)."""
     cell_mus, counts = [], {v: np.zeros(len(_KINDS), dtype=int) for v in variants}
     seeds = ([config.seed, k, l, t] for t in range(config.trials))
-    start, reached_any = 0, False
+    draws, reached_any = np.random.default_rng([config.seed, k, l, 0, 1]), False
     try:
         for atoms, reached, mus in _batches(config.m, config.n, config.cell_target(k, l), seeds):
-            trials = (start + np.flatnonzero(reached)).tolist()
-            start, reached_any = start + len(reached), reached_any or bool(trials)
+            u = draws.random((len(reached), config.n + 2 * k))[reached]
+            reached_any = reached_any or bool(reached.any())
             atoms = atoms[reached]
             mus = _off_diagonal_max(_grams(atoms)) if mus is None else mus[reached]
-            cell_mus += _batch_outcomes(config, k, l, counts, trials, atoms, mus)
+            cell_mus += _batch_outcomes(config, k, l, counts, u, atoms, mus)
             del atoms, reached, mus  # the generator's next batch is made after this one is freed
     except TargetUnreachable:  # below the Welch bound, raised before any draw
         return [], counts, SKIP_BELOW_WELCH
@@ -241,28 +242,24 @@ def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
     return [], counts, SKIP_UNREACHED if config.n > config.m else SKIP_ROUNDING
 
 
-def _batch_outcomes(config: SweepConfig, k: int, l: int, counts: dict, trials: list,
+def _batch_outcomes(config: SweepConfig, k: int, l: int, counts: dict, u: np.ndarray,
                     atoms: np.ndarray, mus: np.ndarray) -> list:
     """The coherences of the accepted ones among some generated trials of cell (k, l),
-    with their atoms (B, m, n) and coherences, their outcomes added to counts per variant.
-    Trial t's support, coefficients and seeded atoms come from the seed [seed, k, l, t, 1]."""
+    with their outcome rows u (B, n + 2k), atoms (B, m, n) and coherences, their outcomes
+    added to counts per variant.  The first k atoms in the order of a row's first n
+    entries are the support (uniform, in uniform order), its first l the seeded atoms;
+    the next k entries give magnitudes 0.5 + u, the last k signs, -1 below 0.5."""
     n = config.n
     if config.coherence_target == THRESHOLD_SENTINEL:
         keep = mus < coherence_threshold(k, l)  # defensive; the generation target sits below
-        trials, atoms, mus = [t for t, ok in zip(trials, keep) if ok], atoms[keep], mus[keep]
-    if not trials:
+        u, atoms, mus = u[keep], atoms[keep], mus[keep]
+    if not len(mus):
         return []
-    supports, coeffs, seeds = [], [], []
-    for t in trials:
-        rng = np.random.default_rng([config.seed, k, l, t, 1])
-        support = rng.choice(n, size=k, replace=False)
-        supports.append(support)
-        coeffs.append(rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k))
-        seeds.append(support[rng.choice(k, size=l, replace=False)]
-                     if config.seed_partial and l > 0 else support[:0])
-    supports, coeffs, seeds = np.array(supports), np.array(coeffs), np.array(seeds)
+    supports = np.argsort(u[:, :n], axis=1)[:, :k]
+    coeffs = (0.5 + u[:, n:n + k]) * np.where(u[:, n + k:] < 0.5, -1.0, 1.0)
+    seeds = supports[:, :l if config.seed_partial else 0]
     ys = (np.take_along_axis(atoms, supports[:, None, :], axis=2) @ coeffs[..., None])[..., 0]
-    planted = np.zeros((len(trials), n), dtype=bool)
+    planted = np.zeros((len(mus), n), dtype=bool)
     np.put_along_axis(planted, supports, True, axis=1)
     for v in counts:
         runs = _pursue(SolverVariant(v), atoms, ys, k, seeds)

@@ -484,8 +484,8 @@ def classify_stepwise(trace: GreedyTrace, truth) -> RecoveryOutcome:
     return RecoveryOutcome(RecoveryOutcome.SUCCESS)
 
 
-# the sweep one trial at a time, as it ran before cells were batched: the
-# per-trial generator, then one pursuit and one classify per trial and variant
+# the sweep one trial at a time: each trial's dictionary and outcome row drawn alone,
+# then one pursuit and one classify per trial and variant
 
 _COUNT_OF = {RecoveryOutcome.SUCCESS: "successes", RecoveryOutcome.WRONG_ATOM: "wrong_atoms",
              RecoveryOutcome.TIE_WITH_WRONG_ATOM: "wrong_ties",
@@ -513,12 +513,13 @@ def sweep_per_trial(config, scratch: bool = False) -> SweepReport:
             mu = coherence(d)
             if config.coherence_target == "threshold" and not mu < coherence_threshold(k, l):
                 continue
-            rng = np.random.default_rng([config.seed, k, l, t, 1])
-            support = [int(i) for i in rng.choice(n, size=k, replace=False)]
-            coeffs = rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k)
+            # row t of the cell's outcome stream, read by itself
+            u = np.random.default_rng([config.seed, k, l, 0, 1]).random((t + 1, n + 2 * k))[t]
+            support = sorted(range(n), key=lambda i: u[i])[:k]
+            coeffs = np.array([(0.5 + u[n + i]) * (-1.0 if u[n + k + i] < 0.5 else 1.0)
+                               for i in range(k)])
             y = make_instance(d, support, coeffs).observation
-            seed = ([support[int(i)] for i in rng.choice(k, size=l, replace=False)]
-                    if config.seed_partial and l > 0 else [])
+            seed = support[:l] if config.seed_partial else []
             for v in variants:
                 trace = (pursuit_scratch(v, d.atoms, y, k, tuple(seed)) if scratch
                          else run(v, d, y, k, seed_support=seed))

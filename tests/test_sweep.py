@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -326,6 +328,87 @@ def test_run_sweep_in_small_batches_matches_the_per_trial_sweep(monkeypatch, ove
     reference = sweep_per_trial(cfg)
     assert report.to_csv() == reference.to_csv()
     assert report.to_json() == reference.to_json()
+
+
+# the 0.999 quantiles of chi-square with 2 and 14 degrees of freedom
+CHI2_999 = {2: 13.816, 14: 36.123}
+
+
+def _chi2(counts) -> float:
+    expected = sum(counts) / len(counts)
+    return sum((c - expected) ** 2 / expected for c in counts)
+
+
+def _drawn_trials(monkeypatch, **overrides) -> list:
+    """Per accepted trial of an unconstrained omp sweep: its support (sorted), its seeded
+    atoms and its coefficients on the support, solved back from its observation."""
+    stacks, pursue, outcomes = [], sweep._pursue, sweep._outcomes
+
+    def recording_pursue(variant, atoms, ys, k, seeds):
+        stacks.append([atoms, ys, seeds])
+        return pursue(variant, atoms, ys, k, seeds)
+
+    def recording_outcomes(planted, *args):
+        stacks[-1].append(planted)
+        return outcomes(planted, *args)
+
+    monkeypatch.setattr(sweep, "_pursue", recording_pursue)
+    monkeypatch.setattr(sweep, "_outcomes", recording_outcomes)
+    run_sweep(small_config(m=6, n=6, variant="omp", coherence_target=None, **overrides))
+    trials = []
+    for atoms, ys, seeds, planted in stacks:
+        for a, y, seed, mask in zip(atoms, ys, seeds, planted):
+            support = np.flatnonzero(mask)
+            trials.append((tuple(support.tolist()), seed.tolist(),
+                           np.linalg.lstsq(a[:, support], y, rcond=None)[0]))
+    return trials
+
+
+def test_supports_are_uniform_k_subsets(monkeypatch):
+    trials = _drawn_trials(monkeypatch, k_range=(2, 2), l_range=(0, 0), trials=1500,
+                           seed_partial=False)
+    counts = Counter(support for support, _, _ in trials)
+    assert len(trials) == 1500 and set(counts) == set(itertools.combinations(range(6), 2))
+    assert _chi2(list(counts.values())) < CHI2_999[14], counts
+
+
+def test_seeded_atoms_are_a_uniform_subset_of_the_support(monkeypatch):
+    trials = _drawn_trials(monkeypatch, k_range=(3, 3), l_range=(1, 2), trials=600)
+    for l in (1, 2):
+        # which of the support's three atoms (in index order) are seeded
+        places = Counter(tuple(support.index(i) for i in sorted(seed))
+                         for support, seed, _ in trials if len(seed) == l)
+        assert sum(places.values()) == 600 and set(places) == set(
+            itertools.combinations(range(3), l))
+        assert _chi2(list(places.values())) < CHI2_999[2], places
+
+
+def test_coefficients_have_magnitudes_in_the_stated_range_and_both_signs(monkeypatch):
+    coeffs = np.concatenate([c for _, _, c in _drawn_trials(
+        monkeypatch, k_range=(2, 3), l_range=(0, 1), trials=200)])
+    magnitudes = np.abs(coeffs)
+    assert 0.5 - 1e-9 <= magnitudes.min() < 0.55 and 1.45 < magnitudes.max() < 1.5 + 1e-9
+    assert (coeffs > 0).any() and (coeffs < 0).any()
+
+
+def test_each_cell_draws_its_outcomes_from_one_stream_apart_from_the_dictionaries(monkeypatch):
+    rows, batch_outcomes = [], sweep._batch_outcomes
+
+    def recording(config, k, l, counts, u, *args):
+        rows.append(u)
+        return batch_outcomes(config, k, l, counts, u, *args)
+
+    monkeypatch.setattr(sweep, "_batch_outcomes", recording)
+    monkeypatch.setattr(dictionary, "BATCH_ELEMENTS", 2 * 6 * 6)  # two trials a batch
+    cfg = small_config(m=6, n=6, k_range=(2, 2), l_range=(1, 1), trials=5, coherence_target=None)
+    run_sweep(cfg)
+    u = np.concatenate(rows)
+    # row t of the stream seeded [seed, k, l, 0, 1] is trial t's, across the batches
+    assert np.array_equal(u, np.random.default_rng([cfg.seed, 2, 1, 0, 1]).random((5, 6 + 4)))
+    # and no trial's dictionary seed [seed, k, l, t] gives that stream: trial 0's included,
+    # which [seed, k, l] would give, since numpy pads a short seed with zeros
+    for t in range(cfg.trials):
+        assert not np.array_equal(u, np.random.default_rng([cfg.seed, 2, 1, t]).random(u.shape))
 
 
 def test_run_sweep_cell_is_generated_in_the_generator_batches(monkeypatch):
