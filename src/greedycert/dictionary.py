@@ -185,7 +185,7 @@ def coherence(d: Dictionary) -> float:
     return float(_off_diagonal_max(gram(d)))
 
 
-def spark(d: Dictionary, cap: int = SPARK_CAP) -> int:
+def spark(d: Dictionary) -> int:
     """Size of the smallest linearly dependent column subset.
 
     Returns n + 1 when every column subset is independent (only possible for
@@ -195,10 +195,10 @@ def spark(d: Dictionary, cap: int = SPARK_CAP) -> int:
     Raises
     ------
     CapExceeded
-        If n exceeds `cap` (subset enumeration would blow up).
+        If n exceeds SPARK_CAP, read at call time (subset enumeration would blow up).
     """
-    if d.n > cap:
-        raise CapExceeded(f"spark enumeration capped at n <= {cap}, got n={d.n}")
+    if d.n > SPARK_CAP:
+        raise CapExceeded(f"spark enumeration capped at n <= {SPARK_CAP}, got n={d.n}")
     a = d.atoms
     sv = np.linalg.svd(a, compute_uv=False)
     rank = int(np.sum(sv > RANK_SV_TOL * sv[0]))
@@ -209,15 +209,13 @@ def spark(d: Dictionary, cap: int = SPARK_CAP) -> int:
         _, _, vt = np.linalg.svd(a)
         v = vt[-1]
         return int(np.sum(np.abs(v) > RANK_SV_TOL * np.abs(v).max()))
-    for size in range(2, min(d.n, d.m + 1) + 1):
-        if size > d.m:
-            return size  # more columns than rows is always dependent
+    for size in range(2, min(d.n, d.m) + 1):
         for sub in combinations(range(d.n), size):
             block = a[:, list(sub)]
             s = np.linalg.svd(block, compute_uv=False)
             if s[-1] <= RANK_SV_TOL * s[0]:
                 return size
-    return min(d.n, d.m + 1)
+    return d.m + 1  # more columns than rows is always dependent
 
 
 def _check_kl(k: int, l: int) -> tuple[int, int]:
@@ -265,11 +263,16 @@ def build_worst_case(k: int, l: int) -> Dictionary:
 
 
 def _unit_columns(mat: np.ndarray) -> np.ndarray:
-    """Scale every column of a matrix, or of each matrix in a stack, to unit norm."""
+    """Scale every column of a matrix, or of each matrix in a stack, to unit norm; a column j
+    of norm below 1e-12 becomes the basis vector e_(j mod m), on a copy: mat is never written."""
     # the sums of np.linalg.norm, without its dispatch cost
     norms = np.sqrt(np.add.reduce(mat * mat, axis=-2, keepdims=True))
     if (norms < 1e-12).any():
-        raise InvalidArgs("cannot normalize a zero column")
+        *lead, dead = (norms[..., 0, :] < 1e-12).nonzero()
+        mat = mat.copy()
+        mat[(*lead, slice(None), dead)] = 0.0
+        mat[(*lead, dead % mat.shape[-2], dead)] = 1.0
+        norms = np.sqrt(np.add.reduce(mat * mat, axis=-2, keepdims=True))
     return mat / norms
 
 
@@ -314,15 +317,8 @@ def _shrink_grams(starts: np.ndarray, target: float) -> tuple[np.ndarray, np.nda
         clipped[:, range(n), range(n)] = 1.0
         w, vecs = np.linalg.eigh(clipped)
         top = np.clip(w[:, n - m:], 0.0, None)
-        d = (vecs[:, :, n - m:] * np.sqrt(top)[:, None, :]).swapaxes(-1, -2)
-        norms = np.sqrt(np.add.reduce(d * d, axis=-2, keepdims=True))
-        row, dead = (norms[:, 0] < 1e-12).nonzero()
-        if dead.size:
-            # deterministic rescue: replace a collapsed column with a basis vector
-            d[row, :, dead] = 0.0
-            d[row, dead % m, dead] = 1.0
-            norms = np.sqrt(np.add.reduce(d * d, axis=-2, keepdims=True))
-        d = d / norms
+        # a collapsed column takes _unit_columns' rescue
+        d = _unit_columns((vecs[:, :, n - m:] * np.sqrt(top)[:, None, :]).swapaxes(-1, -2))
     return out, mus
 
 

@@ -75,11 +75,12 @@ class PripConstants:
                 "upper": self.upper, "kind": self.kind}
 
 
-def _erc(planted: np.ndarray, family: np.ndarray, outside: list, what: str,
+def _erc(planted: np.ndarray, family: np.ndarray, qs, what: str,
          variant: str | None, partial_support) -> ErcReport:
     """ErcReport on the largest l1 norm of the least-squares coefficients of the
-    outside atoms of family on the planted columns, whose singular value ratio
-    must lie above RANK_SV_TOL."""
+    atoms of family outside the support qs on the planted columns, whose singular
+    value ratio must lie above RANK_SV_TOL."""
+    outside = [i for i in range(family.shape[1]) if i not in qs]
     coef, _, _, sv = np.linalg.lstsq(planted, family[:, outside], rcond=None)
     if planted.shape[1] > planted.shape[0] or sv[-1] <= RANK_SV_TOL * sv[0]:
         raise RankDeficient(f"{what} is numerically rank deficient")
@@ -102,8 +103,7 @@ def tropp_erc(d: Dictionary, qstar) -> ErcReport:
     qs = check_support(d, as_support(qstar))
     if len(qs) == 0:
         raise InvalidArgs("planted support must be non-empty")
-    outside = [i for i in range(d.n) if i not in qs]
-    return _erc(d.atoms[:, qs.array()], d.atoms, outside, "planted sub-dictionary", None, None)
+    return _erc(d.atoms[:, qs.array()], d.atoms, qs, "planted sub-dictionary", None, None)
 
 
 def partial_erc(variant, d: Dictionary, q, qstar) -> ErcReport:
@@ -120,9 +120,23 @@ def partial_erc(variant, d: Dictionary, q, qstar) -> ErcReport:
     if not set(qq.indices) < set(qs.indices):
         raise InvalidArgs("q must be a proper subset of qstar")
     fam = project_atoms(d, qq).family(normalize=(variant is SolverVariant.OLS))
-    outside = [i for i in range(d.n) if i not in qs]
-    return _erc(fam[:, [i for i in qs if i not in qq]], fam, outside,
+    return _erc(fam[:, [i for i in qs if i not in qq]], fam, qs,
                 "projected planted family", variant.value, qq.indices)
+
+
+def _check_ql(q: int, l: int) -> tuple[int, int]:
+    """(q, l) as ints (_index), or InvalidArgs unless q >= 1 and l >= 0."""
+    q, l = _index(q, "q"), _index(l, "l")
+    if q < 1 or l < 0:
+        raise InvalidArgs(f"need q >= 1 and l >= 0, got q={q}, l={l}")
+    return q, l
+
+
+def _check_mu(mu: float) -> None:
+    """Raise InvalidArgs unless mu is a real number in [0, 1], the range of a coherence."""
+    _check_real(mu, "mu")
+    if not (0.0 <= mu <= 1.0):
+        raise InvalidArgs(f"mu must lie in [0, 1], got {mu!r}")
 
 
 def coherence_threshold(k: int, l: int) -> float:
@@ -136,9 +150,7 @@ def omp_partial_bound(k: int, l: int, mu: float) -> float:
     """Closed-form ceiling (k-l)*mu / (1-(k-1)*mu) on the partial test for the
     raw-projection scoring rule, valid for mu < 1/(k-1)."""
     k, l = _check_kl(k, l)
-    _check_real(mu, "mu")
-    if not (0.0 <= mu <= 1.0):
-        raise InvalidArgs(f"mu must lie in [0, 1], got {mu!r}")
+    _check_mu(mu)
     if k > 1 and mu >= 1.0 / (k - 1):
         raise OutOfDomain(f"bound needs mu < 1/(k-1) = {1.0 / (k - 1):g}, got mu={mu:g}")
     return (k - l) * mu / (1.0 - (k - 1) * mu)
@@ -150,9 +162,7 @@ def prip_coherence_bounds(q: int, l: int, mu: float) -> PripConstants:
     upper = (q-1)*mu and lower = (q-1)*mu + mu^2*q*l/(1-(l-1)*mu); the two
     coincide at l = 0.  Requires mu < 1/(l-1) when l >= 2.
     """
-    q, l = _index(q, "q"), _index(l, "l")
-    if q < 1 or l < 0:
-        raise InvalidArgs(f"need q >= 1 and l >= 0, got q={q}, l={l}")
+    q, l = _check_ql(q, l)
     _check_real(mu, "mu")
     if not (0.0 <= mu < 1.0):
         raise InvalidArgs(f"mu must lie in [0, 1), got {mu!r}")
@@ -295,7 +305,7 @@ def _widen(lo: float, hi: float, grams: np.ndarray, blocks: np.ndarray, cols: np
     return min(lo, float(eig[:, 0].min())), max(hi, float(eig[:, -1].max()))
 
 
-def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConstants:
+def prip_exact(d: Dictionary, q: int, l: int) -> PripConstants:
     """Exact projected restricted-isometry constants by exhaustive enumeration.
 
     Sweeps every support of size l and every disjoint block of q atoms,
@@ -331,18 +341,16 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     per-matrix LAPACK call as when every block is solved, and min and max are
     exact, so the constants keep those bits.
 
-    Raises CapExceeded when the number of (support, block) pairs exceeds cap,
-    evaluated or not, and RankDeficient if some support is numerically
-    dependent.
+    Raises CapExceeded when the number of (support, block) pairs exceeds ENUM_CAP,
+    read at call time, evaluated or not, and RankDeficient if some support is
+    numerically dependent.
     """
-    q, l = _index(q, "q"), _index(l, "l")
-    if q < 1 or l < 0:
-        raise InvalidArgs(f"need q >= 1 and l >= 0, got q={q}, l={l}")
+    q, l = _check_ql(q, l)
     if l + q > d.n:
         raise InvalidArgs(f"need l + q <= n, got l={l}, q={q}, n={d.n}")
     total = math.comb(d.n, l) * math.comb(d.n - l, q)
-    if total > cap:
-        raise CapExceeded(f"{total} support/block pairs exceed the cap of {cap}")
+    if total > ENUM_CAP:
+        raise CapExceeded(f"{total} support/block pairs exceed the cap of {ENUM_CAP}")
     blocks, lower, incidence, tails = _block_table(d.n - l, q)
     # a chunk of supports, with their Grams and blocks, or a piece of one support's
     # blocks stays within the budget
@@ -395,20 +403,21 @@ def prip_exact(d: Dictionary, q: int, l: int, cap: int = ENUM_CAP) -> PripConsta
     return PripConstants(q=q, l=l, lower=1.0 - lo, upper=hi - 1.0, kind="exact")
 
 
-def projected_coherence(variant, d: Dictionary, l: int, cap: int = ENUM_CAP) -> float:
+def projected_coherence(variant, d: Dictionary, l: int) -> float:
     """Largest absolute inner product between two distinct projected atoms,
     maximized over every support of size l.
 
     Uses the raw projected Gram for the OMP rule and the normalized one for the
     OLS rule (vanished atoms zero); at l = 0 both reduce to the mutual coherence.
     Each stack of Grams from _projected_grams is normalized and maximized at once.
+    Raises CapExceeded when the number of supports exceeds ENUM_CAP, read at call time.
     """
     variant = as_variant(variant)
     l = _index(l, "l")
     if l < 0 or l > d.n - 2:
         raise InvalidArgs(f"need 0 <= l <= n-2, got l={l}, n={d.n}")
-    if math.comb(d.n, l) > cap:
-        raise CapExceeded(f"{math.comb(d.n, l)} supports exceed the cap of {cap}")
+    if math.comb(d.n, l) > ENUM_CAP:
+        raise CapExceeded(f"{math.comb(d.n, l)} supports exceed the cap of {ENUM_CAP}")
     best = 0.0
     for _, grams in _projected_grams(d, l):
         if variant is SolverVariant.OLS:
@@ -425,9 +434,7 @@ def ols_coherence_bound(l: int, mu: float) -> float:
     l = _index(l, "l")
     if l < 0:
         raise InvalidArgs(f"need l >= 0, got l={l}")
-    _check_real(mu, "mu")
-    if not (0.0 <= mu <= 1.0):
-        raise InvalidArgs(f"mu must lie in [0, 1], got {mu!r}")
+    _check_mu(mu)
     if l >= 1 and mu >= 1.0 / l:
         raise OutOfDomain(f"bound needs mu < 1/l = {1.0 / l:g}, got mu={mu:g}")
     return mu / (1.0 - l * mu)

@@ -84,8 +84,7 @@ class SweepConfig:
             raise InvalidArgs("trials must be positive")
         if self.variant not in _VARIANT_CHOICES:
             raise InvalidArgs(f"variant must be one of {_VARIANT_CHOICES}, got {self.variant!r}")
-        top = min(self.k_range[1], self.m, self.n)  # the largest k of any cell
-        if not self.k_range[0] <= top > self.l_range[0]:
+        if not self.cells():
             raise InvalidArgs("no cell satisfies l < k <= min(m, n)")
         target = self.coherence_target
         try:  # math.isfinite raises OverflowError on an int too large for a float
@@ -207,22 +206,23 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
     cells = []
     for (k, l) in config.cells():
-        mus, counts, reason = _cell_outcomes(config, k, l, variants)
+        (accepted, mu_sum, mu_max), counts, reason = _cell_outcomes(config, k, l, variants)
         for v in variants:
             cells.append(CellResult(  # the counts of _KINDS fill successes .. early_stops
-                v, k, l, coherence_threshold(k, l), config.trials, len(mus), *counts[v].tolist(),
-                mu_sum=reduce(add, mus, 0.0),  # in trial order: sum() compensates from 3.12 on
-                mu_max=max(mus, default=0.0), skipped=reason is not None, skip_reason=reason))
+                v, k, l, coherence_threshold(k, l), config.trials, accepted, *counts[v].tolist(),
+                mu_sum, mu_max, skipped=reason is not None, skip_reason=reason))
     return SweepReport(config=config, cells=tuple(cells))
 
 
 def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
-    """The accepted trials of cell (k, l): their coherences in trial order, per variant
-    how many of them ended in each outcome of _KINDS, and the cell's skip reason (None
-    when it accepted a trial), one generator batch at a time.  Trial t's dictionary
+    """The tally (accepted, mu_sum, mu_max) of the coherences of the accepted trials of
+    cell (k, l), per variant how many of them ended in each outcome of _KINDS, and the
+    cell's skip reason (None when it accepted a trial), one generator batch at a time,
+    with nothing kept per trial.  Trial t's dictionary
     comes from the seed [seed, k, l, t] and its outcome from row t of the cell's stream
     [seed, k, l, 0, 1] (a row per generated trial; the last word keeps it off trial 0's)."""
-    cell_mus, counts = [], {v: np.zeros(len(_KINDS), dtype=int) for v in variants}
+    accepted, mu_sum, mu_max = 0, 0.0, 0.0
+    counts = {v: np.zeros(len(_KINDS), dtype=int) for v in variants}
     seeds = ([config.seed, k, l, t] for t in range(config.trials))
     draws, reached_any = np.random.default_rng([config.seed, k, l, 0, 1]), False
     try:
@@ -231,15 +231,15 @@ def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
             reached_any = reached_any or bool(reached.any())
             atoms = atoms[reached]
             mus = _off_diagonal_max(_grams(atoms)) if mus is None else mus[reached]
-            cell_mus += _batch_outcomes(config, k, l, counts, u, atoms, mus)
+            batch = _batch_outcomes(config, k, l, counts, u, atoms, mus)
+            accepted, mu_max = accepted + len(batch), max([mu_max, *batch])
+            mu_sum = reduce(add, batch, mu_sum)  # in trial order: sum() compensates from 3.12 on
             del atoms, reached, mus  # the generator's next batch is made after this one is freed
     except TargetUnreachable:  # below the Welch bound, raised before any draw
-        return [], counts, SKIP_BELOW_WELCH
-    if cell_mus:
-        return cell_mus, counts, None
-    if reached_any:
-        return [], counts, SKIP_DROPPED
-    return [], counts, SKIP_UNREACHED if config.n > config.m else SKIP_ROUNDING
+        return (0, 0.0, 0.0), counts, SKIP_BELOW_WELCH
+    reason = (None if accepted else SKIP_DROPPED if reached_any
+              else SKIP_UNREACHED if config.n > config.m else SKIP_ROUNDING)
+    return (accepted, mu_sum, mu_max), counts, reason
 
 
 def _batch_outcomes(config: SweepConfig, k: int, l: int, counts: dict, u: np.ndarray,

@@ -52,9 +52,10 @@ def projected_gram_closed_form(k: int, l: int, r) -> tuple[float, float]:
         norm_sq = 1 - mu^2 * s
 
     with mu = 1/(2k-l-1) and s the sum of the entries of the inverse Gram of
-    the R atoms.  Returns (cross, norm_sq); both depend on R only through its
-    size, so r may be either the subset itself (of atoms 0..2k-l-1) or a plain
-    count.
+    the R atoms.  That Gram is (1 + mu) I - mu 1 1^T, so by Sherman-Morrison
+    s = |R| / (1 + mu - |R| mu).  Returns (cross, norm_sq); both depend on R
+    only through its size, so r may be either the subset itself (of atoms
+    0..2k-l-1) or a plain count.
     """
     mu = coherence_threshold(k, l)  # validates k, l
     n = 2 * k - l
@@ -69,11 +70,7 @@ def projected_gram_closed_form(k: int, l: int, r) -> tuple[float, float]:
             raise InvalidArgs(f"|R| must be non-negative, got {r}")
     if size >= n:
         raise InvalidArgs(f"|R| must be below 2k-l = {n}, got {size}")
-    if size == 0:
-        s = 0.0
-    else:
-        g = (1.0 + mu) * np.eye(size) - mu * np.ones((size, size))
-        s = float(np.linalg.solve(g, np.ones(size)).sum())
+    s = size / (1.0 + mu - size * mu)
     return -mu - mu * mu * s, 1.0 - mu * mu * s
 
 
@@ -146,12 +143,8 @@ def _calibrate(variant, d: Dictionary, base, order, steps) -> tuple[list, list]:
             basis[shared.t], sqs[shared.t] = shared.basis[:, shared.t - 1], shared.sq
         # the input x and the direction d at every level (each minus its components along
         # the basis vectors before that level), and their correlations with the atoms
-        pair = np.array((inputs[-1], direction))
-        if length == 1:  # level 0 projects against nothing
-            proj = pair[:, None]
-        else:
-            q = basis[:length]
-            proj = pair[:, None] - np.add.accumulate((pair @ q.T)[..., None] * q, axis=1)
+        pair, q = np.array((inputs[-1], direction)), basis[:length]
+        proj = pair[:, None] - np.add.accumulate((pair @ q.T)[..., None] * q, axis=1)
         (x, dx), (cx, cdx) = proj, proj @ d.atoms
         sq, picks = sqs[:length], order[:length]
         start = 0

@@ -110,7 +110,7 @@ def test_spark_matches_bruteforce():
 def test_spark_cap():
     d = random_dictionary(8, 25, seed=0)
     with pytest.raises(CapExceeded):
-        spark(d, cap=20)
+        spark(d)
 
 
 @pytest.mark.parametrize("k,l", [(1, 0), (2, 0), (2, 1), (3, 1), (4, 2), (5, 3)])
@@ -426,6 +426,24 @@ def test_lockstep_shrinkage_matches_per_trial(monkeypatch):
     monkeypatch.setattr(dictionary, "SHRINK_STEPS", 60)
     capped, sizes = _lockstep_vs_per_trial(monkeypatch, starts, 0.19)
     assert 0 < sum(capped) < sum(reached) and len(sizes) == 60  # the cap cut some rows
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (2, 3, 5)])
+def test_unit_columns_rescues_a_zero_column_on_a_copy(shape):
+    mat = np.random.default_rng(0).normal(size=shape)
+    mat[..., 4] = 0.0  # in every matrix, column 4 is zero and column 1 below 1e-12
+    mat[..., 1] *= 1e-13
+    before = mat.copy()
+    out = dictionary._unit_columns(mat)
+    assert np.array_equal(mat, before)  # the input is left untouched
+    assert np.allclose(np.linalg.norm(out, axis=-2), 1.0, rtol=0, atol=1e-15)
+    m = shape[-2]
+    for j in (1, 4):  # e_(j mod m) stands in each dead column's place
+        assert (out[..., :, j] == np.eye(m)[j % m]).all()
+    live = [0, 2, 3]
+    kept = mat[..., live]
+    assert np.array_equal(out[..., live],
+                          kept / np.sqrt(np.add.reduce(kept * kept, axis=-2, keepdims=True)))
 
 
 def test_lockstep_shrinkage_rescues_a_dead_column(monkeypatch):

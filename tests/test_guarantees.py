@@ -223,10 +223,11 @@ def test_prip_exact_l0_is_plain_ric():
     assert got.upper == pytest.approx(hi, abs=1e-12)
 
 
-def test_prip_exact_caps_and_validation():
+def test_prip_exact_caps_and_validation(monkeypatch):
     d = random_dictionary(10, 14, seed=2)
+    monkeypatch.setattr(guarantees, "ENUM_CAP", 1000)
     with pytest.raises(CapExceeded):
-        prip_exact(d, 4, 2, cap=1000)
+        prip_exact(d, 4, 2)
     with pytest.raises(InvalidArgs):
         prip_exact(d, 20, 0)
     with pytest.raises(InvalidArgs):
@@ -244,16 +245,18 @@ def test_prip_bounds_dominate_exact():
             assert exact.lower <= bound.lower + 1e-10
 
 
-def test_projected_coherence_basics():
+def test_projected_coherence_basics(monkeypatch):
     d = random_dictionary(9, 11, seed=31)
     mu = coherence(d)
     assert projected_coherence("omp", d, 0) == pytest.approx(mu, abs=1e-12)
     assert projected_coherence("ols", d, 0) == pytest.approx(mu, abs=1e-12)
     with pytest.raises(InvalidArgs):
         projected_coherence("omp", d, 10)
+    monkeypatch.setattr(guarantees, "ENUM_CAP", 54)
     with pytest.raises(CapExceeded, match="^55 supports exceed the cap of 54$"):
-        projected_coherence("ols", d, 2, cap=54)  # 11 choose 2
-    assert projected_coherence("ols", d, 2, cap=55) >= 0.0
+        projected_coherence("ols", d, 2)  # 11 choose 2
+    monkeypatch.setattr(guarantees, "ENUM_CAP", 55)
+    assert projected_coherence("ols", d, 2) >= 0.0
 
 
 @pytest.mark.parametrize("call, line", [

@@ -456,6 +456,26 @@ def test_run_sweep_memory_does_not_grow_with_trials():
     assert peaks[4000] <= 1.2 * peaks[250], peaks
 
 
+def test_run_sweep_tally_does_not_grow_with_trials(monkeypatch):
+    # a cell keeps a running tally of its accepted coherences, not one entry per trial:
+    # with batches of 16 tiny trials no batch's arrays hide a list that grows with them
+    monkeypatch.setattr(dictionary, "BATCH_ELEMENTS", 16 * 4 * 4)
+
+    def peak(trials):
+        cfg = SweepConfig(m=4, n=4, k_range=(1, 1), l_range=(0, 0), trials=trials,
+                          coherence_target=None, variant="omp")
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(256)  # warm-up: allocations made once per process stay out of the comparison
+    peaks = {trials: peak(trials) for trials in (256, 4096)}
+    assert peaks[4096] <= 1.2 * peaks[256], peaks
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), m=st.integers(3, 10), extra=st.integers(0, 6),
        target=st.sampled_from([None, "threshold", "number"]), seed=st.integers(0, 10 ** 6),
