@@ -20,7 +20,7 @@ from .guarantees import (ErcReport, PripConstants, coherence_threshold, cross_gr
                          ols_coherence_bound, omp_partial_bound, partial_erc,
                          prip_coherence_bounds, prip_erc_bound, prip_exact,
                          projected_coherence, tropp_erc)
-from .projection import ProjectedDictionary, least_squares, project_atoms, residual
+from .projection import least_squares, project_atoms, residual
 from .sweep import CellResult, SweepConfig, SweepReport, run_sweep
 from .worstcase import (WorstCaseScenario, build_scenario, dual_representation,
                         projected_gram_closed_form, reach_input)
@@ -38,7 +38,7 @@ __all__ = [
     "ols_coherence_bound", "omp_partial_bound", "partial_erc",
     "prip_coherence_bounds", "prip_erc_bound", "prip_exact",
     "projected_coherence", "tropp_erc",
-    "ProjectedDictionary", "least_squares", "project_atoms", "residual",
+    "least_squares", "project_atoms", "residual",
     "CellResult", "SweepConfig", "SweepReport", "run_sweep",
     "WorstCaseScenario", "build_scenario", "dual_representation",
     "projected_gram_closed_form", "reach_input",

@@ -64,9 +64,6 @@ class Dictionary:
     def n(self) -> int:
         return self.atoms.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.atoms[:, i]
-
     def __repr__(self):
         return f"Dictionary(m={self.m}, n={self.n})"
 

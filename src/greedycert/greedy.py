@@ -77,7 +77,8 @@ def _tied(scores: np.ndarray) -> np.ndarray:
 def _scores(variant: SolverVariant, corr: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """The scores of the atoms, from their correlations with the residual and their
     squared projected norms sq (PUSHED at pushed atoms), zero at pushed and vanished
-    atoms; one sq serves a stack of correlations."""
+    atoms; one sq serves a stack of correlations.  It tests VANISH_TOL on sq itself,
+    not through projection._divisor, since sq carries the negative PUSHED sentinel."""
     live = sq > VANISH_TOL * VANISH_TOL
     if variant is SolverVariant.OLS:  # abs: PUSHED is negative; those atoms score 0 anyway
         return np.abs(corr) / np.where(live, np.sqrt(np.abs(sq)), np.inf)

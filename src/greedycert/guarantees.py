@@ -22,7 +22,7 @@ from .dictionary import (RANK_SV_TOL, Dictionary, _check_kl, _check_real, _index
                          _off_diagonal_max, as_support, check_support)
 from .errors import CapExceeded, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import SolverVariant, as_variant
-from .projection import VANISH_TOL, project_atoms
+from .projection import _divisor, project_atoms
 
 ENUM_CAP = 10 ** 6
 
@@ -119,7 +119,7 @@ def partial_erc(variant, d: Dictionary, q, qstar) -> ErcReport:
     qq = check_support(d, as_support(q))
     if not set(qq.indices) < set(qs.indices):
         raise InvalidArgs("q must be a proper subset of qstar")
-    fam = project_atoms(d, qq).family(normalize=(variant is SolverVariant.OLS))
+    fam = project_atoms(d, qq, normalize=variant is SolverVariant.OLS)
     return _erc(fam[:, [i for i in qs if i not in qq]], fam, qs,
                 "projected planted family", variant.value, qq.indices)
 
@@ -210,7 +210,7 @@ def _projected_grams(d: Dictionary, l: int):
         return children, p, ok & (p * children.diagonal(0, 1, 2).min(axis=1) >= guard)
 
     def exact_gram(support):  # validates the atoms at each call: fallbacks are rare
-        rest = np.delete(project_atoms(Dictionary(atoms), support).projected, support, axis=1)
+        rest = np.delete(project_atoms(Dictionary(atoms), support), support, axis=1)
         return rest.T @ rest
 
     def step(supports, grams, pivots, ok):
@@ -421,8 +421,7 @@ def projected_coherence(variant, d: Dictionary, l: int) -> float:
     best = 0.0
     for _, grams in _projected_grams(d, l):
         if variant is SolverVariant.OLS:
-            norms = np.sqrt(grams.diagonal(0, 1, 2))
-            scale = 1.0 / np.where(norms <= VANISH_TOL, np.inf, norms)
+            scale = 1.0 / _divisor(grams.diagonal(0, 1, 2))
             grams *= scale[:, :, None] * scale[:, None, :]
         best = max(best, float(_off_diagonal_max(grams).max()))
     return best
@@ -483,7 +482,7 @@ def cross_gram_bound_check(d: Dictionary, q, qp, qpp, u, mu_l: float | None = No
         _check_real(mu_l, "mu_l")
         if not 0.0 <= mu_l < math.inf:
             raise InvalidArgs(f"mu_l must be finite and non-negative, got {mu_l!r}")
-    projected = project_atoms(d, qs).projected
+    projected = project_atoms(d, qs)
     lhs = float(np.linalg.norm(projected[:, a.array()].T @ (projected[:, b.array()] @ u)))
     if mu_l is None:
         mu_l = projected_coherence(SolverVariant.OMP, d, len(qs))

@@ -7,16 +7,14 @@ Langou, Rozloznik 2005); the pursuits in greedy grow theirs with it too.
 project_atoms projects the whole family against a support with one block
 update; the enumerations in guarantees walk on Grams and fall back on it.
 An atom whose projection has norm <= RANK_SV_TOL, its distance to the span of
-the atoms before it, is numerically dependent.
+the atoms before it, is numerically dependent; a projected atom of norm <=
+VANISH_TOL has vanished, and _divisor zeroes it wherever a projected family or
+Gram is normalized.
 """
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .dictionary import (RANK_SV_TOL, Dictionary, Support, _check_square_norm, as_support,
-                         check_support)
+from .dictionary import RANK_SV_TOL, Dictionary, _check_square_norm, as_support, check_support
 from .errors import InvalidArgs, RankDeficient
 
 VANISH_TOL = 1e-10  # projected atoms with norm at or below this are treated as gone
@@ -99,52 +97,27 @@ def least_squares(d: Dictionary, support, y) -> np.ndarray:
     return np.linalg.lstsq(d.atoms[:, sup.array()], y, rcond=None)[0]
 
 
-@dataclass(frozen=True)
-class ProjectedDictionary:
-    """Atom family projected against the span of a selected support.
-
-    projected[:, i] is atom i minus its component in span(support atoms);
-    columns inside the support are exactly zero.  normalized[:, i] is the
-    unit-norm version, or the zero vector when the projection vanished
-    (norm <= VANISH_TOL), as flagged by `vanished`; both are computed on
-    first access.
-    """
-
-    source: Dictionary
-    support: Support
-    projected: np.ndarray
-
-    @cached_property
-    def _unit(self) -> tuple[np.ndarray, np.ndarray]:
-        norms = np.sqrt(np.einsum("ij,ij->j", self.projected, self.projected))
-        vanished = norms <= VANISH_TOL
-        normalized = self.projected / np.where(vanished, np.inf, norms)
-        normalized.setflags(write=False)
-        vanished.setflags(write=False)
-        return normalized, vanished
-
-    @property
-    def normalized(self) -> np.ndarray:
-        return self._unit[0]
-
-    @property
-    def vanished(self) -> np.ndarray:
-        return self._unit[1]
-
-    def family(self, normalize: bool) -> np.ndarray:
-        """The working atom family: normalized or raw projected columns."""
-        return self.normalized if normalize else self.projected
+def _divisor(sq) -> np.ndarray:
+    """The divisors that normalize projected atoms of squared norms sq: their norms,
+    or inf where a norm is at or below VANISH_TOL, so that a vanished atom becomes zero."""
+    norms = np.sqrt(sq)
+    return np.where(norms <= VANISH_TOL, np.inf, norms)
 
 
-def project_atoms(d: Dictionary, support) -> ProjectedDictionary:
-    """Project every atom against the span of the support atoms.
+def project_atoms(d: Dictionary, support, normalize: bool = False) -> np.ndarray:
+    """Every atom projected against the span of the support atoms, read-only.
 
-    Raises RankDeficient when the support atoms are dependent (the projector
-    would be ill-defined).
+    Column i is atom i minus its component in that span; columns inside the
+    support are exactly zero.  With normalize, each column is divided by its
+    _divisor: unit norm, or zero where the projection vanished.  Raises
+    RankDeficient when the support atoms are dependent (the projector would be
+    ill-defined).
     """
     sup = check_support(d, as_support(support))
     basis = _span(d, sup)
     projected = d.atoms - basis @ (basis.T @ d.atoms)
     projected[:, list(sup)] = 0.0
+    if normalize:
+        projected /= _divisor(np.einsum("ij,ij->j", projected, projected))
     projected.setflags(write=False)
-    return ProjectedDictionary(source=d, support=sup, projected=projected)
+    return projected

@@ -162,8 +162,8 @@ class CellResult:
         return self.wrong_ties / self.accepted if self.accepted else float("nan")
 
     def to_dict(self) -> dict:
-        """The cell as JSON values: the rates of a cell with no accepted trial, NaN
-        as properties and in the CSV, are None, since JSON has no NaN."""
+        """The cell as JSON values: a cell with no accepted trial has no mu_mean, mu_max
+        or rates, so they are None (JSON has no NaN, and mu_max's 0.0 is a real coherence)."""
         known = self.accepted > 0
         return {
             "variant": self.variant, "k": self.k, "l": self.l,
@@ -171,7 +171,8 @@ class CellResult:
             "accepted": self.accepted, "successes": self.successes,
             "wrong_atoms": self.wrong_atoms, "wrong_ties": self.wrong_ties,
             "early_stops": self.early_stops, "mu_mean": self.mu_mean if known else None,
-            "mu_max": self.mu_max, "success_rate": self.success_rate if known else None,
+            "mu_max": self.mu_max if known else None,
+            "success_rate": self.success_rate if known else None,
             "tie_rate": self.tie_rate if known else None, "skipped": self.skipped,
             "skip_reason": self.skip_reason,
         }

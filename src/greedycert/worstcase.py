@@ -209,7 +209,7 @@ def dual_representation(d: Dictionary, q, variant) -> tuple[np.ndarray, Support,
         raise InvalidArgs(f"complement of q has odd size {len(rest)}; cannot split in half")
     half = len(rest) // 2
     q1, q2 = Support(tuple(rest[:half])), Support(tuple(rest[half:]))
-    fam = project_atoms(d, sup).family(normalize=(variant is SolverVariant.OLS))
+    fam = project_atoms(d, sup, normalize=variant is SolverVariant.OLS)
     y2 = fam[:, q1.array()].sum(axis=1)
     return y2, q1, q2
 

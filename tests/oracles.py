@@ -287,7 +287,7 @@ def walk_per_push(d, l: int):
                 if p * child.diagonal().min() >= guard:
                     yield from walk(support + (j,), child, p, j + 1)
                     continue
-            projected = guarantees.project_atoms(d, support + (j,)).projected
+            projected = guarantees.project_atoms(d, support + (j,))
             rest = np.delete(projected, support + (j,), axis=1)
             yield from walk(support + (j,), rest.T @ rest, 1.0, j + 1)
 

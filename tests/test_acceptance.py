@@ -230,22 +230,22 @@ def test_criterion_7_construction_closed_forms():
                 continue  # no pair survives; norm check below handles r = n-1
             others = rng.permutation(n)[: r + 2]
             sup = others[:r].tolist()
-            pd = project_atoms(d, sup)
-            ai, aj = pd.projected[:, int(others[r])], pd.projected[:, int(others[r + 1])]
+            p = project_atoms(d, sup)
+            ai, aj = p[:, int(others[r])], p[:, int(others[r + 1])]
             if abs(float(ai @ aj) - cross) > 1e-10:
                 failures.append((k, l, r, "cross mismatch"))
             if abs(float(ai @ ai) - norm_sq) > 1e-10:
                 failures.append((k, l, r, "norm mismatch"))
         _, last_norm = projected_gram_closed_form(k, l, n - 1)
-        pd = project_atoms(d, list(range(n - 1)))
-        if abs(float(pd.projected[:, n - 1] @ pd.projected[:, n - 1]) - last_norm) > 1e-10:
+        p = project_atoms(d, list(range(n - 1)))
+        if abs(float(p[:, n - 1] @ p[:, n - 1]) - last_norm) > 1e-10:
             failures.append((k, l, n - 1, "last norm mismatch"))
 
         for variant in ("omp", "ols"):
             # the complement halves cancel after projection
             prefix = list(range(l))
             y2, q1, q2 = dual_representation(d, prefix, variant)
-            fam = project_atoms(d, prefix).family(normalize=(variant == "ols"))
+            fam = project_atoms(d, prefix, normalize=variant == "ols")
             gap = np.linalg.norm(fam[:, list(q1)].sum(axis=1) + fam[:, list(q2)].sum(axis=1))
             if gap > 1e-10:
                 failures.append((k, l, variant, f"half-sum gap {gap}"))

@@ -292,6 +292,7 @@ def test_sweep_json_of_an_unreachable_cell_is_strict_json(tmp_path, capsys):
     for cell in printed["cells"]:
         assert cell["skipped"] and cell["accepted"] == 0
         assert cell["mu_mean"] is cell["success_rate"] is cell["tie_rate"] is None
+        assert cell["mu_max"] is None
     assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == [
         "omp,2,0,nan,0.33333333333333331,nan,nan", "ols,2,0,nan,0.33333333333333331,nan,nan"]
 

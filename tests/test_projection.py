@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from greedycert import (Dictionary, InvalidArgs, RankDeficient, build_scenario, classify,
                         least_squares, make_instance, prip_exact, project_atoms,
                         projected_coherence, random_dictionary, residual, run, select_atom)
+from greedycert import guarantees
 from greedycert.greedy import TIE_REL_TOL, _Pursuit, _pursue, as_variant
+from greedycert.projection import VANISH_TOL
 
 from oracles import (ls_normal_equations, orthonormal_basis, prip_scratch, projected_family,
                      projected_coherence_scratch, pursuit_scratch, residual_oracle)
@@ -87,27 +91,23 @@ def test_vectors_whose_squared_norm_overflows_are_rejected():
 def test_project_atoms_geometry():
     d = random_dictionary(8, 10, seed=5)
     sup = [1, 6]
-    pd = project_atoms(d, sup)
-    # support columns are exactly zero and flagged as vanished
-    assert np.array_equal(pd.projected[:, sup], np.zeros((8, 2)))
-    assert pd.vanished[1] and pd.vanished[6]
-    assert not pd.vanished[[0, 2, 3, 4, 5, 7, 8, 9]].any()
+    raw, unit = project_atoms(d, sup), project_atoms(d, sup, normalize=True)
+    # support columns are exactly zero in both families
+    assert np.array_equal(raw[:, sup], np.zeros((8, 2)))
+    assert np.array_equal(unit[:, sup], np.zeros((8, 2)))
     # every projected atom is orthogonal to the selected span
-    assert np.max(np.abs(d.atoms[:, sup].T @ pd.projected)) < 1e-10
-    live = ~pd.vanished
-    assert np.allclose(np.linalg.norm(pd.normalized[:, live], axis=0), 1.0)
-    raw = pd.family(normalize=False)
-    assert raw is pd.projected
-    with pytest.raises(ValueError):
-        pd.projected[0, 0] = 1.0
-    # the normalized family is built on first access, once, and is read-only
-    fresh = project_atoms(d, sup)
-    assert "_unit" not in vars(fresh)
-    assert fresh.family(normalize=True) is fresh.normalized is fresh.normalized
-    assert fresh.normalized.tobytes() == pd.normalized.tobytes()
-    for arr in (fresh.normalized, fresh.vanished):
+    assert np.max(np.abs(d.atoms[:, sup].T @ raw)) < 1e-10
+    live = [0, 2, 3, 4, 5, 7, 8, 9]
+    assert np.allclose(np.linalg.norm(unit[:, live], axis=0), 1.0)
+    # the normalized family is the raw one divided by its norms, bit for bit
+    norms = np.sqrt(np.einsum("ij,ij->j", raw, raw))
+    assert unit[:, live].tobytes() == (raw[:, live] / norms[live]).tobytes()
+    assert project_atoms(d, sup, normalize=False).tobytes() == raw.tobytes()
+    # both families are plain read-only arrays
+    for arr in (raw, unit):
+        assert type(arr) is np.ndarray
         with pytest.raises(ValueError):
-            arr[0] = 0
+            arr[0, 0] = 1.0
 
 
 def test_project_atoms_vanishing_atom():
@@ -115,16 +115,52 @@ def test_project_atoms_vanishing_atom():
     base = np.eye(5)[:, :2]
     mix = (base[:, :1] + base[:, 1:2]) / np.sqrt(2.0)
     a = np.hstack([base, mix, np.eye(5)[:, 2:4]])
-    pd = project_atoms(Dictionary(a), [0, 1])
-    assert pd.vanished[2]
-    assert np.array_equal(pd.normalized[:, 2], np.zeros(5))
+    unit = project_atoms(Dictionary(a), [0, 1], normalize=True)
+    assert np.array_equal(unit[:, 2], np.zeros(5))
+    assert np.allclose(np.linalg.norm(unit[:, 3:], axis=0), 1.0)
 
 
 def test_project_atoms_empty_support():
     d = random_dictionary(6, 7, seed=9)
-    pd = project_atoms(d, [])
-    assert np.allclose(pd.projected, d.atoms)
-    assert not pd.vanished.any()
+    assert np.allclose(project_atoms(d, []), d.atoms)
+    assert np.allclose(np.linalg.norm(project_atoms(d, [], normalize=True), axis=0), 1.0)
+
+
+def test_one_vanish_rule_at_its_boundary(monkeypatch):
+    # atoms 1 and 2 lie 0.5 and 2 VANISH_TOL from the span of atom 0, exactly: the
+    # normalized family zeroes the first and keeps the second at unit norm
+    e = VANISH_TOL
+    a = np.array([[1.0, np.sqrt(1 - (0.5 * e) ** 2), np.sqrt(1 - (2 * e) ** 2), 0.0],
+                  [0.0, 0.5 * e, 0.0, np.sqrt(0.5)],
+                  [0.0, 0.0, 2 * e, np.sqrt(0.5)]])
+    d = Dictionary(a)
+    unit = project_atoms(d, [0], normalize=True)
+    assert np.array_equal(unit[:, 1], np.zeros(3))
+    assert np.linalg.norm(unit[:, 2]) == pytest.approx(1.0, abs=1e-15)
+    assert unit[2, 2] == pytest.approx(1.0, abs=1e-15)
+    # projected_coherence's OLS scaling follows the same rule on every support the walk
+    # yields: some of its Grams are pushed, some taken from project_atoms
+    built = []
+    off_diagonal_max = guarantees._off_diagonal_max
+    monkeypatch.setattr(guarantees, "_off_diagonal_max",
+                        lambda grams: built.append(grams.copy()) or off_diagonal_max(grams))
+    for l in (0, 1):
+        built.clear()
+        projected_coherence("ols", d, l)
+        supports = [s for stack, _ in guarantees._projected_grams(d, l) for s in stack]
+        grams = np.concatenate(built)
+        assert len(grams) == len(supports) == math.comb(4, l)
+        vanished = set()
+        for s, g in zip(supports, grams):
+            rest = np.delete(project_atoms(d, s, normalize=True), s, axis=1)
+            want = rest.T @ rest
+            gone = want == 0.0
+            assert np.array_equal(g == 0.0, gone), s
+            assert np.allclose(g, want, rtol=0, atol=1e-12), s
+            outside = [j for j in range(d.n) if j not in s]
+            vanished |= {(s, outside[i]) for i in gone.all(axis=0).nonzero()[0]}
+        # atoms 0 and 1 lie 0.5 VANISH_TOL from each other's span, atoms 0 and 2 2 VANISH_TOL
+        assert vanished == (set() if l == 0 else {((0,), 1), ((1,), 0)})
 
 
 # pursuits and the enumerations' support walk against the from-scratch SVD + QR path

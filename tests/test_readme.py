@@ -7,6 +7,7 @@ import shlex
 
 import pytest
 
+from greedycert import build_scenario
 from greedycert.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -47,3 +48,11 @@ def test_readme_sweep_example_is_what_the_cli_prints(tmp_path, capsys):
     assert main([str(tmp_path / a) if a == "sweep.json" else a for a in argv[1:]]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[:len(rows) - 1] == rows[:-1]
+
+
+def test_readme_scenario_json_keys_are_the_written_ones():
+    text = README.read_text()
+    bullet = text[text.index("- **Scenario JSON**"):]
+    bullet = bullet[:bullet.index("\n- ")]
+    named = set(re.findall(r"`([^`]+)`", bullet))
+    assert named == set(build_scenario(2, 0, "omp").to_dict()) | {"replay", "reproduced"}

@@ -35,11 +35,11 @@ def test_closed_form_matches_literal_projection(k, l):
         assert norm_sq == pytest.approx(on, abs=1e-12)
         # literal check: project one or two atoms away from r others (any r, by symmetry)
         others = rng.permutation(n)
-        pd = project_atoms(d, others[:r].tolist())
-        ai = pd.projected[:, others[r]]
+        p = project_atoms(d, others[:r].tolist())
+        ai = p[:, others[r]]
         assert float(ai @ ai) == pytest.approx(norm_sq, abs=1e-10)
         if r + 1 < n:
-            assert float(ai @ pd.projected[:, others[r + 1]]) == pytest.approx(cross, abs=1e-10)
+            assert float(ai @ p[:, others[r + 1]]) == pytest.approx(cross, abs=1e-10)
 
 
 def test_closed_form_spot_values():
@@ -102,8 +102,7 @@ def test_dual_representation_cancels(variant):
         d = build_worst_case(k, l)
         prefix = list(range(l))
         y2, q1, q2 = dual_representation(d, prefix, variant)
-        pd = project_atoms(d, prefix)
-        fam = pd.family(normalize=(variant == "ols"))
+        fam = project_atoms(d, prefix, normalize=variant == "ols")
         total = fam[:, list(q1)].sum(axis=1) + fam[:, list(q2)].sum(axis=1)
         assert np.linalg.norm(total) < 1e-10  # the two halves are opposite
         assert np.allclose(y2, fam[:, list(q1)].sum(axis=1), atol=1e-12)
