@@ -36,12 +36,14 @@ BATCH_ELEMENTS = 1 << 16  # matrix entries per stack in a generator batch: n*max
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Dictionary:
-    """Immutable m x n matrix of unit-norm atoms (m >= 1, n >= 2)."""
+    """Immutable m x n matrix of unit-norm atoms (m >= 1, n >= 2), held as a read-only
+    C-ordered float64 copy whatever the layout of the input (_real_array): a built and a
+    loaded copy of the same atoms give the same bits everywhere."""
 
     atoms: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.atoms, dtype=float)
+        a = _real_array(self.atoms, "atoms")
         if a.ndim != 2:
             raise InvalidArgs("atoms must be a 2-D array")
         m, n = a.shape
@@ -133,7 +135,7 @@ def make_instance(d: Dictionary, support, coefficients) -> SparseInstance:
     SparseInstance
     """
     sup = check_support(d, as_support(support))
-    c = np.array(coefficients, dtype=float)
+    c = _real_array(coefficients, "coefficients")
     if c.shape != (len(sup),):
         raise InvalidArgs(f"expected {len(sup)} coefficients, got shape {c.shape}")
     if not np.all(np.isfinite(c)) or np.any(c == 0.0):
@@ -150,6 +152,32 @@ def _check_real(x, what: str) -> None:
     """Raise InvalidArgs unless x is a real number; a bool is not one here."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise InvalidArgs(f"{what} must be a real number, got {x!r}")
+
+
+def _nonnegative(x, what: str) -> float:
+    """x as a float, or InvalidArgs unless it is a finite non-negative real number
+    (_check_real): NaN, infinity and an int too large for a float are refused."""
+    _check_real(x, what)
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 <= value < math.inf:
+        raise InvalidArgs(f"{what} must be a finite non-negative number, got {x!r}")
+    return value
+
+
+def _real_array(x, what: str) -> np.ndarray:
+    """A new C-ordered float64 array of x, or InvalidArgs unless x holds integers or floats:
+    bools, strings, other objects and complex numbers (whose imaginary part a cast would
+    drop) are refused, as are ragged nestings."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:
+        raise InvalidArgs(f"{what} must be an array of real numbers: {exc}") from None
+    if a.dtype.kind not in "iuf":
+        raise InvalidArgs(f"{what} must be real numbers, got {a.dtype} entries")
+    return a.astype(float, order="C")
 
 
 def _index(x, what: str) -> int:
@@ -418,10 +446,7 @@ def _batches(m: int, n: int, target: float | None, seeds):
     Seeds are read a batch at a time: drop each batch before asking for the next."""
     m, n = _check_shape(m, n)
     if target is not None:
-        _check_real(target, "coherence_target")
-        if not target >= 0:
-            raise InvalidArgs(f"coherence_target must be a non-negative number, got {target!r}")
-        target = float(target)
+        target = _nonnegative(target, "coherence_target")
         if target < welch_bound(m, n):
             raise TargetUnreachable(
                 f"target {target:g} is below the {welch_bound(m, n):.6g} lower bound for shape {m}x{n}")
@@ -446,7 +471,7 @@ def random_dictionaries(m: int, n: int, coherence_target: float | None,
     ------
     InvalidArgs
         For a bad shape (not two ints, or too small), a target that is not a
-        non-negative number, or a seed that numpy's default_rng refuses.
+        finite non-negative number, or a seed that numpy's default_rng refuses.
     TargetUnreachable
         If the target is below the analytic lower bound for (m, n), which no
         draw can reach.
@@ -483,7 +508,8 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
     ------
     InvalidArgs
         For a bad shape (not two ints, or too small), a target that is not a
-        non-negative number (NaN included), or a seed that default_rng refuses.
+        finite non-negative number (NaN, infinity and ints past the float range
+        included), or a seed that default_rng refuses.
     TargetUnreachable
         If the target is below the analytic lower bound for (m, n).  Also
         when the frame and the noise of the draw both miss it: for n <= m,

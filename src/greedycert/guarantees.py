@@ -18,8 +18,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import dictionary
-from .dictionary import (RANK_SV_TOL, Dictionary, _check_kl, _check_real, _index,
-                         _off_diagonal_max, as_support, check_support)
+from .dictionary import (RANK_SV_TOL, Dictionary, _check_kl, _check_real, _index, _nonnegative,
+                         _off_diagonal_max, _real_array, as_support, check_support)
 from .errors import CapExceeded, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import SolverVariant, as_variant
 from .projection import _divisor, project_atoms
@@ -175,15 +175,15 @@ def prip_coherence_bounds(q: int, l: int, mu: float) -> PripConstants:
 
 def _projected_grams(d: Dictionary, l: int):
     """(supports, Grams of the atoms outside each, in index order) stacks covering every
-    l-subset of atoms in combinations() order, from a C-ordered copy of the atoms.  A
-    push is one Schur-complement step G - h h^T, h = g / sqrt(g_i), g the pushed atom's
-    row and g_i its pivot: the Cholesky downdate of Batch-OMP, O(n^2) per push.  One step
-    serves every level: it lists the children of a stack of supports of one size, across
-    their parents and in walk order, pushes them in stacks, and yields each stack of leaves
-    (supports of size l) or steps on with it to the next level, depth first.  A stack
-    holds one Gram or at most a quarter of dictionary.BATCH_ELEMENTS entries: a consumer
-    holds a few temporaries of its size, and the next stack is built while it holds the
-    last.  The walk never reads a yielded stack again: the consumer may overwrite it."""
+    l-subset of atoms in combinations() order.  A push is one Schur-complement step
+    G - h h^T, h = g / sqrt(g_i), g the pushed atom's row and g_i its pivot: the Cholesky
+    downdate of Batch-OMP, O(n^2) per push.  One step serves every level: it lists the
+    children of a stack of supports of one size, across their parents and in walk order,
+    pushes them in stacks, and yields each stack of leaves (supports of size l) or steps
+    on with it to the next level, depth first.  A stack holds one Gram or at most a
+    quarter of dictionary.BATCH_ELEMENTS entries: a consumer holds a few temporaries of
+    its size, and the next stack is built while it holds the last.  The walk never reads a
+    yielded stack again: the consumer may overwrite it."""
     # A step adds about 2 eps per entry (|h_j h_k| <= 1 by Cauchy-Schwarz) and divides
     # the errors already in G by the pivot: a Gram downdated since it was formed from
     # vectors is off by about eps / P, P the product of those pivots (0.1 eps / P the
@@ -191,7 +191,6 @@ def _projected_grams(d: Dictionary, l: int):
     # would fall below the guard takes project_atoms's Gram instead, which keeps errors
     # near 2^10 eps ~ 2e-13 and leaves the rank rule and RankDeficient to that path.
     guard = 2.0 ** -10
-    atoms = np.ascontiguousarray(d.atoms)
     budget = dictionary.BATCH_ELEMENTS // 4
 
     def push(rows, r, i, pivots):
@@ -209,8 +208,8 @@ def _projected_grams(d: Dictionary, l: int):
         children -= np.einsum("ci,cj->cij", h, h)
         return children, p, ok & (p * children.diagonal(0, 1, 2).min(axis=1) >= guard)
 
-    def exact_gram(support):  # validates the atoms at each call: fallbacks are rare
-        rest = np.delete(project_atoms(Dictionary(atoms), support), support, axis=1)
+    def exact_gram(support):
+        rest = np.delete(project_atoms(d, support), support, axis=1)
         return rest.T @ rest
 
     def step(supports, grams, pivots, ok):
@@ -239,7 +238,7 @@ def _projected_grams(d: Dictionary, l: int):
             for a, b in zip(cuts, cuts[1:]):
                 yield from step(kids[a:b], children[a:b], p[a:b], ok[a:b])
 
-    yield from step([()], (atoms.T @ atoms)[None], np.ones(1), np.ones(1, dtype=bool))
+    yield from step([()], (d.atoms.T @ d.atoms)[None], np.ones(1), np.ones(1, dtype=bool))
 
 
 @lru_cache(maxsize=16)
@@ -473,15 +472,13 @@ def cross_gram_bound_check(d: Dictionary, q, qp, qpp, u, mu_l: float | None = No
         raise InvalidArgs("the two blocks must be disjoint")
     if len(a) == 0 or len(b) == 0:
         raise InvalidArgs("both blocks must be non-empty")
-    u = np.asarray(u, dtype=float)
+    u = _real_array(u, "u")
     if u.shape != (len(b),):
         raise InvalidArgs(f"u must have length {len(b)}, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise InvalidArgs("u must be finite")
     if mu_l is not None:
-        _check_real(mu_l, "mu_l")
-        if not 0.0 <= mu_l < math.inf:
-            raise InvalidArgs(f"mu_l must be finite and non-negative, got {mu_l!r}")
+        mu_l = _nonnegative(mu_l, "mu_l")
     projected = project_atoms(d, qs)
     lhs = float(np.linalg.norm(projected[:, a.array()].T @ (projected[:, b.array()] @ u)))
     if mu_l is None:

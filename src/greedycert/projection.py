@@ -14,7 +14,8 @@ Gram is normalized.
 
 import numpy as np
 
-from .dictionary import RANK_SV_TOL, Dictionary, _check_square_norm, as_support, check_support
+from .dictionary import (RANK_SV_TOL, Dictionary, _check_square_norm, _real_array, as_support,
+                         check_support)
 from .errors import InvalidArgs, RankDeficient
 
 VANISH_TOL = 1e-10  # projected atoms with norm at or below this are treated as gone
@@ -64,7 +65,7 @@ def _span(d: Dictionary, atoms) -> np.ndarray:
 
 
 def _check_vector(d: Dictionary, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
+    y = _real_array(y, "vector")
     if y.shape != (d.m,):
         raise InvalidArgs(f"expected a vector of length {d.m}, got shape {y.shape}")
     if not np.all(np.isfinite(y)):

@@ -12,14 +12,14 @@ trials share m, n and k), classified by the rule that `classify` applies to a st
 of one (`greedy._outcomes`).
 """
 
-import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import reduce
 from operator import add
 
 import numpy as np
 
-from .dictionary import _batches, _check_shape, _fmt, _grams, _json, _off_diagonal_max
+from .dictionary import (_batches, _check_shape, _fmt, _grams, _json, _nonnegative,
+                         _off_diagonal_max)
 from .errors import InvalidArgs, TargetUnreachable
 from .greedy import _KINDS, SolverVariant, _outcomes, _pursue
 from .guarantees import coherence_threshold
@@ -87,12 +87,9 @@ class SweepConfig:
         if not self.cells():
             raise InvalidArgs("no cell satisfies l < k <= min(m, n)")
         target = self.coherence_target
-        try:  # math.isfinite raises OverflowError on an int too large for a float
-            number = (isinstance(target, (int, float)) and not isinstance(target, bool)
-                      and math.isfinite(target) and target >= 0)
-        except OverflowError:
-            number = False
-        if not (number or target is None or target == THRESHOLD_SENTINEL):
+        if isinstance(target, (int, float)) and not isinstance(target, bool):
+            _nonnegative(target, "coherence_target")  # checked, and stored as it came
+        elif not (target is None or target == THRESHOLD_SENTINEL):
             raise InvalidArgs(f"coherence_target must be null, a number >= 0 or "
                               f"\"{THRESHOLD_SENTINEL}\", got {target!r}")
         if self.seed < 0:

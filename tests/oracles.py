@@ -263,13 +263,12 @@ def definite_stacked(a: np.ndarray, shift: float, sign: float) -> np.ndarray:
 
 def walk_per_push(d, l: int):
     """(support, Gram of the atoms outside it, in index order) for each l-subset of
-    atoms, in combinations() order, from a C-ordered copy of the atoms.  A push is one
-    Schur-complement step G - h h^T, h = g / sqrt(g_i); where the product P of the
-    pivots since the last exact Gram, times the least squared norm left, falls below
-    2^-10, the Gram comes from guarantees.project_atoms (looked up per call, so a
-    patched one sees these calls too) and P restarts at 1."""
+    atoms, in combinations() order.  A push is one Schur-complement step G - h h^T,
+    h = g / sqrt(g_i); where the product P of the pivots since the last exact Gram, times
+    the least squared norm left, falls below 2^-10, the Gram comes from
+    guarantees.project_atoms (looked up per call, so a patched one sees these calls too)
+    and P restarts at 1."""
     guard = 2.0 ** -10
-    d = Dictionary(np.ascontiguousarray(d.atoms))
 
     def walk(support, gram, pivots, start):
         if len(support) == l:
@@ -316,9 +315,9 @@ def stacks_of_one(walk):
 # walked on Grams: each push is a rank-1 update of the projected family, O(mn)
 
 def walk_vectors(d, l: int):
-    """(support, projected atoms) for each l-subset of atoms, in combinations() order,
-    from a C-ordered copy of the atoms; RankDeficient at the first support whose
-    pushed atom lies within RANK_SV_TOL of the span of the atoms before it."""
+    """(support, projected atoms) for each l-subset of atoms, in combinations() order;
+    RankDeficient at the first support whose pushed atom lies within RANK_SV_TOL of the
+    span of the atoms before it."""
     def walk(support, basis, projected, start):
         if len(support) == l:
             yield support, projected

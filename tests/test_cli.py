@@ -226,6 +226,26 @@ def test_worstcase_dictionary_file_keeps_its_bytes(tmp_path, capsys, k, l, varia
     assert written == (tmp_path / "direct.csv").read_text()
 
 
+SMALL_WORST_CASES = [(k, l, variant) for k in range(1, 12) for l in range(k) if 2 * k - l <= 12
+                     for variant in ("omp", "ols")]
+
+
+def test_run_on_the_written_worstcase_files_prints_its_replay(tmp_path, capsys):
+    # the dictionary the replay pursued and the one run loads from dictionary.csv hold the
+    # same atoms in the same layout: run prints the replay's bytes
+    assert len(SMALL_WORST_CASES) == 72
+    for k, l, variant in SMALL_WORST_CASES:
+        out = tmp_path / f"{k}-{l}-{variant}"
+        assert main(["worstcase", "--k", str(k), "--l", str(l), "--variant", variant,
+                     "--out", str(out)]) == 0
+        blob = json.loads((out / "scenario.json").read_text())
+        capsys.readouterr()
+        assert main(["run", "--dict", str(out / "dictionary.csv"), "--y", str(out / "y.csv"),
+                     "--variant", variant, "--k", str(k),
+                     "--truth", ",".join(map(str, blob["truth"]))]) == 2
+        assert capsys.readouterr().out == json.dumps(blob["replay"], indent=2) + "\n", (k, l, variant)
+
+
 def test_worstcase_rejects_bad_shape(tmp_path, capsys):
     assert main(["worstcase", "--k", "2", "--l", "2", "--variant", "ols",
                  "--out", str(tmp_path / "x")]) == 1

@@ -41,6 +41,59 @@ def test_dictionary_validation():
         d.atoms[0, 0] = 5.0  # read-only
 
 
+def test_atoms_are_c_ordered_whatever_the_input_layout():
+    a = random_dictionary(4, 6, seed=0).atoms
+    strided = np.zeros((8, 18))
+    strided[::2, ::3] = a
+    for given in (a.copy(), np.asfortranarray(a), strided[::2, ::3], a.tolist()):
+        atoms = Dictionary(given).atoms
+        assert atoms.flags.c_contiguous and atoms.dtype == np.float64
+        assert not atoms.flags.writeable and not np.shares_memory(atoms, strided)
+        assert atoms.tobytes() == a.tobytes()
+    assert Dictionary(np.eye(3, dtype=np.int32)).atoms.tobytes() == np.eye(3).tobytes()
+
+
+# not arrays of real numbers: complex entries (whose imaginary part a cast would drop),
+# strings, bools and ragged rows
+NOT_REAL_ARRAYS = {
+    "complex": lambda a: a + 0.5j,
+    "strings": lambda a: a.astype(str),
+    "bools": lambda a: a != 0,
+    "ragged": lambda a: [a.tolist(), a.tolist()[:-1]],
+}
+
+
+@pytest.mark.parametrize("kind", NOT_REAL_ARRAYS)
+def test_dictionary_takes_real_atoms_only(kind):
+    with pytest.raises(InvalidArgs, match="atoms must be"):
+        Dictionary(NOT_REAL_ARRAYS[kind](np.eye(3)))
+    with pytest.raises(InvalidArgs, match="atoms must be"):
+        Dictionary("eye")
+
+
+@pytest.mark.parametrize("kind", NOT_REAL_ARRAYS)
+def test_run_takes_a_real_observation_only(kind):
+    d = random_dictionary(4, 6, seed=0)
+    y = np.array([1.0, -0.5, 0.25, 2.0])
+    assert run("omp", d, y, 1).selected  # the real observation runs
+    with pytest.raises(InvalidArgs, match="vector must be"):
+        run("omp", d, NOT_REAL_ARRAYS[kind](y), 1)
+    with pytest.raises(InvalidArgs, match="vector must be"):
+        run("omp", d, "1,2,3,4", 1)
+
+
+@pytest.mark.parametrize("kind", NOT_REAL_ARRAYS)
+def test_make_instance_takes_real_coefficients_only(kind):
+    d = Dictionary(np.eye(4))
+    c = np.array([1.5, -2.0])
+    with pytest.raises(InvalidArgs, match="coefficients must be"):
+        make_instance(d, [0, 2], NOT_REAL_ARRAYS[kind](c))
+    with pytest.raises(InvalidArgs, match="coefficients must be"):
+        make_instance(d, [0, 2], "12")
+    with pytest.raises(InvalidArgs):
+        make_instance(d, ["0", "2"], c)
+
+
 def test_support_basics():
     s = as_support([3, 0, 2])
     assert list(s) == [3, 0, 2]  # order preserved
@@ -206,11 +259,20 @@ def test_a_target_below_the_frames_rounding_says_so(m, n):
 
 def test_random_dictionary_rejects_bad_targets():
     for m, n in ((4, 6), (6, 4)):
-        for bad in (float("nan"), "0.2", [0.2], True, False):
+        for bad in (float("nan"), float("inf"), "0.2", [0.2], True, False):
             with pytest.raises(InvalidArgs):
                 random_dictionary(m, n, coherence_target=bad, seed=0)
             with pytest.raises(InvalidArgs):
                 random_dictionaries(m, n, bad, [0, 1])
+
+
+def test_random_dictionary_refuses_a_target_past_the_float_range():
+    # an int too large for a float is out of range, not an OverflowError
+    for call in (lambda: random_dictionary(4, 6, 10 ** 400),
+                 lambda: random_dictionaries(4, 6, 10 ** 400, [0])):
+        with pytest.raises(InvalidArgs, match="coherence_target must be a finite non-negative"):
+            call()
+    assert random_dictionary(4, 6, 10 ** 20).atoms.tobytes() == random_dictionary(4, 6).atoms.tobytes()
 
 
 def test_off_diagonal_max_of_stacked_grams():

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from greedycert import (CapExceeded, Dictionary, InvalidArgs, OutOfDomain, RankDeficient,
                         build_scenario, build_worst_case, coherence, coherence_threshold,
-                        cross_gram_bound_check, dictionary, guarantees, ols_coherence_bound,
-                        omp_partial_bound, partial_erc, prip_coherence_bounds, prip_erc_bound,
-                        prip_exact, projected_coherence, projected_gram_closed_form,
-                        random_dictionary, run, tropp_erc, welch_bound)
+                        cross_gram_bound_check, dictionary, guarantees, load_dictionary,
+                        ols_coherence_bound, omp_partial_bound, partial_erc,
+                        prip_coherence_bounds, prip_erc_bound, prip_exact, project_atoms,
+                        projected_coherence, projected_gram_closed_form, random_dictionary, run,
+                        save_dictionary, tropp_erc, welch_bound)
 
 from oracles import (coherence_of_walk_vectors, coherence_per_support, construction_erc_lhs,
                      definite_stacked, flat, grams_of_walk_vectors, partial_erc_pinv,
@@ -349,31 +350,59 @@ def test_cross_gram_bound_validation():
     assert cross_gram_bound_check(d, [0], [1], [2], [1.0], mu_l=0.0)[1] == 0.0
 
 
+def test_cross_gram_bound_check_refuses_a_mu_l_past_the_float_range():
+    # an int too large for a float is out of range, not an OverflowError
+    d = random_dictionary(6, 8, seed=1)
+    with pytest.raises(InvalidArgs, match="mu_l must be a finite non-negative number"):
+        cross_gram_bound_check(d, [0], [1], [2], [1.0], mu_l=10 ** 400)
+    assert cross_gram_bound_check(d, [0], [1], [2], [1.0], mu_l=10 ** 20)[1] == 1e20
+
+
+@pytest.mark.parametrize("u", [[1.0 + 0.5j], ["1.0"], "1", [True]])
+def test_cross_gram_bound_check_takes_a_real_u_only(u):
+    d = random_dictionary(6, 8, seed=1)
+    with pytest.raises(InvalidArgs, match="u must be"):
+        cross_gram_bound_check(d, [0], [1], [2], u)
+
+
+# (dictionary, k, l): the worst cases at their own (k, l), and a certify-shaped 12 x 20
+# dictionary with blocks of 3 after 2 atoms
 LAYOUT_SOURCES = {
-    "12x20 #1": lambda: random_dictionary(12, 20, coherence_target=0.24, seed=1),
-    "12x20 #2": lambda: random_dictionary(12, 20, coherence_target=0.24, seed=2),
-    "12x20 #3": lambda: random_dictionary(12, 20, coherence_target=0.24, seed=3),
-    "worst case (4, 2)": lambda: build_worst_case(4, 2),
-    "worst case (5, 3)": lambda: build_worst_case(5, 3),
+    **{f"worst case {kl}": (lambda kl=kl: build_worst_case(*kl), *kl)
+       for kl in ((3, 1), (5, 3), (8, 2), (12, 4), (20, 6))},
+    "12x20": (lambda: random_dictionary(12, 20, coherence_target=0.24, seed=1), 5, 2),
 }
 
 
 @pytest.mark.parametrize("source", LAYOUT_SOURCES)
-def test_enumerations_do_not_depend_on_the_memory_layout(source):
-    # generated and worst-case dictionaries come Fortran-ordered; the enumerations
-    # must give the same bits on a C-ordered copy of the same atoms
-    atoms = LAYOUT_SOURCES[source]().atoms
-    c, f = Dictionary(np.ascontiguousarray(atoms)), Dictionary(np.asfortranarray(atoms))
-    assert c.atoms.flags.c_contiguous and f.atoms.flags.f_contiguous
-    for variant in ("omp", "ols"):
-        for l in range(4):
-            assert (projected_coherence(variant, c, l).hex()
-                    == projected_coherence(variant, f, l).hex()), (variant, l)
-    # (3, 3) on 20 atoms takes seconds and walks the supports of (2, 3) again
-    orders = [(2, l) for l in range(4)] + [(3, l) for l in range(3 if c.n > 10 else 4)]
-    for q, l in orders:
-        pc, pf = prip_exact(c, q, l), prip_exact(f, q, l)
-        assert (pc.lower.hex(), pc.upper.hex()) == (pf.lower.hex(), pf.upper.hex()), (q, l)
+def test_built_and_loaded_copies_give_the_same_bits(source, tmp_path):
+    # every dictionary holds C-ordered atoms, so a built copy and its saved-and-loaded
+    # copy, whose atoms are equal, give the same bits everywhere
+    make, k, l = LAYOUT_SOURCES[source]
+    built = make()
+    save_dictionary(built, tmp_path / "d.csv")
+    loaded, renormalized = load_dictionary(tmp_path / "d.csv")
+    assert not renormalized and loaded.atoms.tobytes() == built.atoms.tobytes()
+
+    def bits(d):
+        out = []
+        for variant in ("omp", "ols"):
+            if source.startswith("worst case"):
+                y = build_scenario(k, l, variant).y
+            else:
+                y = d.atoms[:, [0, 4, 9, 13, 17]] @ np.array([1.0, -0.8, 0.6, 0.9, -0.7])
+            out.append(run(variant, d, y, k).to_json())
+            out.append(repr(partial_erc(variant, d, range(l), range(k))))
+            out += [projected_coherence(variant, d, j).hex() for j in range(3)]
+        for support in (range(l), range(d.n - 1, d.n - 1 - l, -1)):
+            out += [project_atoms(d, support, normalize).tobytes() for normalize in (False, True)]
+        for q, j in ((2, 0), (2, 1), (2, 2), (3, 1)):
+            p = prip_exact(d, q, j)
+            out.append((p.lower.hex(), p.upper.hex()))
+        return out
+
+    for got, want in zip(bits(loaded), bits(built), strict=True):
+        assert got == want
 
 
 # prip_exact solves only the blocks its Gershgorin bounds cannot rule out; it
