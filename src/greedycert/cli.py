@@ -15,8 +15,9 @@ import os
 import sys
 
 from . import __version__
-from .dictionary import (_check_kl, _fmt, _json, as_support, check_support, coherence,
-                         load_dictionary, load_vector, make_instance, save_vector, spark)
+from .dictionary import (_check_kl, _fmt, _json, _write_text, as_support, check_support,
+                         coherence, load_dictionary, load_vector, make_instance, save_vector,
+                         spark)
 from .errors import CalibrationFailed, GreedyCertError, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import RecoveryOutcome, classify, run
 from .guarantees import coherence_threshold, partial_erc, prip_coherence_bounds, prip_exact, tropp_erc
@@ -147,13 +148,12 @@ def cmd_worstcase(args) -> int:
     reproduced = _reproduces(scenario, trace, outcome)
     os.makedirs(args.out, exist_ok=True)
     payload = scenario.to_dict()
-    with open(os.path.join(args.out, "dictionary.csv"), "w") as fh:
-        fh.write(payload["dictionary_csv"] + "\n")  # save_dictionary's bytes, formatted once
+    # save_dictionary's bytes, formatted once
+    _write_text(os.path.join(args.out, "dictionary.csv"), payload["dictionary_csv"] + "\n")
     save_vector(scenario.y, os.path.join(args.out, "y.csv"))
     payload["replay"] = trace.to_dict(outcome)
     payload["reproduced"] = reproduced
-    with open(os.path.join(args.out, "scenario.json"), "w") as fh:
-        fh.write(_json(payload) + "\n")
+    _write_text(os.path.join(args.out, "scenario.json"), _json(payload) + "\n")
     print(f"coherence = {_fmt(scenario.coherence)} (threshold {_fmt(scenario.threshold)})")
     print(f"prefix selections = {list(scenario.partial)}")
     print(f"truth = {list(scenario.truth)}; predicted wrong atom = {scenario.predicted_wrong}")
@@ -177,10 +177,8 @@ def cmd_sweep(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         csv_path = os.path.join(args.out, "sweep.csv")
         json_path = os.path.join(args.out, "sweep.json")
-        with open(csv_path, "w") as fh:
-            fh.write(report.to_csv())
-        with open(json_path, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        _write_text(csv_path, report.to_csv())
+        _write_text(json_path, report.to_json() + "\n")
         print(f"wrote {csv_path} and {json_path}")
     elif args.format == "json":
         print(report.to_json())

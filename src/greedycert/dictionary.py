@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -542,10 +543,20 @@ def _csv_lines(rows) -> str:
     return "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows.tolist())
 
 
+def _write_text(path, text: str) -> None:
+    """Write text to path as `open(path, "w")` would, with the same bytes, and for a new
+    file the same mode, but rewrite an existing file in place and then cut it to the new
+    length: the package's one writer.  A file is never truncated to zero first, which on
+    ext4 (the `auto_da_alloc` rule) makes closing the rewritten file start its writeback.
+    A write that fails part way leaves a damaged file, as it does with `open`."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def save_dictionary(d: Dictionary, path) -> None:
     """Write the matrix as plain CSV, one row per line, 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write(_csv_lines(d.atoms) + "\n")
+    _write_text(path, _csv_lines(d.atoms) + "\n")
 
 
 def load_dictionary(path) -> tuple[Dictionary, bool]:
@@ -585,10 +596,10 @@ def load_dictionary(path) -> tuple[Dictionary, bool]:
 
 
 def save_vector(v: np.ndarray, path) -> None:
-    """Write a vector as one value per line, 17 significant digits."""
-    v = np.asarray(v, dtype=float).ravel()
-    with open(path, "w") as fh:
-        fh.write(_csv_lines(v[:, None]) + "\n")
+    """Write a vector as one value per line, 17 significant digits; anything but real
+    numbers raises InvalidArgs (_real_array) before the file is opened."""
+    v = _real_array(v, "vector").ravel()
+    _write_text(path, _csv_lines(v[:, None]) + "\n")
 
 
 def load_vector(path) -> np.ndarray:

@@ -246,6 +246,30 @@ def test_run_on_the_written_worstcase_files_prints_its_replay(tmp_path, capsys):
         assert capsys.readouterr().out == json.dumps(blob["replay"], indent=2) + "\n", (k, l, variant)
 
 
+def _written(out, names):
+    return {name: (out / name).read_bytes() for name in names}
+
+
+SCENARIO_FILES = ("dictionary.csv", "y.csv", "scenario.json")
+
+
+def test_worstcase_rewrites_a_larger_scenario_to_the_bytes_of_a_fresh_directory(tmp_path, capsys):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(["worstcase", "--k", "5", "--l", "3", "--out", str(reused)]) == 0
+    larger = _written(reused, SCENARIO_FILES)
+    for out in (reused, fresh):
+        assert main(["worstcase", "--k", "2", "--l", "0", "--out", str(out)]) == 0
+    assert _written(reused, SCENARIO_FILES) == _written(fresh, SCENARIO_FILES)
+    assert all(len(larger[name]) > len(blob) for name, blob in _written(fresh, SCENARIO_FILES).items())
+
+
+def test_worstcase_into_a_directory_named_like_its_file_exits_1(tmp_path, capsys):
+    (tmp_path / "dictionary.csv").mkdir()
+    assert main(["worstcase", "--k", "2", "--l", "0", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "dictionary.csv" in err
+
+
 def test_worstcase_rejects_bad_shape(tmp_path, capsys):
     assert main(["worstcase", "--k", "2", "--l", "2", "--variant", "ols",
                  "--out", str(tmp_path / "x")]) == 1
@@ -290,6 +314,24 @@ def test_sweep_command_and_determinism(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--format", "json"]) == 0
     json.loads(capsys.readouterr().out)
 
+
+
+SWEEP_FILES = ("sweep.csv", "sweep.json")
+
+
+def test_sweep_rewrites_a_larger_report_to_the_bytes_of_a_fresh_directory(tmp_path, capsys):
+    large, small = tmp_path / "large.json", tmp_path / "small.json"
+    large.write_text(json.dumps(dict(m=8, n=8, k_range=[2, 4], l_range=[0, 2], trials=3,
+                                     coherence_target=None, seed=3, variant="both")))
+    small.write_text(json.dumps(dict(m=6, n=6, k_range=[2, 2], l_range=[0, 0], trials=2,
+                                     coherence_target=None, seed=4, variant="omp")))
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(["sweep", "--config", str(large), "--out", str(reused)]) == 0
+    larger = _written(reused, SWEEP_FILES)
+    for out in (reused, fresh):
+        assert main(["sweep", "--config", str(small), "--out", str(out)]) == 0
+    assert _written(reused, SWEEP_FILES) == _written(fresh, SWEEP_FILES)
+    assert all(len(larger[name]) > len(blob) for name, blob in _written(fresh, SWEEP_FILES).items())
 
 
 def _strict_json(text: str):

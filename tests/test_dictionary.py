@@ -1,4 +1,6 @@
 import hashlib
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -92,6 +94,20 @@ def test_make_instance_takes_real_coefficients_only(kind):
         make_instance(d, [0, 2], "12")
     with pytest.raises(InvalidArgs):
         make_instance(d, ["0", "2"], c)
+
+
+@pytest.mark.parametrize("kind", NOT_REAL_ARRAYS)
+def test_save_vector_takes_real_numbers_only(tmp_path, kind):
+    # refused before the file is opened: no new file, and an existing one keeps its bytes
+    v = np.array([1.0, -0.5, 0.25])
+    path = tmp_path / "v.csv"
+    with pytest.raises(InvalidArgs, match="vector must be"):
+        save_vector(NOT_REAL_ARRAYS[kind](v), path)
+    assert not path.exists()
+    path.write_text("kept\n")
+    with pytest.raises(InvalidArgs, match="vector must be"):
+        save_vector(NOT_REAL_ARRAYS[kind](v), path)
+    assert path.read_text() == "kept\n"
 
 
 def test_support_basics():
@@ -696,3 +712,37 @@ def test_vector_roundtrip(tmp_path):
     path.write_text("1,oops\n")
     with pytest.raises(InvalidArgs):
         load_vector(path)
+
+
+def test_writes_over_a_longer_file_leave_only_the_new_bytes(tmp_path):
+    # a rewrite is made in place and cut to its length: no stale tail of the old file
+    d, v = build_worst_case(3, 1), np.array([0.5, -1.0, 1e-17])
+    (tmp_path / "fresh").mkdir()
+    for name, write in [("text", lambda p: dictionary._write_text(p, "1,2\n")),
+                        ("dictionary", lambda p: save_dictionary(d, p)),
+                        ("vector", lambda p: save_vector(v, p))]:
+        path = tmp_path / name
+        path.write_text("9," * 5000 + "\n")
+        write(path)
+        write(tmp_path / "fresh" / name)
+        assert path.read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert (tmp_path / "text").read_bytes() == b"1,2\n"
+
+
+def test_write_text_keeps_the_mode_and_inode_that_open_gives(tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    old = os.umask(0o027)
+    try:
+        dictionary._write_text(new, "1\n")
+        with open(ref, "w") as fh:
+            fh.write("1\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == 0o640
+    # an existing file is rewritten, not replaced: its inode and its mode stay
+    new.chmod(0o600)
+    inode = new.stat().st_ino
+    for text in ("a much longer line than before\n", "2\n"):
+        dictionary._write_text(new, text)
+        assert new.read_text() == text
+        assert new.stat().st_ino == inode and stat.S_IMODE(new.stat().st_mode) == 0o600
