@@ -18,6 +18,7 @@ import operator
 import os
 from dataclasses import dataclass
 from itertools import combinations, islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -527,20 +528,88 @@ def random_dictionary(m: int, n: int, coherence_target: float | None = None,
     return d
 
 
+_NUMBER = "%.17g"  # 17 significant digits, enough to round-trip a float: the CLI's number format
+
+
 def _fmt(x) -> str:
-    """A number in 17 significant digits, enough to round-trip a float: the CLI's number format."""
-    return f"{float(x):.17g}"
+    """A number in `_NUMBER`'s format."""
+    return _NUMBER % float(x)
 
 
 def _json(obj) -> str:
-    """obj as JSON indented by 2, NaN and infinities refused: the CLI's JSON format."""
-    return json.dumps(obj, indent=2, allow_nan=False)
+    """obj as JSON indented by 2, NaN and infinities refused: the CLI's JSON format, in the
+    bytes of `json.dumps(obj, indent=2, allow_nan=False)`, the one call to it in the package.
+
+    Python's encoder takes one Python call per number once it indents, so dicts with str
+    keys, lists and tuples are walked here, and a list whose items are all floats, or all
+    ints (exact types), is written with one join over `repr`.  str, int, float, bool and
+    None leaves are written inline.  Anything else (a float list or a float that holds a
+    NaN or an infinity, a dict with another key, a numpy scalar, a container met again
+    inside itself) goes to json.dumps, re-indented: json writes it, or raises as it would."""
+
+    # the text in pieces, joined once at the end; the containers being walked, whose
+    # cycles json reports
+    parts, open_ids = [], set()
+
+    def encode(value, newline: str) -> None:
+        kind = type(value)
+        if kind is str:
+            parts.append(encode_basestring_ascii(value))
+            return
+        if value is None or value is True or value is False:
+            parts.append("null" if value is None else "true" if value else "false")
+            return
+        if kind is int:
+            parts.append(repr(value))
+            return
+        if kind is float:
+            text = repr(value)
+            if "n" not in text:  # nan and inf are the only float texts with an n
+                parts.append(text)
+                return
+        elif kind is list or kind is tuple or kind is dict:
+            if not value:
+                parts.append("{}" if kind is dict else "[]")
+                return
+            inner = newline + "  "
+            if kind is dict:
+                if id(value) not in open_ids and all(type(key) is str for key in value):
+                    open_ids.add(id(value))
+                    head = "{" + inner
+                    for key, item in value.items():
+                        parts.append(head + encode_basestring_ascii(key) + ": ")
+                        encode(item, inner)
+                        head = "," + inner
+                    parts.append(newline + "}")
+                    open_ids.discard(id(value))
+                    return
+            elif set(map(type, value)) in ({float}, {int}):
+                text = ("," + inner).join(map(repr, value))
+                if "n" not in text:
+                    parts.extend(("[" + inner, text, newline + "]"))
+                    return
+            elif id(value) not in open_ids:
+                open_ids.add(id(value))
+                head = "[" + inner
+                for item in value:
+                    parts.append(head)
+                    encode(item, inner)
+                    head = "," + inner
+                parts.append(newline + "]")
+                open_ids.discard(id(value))
+                return
+        parts.append(json.dumps(value, indent=2, allow_nan=False).replace("\n", newline))
+
+    encode(obj, "\n")
+    del encode  # it holds itself through its closure: end that cycle, so the pieces go now
+    return "".join(parts)
 
 
 def _csv_lines(rows) -> str:
-    """A 2-D array's rows as CSV lines in `_fmt`'s format, formatted from `.tolist()`'s Python
-    floats (faster than numpy scalars), joined by newlines (none after the last)."""
-    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows.tolist())
+    """A 2-D array's rows as CSV lines in `_NUMBER`'s format, joined by newlines (none after
+    the last): one %-format per row of `.tolist()`'s Python floats, not a call per entry."""
+    line = ",".join([_NUMBER] * rows.shape[1])
+    return "\n".join([line % tuple(row) for row in rows.tolist()])
 
 
 def _write_text(path, text: str) -> None:
@@ -596,9 +665,14 @@ def load_dictionary(path) -> tuple[Dictionary, bool]:
 
 
 def save_vector(v: np.ndarray, path) -> None:
-    """Write a vector as one value per line, 17 significant digits; anything but real
-    numbers raises InvalidArgs (_real_array) before the file is opened."""
+    """Write a vector as one value per line, 17 significant digits.  Input that is not
+    real numbers (_real_array), or that is empty or holds a NaN or an infinity, which
+    `load_vector` refuses, raises InvalidArgs before the file is opened."""
     v = _real_array(v, "vector").ravel()
+    if not v.size:
+        raise InvalidArgs("vector must be non-empty")
+    if not np.all(np.isfinite(v)):
+        raise InvalidArgs("vector must be finite")
     _write_text(path, _csv_lines(v[:, None]) + "\n")
 
 

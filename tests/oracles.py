@@ -7,6 +7,7 @@ actually means something.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -583,6 +584,11 @@ EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 def csv_lines_per_scalar(rows) -> str:
     """`dictionary._csv_lines`, formatting one numpy scalar at a time."""
     return "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows)
+
+
+def json_dumps_indented(obj) -> str:
+    """`dictionary._json`: Python's own encoder at indent 2, NaN and infinities refused."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def trace_dict_per_scalar(trace, outcome=None) -> dict:

@@ -17,8 +17,8 @@ from greedycert import (CapExceeded, Dictionary, InvalidArgs, InvalidSeed, Suppo
                         save_dictionary, save_vector, spark, welch_bound)
 from greedycert.sweep import THRESHOLD_SAFETY
 
-from oracles import (EDGE_FLOATS, _haar_frame, csv_lines_per_scalar, random_dictionary_per_trial,
-                     shrink_gram_full_budget, spark_bruteforce)
+from oracles import (EDGE_FLOATS, _haar_frame, csv_lines_per_scalar, json_dumps_indented,
+                     random_dictionary_per_trial, shrink_gram_full_budget, spark_bruteforce)
 
 
 def unit(cols):
@@ -96,17 +96,23 @@ def test_make_instance_takes_real_coefficients_only(kind):
         make_instance(d, ["0", "2"], c)
 
 
-@pytest.mark.parametrize("kind", NOT_REAL_ARRAYS)
+# real vectors that load_vector refuses, so save_vector refuses them too
+UNREADABLE_VECTORS = {"nan": np.array([1.0, np.nan]), "inf": np.array([-np.inf, 0.5]),
+                      "empty": np.zeros(0)}
+
+
+@pytest.mark.parametrize("kind", [*NOT_REAL_ARRAYS, *UNREADABLE_VECTORS])
 def test_save_vector_takes_real_numbers_only(tmp_path, kind):
     # refused before the file is opened: no new file, and an existing one keeps its bytes
     v = np.array([1.0, -0.5, 0.25])
+    bad = UNREADABLE_VECTORS[kind] if kind in UNREADABLE_VECTORS else NOT_REAL_ARRAYS[kind](v)
     path = tmp_path / "v.csv"
     with pytest.raises(InvalidArgs, match="vector must be"):
-        save_vector(NOT_REAL_ARRAYS[kind](v), path)
+        save_vector(bad, path)
     assert not path.exists()
     path.write_text("kept\n")
     with pytest.raises(InvalidArgs, match="vector must be"):
-        save_vector(NOT_REAL_ARRAYS[kind](v), path)
+        save_vector(bad, path)
     assert path.read_text() == "kept\n"
 
 
@@ -653,6 +659,50 @@ def test_csv_lines_keep_the_bytes_of_per_scalar_formatting(a):
     assert f.flags.f_contiguous and col.shape[1] == 1
     for rows in (c, f, col):
         assert dictionary._csv_lines(rows) == csv_lines_per_scalar(rows)
+
+
+# JSON values of every kind json.dumps meets: its own types at any depth, NaN and
+# infinities, numpy scalars, non-str keys, and lists of one number type or of mixed ones
+_JSON_LEAVES = st.one_of(
+    st.floats(), st.sampled_from(EDGE_FLOATS), st.integers(), st.integers(2**64, 2**80),
+    st.booleans(), st.none(), st.text(), st.floats().map(np.float64),
+    st.integers(-9, 9).map(np.int64))
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_LEAVES, st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+              st.lists(st.integers()), st.lists(st.floats())),
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=5),
+                            st.dictionaries(_JSON_KEYS, inner, max_size=3)),
+    max_leaves=30)
+_LIST_LOOP, _DICT_LOOP = [1.0], {"k": 1}  # containers that hold themselves
+_LIST_LOOP.append(_LIST_LOOP)
+_DICT_LOOP["self"] = _DICT_LOOP
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+@example({"scores": [[0.5, -0.0, 5e-324], []], "y": (1.0, 2.5), "": {}, "k": 2**64 + 1})
+@example([1, True])
+@example([1.0, 2])
+@example(["caf\u00e9", {"\u2603 \U0001f600 \ud800": "\u00fc\n\"\\"}])
+@example({"a": [np.float64(0.1), 1.0], "b": np.float64(-0.0)})
+@example({"ok": [1.0], "bad": [[0.0, np.inf]]})
+@example({"a": {"b": [1, 2, float("nan")]}})
+@example({1: [1.0, 2.0], 2.5: None, True: "t", None: ()})
+@example({"x": [np.int64(3)]})
+@example(_LIST_LOOP)
+@example(_DICT_LOOP)
+def test_json_keeps_the_bytes_of_json_dumps(obj):
+    # where json.dumps raises, _json raises the same exception type
+    try:
+        want = json_dumps_indented(obj)
+    except Exception as exc:
+        with pytest.raises(Exception) as caught:
+            dictionary._json(obj)
+        assert type(caught.value) is type(exc)
+    else:
+        assert dictionary._json(obj) == want
 
 
 # CSV text as the readers meet it: entries of any magnitude from 1e-300 to 1e300,

@@ -1,5 +1,5 @@
 """The package's modules and the tests import only names they use, and the package writes
-files through one writer."""
+files through one writer and JSON through one encoder."""
 
 import ast
 import pathlib
@@ -41,24 +41,13 @@ def test_modules_use_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def write_opens(source: str) -> list[str]:
-    """The calls in a module that open a file to write, each as its enclosing top-level
-    function (or <module>) and line: `write_text` and `write_bytes`, and `open`, `io.open`,
-    `os.open` or `os.fdopen` with a second argument or a mode or flags keyword that is
-    not a string literal free of w, a, x and +."""
+def calls_where(source: str, matches) -> list[str]:
+    """The calls in a module that `matches` accepts, each as its enclosing top-level
+    function (or <module>) and line."""
     found = []
 
-    def writes(call):
-        name = getattr(call.func, "id", getattr(call.func, "attr", None))
-        if name in ("write_text", "write_bytes"):
-            return True
-        modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg in ("mode", "flags")]
-        return name in ("open", "fdopen") and any(
-            not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
-            for m in modes)
-
     def visit(node, where):
-        if isinstance(node, ast.Call) and writes(node):
+        if isinstance(node, ast.Call) and matches(node):
             found.append(f"{where} (line {node.lineno})")
         for child in ast.iter_child_nodes(node):
             top = where == "<module>" and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -66,6 +55,27 @@ def write_opens(source: str) -> list[str]:
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def call_name(call: ast.Call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def write_opens(source: str) -> list[str]:
+    """The calls in a module that open a file to write (calls_where): `write_text` and
+    `write_bytes`, and `open`, `io.open`, `os.open` or `os.fdopen` with a second argument
+    or a mode or flags keyword that is not a string literal free of w, a, x and +."""
+
+    def writes(call):
+        name = call_name(call)
+        if name in ("write_text", "write_bytes"):
+            return True
+        modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg in ("mode", "flags")]
+        return name in ("open", "fdopen") and any(
+            not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
+            for m in modes)
+
+    return calls_where(source, writes)
 
 
 def test_write_opens_are_found():
@@ -82,3 +92,22 @@ def test_the_package_writes_files_through_one_writer():
     found = {f"{path.stem}.{hit.split()[0]}" for path in sorted(PACKAGE.glob("*.py"))
              for hit in write_opens(path.read_text())}
     assert found == {"dictionary._write_text"}
+
+
+def json_encodes(source: str) -> list[str]:
+    """The calls in a module to json.dumps or json.dump, by attribute or by the bare
+    imported name (calls_where)."""
+    return calls_where(source, lambda call: call_name(call) in ("dumps", "dump"))
+
+
+def test_json_encodes_are_found():
+    source = ("import json\nfrom json import dumps\njson.loads('1')\n"
+              "def f(x, fh):\n    json.dump(x, fh)\n    return dumps(x, indent=2)\n")
+    assert json_encodes(source) == ["f (line 5)", "f (line 6)"]
+
+
+def test_the_package_writes_json_through_one_encoder():
+    # dictionary._json writes json.dumps(obj, indent=2, allow_nan=False)'s bytes faster
+    found = {f"{path.stem}.{hit.split()[0]}" for path in sorted(PACKAGE.glob("*.py"))
+             for hit in json_encodes(path.read_text())}
+    assert found == {"dictionary._json"}
