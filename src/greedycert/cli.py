@@ -149,11 +149,11 @@ def cmd_worstcase(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     payload = scenario.to_dict()
     # save_dictionary's bytes, formatted once
-    _write_text(os.path.join(args.out, "dictionary.csv"), payload["dictionary_csv"] + "\n")
+    _write_text(os.path.join(args.out, "dictionary.csv"), payload["dictionary_csv"], "\n")
     save_vector(scenario.y, os.path.join(args.out, "y.csv"))
     payload["replay"] = trace.to_dict(outcome)
     payload["reproduced"] = reproduced
-    _write_text(os.path.join(args.out, "scenario.json"), _json(payload) + "\n")
+    _write_text(os.path.join(args.out, "scenario.json"), _json(payload), "\n")
     print(f"coherence = {_fmt(scenario.coherence)} (threshold {_fmt(scenario.threshold)})")
     print(f"prefix selections = {list(scenario.partial)}")
     print(f"truth = {list(scenario.truth)}; predicted wrong atom = {scenario.predicted_wrong}")
@@ -178,7 +178,7 @@ def cmd_sweep(args) -> int:
         csv_path = os.path.join(args.out, "sweep.csv")
         json_path = os.path.join(args.out, "sweep.json")
         _write_text(csv_path, report.to_csv())
-        _write_text(json_path, report.to_json() + "\n")
+        _write_text(json_path, report.to_json(), "\n")
         print(f"wrote {csv_path} and {json_path}")
     elif args.format == "json":
         print(report.to_json())

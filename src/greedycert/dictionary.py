@@ -612,20 +612,23 @@ def _csv_lines(rows) -> str:
     return "\n".join([line % tuple(row) for row in rows.tolist()])
 
 
-def _write_text(path, text: str) -> None:
-    """Write text to path as `open(path, "w")` would, with the same bytes, and for a new
-    file the same mode, but rewrite an existing file in place and then cut it to the new
-    length: the package's one writer.  A file is never truncated to zero first, which on
-    ext4 (the `auto_da_alloc` rule) makes closing the rewritten file start its writeback.
-    A write that fails part way leaves a damaged file, as it does with `open`."""
+def _write_text(path, text: str, end: str = "") -> None:
+    """Write text and then end to path as `open(path, "w")` would, with the same bytes,
+    and for a new file the same mode, but rewrite an existing file in place and then cut it
+    to the new length: the package's one writer.  end, written on its own, spares a caller
+    a copy of a long text only to add its newline.  A file is never truncated to zero
+    first, which on ext4 (the `auto_da_alloc` rule) makes closing the rewritten file start
+    its writeback.  A write that fails part way leaves a damaged file, as it does with
+    `open`."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.write(text)
+        fh.write(end)
         fh.truncate()
 
 
 def save_dictionary(d: Dictionary, path) -> None:
     """Write the matrix as plain CSV, one row per line, 17 significant digits."""
-    _write_text(path, _csv_lines(d.atoms) + "\n")
+    _write_text(path, _csv_lines(d.atoms), "\n")
 
 
 def load_dictionary(path) -> tuple[Dictionary, bool]:
@@ -643,7 +646,7 @@ def load_dictionary(path) -> tuple[Dictionary, bool]:
             if not line:
                 continue
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                rows.append(list(map(float, line.split(","))))
             except ValueError as exc:
                 raise InvalidArgs(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
@@ -673,7 +676,7 @@ def save_vector(v: np.ndarray, path) -> None:
         raise InvalidArgs("vector must be non-empty")
     if not np.all(np.isfinite(v)):
         raise InvalidArgs("vector must be finite")
-    _write_text(path, _csv_lines(v[:, None]) + "\n")
+    _write_text(path, _csv_lines(v[:, None]), "\n")
 
 
 def load_vector(path) -> np.ndarray:

@@ -212,12 +212,14 @@ def _projected_grams(d: Dictionary, l: int):
         rest = np.delete(project_atoms(d, support), support, axis=1)
         return rest.T @ rest
 
-    def step(supports, grams, pivots, ok):
+    def step(supports, grams, pivots, ok=None):
         """(supports, Grams) stacks of the l-subsets that extend the stacked supports, all of
-        one size t <= l, given their Grams, P and guard mask; those that fail the guard take
-        project_atoms's Gram first, and P restarts at 1."""
-        for c in (~ok).nonzero()[0]:
-            grams[c], pivots[c] = exact_gram(supports[c]), 1.0
+        one size t <= l, given their Grams, P and guard mask (None at the root, where no
+        push has been made); those that fail the guard take project_atoms's Gram first, and
+        P restarts at 1."""
+        if ok is not None:
+            for c in (~ok).nonzero()[0]:
+                grams[c], pivots[c] = exact_gram(supports[c]), 1.0
         t, size = len(supports[0]), grams.shape[1]
         if t == l:
             yield supports, grams
@@ -238,10 +240,13 @@ def _projected_grams(d: Dictionary, l: int):
             for a, b in zip(cuts, cuts[1:]):
                 yield from step(kids[a:b], children[a:b], p[a:b], ok[a:b])
 
-    yield from step([()], (d.atoms.T @ d.atoms)[None], np.ones(1), np.ones(1, dtype=bool))
+    if l == 0:
+        yield [()], (d.atoms.T @ d.atoms)[None]
+    else:
+        yield from step([()], (d.atoms.T @ d.atoms)[None], np.ones(1))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _block_table(rest: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Read-only (blocks, lower, incidence, tails), the row layout prip_exact prunes
     in.  blocks: every block as q positions in a support's rest, the `rest` atoms
@@ -252,7 +257,10 @@ def _block_table(rest: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     matrix with 1 where i is in the row's (i, j) and 0 elsewhere.  tails: per LDL^T
     step k, the (i, j) into column k's entries below the diagonal whose products
     h_i h_j update, in order, the off-diagonal rows of the columns after k.  Cached:
-    building the table costs about as much as a small prip_exact call."""
+    building the table costs about as much as a small prip_exact call.  A prip_exact
+    call takes the table of its supports' rest and, when it prunes, those of all n atoms
+    and of one block: the certify benchmark's six orders on its two dictionary shapes
+    take 16 tables."""
     blocks = np.fromiter(chain.from_iterable(combinations(range(rest), q)), dtype=np.intp,
                          count=math.comb(rest, q) * q).reshape(-1, q)
     ij = np.array([(i, i) for i in range(q)]  # the (i, j) of each row
@@ -292,16 +300,70 @@ def _definite(a: np.ndarray, shift: float, sign: float, tails: tuple) -> np.ndar
     return ok
 
 
-def _widen(lo: float, hi: float, grams: np.ndarray, blocks: np.ndarray, cols: np.ndarray):
-    """(lo, hi) widened to the extreme eigenvalues of the pairs at the columns cols of
-    a piece's rows, each block blocks[c // len(grams)] of Gram c % len(grams),
-    gathered from the grams and solved as one (cols, q, q) stack."""
-    if len(cols) == 0:
-        return lo, hi
-    at, si = np.divmod(cols, len(grams))
-    at = blocks[at]
-    eig = np.linalg.eigvalsh(grams[si[:, None, None], at[:, :, None], at[:, None, :]])
+def _discs(rows: np.ndarray, incidence: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(low, up) of each block whose lower triangle is a column of rows, in the row order
+    of _block_table, whose incidence for this q it takes: Gershgorin's bounds
+    min_i (b_ii - r_i) and max_i (b_ii + r_i) on its eigenvalues, r_i the sum of |b_ij|
+    over the rest of row i."""
+    radius = incidence @ np.abs(rows[q:])
+    return (rows[:q] - radius).min(axis=0), np.add(rows[:q], radius, out=radius).max(axis=0)
+
+
+def _undecided(rows: np.ndarray, tails: tuple, sides) -> np.ndarray:
+    """Mask of the columns of rows, each the lower triangle of a (support, block) pair,
+    that the Cholesky test (_definite) cannot keep from an extreme: sides holds
+    (near, shift, sign) per extreme, near the mask of the columns whose Gershgorin bound
+    reaches the shift."""
+    need = np.zeros(rows.shape[1], dtype=bool)
+    for near, shift, sign in sides:
+        cols = near.nonzero()[0]
+        if len(cols):
+            need[cols] |= ~_definite(rows.take(cols, axis=1), shift, sign, tails)
+    return need
+
+
+def _widen(lo: float, hi: float, stack: np.ndarray) -> tuple[float, float]:
+    """(lo, hi) widened to the extreme eigenvalues of a non-empty (blocks, q, q) stack."""
+    eig = np.linalg.eigvalsh(stack)
     return min(lo, float(eig[:, 0].min())), max(hi, float(eig[:, -1].max()))
+
+
+def _gather(grams: np.ndarray, si: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The (pairs, q, q) stack of the blocks at positions `at` (pairs, q) of the Grams
+    grams[si] of a stack."""
+    return grams[si[:, None, None], at[:, :, None], at[:, None, :]]
+
+
+def _solve_rows(lo: float, hi: float, grams: np.ndarray, table: tuple, pieces: list,
+                tol: float, high: bool = True) -> tuple[float, float]:
+    """(lo, hi) widened by every block of a chunk of Grams that could move lo, or with high
+    either.  Per piece of blocks, one gather of the flat Gram indices of table
+    (_block_table) lays the lower triangle of every (support, block) pair out as one
+    column; Gershgorin's discs and the Cholesky test rule blocks out, and the rest are
+    solved as one stack.  While lo and hi are unset, each support's block with the lowest
+    low and its block with the highest up are solved first."""
+    blocks, lower, incidence, tails = table
+    q, width = len(tails), len(grams)
+    entries = np.ascontiguousarray(grams.reshape(width, -1).T)
+    for piece in pieces:
+        # (entry, pair): the pair of block b and support s is column b * width + s
+        rows = entries.take(lower[:, piece], axis=0).reshape(len(lower), -1)
+        low, up = _discs(rows, incidence, q)
+        if lo > hi:  # nothing solved yet: each support's most extreme blocks first
+            first = np.concatenate((low.reshape(-1, width).argmin(axis=0),
+                                    up.reshape(-1, width).argmax(axis=0)))
+            first = first * width + np.tile(np.arange(width), 2)
+            at, si = np.divmod(first, width)
+            lo, hi = _widen(lo, hi, _gather(grams, si, blocks[piece][at]))
+            low[first], up[first] = np.inf, -np.inf  # out of both tests below
+        sides = [(low <= lo + tol, lo + tol, 1.0)]
+        if high:
+            sides.append((up >= hi - tol, hi - tol, -1.0))
+        need = _undecided(rows, tails, sides).nonzero()[0]
+        if len(need):
+            at, si = np.divmod(need, width)
+            lo, hi = _widen(lo, hi, _gather(grams, si, blocks[piece][at]))
+    return lo, hi
 
 
 def prip_exact(d: Dictionary, q: int, l: int) -> PripConstants:
@@ -311,34 +373,76 @@ def prip_exact(d: Dictionary, q: int, l: int) -> PripConstants:
     collecting the extreme eigenvalues of the projected block Grams:
     lower = 1 - min eigenvalue, upper = max eigenvalue - 1.
 
-    The supports' Grams come from the Schur-complement walk _projected_grams,
-    whose stacks are sliced into the chunks below.  Only blocks that could move
-    the running minimum lo or maximum hi get an eigensolve; two tests rule the
-    others out, one after the other, in a row layout: per piece, one gather of the
-    flat Gram indices of _block_table lays the lower triangle of every (support,
-    block) pair out as one column, each entry b_ij one contiguous row over the
-    pairs, so that both tests run on whole rows.  First, by Gershgorin's disc
-    theorem the eigenvalues of a block B lie in [low, up],
-    low = min_i (b_ii - r_i) and up = max_i (b_ii + r_i), where r_i sums |b_ij|
-    over the rest of row i, from the diagonal rows and the absolute off-diagonal
-    ones: a block with low > lo + tol cannot move lo, and one with up < hi - tol
-    cannot move hi.  Second, the columns left on the low side take an unpivoted
-    Cholesky (LDL^T) factorization of B - (lo + tol) I, and those left on the high
-    side one of (hi - tol) I - B, vectorized over the columns (_definite): when
-    every pivot is positive, the block cannot move that extreme either.  tol
-    covers the rounding of the bounds, of the factorization and of the eigensolver
-    (see below), so a skipped block cannot reach the result.  One budget,
-    dictionary.BATCH_ELEMENTS, cuts the work: the supports are walked in chunks
-    whose Grams and blocks hold at most that many entries, each a view of one
-    stack of the walk, and a support with more blocks is cut into pieces of at
-    most that many block entries.  While lo and hi are unset, each support's block
-    with the lowest low and its block with the highest up are solved first, as one
-    stack; after that, per piece, the blocks that fail the Cholesky test on a side
-    their bounds reach are solved, as one stack.  The layout only decides which
-    blocks are solved, never their values: every solved block is gathered from the
-    same Gram entries as a (blocks, q, q) stack and goes through the same
-    per-matrix LAPACK call as when every block is solved, and min and max are
-    exact, so the constants keep those bits.
+    The supports' Grams come from the Schur-complement walk _projected_grams.  Only
+    blocks that could move the running minimum lo or maximum hi get an eigensolve.
+
+    The row layout (_solve_rows).  Per chunk of supports and piece of blocks, one gather
+    of the flat Gram indices of _block_table lays the lower triangle of every (support,
+    block) pair out as one column, each entry b_ij one contiguous row over the pairs.  By
+    Gershgorin's disc theorem the eigenvalues of a block B lie in [low, up],
+    low = min_i (b_ii - r_i) and up = max_i (b_ii + r_i), r_i the sum of |b_ij| over the
+    rest of row i: a block with low > lo + tol cannot move lo, and one with
+    up < hi - tol cannot move hi.  The columns left on a side take an unpivoted Cholesky
+    (LDL^T) factorization of B - (lo + tol) I, or of (hi - tol) I - B, vectorized over
+    the columns (_definite): when every pivot is positive, the block cannot move that
+    extreme either.  The rest are solved.  While lo and hi are unset, each support's
+    block with the lowest low and its block with the highest up are solved first.
+
+    With l >= 1 and more supports than one chunk holds, two prunes come first, and the
+    row layout serves only the low side of the supports they leave (_prune.prune, in a
+    module of its own that is imported, and so compiled, only when a call prunes).
+    - The upper side, by Loewner caps.  Projection only shrinks a block's Gram in the
+      positive semidefinite order: B_S = A_B^T (I - P_S) A_B <= A_B^T A_B, so by Weyl's
+      monotonicity theorem (Horn and Johnson, Matrix Analysis) its greatest eigenvalue
+      is at most the block's cap, the greatest eigenvalue of its unprojected Gram.  hi
+      starts at a floor below the result, taken from the top-cap block and a support
+      outside it (_candidates, _floor); only the candidates, the blocks whose cap
+      reaches floor - tol, are gathered, at every support they do not meet
+      (_pair_index), and their pairs go through Gershgorin's up bound and the Cholesky
+      test at hi - tol as one stack after the walk (_solve_high).
+    - The lower side, by a bound per support.  min_i g_ii - (q - 1) max_{i != j} |g_ij|
+      over a support's Gram is at most the low bound of each of its blocks
+      (_support_bounds): a support whose bound lies above lo + tol lays out no rows.
+      Of the others, the block of the least diagonal entry and the q - 1 largest
+      magnitudes in its row is solved first (_likely_lowest), which brings lo to the
+      support's least eigenvalue or near it, and those still in reach go through the
+      row layout.
+    When the unprojected blocks or the candidates' pairs would exceed the budget below,
+    the row layout serves every pair instead.
+
+    Rounding.  Atoms have unit norm (to UNIT_NORM_TOL) and projection only shortens
+    them, so every |g_ij| of a Gram is at most about 1 and the eigenvalues of a block
+    lie in [0, q].  The walk's Grams stay within about 2^10 eps of the exact projected
+    Grams (see _projected_grams), which moves a block's eigenvalues by about q 2^10 eps
+    at most; the Gram of the atoms that gives the caps is off by about m eps per entry.
+    The Gershgorin bounds, the support bounds and the caps' up bounds sum q terms of
+    size at most 1, so they are off by at most about q^2 eps, and eigvalsh's backward
+    error is p(q) eps |B| <= p(q) q eps for a modest LAPACK constant p(q), for the caps
+    and the solved blocks alike.  The floor's Schur complement is taken only where
+    Gershgorin's discs keep the least eigenvalue of the support's Gram at 1/2 or
+    above, so its error stays near l^2 eps.  A Cholesky test at a shift s
+    (|s| <= q + 1) that finds every pivot positive shows that B - s I + E is positive
+    definite, where E holds the rounding of the shift (eps (1 + |s|) per diagonal entry)
+    and the factorization's backward error, entrywise at most gamma_{q+1} |R^T| |R| for
+    the computed factor R (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.5), so ||E|| is at most about (q + 2) q eps (1 + |s|), some q^3 eps.
+    tol = 2^20 q^2 eps (eps = 2^-52) covers the sum, about (2^10 q + m q + l^2 + q^3) eps,
+    with a factor of about 2^10 or more to spare while q, m and l^2 stay below 2^10,
+    and still lies far below the gaps between the bounds of generic blocks.  So a block
+    ruled out at lo + tol has a computed least eigenvalue above lo, one ruled out at
+    hi - tol or by a cap below hi - tol a computed greatest one below hi, and the floor
+    lies below the computed greatest eigenvalue of the pair it was taken from, so below
+    the result; the pair that attains the result passes every test, so the result is
+    always a solved value.
+
+    The tests only decide which blocks are solved, never their values: every solved
+    block is gathered from the walk's Gram as a (blocks, q, q) stack and goes through the
+    same per-matrix LAPACK call as when every block is solved, and min and max are
+    exact, so the constants keep those bits.  One budget, dictionary.BATCH_ELEMENTS,
+    cuts the work: a chunk of supports with their Grams and blocks, a piece of one
+    support's blocks and the unprojected blocks each hold at most that many entries, the
+    candidates' pairs a quarter of them, as a stack of the walk does, and no stack an
+    eigensolve or a Cholesky test sees holds more.
 
     Raises CapExceeded when the number of (support, block) pairs exceeds ENUM_CAP,
     read at call time, evaluated or not, and RankDeficient if some support is
@@ -350,55 +454,29 @@ def prip_exact(d: Dictionary, q: int, l: int) -> PripConstants:
     total = math.comb(d.n, l) * math.comb(d.n - l, q)
     if total > ENUM_CAP:
         raise CapExceeded(f"{total} support/block pairs exceed the cap of {ENUM_CAP}")
-    blocks, lower, incidence, tails = _block_table(d.n - l, q)
+    table = _block_table(d.n - l, q)
+    rest = d.n - l
     # a chunk of supports, with their Grams and blocks, or a piece of one support's
     # blocks stays within the budget
-    supports = max(1, dictionary.BATCH_ELEMENTS // (len(blocks) * q * q + (d.n - l) ** 2))
-    step = max(1, dictionary.BATCH_ELEMENTS // (q * q))
-    pieces = [slice(i, i + step) for i in range(0, len(blocks), step)]
-    # Atoms have unit norm (to UNIT_NORM_TOL) and projection only shortens them,
-    # so every |g_ij| of a projected Gram is at most about 1 and the eigenvalues of
-    # a block lie in [0, q].  The computed Gershgorin bounds are then off by at most
-    # about q^2 eps (q terms of size <= 1), and eigvalsh's backward error is
-    # p(q) eps |B| <= p(q) q eps for a modest LAPACK constant p(q).  A Cholesky
-    # test at a shift s (|s| <= q + 1) that finds every pivot positive shows that
-    # B - s I + E is positive definite, where E holds the rounding of the shift
-    # (eps (1 + |s|) per diagonal entry) and the factorization's backward error,
-    # entrywise at most gamma_{q+1} |R^T| |R| for the computed factor R (Higham,
-    # Accuracy and Stability of Numerical Algorithms, Thm 10.5).  So ||E|| is at
-    # most about (q + 2) q eps (1 + |s|), some q^3 eps, and the block's least
-    # eigenvalue lies above s - q^3 eps.  tol = 2^20 q^2 eps (eps = 2^-52) covers
-    # all three with a factor of about 2^20 / q or more to spare, and still lies far
-    # below the gaps between the Gershgorin bounds of generic blocks.  A block that
-    # passes at lo + tol thus has a computed least eigenvalue above lo, and one
-    # that passes at hi - tol (its sign flipped) a greatest one below hi.
-    tol = 2.0 ** -32 * q * q
+    budget = dictionary.BATCH_ELEMENTS
+    supports = max(1, budget // (len(table[0]) * q * q + rest * rest))
+    step = max(1, budget // (q * q))
+    pieces = [slice(i, i + step) for i in range(0, len(table[0]), step)]
+    tol = 2.0 ** -32 * q * q  # 2^20 q^2 eps: the rounding argument above
     lo, hi = np.inf, -np.inf
-    for grams in (stack[s:s + supports] for _, stack in _projected_grams(d, l)
-                  for s in range(0, len(stack), supports)):
-        # one row per Gram entry, one column per support of the chunk, so that
-        # gathering rows of it lays each entry of a block out for every support at once
-        width = len(grams)
-        entries = np.ascontiguousarray(grams.reshape(width, -1).T)
-        for piece in pieces:
-            # (entry, pair): the pair of block b and support s is column b * width + s
-            rows = entries.take(lower[:, piece], axis=0).reshape(len(lower), -1)
-            radius = incidence @ np.abs(rows[q:])
-            low = (rows[:q] - radius).min(axis=0)
-            up = np.add(rows[:q], radius, out=radius).max(axis=0)
-            if lo > hi:  # nothing solved yet: each support's most extreme blocks first
-                solved = np.concatenate((low.reshape(-1, width).argmin(axis=0),
-                                         up.reshape(-1, width).argmax(axis=0)))
-                solved = solved * width + np.tile(np.arange(width), 2)
-                lo, hi = _widen(lo, hi, grams, blocks[piece], solved)
-                low[solved], up[solved] = np.inf, -np.inf  # out of both tests below
-            need = np.zeros(len(low), dtype=bool)
-            for near, shift, sign in ((low <= lo + tol, lo + tol, 1.0),
-                                      (up >= hi - tol, hi - tol, -1.0)):
-                cols = near.nonzero()[0]
-                if len(cols):
-                    need[cols] |= ~_definite(rows.take(cols, axis=1), shift, sign, tails)
-            lo, hi = _widen(lo, hi, grams, blocks[piece], need.nonzero()[0])
+    walk = _projected_grams(d, l)
+    # the prunes need more than one chunk of supports and the unprojected blocks within
+    # the budget; _prune is compiled only when they run
+    if l and math.comb(d.n, l) > supports and math.comb(d.n, q) * q * q <= budget:
+        from . import _prune
+        extremes = _prune.prune(d, q, l, walk, table, supports, pieces, tol)
+        if extremes is not None:
+            lo, hi = extremes
+            return PripConstants(q=q, l=l, lower=1.0 - lo, upper=hi - 1.0, kind="exact")
+    # one chunk holds every support, or too many blocks are candidates: no prune pays
+    for _, stack in walk:
+        for s in range(0, len(stack), supports):
+            lo, hi = _solve_rows(lo, hi, stack[s:s + supports], table, pieces, tol)
     return PripConstants(q=q, l=l, lower=1.0 - lo, upper=hi - 1.0, kind="exact")
 
 

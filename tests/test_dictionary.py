@@ -622,6 +622,15 @@ def test_load_dictionary_rejects_bad_input(tmp_path):
             load_dictionary(path)
 
 
+def test_load_dictionary_names_the_line_of_a_bad_token(tmp_path):
+    # blank lines count: the token sits on line 4 of the file
+    path = tmp_path / "bad.csv"
+    path.write_text("1,0\n\n0,1\n0.5, oops\n")
+    with pytest.raises(InvalidArgs) as err:
+        load_dictionary(path)
+    assert str(err.value) == f"{path}: line 4: could not convert string to float: ' oops'"
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(1, 8).flatmap(lambda m: st.integers(2, 10).flatmap(lambda n: arrays(
     float, (m, n), elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)))))

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+from itertools import combinations
 from math import comb
 from unittest import mock
 
@@ -16,6 +17,7 @@ from greedycert import (CapExceeded, Dictionary, InvalidArgs, OutOfDomain, RankD
                         prip_coherence_bounds, prip_erc_bound, prip_exact, project_atoms,
                         projected_coherence, projected_gram_closed_form, random_dictionary, run,
                         save_dictionary, tropp_erc, welch_bound)
+from greedycert import _prune
 
 from oracles import (coherence_of_walk_vectors, coherence_per_support, construction_erc_lhs,
                      definite_stacked, flat, grams_of_walk_vectors, partial_erc_pinv,
@@ -583,6 +585,47 @@ def test_prip_exact_solves_bounded_stacks_and_prunes(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * dictionary.BATCH_ELEMENTS * 8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(3, 10), st.data())
+def test_the_facts_prip_exact_prunes_by_hold_on_every_gram_of_the_walk(m, data):
+    # projection only shrinks a block's Gram in the Loewner order, so its top eigenvalue is
+    # at most its unprojected cap (Weyl); a support's bound is at most the least eigenvalue
+    # of each of its blocks (Gershgorin); and the floor hi starts from lies below the result
+    n = data.draw(st.integers(m, m + 8))
+    l = data.draw(st.integers(1, min(m - 1, n - 2, 3)))
+    q = data.draw(st.integers(2, min(n - l, 4)))
+    d = random_dictionary(m, n, seed=data.draw(st.integers(0, 10 ** 6)))
+    tol = 2.0 ** -32 * q * q  # as in prip_exact
+    g0 = d.atoms.T @ d.atoms
+    blocks = np.array(list(combinations(range(n - l), q)))
+    for support, gram in flat(guarantees._projected_grams(d, l)):
+        atoms = np.delete(np.arange(n), support)[blocks]
+        caps = np.linalg.eigvalsh(g0[atoms[:, :, None], atoms[:, None, :]])[:, -1]
+        eig = np.linalg.eigvalsh(gram[blocks[:, :, None], blocks[:, None, :]])
+        assert np.all(eig[:, -1] <= caps + tol), support
+        assert _prune._support_bounds(gram[None], q)[0] <= eig[:, 0].min() + tol, support
+    floor, _ = _prune._candidates(d, q, l, tol)
+    assert floor < 1.0 + prip_every_block(d, q, l)[1]
+
+
+def test_prip_exact_lays_out_fewer_pairs_in_rows(monkeypatch):
+    # every pair the row layout holds passes through _undecided: at (3, 2) the plain walk
+    # laid out all 155,040 (support, block) pairs, and at (2, 3) all 155,040 as well
+    d = random_dictionary(12, 20, 0.24, seed=[1, 3, 2])
+    undecided = guarantees._undecided
+    laid = []
+
+    def counted(rows, tails, sides):
+        laid.append(rows.shape[1])
+        return undecided(rows, tails, sides)
+
+    monkeypatch.setattr(guarantees, "_undecided", counted)
+    for (q, l), share in (((3, 2), 0.8), ((2, 3), 0.1)):
+        laid.clear()
+        prip_exact(d, q, l)
+        assert sum(laid) < share * comb(20, l) * comb(20 - l, q), (q, l)
 
 
 # the enumerations walk the supports on Grams, one Schur-complement step per push,
