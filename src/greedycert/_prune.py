@@ -32,20 +32,6 @@ def _likely_lowest(grams: np.ndarray, q: int, live: np.ndarray) -> np.ndarray:
     return guarantees._gather(grams, live, at)
 
 
-def _subsets(n: int, l: int) -> np.ndarray:
-    """Every l-subset of range(n), l >= 1, as a row of a (C(n, l), l) array, in
-    combinations() order: each level extends every row by each atom after its last that
-    leaves room for the atoms still to come."""
-    rows = np.zeros((1, 0), dtype=np.intp)
-    for t in range(l):
-        first = rows[:, -1] + 1 if t else np.zeros(1, dtype=np.intp)
-        count = n - l + t + 1 - first
-        par = np.repeat(np.arange(len(rows)), count)
-        atom = np.arange(len(par)) + np.repeat(first - np.cumsum(count) + count, count)
-        rows = np.column_stack((rows[par], atom))
-    return rows
-
-
 def _pair_index(n: int, l: int, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(support, index) of every pair of a support of l of n atoms and a block of atoms
     `blocks` (rows of atom indices) that does not meet it: the support's place in
@@ -54,7 +40,7 @@ def _pair_index(n: int, l: int, blocks: np.ndarray) -> tuple[np.ndarray, np.ndar
     that order.  An atom's position in a support's rest is its index less the number of
     the support's atoms below it."""
     rest = n - l
-    supports = _subsets(n, l)
+    supports = guarantees._subsets(n, l)
     inside = np.zeros((len(supports), n))  # 1 where the atom is in the support
     inside[np.arange(len(supports))[:, None], supports] = 1.0
     member = np.zeros((n, len(blocks)))  # 1 where the atom is in the block

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .dictionary import (_check_kl, _fmt, _json, _write_text, as_support, check_support,
+from .dictionary import (_check_kl, _fmt, _json, _read_text, _write_text, check_support,
                          coherence, load_dictionary, load_vector, make_instance, save_vector,
                          spark)
 from .errors import CalibrationFailed, GreedyCertError, InvalidArgs, OutOfDomain, RankDeficient
@@ -85,7 +85,7 @@ def cmd_run(args) -> int:
     else:
         y = load_vector(args.y)
     if args.truth is not None:
-        truth = check_support(d, as_support(_parse_indices(args.truth)))
+        truth = check_support(d, _parse_indices(args.truth))
     seed_support = _parse_indices(args.seed_support) if args.seed_support else None
     trace = run(args.variant, d, y, args.k, seed_support=seed_support)
     outcome = classify(trace, truth) if truth is not None else None
@@ -167,8 +167,7 @@ def cmd_worstcase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    raw = json.loads(_read_text(args.config))
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     config = SweepConfig.from_dict(raw)

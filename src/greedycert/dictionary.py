@@ -106,7 +106,9 @@ def as_support(value) -> Support:
     return Support(tuple(value))
 
 
-def check_support(d: Dictionary, support: Support) -> Support:
+def check_support(d: Dictionary, support) -> Support:
+    """as_support(support), every index of which must be below d.n."""
+    support = as_support(support)
     if len(support) and max(support) >= d.n:
         raise InvalidArgs(f"support index {max(support)} out of range for n={d.n}")
     return support
@@ -136,7 +138,7 @@ def make_instance(d: Dictionary, support, coefficients) -> SparseInstance:
     -------
     SparseInstance
     """
-    sup = check_support(d, as_support(support))
+    sup = check_support(d, support)
     c = _real_array(coefficients, "coefficients")
     if c.shape != (len(sup),):
         raise InvalidArgs(f"expected {len(sup)} coefficients, got shape {c.shape}")
@@ -626,6 +628,16 @@ def _write_text(path, text: str, end: str = "") -> None:
         fh.truncate()
 
 
+def _read_text(path) -> str:
+    """The text of the file at path, as `open(path).read()` gives it: the package's one
+    reader.  A file that does not decode raises InvalidArgs that names it."""
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgs(f"{path}: {exc}") from None
+
+
 def save_dictionary(d: Dictionary, path) -> None:
     """Write the matrix as plain CSV, one row per line, 17 significant digits."""
     _write_text(path, _csv_lines(d.atoms), "\n")
@@ -640,15 +652,14 @@ def load_dictionary(path) -> tuple[Dictionary, bool]:
     rejected.
     """
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(list(map(float, line.split(","))))
-            except ValueError as exc:
-                raise InvalidArgs(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append(list(map(float, line.split(","))))
+        except ValueError as exc:
+            raise InvalidArgs(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise InvalidArgs(f"{path}: empty dictionary file")
     width = len(rows[0])
@@ -681,10 +692,7 @@ def save_vector(v: np.ndarray, path) -> None:
 
 def load_vector(path) -> np.ndarray:
     """Read a vector: values separated by newlines and/or commas."""
-    toks = []
-    with open(path) as fh:
-        for line in fh:
-            toks.extend(t for t in line.replace(",", " ").split() if t)
+    toks = _read_text(path).replace(",", " ").split()
     try:
         v = np.asarray([float(t) for t in toks], dtype=float)
     except ValueError as exc:

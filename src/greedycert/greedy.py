@@ -246,7 +246,7 @@ def select_atom(variant, d: Dictionary, support, res) -> tuple[int, float, bool]
     ZeroResidual when the residual norm is at or below RESIDUAL_TOL.
     """
     variant = as_variant(variant)
-    sup = check_support(d, as_support(support))
+    sup = check_support(d, support)
     if len(sup) == d.n:
         raise InvalidArgs(f"the support holds all {d.n} atoms; none is left to select")
     res = _check_vector(d, res)
@@ -327,7 +327,7 @@ def run(variant, d: Dictionary, y, k: int, seed_support=None) -> GreedyTrace:
     if k > d.n:
         raise InvalidArgs(f"cannot select k={k} distinct atoms out of n={d.n}")
     try:
-        seed = check_support(d, as_support(seed_support if seed_support is not None else ()))
+        seed = check_support(d, seed_support if seed_support is not None else ())
     except InvalidArgs as exc:
         raise InvalidSeed(str(exc)) from None
     if len(seed) >= k:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dictionary
 from .dictionary import (RANK_SV_TOL, Dictionary, _check_kl, _check_real, _index, _nonnegative,
-                         _off_diagonal_max, _real_array, as_support, check_support)
+                         _off_diagonal_max, _real_array, check_support)
 from .errors import CapExceeded, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import SolverVariant, as_variant
 from .projection import _divisor, project_atoms
@@ -100,7 +100,7 @@ def tropp_erc(d: Dictionary, qstar) -> ErcReport:
     the classical sufficient (and worst-case necessary) condition for greedy
     pursuit to stay inside the support.
     """
-    qs = check_support(d, as_support(qstar))
+    qs = check_support(d, qstar)
     if len(qs) == 0:
         raise InvalidArgs("planted support must be non-empty")
     return _erc(d.atoms[:, qs.array()], d.atoms, qs, "planted sub-dictionary", None, None)
@@ -115,8 +115,8 @@ def partial_erc(variant, d: Dictionary, q, qstar) -> ErcReport:
     outside atom can outscore the remaining planted ones at this point.
     """
     variant = as_variant(variant)
-    qs = check_support(d, as_support(qstar))
-    qq = check_support(d, as_support(q))
+    qs = check_support(d, qstar)
+    qq = check_support(d, q)
     if not set(qq.indices) < set(qs.indices):
         raise InvalidArgs("q must be a proper subset of qstar")
     fam = project_atoms(d, qq, normalize=variant is SolverVariant.OLS)
@@ -246,6 +246,14 @@ def _projected_grams(d: Dictionary, l: int):
         yield from step([()], (d.atoms.T @ d.atoms)[None], np.ones(1))
 
 
+def _subsets(n: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n) as a row of a (C(n, size), size) array, in
+    combinations() order."""
+    count = math.comb(n, size)
+    return np.fromiter(chain.from_iterable(combinations(range(n), size)), dtype=np.intp,
+                       count=count * size).reshape(count, size)
+
+
 @lru_cache(maxsize=32)
 def _block_table(rest: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Read-only (blocks, lower, incidence, tails), the row layout prip_exact prunes
@@ -261,8 +269,7 @@ def _block_table(rest: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     call takes the table of its supports' rest and, when it prunes, those of all n atoms
     and of one block: the certify benchmark's six orders on its two dictionary shapes
     take 16 tables."""
-    blocks = np.fromiter(chain.from_iterable(combinations(range(rest), q)), dtype=np.intp,
-                         count=math.comb(rest, q) * q).reshape(-1, q)
+    blocks = _subsets(rest, q)
     ij = np.array([(i, i) for i in range(q)]  # the (i, j) of each row
                   + [(i, j) for j in range(q) for i in range(j + 1, q)], dtype=np.intp)
     lower = (blocks[:, ij[:, 0]] * rest + blocks[:, ij[:, 1]]).T.copy()
@@ -543,9 +550,9 @@ def cross_gram_bound_check(d: Dictionary, q, qp, qpp, u, mu_l: float | None = No
     len(q) for the raw-projection family.  Returns (lhs, rhs); pass a
     precomputed mu_l to skip the enumeration.
     """
-    qs = check_support(d, as_support(q))
-    a = check_support(d, as_support(qp))
-    b = check_support(d, as_support(qpp))
+    qs = check_support(d, q)
+    a = check_support(d, qp)
+    b = check_support(d, qpp)
     if set(a.indices) & set(b.indices):
         raise InvalidArgs("the two blocks must be disjoint")
     if len(a) == 0 or len(b) == 0:

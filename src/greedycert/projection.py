@@ -14,8 +14,7 @@ Gram is normalized.
 
 import numpy as np
 
-from .dictionary import (RANK_SV_TOL, Dictionary, _check_square_norm, _real_array, as_support,
-                         check_support)
+from .dictionary import RANK_SV_TOL, Dictionary, _check_square_norm, _real_array, check_support
 from .errors import InvalidArgs, RankDeficient
 
 VANISH_TOL = 1e-10  # projected atoms with norm at or below this are treated as gone
@@ -80,7 +79,7 @@ def residual(d: Dictionary, support, y) -> np.ndarray:
     An empty support returns y unchanged.  Raises RankDeficient when the
     selected atoms are numerically dependent.
     """
-    sup = check_support(d, as_support(support))
+    sup = check_support(d, support)
     y = _check_vector(d, y)
     basis = _span(d, sup)
     return y - basis @ (basis.T @ y)
@@ -92,7 +91,7 @@ def least_squares(d: Dictionary, support, y) -> np.ndarray:
     Returned in support order.  The implied residual y - A c matches
     residual(d, support, y) to within 1e-10.
     """
-    sup = check_support(d, as_support(support))
+    sup = check_support(d, support)
     y = _check_vector(d, y)
     _span(d, sup)  # rank gate
     return np.linalg.lstsq(d.atoms[:, sup.array()], y, rcond=None)[0]
@@ -114,7 +113,7 @@ def project_atoms(d: Dictionary, support, normalize: bool = False) -> np.ndarray
     RankDeficient when the support atoms are dependent (the projector would be
     ill-defined).
     """
-    sup = check_support(d, as_support(support))
+    sup = check_support(d, support)
     basis = _span(d, sup)
     projected = d.atoms - basis @ (basis.T @ d.atoms)
     projected[:, list(sup)] = 0.0

@@ -183,7 +183,7 @@ def reach_input(d: Dictionary, q, variant) -> tuple[np.ndarray, tuple[float, ...
     Raises CalibrationFailed when some scale finds no acceptance in HALVING_STEPS.
     """
     variant = as_variant(variant)
-    sup = check_support(d, as_support(q))
+    sup = check_support(d, q)
     if len(sup) > d.n - 2:
         raise InvalidArgs(f"prefix of size {len(sup)} exceeds n-2 = {d.n - 2}")
     base, steps = _reach(d, sup.indices)
@@ -201,7 +201,7 @@ def dual_representation(d: Dictionary, q, variant) -> tuple[np.ndarray, Support,
     is orthogonal to the span of the q atoms.
     """
     variant = as_variant(variant)
-    sup = check_support(d, as_support(q))
+    sup = check_support(d, q)
     rest = [i for i in range(d.n) if i not in sup]
     if not rest:
         raise InvalidArgs("complement of q is empty; no atom is left to split")

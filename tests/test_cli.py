@@ -17,6 +17,9 @@ from greedycert import (Dictionary, build_scenario, build_worst_case, load_dicti
 from greedycert import cli
 from greedycert.cli import main
 from greedycert.errors import CalibrationFailed, CapExceeded, RankDeficient
+from greedycert.sweep import THRESHOLD_SAFETY
+
+from oracles import grams_of_walk_vectors, prip_every_block
 
 
 @pytest.fixture
@@ -33,6 +36,18 @@ def ortho_dict(tmp_path):
     return str(path)
 
 
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def _strict_json(text: str):
+    """The data of a text laid out as json.dumps(..., indent=2) writes it, with its
+    newline, and free of NaN and Infinity, which RFC 8259 JSON does not have."""
+    data = json.loads(text, parse_constant=_refuse)
+    assert text == json.dumps(data, indent=2) + "\n"
+    return data
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["run", "--dict", "x.csv"]) == 1  # missing required flags
@@ -46,6 +61,17 @@ def test_missing_file_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["coherence", "--dict"], ["run", "--k", "1", "--y"],
+                                  ["sweep", "--config"]], ids=["dict", "y", "config"])
+def test_a_file_that_is_not_text_exits_1(wc_dict, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    dictionary = ["--dict", wc_dict] if argv[0] == "run" else []
+    assert main(argv + [str(bad)] + dictionary) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -55,7 +81,7 @@ def test_version_flag(capsys):
 
 def test_coherence_command(wc_dict, capsys):
     assert main(["coherence", "--dict", wc_dict, "--spark"]) == 0
-    blob = json.loads(capsys.readouterr().out)
+    blob = _strict_json(capsys.readouterr().out)
     assert blob["m"] == 5 and blob["n"] == 6
     assert blob["coherence"] == pytest.approx(0.2, abs=1e-10)
     assert blob["spark"] == 6
@@ -71,7 +97,7 @@ def test_coherence_of_a_csv_with_a_column_far_from_unit_norm(tmp_path, capsys, s
     path.write_text(f"{scale},0\n{scale},1\n")
     assert main(["coherence", "--dict", str(path)]) == 0
     out, err = capsys.readouterr()
-    assert json.loads(out)["coherence"] == pytest.approx(2 ** -0.5, abs=1e-15)
+    assert _strict_json(out)["coherence"] == pytest.approx(2 ** -0.5, abs=1e-15)
     assert err == f"warning: {path}: columns were re-normalized to unit length\n"
 
 
@@ -191,6 +217,16 @@ def test_certify_satisfied_exits_0(ortho_dict, capsys):
     assert blob["l"] == 1
 
 
+def test_certify_ols_on_the_readme_dictionary_exits_0(tmp_path, capsys):
+    # the normalized projected family, whose partial test holds with lhs 1 - 2^-53: by
+    # rounding, as the exact value is 1
+    path = tmp_path / "wc31.csv"
+    save_dictionary(build_worst_case(3, 1), path)
+    assert main(["certify", "--dict", str(path), "--qstar", "0,3,4", "--q", "0",
+                 "--variant", "ols"]) == 0
+    assert _strict_json(capsys.readouterr().out)["conditions"]["partial_erc_satisfied"] is True
+
+
 def test_certify_rank_deficiency_exits_3(tmp_path, capsys):
     a = np.eye(4)[:, [0, 0, 1, 2]]
     path = tmp_path / "dup.csv"
@@ -209,7 +245,7 @@ def test_worstcase_command(tmp_path, capsys):
     d, renorm = load_dictionary(out / "dictionary.csv")
     assert not renorm and d.n == 5
     y = load_vector(out / "y.csv")
-    blob = json.loads((out / "scenario.json").read_text())
+    blob = _strict_json((out / "scenario.json").read_text())
     assert blob["reproduced"] is True
     assert blob["replay"]["outcome"]["kind"] == "tie_with_wrong_atom"
     assert np.allclose(y, blob["y"])
@@ -228,17 +264,22 @@ def test_worstcase_dictionary_file_keeps_its_bytes(tmp_path, capsys, k, l, varia
 
 SMALL_WORST_CASES = [(k, l, variant) for k in range(1, 12) for l in range(k) if 2 * k - l <= 12
                      for variant in ("omp", "ols")]
+# the cap, 2k-l = 64; l = 0, where the mixing scale is the only calibration step; and long
+# prefixes, whose closed-form coefficients keep the tie at iteration l exact
+LARGE_WORST_CASES = [(k, l, variant) for k, l in ((40, 16), (20, 0), (8, 0), (26, 25), (34, 32))
+                     for variant in ("omp", "ols")]
 
 
 def test_run_on_the_written_worstcase_files_prints_its_replay(tmp_path, capsys):
     # the dictionary the replay pursued and the one run loads from dictionary.csv hold the
     # same atoms in the same layout: run prints the replay's bytes
     assert len(SMALL_WORST_CASES) == 72
-    for k, l, variant in SMALL_WORST_CASES:
+    for k, l, variant in SMALL_WORST_CASES + LARGE_WORST_CASES:
         out = tmp_path / f"{k}-{l}-{variant}"
         assert main(["worstcase", "--k", str(k), "--l", str(l), "--variant", variant,
                      "--out", str(out)]) == 0
-        blob = json.loads((out / "scenario.json").read_text())
+        blob = _strict_json((out / "scenario.json").read_text())
+        assert blob["reproduced"] is True
         capsys.readouterr()
         assert main(["run", "--dict", str(out / "dictionary.csv"), "--y", str(out / "y.csv"),
                      "--variant", variant, "--k", str(k),
@@ -273,8 +314,12 @@ def test_worstcase_into_a_directory_named_like_its_file_exits_1(tmp_path, capsys
 def test_worstcase_rejects_bad_shape(tmp_path, capsys):
     assert main(["worstcase", "--k", "2", "--l", "2", "--variant", "ols",
                  "--out", str(tmp_path / "x")]) == 1
-    assert main(["worstcase", "--k", "40", "--l", "0", "--variant", "omp",
-                 "--out", str(tmp_path / "x")]) == 1
+    for k, l in ((41, 16), (40, 0)):  # past the cap of LARGE_WORST_CASES
+        capsys.readouterr()
+        assert main(["worstcase", "--k", str(k), "--l", str(l), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: 2k-l = {2 * k - l} exceeds the supported cap of 64\n")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("exc,line,code", [
@@ -334,13 +379,6 @@ def test_sweep_rewrites_a_larger_report_to_the_bytes_of_a_fresh_directory(tmp_pa
     assert all(len(larger[name]) > len(blob) for name, blob in _written(fresh, SWEEP_FILES).items())
 
 
-def _strict_json(text: str):
-    """json.loads that refuses NaN and Infinity, which RFC 8259 JSON does not have."""
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
-    return json.loads(text, parse_constant=refuse)
-
-
 def test_sweep_json_of_an_unreachable_cell_is_strict_json(tmp_path, capsys):
     cfg = dict(m=6, n=12, k_range=[2, 2], l_range=[0, 0], trials=3, coherence_target=0.05,
                seed=1, variant="both")  # 0.05 is below the Welch bound of 6 x 12
@@ -357,6 +395,41 @@ def test_sweep_json_of_an_unreachable_cell_is_strict_json(tmp_path, capsys):
         assert cell["mu_max"] is None
     assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == [
         "omp,2,0,nan,0.33333333333333331,nan,nan", "ols,2,0,nan,0.33333333333333331,nan,nan"]
+
+
+def _sweep_cells(tmp_path, capsys, config):
+    """The cells of the sweep.json that the sweep command writes for config."""
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    return _strict_json((tmp_path / "sweep.json").read_text())["cells"]
+
+
+# gap: how far below its target, relatively, a cell's mean coherence may sit
+@pytest.mark.parametrize("config, gap", [
+    (dict(m=8, n=10, k_range=[2, 3], l_range=[0, 1], trials=5), 1.0),  # some shrink the Gram
+    # the benchmark's slowest shrinkage cell, and its square cells, whose blends are
+    # searched to a relative 1e-5 below the target
+    (dict(m=16, n=20, k_range=[4, 4], l_range=[0, 0], trials=20, seed=7), 1.0),
+    (dict(m=16, n=16, k_range=[2, 5], l_range=[0, 4], trials=20, seed=7), 1e-5),
+], ids=["8x10", "16x20", "16x16"])
+def test_threshold_sweeps_accept_every_trial_below_the_threshold(tmp_path, capsys, config, gap):
+    cells = _sweep_cells(tmp_path, capsys,
+                         {**config, "coherence_target": "threshold", "seed_partial": True})
+    assert cells and all(c["accepted"] == c["requested"] for c in cells)
+    assert all(c["mu_max"] < c["threshold"] for c in cells)
+    assert all(c["mu_mean"] >= (1 - THRESHOLD_SAFETY) * c["threshold"] * (1 - gap) for c in cells)
+
+
+def test_gaussian_sweep_counts_every_trial_once_and_some_fail(tmp_path, capsys):
+    # the outcomes of an unseeded sweep with no target turn on each trial's support and
+    # coefficients
+    cells = _sweep_cells(tmp_path, capsys, dict(m=8, n=16, k_range=[2, 4], l_range=[0, 1],
+                                                trials=20, coherence_target=None))
+    assert cells and all(c["successes"] + c["wrong_atoms"] + c["wrong_ties"] + c["early_stops"]
+                         == c["accepted"] == c["requested"] for c in cells)
+    assert any(c["success_rate"] < 1 for c in cells)
+
 
 def test_sweep_seed_override(tmp_path, capsys):
     cfg = dict(m=8, n=8, k_range=[2, 2], l_range=[0, 0], trials=2,
@@ -523,6 +596,24 @@ def test_prip_command(wc_dict, capsys):
     assert main(["prip", "--dict", wc_dict, "--q", "9", "--l", "1"]) == 1
 
 
+@pytest.mark.parametrize("make, q, l", [
+    # 120 supports of 364 blocks, which prip_exact walks in several chunks through the
+    # row layout: on this equiangular dictionary every block is a candidate, no prune pays
+    (lambda: build_worst_case(8, 0), 3, 2),
+    # a certify-shaped 12 x 20 dictionary: blocks of 3 after 2 atoms, and blocks of one
+    # atom, whose row layout has no off-diagonal rows
+    (lambda: random_dictionary(12, 20, 0.24, seed=[1, 3, 2]), 3, 2),
+    (lambda: random_dictionary(12, 20, 0.24, seed=[1, 3, 2]), 1, 0),
+], ids=["worst case 8-0", "12x20 3-2", "12x20 1-0"])
+def test_prip_prints_the_constants_of_every_block(tmp_path, capsys, make, q, l):
+    d = make()
+    save_dictionary(d, tmp_path / "d.csv")
+    assert main(["prip", "--dict", str(tmp_path / "d.csv"), "--q", str(q), "--l", str(l)]) == 0
+    exact = _strict_json(capsys.readouterr().out)["exact"]
+    want = prip_every_block(d, q, l, grams_of_walk_vectors)  # vectors, not the Gram walk
+    assert (exact["lower"], exact["upper"]) == pytest.approx(want, abs=1e-12)
+
+
 def test_prip_reports_no_coherence_bound_at_coherence_one(tmp_path, capsys):
     # two equal atoms: the exact constants exist, the closed form needs mu < 1
     path = tmp_path / "dup.csv"
@@ -659,11 +750,17 @@ def test_readme_worstcase_and_run_examples_are_pinned(tmp_path, capsys, monkeypa
 
 
 def test_console_script_installed(tmp_path):
-    # one end-to-end check through the real entry point
+    # through the real entry point, exit 0, and exit 3, which no uncaught exception gives
     proc = subprocess.run([sys.executable, "-m", "greedycert.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "greedycert" in proc.stdout
+    (tmp_path / "dup.csv").write_text("1,1,0\n0,0,1\n")
+    proc = subprocess.run([sys.executable, "-m", "greedycert.cli", "certify", "--dict",
+                           str(tmp_path / "dup.csv"), "--qstar", "0,1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "rank deficiency: planted sub-dictionary is numerically rank deficient\n"
 
 
 # a fuzz of main over all six subcommands on small generated files: every call returns
@@ -673,10 +770,6 @@ def test_console_script_installed(tmp_path):
 _NUMBERS = st.one_of(st.floats(-2.0, 2.0).map(repr),
                      st.sampled_from(["0", "1e-300", "1e200", "nan", "inf", "x", ""]))
 _PREFIXES = {1: ("usage error: ", "error: "), 3: ("rank deficiency: ",)}
-
-
-def _refuse(constant):
-    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 def _mostly(valid, invalid):
@@ -775,4 +868,4 @@ def test_main_returns_a_documented_code_on_generated_input(data):
     json_mode = argv[0] == "run" or (argv[0] in ("certify", "prip", "coherence")
                                      and argv[-2:] != ["--format", "csv"])
     if code in (0, 2) and json_mode:
-        json.loads(out.getvalue(), parse_constant=_refuse)
+        _strict_json(out.getvalue())

@@ -166,6 +166,10 @@ def test_spark_full_rank_and_shortcuts():
     # worst-case construction: every n-1 columns independent, all n dependent
     d = build_worst_case(3, 1)
     assert spark(d) == d.n
+    # a two-dimensional null space, whose dependent pair the subset enumeration finds
+    assert spark(Dictionary(np.eye(3)[:, [0, 0, 1, 1, 2]])) == 2
+    # a generic 3 x 6 dictionary has no dependent set of 3 atoms
+    assert spark(random_dictionary(3, 6, seed=0)) == 4
 
 
 def test_spark_matches_bruteforce():

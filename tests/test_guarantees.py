@@ -450,9 +450,10 @@ def test_prip_exact_gives_the_bits_of_every_block(source):
     assert_prip_bits(d, PRIP_ORDERS + (((5, 0),) if d.n == 20 else ((4, 2),)))
 
 
-@pytest.mark.parametrize("k, l", [(2, 0), (3, 0), (3, 1), (4, 2), (5, 3), (5, 0), (6, 2)])
+@pytest.mark.parametrize("k, l", [(2, 0), (3, 0), (3, 1), (4, 2), (5, 3), (5, 0), (6, 2), (8, 0)])
 def test_prip_exact_gives_the_bits_of_every_block_on_worst_cases(k, l):
-    # equal off-diagonal magnitudes: many blocks share their Gershgorin bounds
+    # equal off-diagonal magnitudes: many blocks share their Gershgorin bounds; on
+    # (8, 0), (3, 2) walks 120 supports in several chunks, and no prune pays
     d = build_worst_case(k, l)
     assert_prip_bits(d, [(q, s) for q, s in PRIP_ORDERS + ((1, 2), (d.n - 2, 2))
                          if s + q <= d.n and s < d.m])
