@@ -167,7 +167,10 @@ def cmd_worstcase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = json.loads(_read_text(args.config))
+    try:
+        raw = json.loads(_read_text(args.config))
+    except json.JSONDecodeError as exc:
+        raise InvalidArgs(f"{args.config}: {exc}") from None
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     config = SweepConfig.from_dict(raw)
@@ -267,7 +270,7 @@ _EXIT_CODES = (
     ((_UsageError,), "usage error", 1),
     ((RankDeficient,), "rank deficiency", 3),
     ((CalibrationFailed,), "calibration failed", 4),
-    ((GreedyCertError, OSError, json.JSONDecodeError), "error", 1),
+    ((GreedyCertError, OSError), "error", 1),
 )
 _HANDLED = tuple(t for types, _, _ in _EXIT_CODES for t in types)
 

@@ -13,9 +13,9 @@ The state takes an optional leading axis of rows, so that the trials of a
 sweep cell, each on its own dictionary, run as one stack of pursuits; `run`
 and `select_atom` use it without that axis, which keeps a single pursuit's
 per-step call overhead down.  Each row of a stack gets the bits of a pursuit
-of its own.  A worst-case scenario's calibrations share one pursuit's basis and
-squared norms between all their candidate inputs, which must select prefixes of
-the same atoms, and score them by the same rule (_scores) and margin (_margins).
+of its own.  A worst-case calibration shares one pursuit's basis and squared
+norms between all its candidate inputs, which must select the same prefix, and
+scores them by the same rule (_scores) and margin (_margins).
 Ties are broken toward the lowest atom index and flagged, since a tie
 involving an atom outside the planted support already dooms exact recovery
 under a pessimistic adversary.

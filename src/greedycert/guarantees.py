@@ -240,10 +240,7 @@ def _projected_grams(d: Dictionary, l: int):
             for a, b in zip(cuts, cuts[1:]):
                 yield from step(kids[a:b], children[a:b], p[a:b], ok[a:b])
 
-    if l == 0:
-        yield [()], (d.atoms.T @ d.atoms)[None]
-    else:
-        yield from step([()], (d.atoms.T @ d.atoms)[None], np.ones(1))
+    yield from step([()], (d.atoms.T @ d.atoms)[None], np.ones(1))
 
 
 def _subsets(n: int, size: int) -> np.ndarray:

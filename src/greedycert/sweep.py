@@ -128,8 +128,8 @@ class SweepConfig:
 @dataclass
 class CellResult:
     """Aggregated counts for one (variant, k, l) cell.  A cell that accepted no trial is
-    skipped, and its skip_reason is SKIP_BELOW_WELCH, SKIP_UNREACHED (n > m),
-    SKIP_ROUNDING (n <= m) or SKIP_DROPPED."""
+    skipped: its skip_reason is SKIP_BELOW_WELCH, SKIP_UNREACHED (n > m), SKIP_ROUNDING
+    (n <= m) or SKIP_DROPPED, and skipped reads whether it has one."""
 
     variant: str
     k: int
@@ -143,8 +143,11 @@ class CellResult:
     early_stops: int = 0
     mu_sum: float = 0.0
     mu_max: float = 0.0
-    skipped: bool = False
     skip_reason: str | None = None
+
+    @property
+    def skipped(self) -> bool:
+        return self.skip_reason is not None
 
     @property
     def mu_mean(self) -> float:
@@ -208,7 +211,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         for v in variants:
             cells.append(CellResult(  # the counts of _KINDS fill successes .. early_stops
                 v, k, l, coherence_threshold(k, l), config.trials, accepted, *counts[v].tolist(),
-                mu_sum, mu_max, skipped=reason is not None, skip_reason=reason))
+                mu_sum, mu_max, skip_reason=reason))
     return SweepReport(config=config, cells=tuple(cells))
 
 

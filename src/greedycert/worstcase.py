@@ -10,13 +10,14 @@ remaining atom score identically.  The prefix part of that input is solved in
 closed form, one level at a time (_prefix_coefficients): after any t atoms are
 projected out the rest of the construction is again equiangular, so every score
 of a prefix level is affine in one coefficient.  Only the mixing scale is
-calibrated, by repeated halving; the calibration loop also walks a pursuit
-through a prefix on any dictionary (reach_input), one scale per atom, as steps
-that share one pursuit, which pushes each prefix atom once.  A candidate's
-residual at each prefix level, and its correlations with the atoms, are affine
-in its scale: a step projects its input and its direction once, and scores a
-stack of candidate scales at every level in one pass (after the correlation
-updates of Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).
+calibrated, by repeated halving, in one call of the calibration loop (_calibrate);
+reach_input walks a pursuit through a prefix on any dictionary with one call per
+atom, each from the input the call before it reached.  A call calibrates one scale:
+a candidate's residual at each prefix level, and its correlations with the atoms, are
+affine in its scale, so a call pushes the prefix atoms but the last once, projects
+its input and its direction once, and scores a stack of candidate scales at every
+level in one pass (after the correlation updates of Batch-OMP; Rubinstein,
+Zibulevsky, Elad 2008).
 """
 
 from dataclasses import dataclass
@@ -107,88 +108,76 @@ def _prefix_coefficients(k: int, l: int) -> np.ndarray:
     return c / np.abs(c).max(initial=1.0)  # c_{l-1} = 1: the initial only serves l = 0
 
 
-def _calibrate(variant, d: Dictionary, base, order, steps) -> tuple[list, list]:
-    """From base, each step (direction, length, what) adds direction times the first of the
-    scales 1, 1/2, 1/4, ... at which the input reproduces order[:length]; returns the
-    inputs before and after each step, and the scales.
+def _calibrate(variant, d: Dictionary, base, direction, prefix, what: str) -> float:
+    """The first of the scales 1, 1/2, 1/4, ... at which the input base + scale * direction
+    reproduces prefix; CalibrationFailed names what after HALVING_STEPS of them.
 
     A scale is accepted when a pursuit from that input selects exactly the prefix, each
     time before its residual norm falls to RESIDUAL_TOL and with a positive score and a
     margin (_margins) of MARGIN_FACTOR * TIE_REL_TOL over every other atom; an empty
-    prefix takes scale 1.  One pursuit from the zero vector serves every step, as all
-    prefixes are prefixes of order; a step first pushes the prefix atoms before its last
-    one that no earlier step pushed.  A candidate's residual at prefix level t is affine
-    in its scale, P_t (x + eps d) = P_t x + eps P_t d, and so are its correlations with
-    the atoms.  So a step projects its input x and its direction d at every level, and
-    takes one product of those projections with the atoms.  It then tries
-    CALIBRATION_STACK scales at once, then twice as many, and so on: a stack forms the
-    residual vectors of all its scales at all levels (their norms are taken from the
-    vectors, never as |y|^2 minus squared correlations) and their correlations, scores
-    them with each level's squared projected norms, and checks every level in one pass."""
+    prefix takes scale 1.  One pursuit from the zero vector pushes the prefix atoms before
+    the last.  A candidate's residual at prefix level t is affine in its scale,
+    P_t (x + eps d) = P_t x + eps P_t d, and so are its correlations with the atoms.  So
+    the input x and the direction d are projected at every level, and those projections
+    take one product with the atoms.  The loop then tries CALIBRATION_STACK scales at
+    once, then twice as many, and so on: a stack forms the residual vectors of all its
+    scales at all levels (their norms are taken from the vectors, never as |y|^2 minus
+    squared correlations) and their correlations, scores them with each level's squared
+    projected norms, and checks every level in one pass."""
     variant = as_variant(variant)
-    shared = _Pursuit(d.atoms, 0.0, len(order))
+    length = len(prefix)
+    if not length:  # every input reproduces an empty prefix
+        return 1.0
+    pursuit = _Pursuit(d.atoms, 0.0, length)
     # per level t: the basis vector t - 1 it projects away (zero at level 0), and the
     # squared projected norms after it
-    basis, sqs = np.zeros((len(order) + 1, d.m)), np.empty((len(order) + 1, d.n))
-    sqs[0] = shared.sq
+    basis, sq = np.zeros((length, d.m)), np.empty((length, d.n))
+    sq[0] = pursuit.sq
+    for t in range(1, length):
+        pursuit.push(prefix[t - 1])
+        basis[t], sq[t] = pursuit.basis[:, t - 1], pursuit.sq
+    # the input x and the direction d at every level (each minus its components along the
+    # basis vectors before that level), and their correlations with the atoms
+    pair = np.array((base, direction))
+    proj = pair[:, None] - np.add.accumulate((pair @ basis.T)[..., None] * basis, axis=1)
+    (x, dx), (cx, cdx) = proj, proj @ d.atoms
     halvings = np.ldexp(1.0, -np.arange(HALVING_STEPS))
-    inputs, scales = [base], []
-    for direction, length, what in steps:
-        if not length:  # every input reproduces an empty prefix
-            scales.append(1.0)
-            inputs.append(inputs[-1] + direction)
-            continue
-        while shared.t + 1 < length:
-            shared.push(order[shared.t])
-            basis[shared.t], sqs[shared.t] = shared.basis[:, shared.t - 1], shared.sq
-        # the input x and the direction d at every level (each minus its components along
-        # the basis vectors before that level), and their correlations with the atoms
-        pair, q = np.array((inputs[-1], direction)), basis[:length]
-        proj = pair[:, None] - np.add.accumulate((pair @ q.T)[..., None] * q, axis=1)
-        (x, dx), (cx, cdx) = proj, proj @ d.atoms
-        sq, picks = sqs[:length], order[:length]
-        start = 0
-        while start < HALVING_STEPS:
-            end = min(2 * start + CALIBRATION_STACK, HALVING_STEPS)
-            eps = halvings[start:end, None, None]
-            res = x + eps * dx  # (scale, level, m), with the correlations cx + eps * cdx
-            ok = ((np.sqrt(np.einsum("slm,slm->sl", res, res)) > RESIDUAL_TOL)
-                  & (_margins(_scores(variant, cx + eps * cdx, sq), picks)
-                     >= MARGIN_FACTOR * TIE_REL_TOL)).all(axis=1)
-            if ok.any():
-                break  # the first scale that passes every level reproduces the prefix
-            start = end
-        else:
-            raise CalibrationFailed(f"could not calibrate {what} after {HALVING_STEPS} halvings")
-        scales.append(float(halvings[start + ok.argmax()]))
-        inputs.append(inputs[-1] + scales[-1] * direction)
-    return inputs, scales
-
-
-def _reach(d: Dictionary, order) -> tuple[np.ndarray, list]:
-    """The base and steps of _calibrate that walk a pursuit through order: its first atom
-    (zero for an empty order), then one step per later atom."""
-    base = d.atoms[:, order[0]].copy() if order else np.zeros(d.m)
-    return base, [(d.atoms[:, j], p + 1, f"the scale for prefix atom {j}")
-                  for p, j in enumerate(order) if p]
+    start = 0
+    while start < HALVING_STEPS:
+        end = min(2 * start + CALIBRATION_STACK, HALVING_STEPS)
+        eps = halvings[start:end, None, None]
+        res = x + eps * dx  # (scale, level, m), with the correlations cx + eps * cdx
+        ok = ((np.sqrt(np.einsum("slm,slm->sl", res, res)) > RESIDUAL_TOL)
+              & (_margins(_scores(variant, cx + eps * cdx, sq), prefix)
+                 >= MARGIN_FACTOR * TIE_REL_TOL)).all(axis=1)
+        if ok.any():  # the first scale that passes every level reproduces the prefix
+            return float(halvings[start + ok.argmax()])
+        start = end
+    raise CalibrationFailed(f"could not calibrate {what} after {HALVING_STEPS} halvings")
 
 
 def reach_input(d: Dictionary, q, variant) -> tuple[np.ndarray, tuple[float, ...]]:
     """Input that walks the solver through the atoms of q, in order.
 
     It starts at the first atom and adds each next atom with a scale factor, halved
-    until a run reproduces q up to that atom with strict selections (_calibrate).
-    Works for any q of size up to n - 2 on the symmetric construction.  Returns
-    (input, scale factors for atoms 2..len(q)); an empty q yields the zero vector.
-    Raises CalibrationFailed when some scale finds no acceptance in HALVING_STEPS.
+    until a run reproduces q up to that atom with strict selections: one _calibrate
+    call per atom, from the input the call before it reached.  Works for any q of size
+    up to n - 2 on the symmetric construction.  Returns (input, scale factors for atoms
+    2..len(q)); an empty q yields the zero vector.  Raises CalibrationFailed when some
+    scale finds no acceptance in HALVING_STEPS.
     """
     variant = as_variant(variant)
-    sup = check_support(d, q)
-    if len(sup) > d.n - 2:
-        raise InvalidArgs(f"prefix of size {len(sup)} exceeds n-2 = {d.n - 2}")
-    base, steps = _reach(d, sup.indices)
-    inputs, scales = _calibrate(variant, d, base, sup.indices, steps)
-    return inputs[-1], tuple(scales)
+    order = check_support(d, q).indices
+    if len(order) > d.n - 2:
+        raise InvalidArgs(f"prefix of size {len(order)} exceeds n-2 = {d.n - 2}")
+    y = d.atoms[:, order[0]].copy() if order else np.zeros(d.m)
+    scales = []
+    for p, j in enumerate(order[1:], start=2):
+        atom = d.atoms[:, j]
+        scales.append(_calibrate(variant, d, y, atom, order[:p],
+                                 f"the scale for prefix atom {j}"))
+        y = y + scales[-1] * atom
+    return y, tuple(scales)
 
 
 def dual_representation(d: Dictionary, q, variant) -> tuple[np.ndarray, Support, Support]:
@@ -288,8 +277,8 @@ def build_scenario(k: int, l: int, variant) -> WorstCaseScenario:
 
     coefficients = _prefix_coefficients(k, l)
     y1 = d.atoms[:, :l] @ coefficients
-    (_, y), (eps,) = _calibrate(variant, d, y1, prefix.indices,
-                                [(y2, l, "the mixing scale")])
+    eps = _calibrate(variant, d, y1, y2, prefix.indices, "the mixing scale")
+    y = y1 + eps * y2
 
     gap = float(np.linalg.norm(residual(d, truth, y)))
     if gap > SPAN_TOL * float(np.linalg.norm(y)):

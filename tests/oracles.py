@@ -532,7 +532,6 @@ def sweep_per_trial(config, scratch: bool = False) -> SweepReport:
         for v in variants:
             cell = per_variant[v]
             if cell.accepted == 0:
-                cell.skipped = True
                 cell.skip_reason = (sweep.SKIP_BELOW_WELCH if not reachable else
                                     sweep.SKIP_DROPPED if reached else
                                     sweep.SKIP_UNREACHED if n > m else sweep.SKIP_ROUNDING)
@@ -562,17 +561,6 @@ def calibrate_sequential(variant, d, base, direction, prefix, what: str) -> floa
             return eps
         eps *= 0.5
     raise CalibrationFailed(f"could not calibrate {what} after 80 halvings")
-
-
-def calibrate_chain(variant, d, base, order, steps) -> tuple[list, list]:
-    """`worstcase._calibrate`, one calibrate_sequential call per step (direction, length,
-    what) from the input the steps before it reached."""
-    inputs, scales = [base], []
-    for direction, length, what in steps:
-        scales.append(calibrate_sequential(variant, d, inputs[-1], direction, order[:length],
-                                           what))
-        inputs.append(inputs[-1] + scales[-1] * direction)
-    return inputs, scales
 
 
 # ---- per-element number formatting, the reference for the `.tolist()` forms ---

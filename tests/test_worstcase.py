@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from greedycert import (CalibrationFailed, InvalidArgs, RecoveryOutcome, build_s
 
 from greedycert import cli, greedy, worstcase
 
-from oracles import (EDGE_FLOATS, calibrate_chain, calibrate_sequential,
-                     construction_projected_pair, scenario_dict_per_scalar)
+from oracles import (EDGE_FLOATS, calibrate_sequential, construction_projected_pair,
+                     scenario_dict_per_scalar)
 
 
 PAIRS = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 2), (5, 3)]
@@ -231,7 +232,7 @@ def test_stacked_calibration_matches_one_run_per_scale(monkeypatch, k, l):
     for variant in ("omp", "ols"):
         stacked = build_scenario(k, l, variant)
         with monkeypatch.context() as patch:
-            patch.setattr(worstcase, "_calibrate", calibrate_chain)
+            patch.setattr(worstcase, "_calibrate", calibrate_sequential)
             sequential = build_scenario(k, l, variant)
         assert stacked.prefix_coefficients == sequential.prefix_coefficients
         assert stacked.mix_epsilon == sequential.mix_epsilon
@@ -266,10 +267,7 @@ def test_calibration_margins_reject_ties_close_calls_and_other_selections():
 def _same_calibration(variant, d, base, direction, prefix):
     """_calibrate and the one-run-per-scale oracle give the same scale, or both fail."""
     try:
-        inputs, scales = worstcase._calibrate(variant, d, base, prefix,
-                                              [(direction, len(prefix), "the scale")])
-        got = scales[0]
-        assert inputs[0] is base and inputs[1].tobytes() == (base + got * direction).tobytes()
+        got = worstcase._calibrate(variant, d, base, direction, prefix, "the scale")
     except CalibrationFailed as exc:
         got = str(exc)
     try:
@@ -324,29 +322,28 @@ def test_calibration_matches_one_run_per_scale(data):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_calibration_chains_match_one_run_per_scale(data):
-    # the steps of one _calibrate call share its pursuit and start from the input the
-    # step before them reached: chains of 2 or more atoms, as reach_input walks them
+    # reach_input calls _calibrate once per atom, each from the input the call before it
+    # reached: chains of 2 or more atoms on random dictionaries
     m = data.draw(st.integers(3, 8), label="m")
     d = random_dictionary(m, data.draw(st.integers(max(m, 4), m + 4), label="n"),
                           seed=data.draw(st.integers(0, 99), label="seed"))
     order = data.draw(st.permutations(range(d.n)), label="order")
     longest = min(d.m - 1, d.n - 2)
     order = order[:longest - data.draw(st.integers(0, longest - 2), label="shorter by")]
-    base, steps = worstcase._reach(d, order)
-    if data.draw(st.booleans(), label="mixing step"):  # one more step at the full length
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="rng"))
-        steps.append((rng.standard_normal(d.m), len(order), "the mixing scale"))
     variant = data.draw(st.sampled_from(["omp", "ols"]), label="variant")
     try:
-        got = worstcase._calibrate(variant, d, base, order, steps)
+        got = reach_input(d, order, variant)
     except CalibrationFailed as exc:
-        with pytest.raises(CalibrationFailed) as want:
-            calibrate_chain(variant, d, base, order, steps)
-        assert str(exc) == str(want.value)
-        return
-    inputs, scales = calibrate_chain(variant, d, base, order, steps)
-    assert got[1] == scales
-    assert [x.tobytes() for x in got[0]] == [x.tobytes() for x in inputs]
+        got = str(exc)
+    # hypothesis refuses the function-scoped monkeypatch fixture
+    with mock.patch.object(worstcase, "_calibrate", calibrate_sequential):
+        try:
+            want = reach_input(d, order, variant)
+        except CalibrationFailed as exc:
+            assert got == str(exc)
+            return
+    assert got[1] == want[1]
+    assert got[0].tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize("variant", ["omp", "ols"])
