@@ -1,4 +1,5 @@
-"""prip_exact's prunes by whole supports and by Loewner order (see its docstring).
+"""prip_exact's prunes by whole supports and by Loewner order (see its docstring): the
+setup of its walk (candidate_pairs) and the bounds its one walk loop skips supports by.
 
 The package imports guarantees for every command, and it is compiled from source
 wherever no bytecode is cached; this module is imported by prip_exact only when a call
@@ -50,20 +51,6 @@ def _pair_index(n: int, l: int, blocks: np.ndarray) -> tuple[np.ndarray, np.ndar
     return si, (si * rest * rest)[:, None, None] + at[:, :, None] * rest + at[:, None, :]
 
 
-def _solve_high(lo: float, hi: float, pairs: np.ndarray, table: tuple,
-                tol: float) -> tuple[float, float]:
-    """(lo, hi) widened by every block of a (pairs, q, q) stack that could move hi: their
-    lower triangles laid out as rows, in the row order of table (guarantees._block_table),
-    go through Gershgorin's up bound and the Cholesky test at hi - tol."""
-    _, _, incidence, tails = table
-    q = len(tails)
-    tri = guarantees._block_table(q, q)[1][:, 0]  # the flat lower triangle of a q x q block
-    rows = pairs.reshape(len(pairs), -1).T.take(tri, axis=0)
-    up = guarantees._discs(rows, incidence, q)[1]
-    need = guarantees._undecided(rows, tails, [(up >= hi - tol, hi - tol, -1.0)])
-    return guarantees._widen(lo, hi, pairs[need]) if need.any() else (lo, hi)
-
-
 def _floor(g0: np.ndarray, block: np.ndarray, x: np.ndarray, l: int, tol: float) -> float:
     """A value below the greatest eigenvalue of the Gram of the atoms `block` projected
     against a support S of l atoms outside it, the l least aligned with A_B x: the Schur
@@ -103,31 +90,13 @@ def _candidates(d: Dictionary, q: int, l: int, tol: float) -> tuple[float, np.nd
     return floor, near[caps(near) >= floor - tol]
 
 
-def prune(d: Dictionary, q: int, l: int, walk, table: tuple, supports: int, pieces: list,
-          tol: float) -> tuple[float, float] | None:
-    """The extreme eigenvalues (lo, hi) over every (support, block) pair of the walk
-    (_projected_grams's stacks, not yet started), or None, the walk untouched, where the
-    candidates' pairs would hold more than a quarter of dictionary.BATCH_ELEMENTS entries,
-    as a walk stack does.  table, supports and pieces are prip_exact's row layout and its
-    budget; no pair outside the candidates can reach hi, which starts at floor, below the
-    result."""
-    budget = dictionary.BATCH_ELEMENTS
-    hi, cands = _candidates(d, q, l, tol)
-    if math.comb(d.n, l) * len(cands) * q * q > budget // 4:
+def candidate_pairs(d: Dictionary, q: int, l: int, tol: float
+                    ) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(floor, support, index): the floor hi starts at, below the result (_candidates), and
+    the (support, index) of every pair of a candidate and a support it misses (_pair_index),
+    the only pairs that can reach hi; or None where those pairs would hold more than a
+    quarter of dictionary.BATCH_ELEMENTS entries, as a walk stack does."""
+    floor, cands = _candidates(d, q, l, tol)
+    if math.comb(d.n, l) * len(cands) * q * q > dictionary.BATCH_ELEMENTS // 4:
         return None
-    rest = d.n - l
-    si, index = _pair_index(d.n, l, cands)
-    lo, pending, done = np.inf, [], 0
-    for _, stack in walk:
-        a, b = np.searchsorted(si, (done, done + len(stack)))
-        pending.append(stack.reshape(-1).take(index[a:b] - done * rest * rest))
-        done += len(stack)
-        bound = _support_bounds(stack, q)
-        live = (bound <= lo + tol).nonzero()[0]
-        if len(live):
-            lo, hi = guarantees._widen(lo, hi, _likely_lowest(stack, q, live))
-            live = live[bound[live] <= lo + tol]
-        for s in range(0, len(live), supports):
-            lo, hi = guarantees._solve_rows(lo, hi, stack[live[s:s + supports]], table, pieces,
-                                            tol, high=False)
-    return _solve_high(lo, hi, np.concatenate(pending), table, tol)
+    return floor, *_pair_index(d.n, l, cands)

@@ -15,9 +15,9 @@ import os
 import sys
 
 from . import __version__
-from .dictionary import (_check_kl, _fmt, _json, _read_text, _write_text, check_support,
-                         coherence, load_dictionary, load_vector, make_instance, save_vector,
-                         spark)
+from .dictionary import (_check_kl, _csv_table, _fmt, _json, _read_text, _write_text,
+                         check_support, coherence, load_dictionary, load_vector, make_instance,
+                         save_vector, spark)
 from .errors import CalibrationFailed, GreedyCertError, InvalidArgs, OutOfDomain, RankDeficient
 from .greedy import RecoveryOutcome, classify, run
 from .guarantees import coherence_threshold, partial_erc, prip_coherence_bounds, prip_exact, tropp_erc
@@ -57,12 +57,9 @@ def _parse_instance(text: str) -> tuple[list[int], list[float]]:
 
 
 def _emit(fmt: str, report: dict, head: list, rows: list) -> None:
-    """Print report as indented JSON, or for fmt "csv" the header and the rows,
-    floats in 17 significant digits and every other cell through str."""
+    """Print report as indented JSON, or for fmt "csv" the header and the rows (_csv_table)."""
     if fmt == "csv":
-        print(",".join(head))
-        for row in rows:
-            print(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        print(_csv_table(head, rows), end="")
     else:
         print(_json(report))
 

@@ -614,6 +614,13 @@ def _csv_lines(rows) -> str:
     return "\n".join([line % tuple(row) for row in rows.tolist()])
 
 
+def _csv_table(head: list, rows) -> str:
+    """The header head and then the rows as CSV lines, each ending in a newline: the CLI's
+    CSV tables, floats in `_NUMBER`'s format (_fmt) and every other cell through str."""
+    return "".join(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in [head, *rows])
+
+
 def _write_text(path, text: str, end: str = "") -> None:
     """Write text and then end to path as `open(path, "w")` would, with the same bytes,
     and for a new file the same mode, but rewrite an existing file in place and then cut it

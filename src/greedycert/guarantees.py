@@ -339,9 +339,9 @@ def _gather(grams: np.ndarray, si: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _solve_rows(lo: float, hi: float, grams: np.ndarray, table: tuple, pieces: list,
-                tol: float, high: bool = True) -> tuple[float, float]:
-    """(lo, hi) widened by every block of a chunk of Grams that could move lo, or with high
-    either.  Per piece of blocks, one gather of the flat Gram indices of table
+                tol: float, sides: str = "low high") -> tuple[float, float]:
+    """(lo, hi) widened by every block of a chunk of Grams that could move an extreme named
+    in sides.  Per piece of blocks, one gather of the flat Gram indices of table
     (_block_table) lays the lower triangle of every (support, block) pair out as one
     column; Gershgorin's discs and the Cholesky test rule blocks out, and the rest are
     solved as one stack.  While lo and hi are unset, each support's block with the lowest
@@ -360,10 +360,8 @@ def _solve_rows(lo: float, hi: float, grams: np.ndarray, table: tuple, pieces: l
             at, si = np.divmod(first, width)
             lo, hi = _widen(lo, hi, _gather(grams, si, blocks[piece][at]))
             low[first], up[first] = np.inf, -np.inf  # out of both tests below
-        sides = [(low <= lo + tol, lo + tol, 1.0)]
-        if high:
-            sides.append((up >= hi - tol, hi - tol, -1.0))
-        need = _undecided(rows, tails, sides).nonzero()[0]
+        tests = {"low": (low <= lo + tol, lo + tol, 1.0), "high": (up >= hi - tol, hi - tol, -1.0)}
+        need = _undecided(rows, tails, [tests[side] for side in sides.split()]).nonzero()[0]
         if len(need):
             at, si = np.divmod(need, width)
             lo, hi = _widen(lo, hi, _gather(grams, si, blocks[piece][at]))
@@ -392,18 +390,19 @@ def prip_exact(d: Dictionary, q: int, l: int) -> PripConstants:
     extreme either.  The rest are solved.  While lo and hi are unset, each support's
     block with the lowest low and its block with the highest up are solved first.
 
-    With l >= 1 and more supports than one chunk holds, two prunes come first, and the
-    row layout serves only the low side of the supports they leave (_prune.prune, in a
-    module of its own that is imported, and so compiled, only when a call prunes).
+    With l >= 1 and more supports than one chunk holds, the same walk loop also prunes,
+    and the row layout tests only the low side of the supports it keeps (the setup and the
+    bounds live in _prune, a module that is imported, and so compiled, only when a call
+    prunes).
     - The upper side, by Loewner caps.  Projection only shrinks a block's Gram in the
       positive semidefinite order: B_S = A_B^T (I - P_S) A_B <= A_B^T A_B, so by Weyl's
       monotonicity theorem (Horn and Johnson, Matrix Analysis) its greatest eigenvalue
       is at most the block's cap, the greatest eigenvalue of its unprojected Gram.  hi
       starts at a floor below the result, taken from the top-cap block and a support
-      outside it (_candidates, _floor); only the candidates, the blocks whose cap
-      reaches floor - tol, are gathered, at every support they do not meet
-      (_pair_index), and their pairs go through Gershgorin's up bound and the Cholesky
-      test at hi - tol as one stack after the walk (_solve_high).
+      outside it (_prune.candidate_pairs); only the candidates, the blocks whose cap
+      reaches floor - tol, are gathered as the loop passes each support they do not
+      meet, and after the walk their pairs go through the row layout as one stack of
+      one-block Grams, tested on the high side only.
     - The lower side, by a bound per support.  min_i g_ii - (q - 1) max_{i != j} |g_ij|
       over a support's Gram is at most the low bound of each of its blocks
       (_support_bounds): a support whose bound lies above lo + tol lays out no rows.
@@ -412,7 +411,7 @@ def prip_exact(d: Dictionary, q: int, l: int) -> PripConstants:
       support's least eigenvalue or near it, and those still in reach go through the
       row layout.
     When the unprojected blocks or the candidates' pairs would exceed the budget below,
-    the row layout serves every pair instead.
+    the loop prunes nothing and tests both sides of every pair.
 
     Rounding.  Atoms have unit norm (to UNIT_NORM_TOL) and projection only shortens
     them, so every |g_ij| of a Gram is at most about 1 and the eigenvalues of a block
@@ -467,20 +466,30 @@ def prip_exact(d: Dictionary, q: int, l: int) -> PripConstants:
     step = max(1, budget // (q * q))
     pieces = [slice(i, i + step) for i in range(0, len(table[0]), step)]
     tol = 2.0 ** -32 * q * q  # 2^20 q^2 eps: the rounding argument above
-    lo, hi = np.inf, -np.inf
-    walk = _projected_grams(d, l)
+    lo, hi, pruned, sides = np.inf, -np.inf, None, "low high"
     # the prunes need more than one chunk of supports and the unprojected blocks within
     # the budget; _prune is compiled only when they run
     if l and math.comb(d.n, l) > supports and math.comb(d.n, q) * q * q <= budget:
         from . import _prune
-        extremes = _prune.prune(d, q, l, walk, table, supports, pieces, tol)
-        if extremes is not None:
-            lo, hi = extremes
-            return PripConstants(q=q, l=l, lower=1.0 - lo, upper=hi - 1.0, kind="exact")
-    # one chunk holds every support, or too many blocks are candidates: no prune pays
-    for _, stack in walk:
+        pruned = _prune.candidate_pairs(d, q, l, tol)
+    if pruned is not None:
+        hi, si, index = pruned
+        sides, pending, done = "low", [], 0
+    for _, stack in _projected_grams(d, l):
+        if pruned is not None:
+            a, b = np.searchsorted(si, (done, done + len(stack)))
+            pending.append(stack.reshape(-1).take(index[a:b] - done * rest * rest))
+            done += len(stack)
+            bound = _prune._support_bounds(stack, q)
+            live = (bound <= lo + tol).nonzero()[0]
+            if len(live):
+                lo, hi = _widen(lo, hi, _prune._likely_lowest(stack, q, live))
+            stack = stack[live[bound[live] <= lo + tol]]
         for s in range(0, len(stack), supports):
-            lo, hi = _solve_rows(lo, hi, stack[s:s + supports], table, pieces, tol)
+            lo, hi = _solve_rows(lo, hi, stack[s:s + supports], table, pieces, tol, sides)
+    if pruned is not None:  # the candidates' pairs, one block per Gram, on the high side
+        lo, hi = _solve_rows(lo, hi, np.concatenate(pending).reshape(-1, q, q),
+                             _block_table(q, q), [slice(None)], tol, "high")
     return PripConstants(q=q, l=l, lower=1.0 - lo, upper=hi - 1.0, kind="exact")
 
 

@@ -18,7 +18,7 @@ from operator import add
 
 import numpy as np
 
-from .dictionary import (_batches, _check_shape, _fmt, _grams, _json, _nonnegative,
+from .dictionary import (_batches, _check_shape, _csv_table, _grams, _json, _nonnegative,
                          _off_diagonal_max)
 from .errors import InvalidArgs, TargetUnreachable
 from .greedy import _KINDS, SolverVariant, _outcomes, _pursue
@@ -82,6 +82,8 @@ class SweepConfig:
         _check_shape(self.m, self.n)
         if self.trials < 1:
             raise InvalidArgs("trials must be positive")
+        if isinstance(self.variant, str):
+            object.__setattr__(self, "variant", self.variant.lower())
         if self.variant not in _VARIANT_CHOICES:
             raise InvalidArgs(f"variant must be one of {_VARIANT_CHOICES}, got {self.variant!r}")
         if not self.cells():
@@ -117,8 +119,6 @@ class SweepConfig:
         for f in fields(SweepConfig):
             if f.default is MISSING and f.name not in raw:
                 raise InvalidArgs(f"sweep config is missing field {f.name!r}")
-        if isinstance(raw.get("variant"), str):
-            raw = {**raw, "variant": raw["variant"].lower()}
         return SweepConfig(**raw)
 
     def to_dict(self) -> dict:
@@ -190,11 +190,9 @@ class SweepReport:
         return _json(self.to_dict())
 
     def to_csv(self) -> str:
-        lines = ["variant,k,l,mu_mean,threshold,success_rate,tie_rate"]
-        for c in self.cells:
-            lines.append(",".join([c.variant, str(c.k), str(c.l)] + [
-                _fmt(x) for x in (c.mu_mean, c.threshold, c.success_rate, c.tie_rate)]))
-        return "\n".join(lines) + "\n"
+        return _csv_table(["variant", "k", "l", "mu_mean", "threshold", "success_rate", "tie_rate"],
+                          [[c.variant, c.k, c.l, c.mu_mean, c.threshold, c.success_rate, c.tie_rate]
+                           for c in self.cells])
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:

@@ -1,5 +1,6 @@
-"""The package's modules and the tests import only names they use, and the package writes
-files through one writer and JSON through one encoder."""
+"""The package's modules and the tests import only names they use, the package writes
+files through one writer and JSON through one encoder, and it imports _prune only where
+prip_exact prunes."""
 
 import ast
 import pathlib
@@ -41,13 +42,13 @@ def test_modules_use_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def calls_where(source: str, matches) -> list[str]:
-    """The calls in a module that `matches` accepts, each as its enclosing top-level
-    function (or <module>) and line."""
+def calls_where(source: str, matches, kind=ast.Call) -> list[str]:
+    """The calls (or other nodes of `kind`) in a module that `matches` accepts, each as its
+    enclosing top-level function (or <module>) and line."""
     found = []
 
     def visit(node, where):
-        if isinstance(node, ast.Call) and matches(node):
+        if isinstance(node, kind) and matches(node):
             found.append(f"{where} (line {node.lineno})")
         for child in ast.iter_child_nodes(node):
             top = where == "<module>" and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -111,3 +112,33 @@ def test_the_package_writes_json_through_one_encoder():
     found = {f"{path.stem}.{hit.split()[0]}" for path in sorted(PACKAGE.glob("*.py"))
              for hit in json_encodes(path.read_text())}
     assert found == {"dictionary._json"}
+
+
+def prune_imports(source: str) -> list[str]:
+    """The imports in a module of greedycert._prune, relative or absolute, by `import` or
+    by `from` (calls_where)."""
+
+    def imports(node):
+        names = [alias.name for alias in node.names]
+        if isinstance(node, ast.Import):
+            return "greedycert._prune" in names
+        module = (node.module or "").split(".")
+        return module[-1] == "_prune" or (module[-1] in ("", "greedycert") and "_prune" in names)
+
+    return calls_where(source, imports, (ast.Import, ast.ImportFrom))
+
+
+def test_prune_imports_are_found():
+    source = ("from . import dictionary\nimport greedycert._prune\ndef f():\n"
+              "    from . import _prune\n    from greedycert._prune import candidate_pairs\n"
+              "    from ._prune import _floor\n    from greedycert import _prune\n")
+    assert prune_imports(source) == ["<module> (line 2)", "f (line 4)", "f (line 5)",
+                                     "f (line 6)", "f (line 7)"]
+
+
+def test_the_package_imports_prune_only_where_prip_exact_prunes():
+    # _prune is compiled from source wherever no bytecode is cached: a module apart, imported
+    # by the call that prunes, keeps that cost off every other command
+    found = {f"{path.stem}.{hit.split()[0]}" for path in sorted(PACKAGE.glob("*.py"))
+             for hit in prune_imports(path.read_text())}
+    assert found == {"guarantees.prip_exact"}

@@ -74,13 +74,14 @@ def test_config_dict_roundtrip():
 
 
 def test_python_and_json_configs_are_the_same_schema():
-    built = SweepConfig(m=8, n=8, k_range=[2, 2], l_range=[0, 0], trials=1)
-    loaded = SweepConfig.from_dict(json.loads(
-        '{"m": 8, "n": 8, "k_range": [2, 2], "l_range": [0, 0], "trials": 1}'))
-    assert built == loaded and hash(built) == hash(loaded)
-    assert built.k_range == loaded.k_range == (2, 2)
-    assert (built.coherence_target, built.seed, built.variant, built.seed_partial) == (
-        None, 0, "both", False)
+    for extra, variant in (({}, "both"), ({"variant": "OMP"}, "omp")):
+        built = SweepConfig(m=8, n=8, k_range=[2, 2], l_range=[0, 0], trials=1, **extra)
+        loaded = SweepConfig.from_dict({**json.loads(
+            '{"m": 8, "n": 8, "k_range": [2, 2], "l_range": [0, 0], "trials": 1}'), **extra})
+        assert built == loaded and hash(built) == hash(loaded)
+        assert built.k_range == loaded.k_range == (2, 2)
+        assert (built.coherence_target, built.seed, built.variant, built.seed_partial) == (
+            None, 0, variant, False)
 
 
 def test_config_takes_large_integer_targets_that_fit_a_float():
