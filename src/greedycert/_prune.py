@@ -1,5 +1,14 @@
-"""prip_exact's prunes by whole supports and by Loewner order (see its docstring): the
-setup of its walk (candidate_pairs) and the bounds its one walk loop skips supports by.
+"""prip_exact's prunes, made in its one walk loop for l >= 1 when the supports fill more
+than one chunk and the unprojected blocks fit the budget; where they or the candidates'
+pairs do not, the loop prunes nothing and tests both sides of every pair.
+- The upper side, by Loewner order: hi starts at a floor below the result, and only the
+  candidates' pairs can move it (candidate_pairs).  The loop gathers them as it passes
+  each support, and after the walk they go through _solve_rows as one stack of one-block
+  Grams, tested on the high side only.
+- The lower side, by whole supports: a support whose bound (_support_bounds) lies above
+  lo + tol lays out no rows.  Of the others, the likeliest lowest block (_likely_lowest)
+  is solved first, which brings lo to the support's least eigenvalue or near it, and the
+  row layout tests the low side of those still in reach.
 
 The package imports guarantees for every command, and it is compiled from source
 wherever no bytecode is cached; this module is imported by prip_exact only when a call
@@ -72,10 +81,12 @@ def _candidates(d: Dictionary, q: int, l: int, tol: float) -> tuple[float, np.nd
     """(floor, candidates): floor lies below the result's hi (_floor), and the candidates
     (rows of atom indices) are the blocks whose cap reaches floor - tol.  A block's cap is
     the greatest eigenvalue of its unprojected Gram, in the Gram of d's atoms, which no
-    projection of the block exceeds.  Gershgorin's up bound leaves few blocks that can beat
-    the best cap of the 32 blocks of highest up; eigvalsh finds the top cap among them,
-    whose block and top eigenvector give floor, and then the caps of the blocks whose up
-    reaches floor - tol."""
+    projection of the block exceeds: projection only shrinks the Gram in the positive
+    semidefinite order, A_B^T (I - P_S) A_B <= A_B^T A_B, so by Weyl's monotonicity
+    theorem (Horn and Johnson, Matrix Analysis) its greatest eigenvalue does not grow.
+    Gershgorin's up bound leaves few blocks that can beat the best cap of the 32 blocks of
+    highest up; eigvalsh finds the top cap among them, whose block and top eigenvector
+    give floor, and then the caps of the blocks whose up reaches floor - tol."""
     g0 = d.atoms.T @ d.atoms
     every, lower, incidence, _ = guarantees._block_table(d.n, q)
 
@@ -95,7 +106,8 @@ def candidate_pairs(d: Dictionary, q: int, l: int, tol: float
     """(floor, support, index): the floor hi starts at, below the result (_candidates), and
     the (support, index) of every pair of a candidate and a support it misses (_pair_index),
     the only pairs that can reach hi; or None where those pairs would hold more than a
-    quarter of dictionary.BATCH_ELEMENTS entries, as a walk stack does."""
+    quarter of dictionary.BATCH_ELEMENTS entries, as a walk stack does; they do on an
+    equiangular dictionary, whose caps all tie."""
     floor, cands = _candidates(d, q, l, tol)
     if math.comb(d.n, l) * len(cands) * q * q > dictionary.BATCH_ELEMENTS // 4:
         return None

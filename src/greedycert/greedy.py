@@ -5,18 +5,9 @@ the current residual, which is orthogonal to the selected span, so it equals
 the correlation with the atom's projection against that span: the first
 variant uses it as it is (classic matching pursuit scoring), the second
 divides it by the projected atom's norm, which makes the argmax equal to the
-single-step residual minimizer.  Nothing m x n is rebuilt per step: a pursuit
-keeps an orthonormal basis of the selected span, grown by projection._direction,
-and the squared projected norms, downdated by each new direction's correlations
-with the atoms (after Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).
-The state takes an optional leading axis of rows, so that the trials of a
-sweep cell, each on its own dictionary, run as one stack of pursuits; `run`
-and `select_atom` use it without that axis, which keeps a single pursuit's
-per-step call overhead down.  Each row of a stack gets the bits of a pursuit
-of its own.  A worst-case calibration shares one pursuit's basis and squared
-norms between all its candidate inputs, which must select the same prefix, and
-scores them by the same rule (_scores) and margin (_margins).
-Ties are broken toward the lowest atom index and flagged, since a tie
+single-step residual minimizer.  One pursuit state (_Pursuit) serves a single
+run, the stack of a sweep cell's trials and the candidate inputs of a worst-case
+calibration.  Ties are broken toward the lowest atom index and flagged, since a tie
 involving an atom outside the planted support already dooms exact recovery
 under a pessimistic adversary.
 """
@@ -101,10 +92,11 @@ class _Pursuit:
     (B, m, n), row i on its own atoms[i]: an m x cap orthonormal basis of the pushed
     atoms' span, the atoms' squared projected norms sq (PUSHED at pushed atoms), the
     pushed atoms, the residual res of the vector the pursuit started from and its
-    correlations corr = res @ atoms.  The newest direction and res share one 2 x m
-    array: one product with the atoms per push downdates sq and gives corr.  A stack
+    correlations corr = res @ atoms.  Nothing m x n is rebuilt per push: the newest
+    direction and res share one 2 x m array, and one product with the atoms downdates
+    sq and gives corr (after Batch-OMP; Rubinstein, Zibulevsky, Elad 2008).  A stack
     also keeps rows, each row's index in the stack it started as; rows leave it
-    through take."""
+    through take.  Each row of a stack gets the bits of a pursuit of its own."""
 
     def __init__(self, atoms: np.ndarray, res, cap: int):
         *lead, m, _ = atoms.shape

@@ -376,42 +376,9 @@ def prip_exact(d: Dictionary, q: int, l: int) -> PripConstants:
     lower = 1 - min eigenvalue, upper = max eigenvalue - 1.
 
     The supports' Grams come from the Schur-complement walk _projected_grams.  Only
-    blocks that could move the running minimum lo or maximum hi get an eigensolve.
-
-    The row layout (_solve_rows).  Per chunk of supports and piece of blocks, one gather
-    of the flat Gram indices of _block_table lays the lower triangle of every (support,
-    block) pair out as one column, each entry b_ij one contiguous row over the pairs.  By
-    Gershgorin's disc theorem the eigenvalues of a block B lie in [low, up],
-    low = min_i (b_ii - r_i) and up = max_i (b_ii + r_i), r_i the sum of |b_ij| over the
-    rest of row i: a block with low > lo + tol cannot move lo, and one with
-    up < hi - tol cannot move hi.  The columns left on a side take an unpivoted Cholesky
-    (LDL^T) factorization of B - (lo + tol) I, or of (hi - tol) I - B, vectorized over
-    the columns (_definite): when every pivot is positive, the block cannot move that
-    extreme either.  The rest are solved.  While lo and hi are unset, each support's
-    block with the lowest low and its block with the highest up are solved first.
-
-    With l >= 1 and more supports than one chunk holds, the same walk loop also prunes,
-    and the row layout tests only the low side of the supports it keeps (the setup and the
-    bounds live in _prune, a module that is imported, and so compiled, only when a call
-    prunes).
-    - The upper side, by Loewner caps.  Projection only shrinks a block's Gram in the
-      positive semidefinite order: B_S = A_B^T (I - P_S) A_B <= A_B^T A_B, so by Weyl's
-      monotonicity theorem (Horn and Johnson, Matrix Analysis) its greatest eigenvalue
-      is at most the block's cap, the greatest eigenvalue of its unprojected Gram.  hi
-      starts at a floor below the result, taken from the top-cap block and a support
-      outside it (_prune.candidate_pairs); only the candidates, the blocks whose cap
-      reaches floor - tol, are gathered as the loop passes each support they do not
-      meet, and after the walk their pairs go through the row layout as one stack of
-      one-block Grams, tested on the high side only.
-    - The lower side, by a bound per support.  min_i g_ii - (q - 1) max_{i != j} |g_ij|
-      over a support's Gram is at most the low bound of each of its blocks
-      (_support_bounds): a support whose bound lies above lo + tol lays out no rows.
-      Of the others, the block of the least diagonal entry and the q - 1 largest
-      magnitudes in its row is solved first (_likely_lowest), which brings lo to the
-      support's least eigenvalue or near it, and those still in reach go through the
-      row layout.
-    When the unprojected blocks or the candidates' pairs would exceed the budget below,
-    the loop prunes nothing and tests both sides of every pair.
+    blocks that could move the running minimum lo or maximum hi get an eigensolve: the
+    tests of _solve_rows rule the others out, and for l >= 1 the walk loop may also prune
+    by whole supports and by Loewner order (_prune).
 
     Rounding.  Atoms have unit norm (to UNIT_NORM_TOL) and projection only shortens
     them, so every |g_ij| of a Gram is at most about 1 and the eigenvalues of a block

@@ -1,15 +1,8 @@
 """Monte Carlo sweeps over (k, l) cells with deterministic per-trial draws.
 
-Trial t draws its dictionary from the seed [master seed, k, l, t] and its support,
-coefficients and seeded atoms from row t of its cell's outcome stream, so its outcome
-does not depend on what else runs.  A cell runs in the generator's batches
-(`dictionary._batches`), each dropped before the next: a batch's dictionaries come
-as one stack (byte-identical to generating each trial alone), their coherences as
-the generator took them (from one stack of Gram matrices in a cell without a target,
-where it takes none), their outcome draws as one block of the stream, and each
-variant pursues all of the batch's accepted trials in one stack of pursuits (the
-trials share m, n and k), classified by the rule that `classify` applies to a stack
-of one (`greedy._outcomes`).
+A trial's outcome depends only on the master seed, its cell and its index, and a cell
+runs in the generator's batches, one stack of pursuits per variant and batch
+(_cell_outcomes).
 """
 
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -198,9 +191,8 @@ class SweepReport:
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Execute the sweep and aggregate per-cell counts.
 
-    Each cell runs in batches of trials in the calling thread, as the module
-    docstring says.  Cells that accept no trial are marked skipped, with the
-    reason, rather than failed.
+    Each cell runs in batches of trials in the calling thread (_cell_outcomes).  Cells
+    that accept no trial are marked skipped, with the reason, rather than failed.
     """
     variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
     cells = []
@@ -216,10 +208,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 def _cell_outcomes(config: SweepConfig, k: int, l: int, variants):
     """The tally (accepted, mu_sum, mu_max) of the coherences of the accepted trials of
     cell (k, l), per variant how many of them ended in each outcome of _KINDS, and the
-    cell's skip reason (None when it accepted a trial), one generator batch at a time,
-    with nothing kept per trial.  Trial t's dictionary
-    comes from the seed [seed, k, l, t] and its outcome from row t of the cell's stream
-    [seed, k, l, 0, 1] (a row per generated trial; the last word keeps it off trial 0's)."""
+    cell's skip reason (None when it accepted a trial), one generator batch at a time
+    (`dictionary._batches`), each dropped before the next, with nothing kept per trial.
+    Trial t's dictionary comes from the seed [seed, k, l, t] and its outcome from row t
+    of the cell's stream [seed, k, l, 0, 1], a row per generated trial, so it depends on
+    no other trial.  The last word keeps the stream off trial 0's: numpy pads a short
+    seed with zeros, so [seed, k, l] would give the stream of [seed, k, l, 0].  A batch
+    takes its rows as one block of the stream, and its coherences as the generator took
+    them, or from one stack of Gram matrices in a cell without a target, where it takes
+    none."""
     accepted, mu_sum, mu_max = 0, 0.0, 0.0
     counts = {v: np.zeros(len(_KINDS), dtype=int) for v in variants}
     seeds = ([config.seed, k, l, t] for t in range(config.trials))
@@ -247,7 +244,9 @@ def _batch_outcomes(config: SweepConfig, k: int, l: int, counts: dict, u: np.nda
     with their outcome rows u (B, n + 2k), atoms (B, m, n) and coherences, their outcomes
     added to counts per variant.  The first k atoms in the order of a row's first n
     entries are the support (uniform, in uniform order), its first l the seeded atoms;
-    the next k entries give magnitudes 0.5 + u, the last k signs, -1 below 0.5."""
+    the next k entries give magnitudes 0.5 + u, the last k signs, -1 below 0.5.  Each
+    variant pursues the batch as one stack of pursuits (the trials share m, n and k),
+    classified by the rule that `classify` applies to a stack of one (`greedy._outcomes`)."""
     n = config.n
     if config.coherence_target == THRESHOLD_SENTINEL:
         keep = mus < coherence_threshold(k, l)  # defensive; the generation target sits below

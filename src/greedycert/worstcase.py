@@ -7,17 +7,9 @@ the null space of the dictionary is spanned by the all-ones vector, so the sum
 of the projected atoms over one half of the remaining indices equals minus the
 sum over the other half, and an observation built on one half makes every
 remaining atom score identically.  The prefix part of that input is solved in
-closed form, one level at a time (_prefix_coefficients): after any t atoms are
-projected out the rest of the construction is again equiangular, so every score
-of a prefix level is affine in one coefficient.  Only the mixing scale is
-calibrated, by repeated halving, in one call of the calibration loop (_calibrate);
-reach_input walks a pursuit through a prefix on any dictionary with one call per
-atom, each from the input the call before it reached.  A call calibrates one scale:
-a candidate's residual at each prefix level, and its correlations with the atoms, are
-affine in its scale, so a call pushes the prefix atoms but the last once, projects
-its input and its direction once, and scores a stack of candidate scales at every
-level in one pass (after the correlation updates of Batch-OMP; Rubinstein,
-Zibulevsky, Elad 2008).
+closed form (_prefix_coefficients), and only the mixing scale is calibrated
+(_calibrate, the loop with which reach_input walks a pursuit through a prefix on
+any dictionary).
 """
 
 from dataclasses import dataclass
@@ -119,7 +111,8 @@ def _calibrate(variant, d: Dictionary, base, direction, prefix, what: str) -> fl
     the last.  A candidate's residual at prefix level t is affine in its scale,
     P_t (x + eps d) = P_t x + eps P_t d, and so are its correlations with the atoms.  So
     the input x and the direction d are projected at every level, and those projections
-    take one product with the atoms.  The loop then tries CALIBRATION_STACK scales at
+    take one product with the atoms (after the correlation updates of Batch-OMP;
+    Rubinstein, Zibulevsky, Elad 2008).  The loop then tries CALIBRATION_STACK scales at
     once, then twice as many, and so on: a stack forms the residual vectors of all its
     scales at all levels (their norms are taken from the vectors, never as |y|^2 minus
     squared correlations) and their correlations, scores them with each level's squared

@@ -493,8 +493,9 @@ _COUNT_OF = {RecoveryOutcome.SUCCESS: "successes", RecoveryOutcome.WRONG_ATOM: "
 
 
 def sweep_per_trial(config, scratch: bool = False) -> SweepReport:
-    """run_sweep's report from per-trial work, pursuing with `run`, or with
-    `pursuit_scratch` when scratch is set."""
+    """run_sweep's report from per-trial work: each trial generated, pursued with `run`
+    (or with `pursuit_scratch` when scratch is set) and classified by classify_stepwise
+    on its own."""
     variants = ("omp", "ols") if config.variant == "both" else (config.variant,)
     m, n = config.m, config.n
     cells = []

@@ -758,8 +758,9 @@ def test_console_script_installed(tmp_path):
 
 
 # a fuzz of main over all six subcommands on small generated files: every call returns
-# a documented exit code, with one stderr line of the documented prefix for codes 1 and
-# 3 and strict JSON on stdout in JSON mode
+# a documented exit code and lets no exception escape, with one stderr line of the
+# documented prefix for codes 1 and 3 (the re-normalization warning aside) and strict
+# JSON on stdout in JSON mode
 
 _NUMBERS = st.one_of(st.floats(-2.0, 2.0).map(repr),
                      st.sampled_from(["0", "1e-300", "1e200", "nan", "inf", "x", ""]))

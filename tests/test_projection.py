@@ -336,6 +336,8 @@ def test_select_atom_projects_a_residual_off_the_support():
 @given(m=st.integers(2, 10), extra=st.integers(0, 8), draw=st.integers(0, 2**32 - 1),
        prefix=st.integers(0, 9), noise=st.booleans(), variant=st.sampled_from(["omp", "ols"]))
 def test_pursuit_matches_scratch_property(m, extra, draw, prefix, noise, variant):
+    # random shapes, seeded prefixes and noisy inputs: run makes the scratch pursuit's
+    # selections, tie and stop, and raises RankDeficient where it does
     n = m + extra
     rng = np.random.default_rng(draw)
     d = random_dictionary(m, n, seed=draw)

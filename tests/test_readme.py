@@ -1,13 +1,16 @@
-"""The README's library quick start runs as written and prints what its comments say, and
-its sweep example prints what the CLI prints for the README's config."""
+"""The README's library quick start runs as written and prints what its comments say, its
+sweep example prints what the CLI prints for the README's config, and it names every
+public name, every subcommand and every exit code."""
 
+import argparse
 import pathlib
 import re
 import shlex
 
 import pytest
 
-from greedycert import build_scenario
+import greedycert
+from greedycert import build_scenario, cli
 from greedycert.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -56,3 +59,29 @@ def test_readme_scenario_json_keys_are_the_written_ones():
     bullet = bullet[:bullet.index("\n- ")]
     named = set(re.findall(r"`([^`]+)`", bullet))
     assert named == set(build_scenario(2, 0, "omp").to_dict()) | {"replay", "reproduced"}
+
+
+def _section(title: str) -> str:
+    """The README's text under the `## title` heading, up to the next `## ` heading."""
+    text = README.read_text()
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else None]
+
+
+def test_readme_names_every_public_name():
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)  # inline code only
+    named = {name for span in re.findall(r"`([^`]+)`", text) for name in re.findall(r"\w+", span)}
+    assert set(greedycert.__all__) - named == set()
+
+
+def test_readme_cli_sections_are_the_subcommands():
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    headings = re.findall(r"^### (\S+)", _section("CLI"), re.M)
+    assert sorted(headings) == sorted(sub.choices)
+
+
+def test_readme_exit_codes_are_the_cli_codes():
+    # 0 and 2 are the commands' own verdicts; main maps every other code from an exception
+    codes = [int(c) for c in re.findall(r"^\| (\d+) \|", _section("Exit codes"), re.M)]
+    assert sorted(codes) == sorted({0, 2} | {code for _, _, code in cli._EXIT_CODES})

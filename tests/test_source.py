@@ -1,14 +1,21 @@
 """The package's modules and the tests import only names they use, the package writes
-files through one writer and JSON through one encoder, and it imports _prune only where
-prip_exact prunes."""
+files through one writer and JSON through one encoder, it imports _prune only where
+prip_exact prunes, and every dotted name the README or a docstring refers to exists."""
 
 import ast
+import importlib
 import pathlib
+import re
+from dataclasses import fields
 
 import pytest
 
+import greedycert
+from greedycert import Dictionary
+
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "greedycert"
+README = TESTS.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -142,3 +149,67 @@ def test_the_package_imports_prune_only_where_prip_exact_prunes():
     found = {f"{path.stem}.{hit.split()[0]}" for path in sorted(PACKAGE.glob("*.py"))
              for hit in prune_imports(path.read_text())}
     assert found == {"guarantees.prip_exact"}
+
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+# `module.name` where the module is the package or one of its modules; `sweep.csv` is a
+# file and `dictionary.atoms` a dictionary's attribute, neither a reference
+REFERENCE = re.compile(r"(?<![\w.])((?:greedycert|%s)(?:\.\w+)+)" % "|".join(MODULES))
+NOT_REFERENCES = {"csv", "json", *(f.name for f in fields(Dictionary)),
+                  *(a for a in dir(Dictionary) if not a.startswith("_"))}
+
+
+def dotted_references(text: str) -> list[str]:
+    """The module references in text (REFERENCE): those whose first attribute is a file
+    suffix or an attribute of a Dictionary are not references."""
+    return [ref for ref in REFERENCE.findall(text) if ref.split(".")[1] not in NOT_REFERENCES]
+
+
+def resolves(ref: str) -> bool:
+    """Whether a dotted reference names an existing attribute, or submodule, of the package
+    or module it starts with."""
+    head, *names = ref.split(".")
+    if head == "greedycert" and names[0] in MODULES:  # cli is no attribute until imported
+        head, *names = names
+    obj = greedycert if head == "greedycert" else importlib.import_module(f"greedycert.{head}")
+    for name in names:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_dotted_references_are_found_and_resolved():
+    text = ("greedycert.dictionary._json; the sweep.csv file; a dictionary.atoms attribute;"
+            " see projection._divisor, greedycert.cli and sweep.run_sweep. Nothing in"
+            " x.sweep.y; guarantees.no_such_name, greedycert.no_such_module")
+    refs = dotted_references(text)
+    assert refs == ["greedycert.dictionary._json", "projection._divisor", "greedycert.cli",
+                    "sweep.run_sweep", "guarantees.no_such_name", "greedycert.no_such_module"]
+    assert [resolves(ref) for ref in refs] == [True, True, True, True, False, False]
+
+
+def readme_spans() -> list[str]:
+    """The README's inline code spans, fenced blocks left out."""
+    return re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", README.read_text(), flags=re.S))
+
+
+def test_readme_references_resolve():
+    # a paragraph moved out of the README must not leave a name behind that no longer exists
+    refs = [ref for span in readme_spans() for ref in dotted_references(span)]
+    assert "greedycert.guarantees" in refs
+    assert [ref for ref in refs if not resolves(ref)] == []
+
+
+def docstrings(path: pathlib.Path) -> list[str]:
+    """The docstrings of a module, its classes and its functions."""
+    return [doc for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and (doc := ast.get_docstring(node, clean=False))]
+
+
+def test_docstring_references_resolve():
+    refs = {f"{path.name}: {ref}" for path in sorted(PACKAGE.glob("*.py"))
+            for doc in docstrings(path) for ref in dotted_references(doc)}
+    assert "guarantees.py: dictionary.BATCH_ELEMENTS" in refs
+    assert [ref for ref in sorted(refs) if not resolves(ref.split(": ")[1])] == []

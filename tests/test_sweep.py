@@ -292,7 +292,7 @@ def test_run_sweep_matches_the_per_trial_sweep(overrides):
         assert report.to_json() == reference.to_json()
 
 
-BISECT_GAP = 1e-5  # the relative gap below the target that the README states for searched blends
+BISECT_GAP = 1e-5  # a relative gap below the target that holds a searched blend's coherence
 
 
 @pytest.mark.parametrize("overrides", [
