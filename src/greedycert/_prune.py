@@ -1,6 +1,8 @@
-"""prip_exact's prunes, made in its one walk loop for l >= 1 when the supports fill more
-than one chunk and the unprojected blocks fit the budget; where they or the candidates'
-pairs do not, the loop prunes nothing and tests both sides of every pair.
+"""The enumerations' prunes.  Each keeps the bits of the unpruned enumeration.
+
+prip_exact's, made in its one walk loop for l >= 1 when the supports fill more than one
+chunk and the unprojected blocks fit the budget; where they or the candidates' pairs do
+not, the loop prunes nothing and tests both sides of every pair.
 - The upper side, by Loewner order: hi starts at a floor below the result, and only the
   candidates' pairs can move it (candidate_pairs).  The loop gathers them as it passes
   each support, and after the walk they go through _solve_rows as one stack of one-block
@@ -10,9 +12,13 @@ pairs do not, the loop prunes nothing and tests both sides of every pair.
   is solved first, which brings lo to the support's least eigenvalue or near it, and the
   row layout tests the low side of those still in reach.
 
+projected_coherence's, by leaves, where the walk's leaves do not fit one stack: the walk
+builds the leaves by descending bound and skips those whose bound (omp_leaf_bounds,
+ols_leaf_bounds) lies below the running maximum.
+
 The package imports guarantees for every command, and it is compiled from source
-wherever no bytecode is cached; this module is imported by prip_exact only when a call
-prunes, so other commands never compile it.
+wherever no bytecode is cached; this module is imported only by a call that prunes, so
+other commands never compile it.
 """
 
 import math
@@ -21,6 +27,7 @@ import numpy as np
 
 from . import dictionary, guarantees
 from .dictionary import Dictionary, _off_diagonal_max
+from .projection import _divisor
 
 
 def _support_bounds(grams: np.ndarray, q: int) -> np.ndarray:
@@ -112,3 +119,42 @@ def candidate_pairs(d: Dictionary, q: int, l: int, tol: float
     if math.comb(d.n, l) * len(cands) * q * q > dictionary.BATCH_ELEMENTS // 4:
         return None
     return floor, *_pair_index(d.n, l, cands)
+
+
+def _pivot_tops(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t_1, t_2): for each row i of each Gram of a (parents, size, size) stack, flattened
+    to r = parent * size + i, the largest and the second largest |g_ia| over a != i.  The
+    rows are laid out as columns, so that each reduction runs across them."""
+    size = grams.shape[1]
+    a = np.ascontiguousarray(grams.reshape(-1, size).T)
+    np.abs(a, out=a)
+    columns = np.arange(a.shape[1])
+    a[columns % size, columns] = 0.0
+    t1 = a.max(axis=0)
+    a[a.argmax(axis=0), columns] = 0.0
+    return t1, a.max(axis=0)
+
+
+def omp_leaf_bounds(grams: np.ndarray) -> np.ndarray:
+    """For each row r = parent * size + i of a stack of parents, the bound of
+    guarantees._projected_grams on the leaf that pushes i: M + h_1 h_2, M the parent's
+    largest off-diagonal |g_ab| and h_1, h_2 the two largest |h_a| = |g_ia| / sqrt(g_ii),
+    a != i (projected_coherence)."""
+    t1, t2 = _pivot_tops(grams)
+    diag = grams.diagonal(0, 1, 2).ravel()
+    root = np.sqrt(np.where(diag > 0.0, diag, 1.0))  # push's divisor where the guard passes
+    top = t1.reshape(len(grams), -1).max(axis=1).repeat(grams.shape[1])
+    return top + (t1 / root) * (t2 / root)
+
+
+def ols_leaf_bounds(grams: np.ndarray) -> np.ndarray:
+    """For each row r = parent * size + i of a stack of parents, the bound of
+    guarantees._projected_grams on the leaf that pushes i: M sec_1 sec_2 + tan_1 tan_2, M
+    the parent's largest normalized off-diagonal entry, and sec = 1 / sqrt(1 - c^2),
+    tan = c sec for the two largest c_a = |g_ia| / sqrt(g_ii g_aa), a != i
+    (projected_coherence)."""
+    scale = 1.0 / _divisor(grams.diagonal(0, 1, 2))
+    c1, c2 = _pivot_tops(grams * (scale[:, :, None] * scale[:, None, :]))
+    sec1, sec2 = 1.0 / np.sqrt(1.0 - c1 * c1), 1.0 / np.sqrt(1.0 - c2 * c2)
+    top = c1.reshape(len(grams), -1).max(axis=1).repeat(grams.shape[1])
+    return top * sec1 * sec2 + (c1 * sec1) * (c2 * sec2)

@@ -173,7 +173,7 @@ def prip_coherence_bounds(q: int, l: int, mu: float) -> PripConstants:
     return PripConstants(q=q, l=l, lower=lower, upper=upper, kind="coherence_bound")
 
 
-def _projected_grams(d: Dictionary, l: int):
+def _projected_grams(d: Dictionary, l: int, bound=None, floor=None):
     """(supports, Grams of the atoms outside each, in index order) stacks covering every
     l-subset of atoms in combinations() order.  A push is one Schur-complement step
     G - h h^T, h = g / sqrt(g_i), g the pushed atom's row and g_i its pivot: the Cholesky
@@ -183,7 +183,19 @@ def _projected_grams(d: Dictionary, l: int):
     on with it to the next level, depth first.  A stack holds one Gram or at most a
     quarter of dictionary.BATCH_ELEMENTS entries: a consumer holds a few temporaries of
     its size, and the next stack is built while it holds the last.  The walk never reads a
-    yielded stack again: the consumer may overwrite it."""
+    yielded stack again: the consumer may overwrite it.
+
+    A consumer that keeps a running maximum over the leaves may pass bound and floor, and
+    the walk then skips the leaves that cannot raise it.  bound(grams) takes a stack of
+    parents and returns, for each row r = parent * size + i, a value that no entry the
+    consumer keeps of the leaf that pushes i exceeds by a factor of 1 + 2^-30 or more,
+    wherever that leaf passes the guard; floor() returns the running maximum.  The leaves
+    listed for each stack of parents are built in order of descending bound: a first stack
+    of at most 16, then each later stack only of those whose bound times 1 + 2^-30 reaches
+    floor().  A leaf the guard might send to project_atoms is always built, before the
+    others.  So leaves come in bound order, not in combinations() order, and a skipped
+    leaf is never yielded.
+    """
     # A step adds about 2 eps per entry (|h_j h_k| <= 1 by Cauchy-Schwarz) and divides
     # the errors already in G by the pivot: a Gram downdated since it was formed from
     # vectors is off by about eps / P, P the product of those pivots (0.1 eps / P the
@@ -208,6 +220,29 @@ def _projected_grams(d: Dictionary, l: int):
         children -= np.einsum("ci,cj->cij", h, h)
         return children, p, ok & (p * children.diagonal(0, 1, 2).min(axis=1) >= guard)
 
+    def by_bound(grams, par, r, i, pivots, width):
+        """The stacks of leaves to build, as index arrays into r, by descending bound times
+        1 + 2^-30, ties in walk order; floor() is read after the consumer has taken the
+        stack before.  A leaf that push's guard might send to project_atoms gets an infinite
+        bound.  The guard is tested without the leaf: each |h_k| is at most
+        h = M / sqrt(g_i), M the parent's largest off-diagonal |g_jk|, so each diagonal
+        entry g_kk - h_k h_k of the leaf, as push computes it, is at least d - h h for the
+        parent's least diagonal entry d, rounding being monotone."""
+        pivot = grams.reshape(-1, grams.shape[1])[r, i]
+        p = pivots * pivot
+        ok = p >= guard
+        h = _off_diagonal_max(grams)[par] / np.sqrt(np.where(ok, pivot, 1.0))
+        ok &= p * (grams.diagonal(0, 1, 2).min(axis=1)[par] - h * h) >= guard
+        bounds = np.full(len(r), np.inf)
+        # rows whose leaf fails the guard, or that no leaf pushes, may give inf or nan
+        with np.errstate(all="ignore"):
+            bounds[ok] = bound(grams)[r[ok]] * (1.0 + 2.0 ** -30)
+        order = np.argsort(-bounds, kind="stable")
+        s, size = 0, min(16, width)
+        while (end := min(s + size, np.count_nonzero(bounds >= floor()))) > s:
+            yield order[s:end]
+            s, size = end, width
+
     def exact_gram(support):
         rest = np.delete(project_atoms(d, support), support, axis=1)
         return rest.T @ rest
@@ -230,8 +265,11 @@ def _projected_grams(d: Dictionary, l: int):
         first = np.array([support[-1] + 1 - t if t else 0 for support in supports])
         par, i = (np.arange(d.n - l + 1) >= first[:, None]).nonzero()
         rows, r = grams.reshape(-1, size), par * size + i
-        for s in range(0, len(r), width):
-            at = slice(s, s + width)
+        if bound is not None and t + 1 == l:
+            stacks = by_bound(grams, par, r, i, pivots[par], width)
+        else:
+            stacks = (slice(s, s + width) for s in range(0, len(r), width))
+        for at in stacks:
             kids = [supports[q] + (t + j,) for q, j in zip(par[at].tolist(), i[at].tolist())]
             children, p, ok = push(rows, r[at], i[at], pivots[par[at]])
             # inner stacks step on in runs cut before each child that falls back, so
@@ -468,6 +506,26 @@ def projected_coherence(variant, d: Dictionary, l: int) -> float:
     OLS rule (vanished atoms zero); at l = 0 both reduce to the mutual coherence.
     Each stack of Grams from _projected_grams is normalized and maximized at once.
     Raises CapExceeded when the number of supports exceeds ENUM_CAP, read at call time.
+
+    Where the leaves of the walk do not fit one of its stacks, the walk skips those that
+    cannot raise the running maximum (its bound and floor).  A leaf's Gram is
+    G' = G_KK - h h^T: G its parent's, K every position but the pushed one, i, and
+    h = G_Ki / sqrt(g_ii).  So |g'_ab| <= |g_ab| + |h_a||h_b|, and for OMP no entry
+    exceeds M + h_1 h_2, M the parent's largest off-diagonal |g_ab| and h_1, h_2 the two
+    largest |h_a| (_prune.omp_leaf_bounds).  For OLS, let c_a = |h_a| / sqrt(g_aa),
+    sec_a = 1 / sqrt(1 - c_a^2) and tan_a = c_a sec_a.  Then g'_aa = g_aa (1 - c_a^2), so
+    |g'_ab| / sqrt(g'_aa g'_bb) <= M sec_a sec_b + tan_a tan_b with M the parent's largest
+    normalized off-diagonal entry; sec and tan grow with c, so the two largest c bound
+    every pair (_prune.ols_leaf_bounds).
+
+    Rounding.  Rounding is monotone, and the OMP bound takes the same floats as the leaf's
+    entries, so it is at least each of them as computed.  A leaf the walk may skip passed
+    the guard: each of its diagonal entries is at least 2^-10 while g_aa is at most about
+    1, so 1 - c_a^2 >= 2^-10 and g'_aa = g_aa - h_a^2 is computed to a relative 2^10 eps or
+    so.  Its normalized entries and its OLS bound are then each off by a relative few
+    2^10 eps, about 2^-40, far inside the walk's slack of 2^-30.  So no skipped leaf holds
+    a computed entry above the running maximum, and the result is the maximum over the
+    same computed entries as an unpruned walk's, bit for bit.
     """
     variant = as_variant(variant)
     l = _index(l, "l")
@@ -475,8 +533,12 @@ def projected_coherence(variant, d: Dictionary, l: int) -> float:
         raise InvalidArgs(f"need 0 <= l <= n-2, got l={l}, n={d.n}")
     if math.comb(d.n, l) > ENUM_CAP:
         raise CapExceeded(f"{math.comb(d.n, l)} supports exceed the cap of {ENUM_CAP}")
-    best = 0.0
-    for _, grams in _projected_grams(d, l):
+    best, bound = 0.0, None
+    # a walk whose leaves fit one stack prunes nothing, and _prune is compiled only where one does
+    if l and math.comb(d.n, l) * (d.n - l) ** 2 > dictionary.BATCH_ELEMENTS // 4:
+        from . import _prune
+        bound = _prune.ols_leaf_bounds if variant is SolverVariant.OLS else _prune.omp_leaf_bounds
+    for _, grams in _projected_grams(d, l, bound, lambda: best):
         if variant is SolverVariant.OLS:
             scale = 1.0 / _divisor(grams.diagonal(0, 1, 2))
             grams *= scale[:, :, None] * scale[:, None, :]

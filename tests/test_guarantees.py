@@ -916,6 +916,99 @@ def test_enumerations_give_the_bits_of_the_per_push_walk(source, monkeypatch):
     assert got == [prip_exact(d, q, l) for q, l in orders]
 
 
+# where the leaves do not fit one stack of the walk, projected_coherence skips the leaves
+# whose bound lies below its running maximum; it must give the bits of the walk with no
+# bound, on every shape, guard fallback and tie
+
+
+def vanishing(m: int, n: int, seed: int) -> Dictionary:
+    """Random unit atoms in R^m, the first m of them orthonormal: a support of m atoms
+    spans the space, so every atom projected against it vanishes."""
+    a = np.random.default_rng(seed).normal(size=(m, n))
+    a[:, :m] = np.linalg.qr(a[:, :m])[0]
+    return Dictionary(a / np.linalg.norm(a, axis=0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(["random", "near dependence", "worst case", "vanishing"]), st.data())
+def test_pruned_projected_coherence_gives_the_bits_of_the_walk(kind, data):
+    seed = data.draw(st.integers(0, 10 ** 6))
+    if kind == "random":
+        m = data.draw(st.integers(3, 8))
+        d = random_dictionary(m, data.draw(st.integers(m + 1, 12)), seed=seed)
+    elif kind == "near dependence":  # the guard sends some pushes to project_atoms
+        m = data.draw(st.integers(4, 8))
+        d = near_dependent(m, data.draw(st.integers(m + 1, 11)),
+                           data.draw(st.sampled_from([1e-7, 1e-3, 0.03, 0.3])), seed)
+    elif kind == "worst case":  # the Gram's off-diagonal entries tie, and so do the bounds
+        d = build_worst_case(*data.draw(st.sampled_from([(3, 0), (3, 1), (4, 2), (5, 3),
+                                                         (6, 2)])))
+    else:  # at l = m every projected atom vanishes
+        m = data.draw(st.integers(2, 3))
+        d = vanishing(m, data.draw(st.integers(m + 2, 9)), seed)
+    orders = range(1, min(3, d.n - 2, d.m) + 1)
+    # stacks of a few leaves, so that most walks prune, or of the default size
+    grams = data.draw(st.sampled_from([1, 4, 40, None]))
+    batch = dictionary.BATCH_ELEMENTS if grams is None else grams * (d.n - 1) ** 2
+    with mock.patch.object(dictionary, "BATCH_ELEMENTS", batch):
+        for l in orders:
+            for variant in ("omp", "ols"):
+                want = coherence_per_support(flat(guarantees._projected_grams(d, l)),
+                                             variant == "ols")
+                assert projected_coherence(variant, d, l) == want, (variant, l)
+
+
+@pytest.mark.parametrize("source", WALK_SOURCES)
+def test_the_prune_builds_every_leaf_that_falls_back(source, exact_grams, monkeypatch):
+    # in stacks of one Gram every walk prunes; a leaf that the guard sends to project_atoms
+    # is built whatever its bound, so project_atoms sees the supports of the unpruned walk
+    d, orders = WALK_SOURCES[source]()
+    monkeypatch.setattr(dictionary, "BATCH_ELEMENTS", (d.n - 1) ** 2)
+    for l in orders:
+        exact_grams.clear()
+        list(guarantees._projected_grams(d, l))
+        fallbacks = set(exact_grams)
+        for variant in ("omp", "ols"):
+            exact_grams.clear()
+            projected_coherence(variant, d, l)
+            assert set(exact_grams) == fallbacks, (variant, l)
+
+
+@pytest.fixture
+def leaves_built(monkeypatch):
+    """(leaves, whether a bound was passed) per walk that projected_coherence takes."""
+    walks = []
+    walk = guarantees._projected_grams
+
+    def counted(d, l, bound=None, floor=None):
+        walks.append([0, bound is not None])
+        for supports, grams in walk(d, l, bound, floor):
+            walks[-1][0] += len(supports)
+            yield supports, grams
+
+    monkeypatch.setattr(guarantees, "_projected_grams", counted)
+    return walks
+
+
+def test_the_prune_builds_few_leaves_and_costs_small_walks_nothing(leaves_built):
+    # on dictionaries of the certify workload's 12 x 20 shape, a walk at l = 3 builds at
+    # most a quarter of its 1,140 leaves (34-291 for OMP and 36-239 for OLS over seeds
+    # 0-29, one above a quarter, at seed 17); a walk whose 66 leaves fit one stack,
+    # 10 x 12 at l = 2, gets no bound and builds them all
+    for seed in range(10):
+        d = random_dictionary(12, 20, 0.24, seed=seed)
+        for variant in ("omp", "ols"):
+            leaves_built.clear()
+            projected_coherence(variant, d, 3)
+            assert leaves_built[0][1] and leaves_built[0][0] <= comb(20, 3) // 4, (seed, variant)
+    d = random_dictionary(10, 12, 0.19, seed=0)
+    assert comb(12, 2) * 10 ** 2 <= dictionary.BATCH_ELEMENTS // 4
+    for variant in ("omp", "ols"):
+        leaves_built.clear()
+        projected_coherence(variant, d, 2)
+        assert leaves_built == [[comb(12, 2), False]], variant
+
+
 def test_stacked_walk_raises_where_the_per_push_walk_does(exact_grams):
     d = dependent_pair(1e-9)
     with pytest.raises(RankDeficient):

@@ -1,11 +1,13 @@
 """The package's modules and the tests import only names they use, the package writes
-files through one writer and JSON through one encoder, it imports _prune only where
-prip_exact prunes, and every dotted name the README or a docstring refers to exists."""
+files through one writer and JSON through one encoder, it imports _prune only in the
+calls that prune, and every dotted name the README or a docstring refers to exists."""
 
 import ast
 import importlib
 import pathlib
 import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -143,12 +145,24 @@ def test_prune_imports_are_found():
                                      "f (line 6)", "f (line 7)"]
 
 
-def test_the_package_imports_prune_only_where_prip_exact_prunes():
+def test_the_package_imports_prune_only_where_a_call_prunes():
     # _prune is compiled from source wherever no bytecode is cached: a module apart, imported
-    # by the call that prunes, keeps that cost off every other command
+    # by the calls that prune, keeps that cost off every other command
     found = {f"{path.stem}.{hit.split()[0]}" for path in sorted(PACKAGE.glob("*.py"))
              for hit in prune_imports(path.read_text())}
-    assert found == {"guarantees.prip_exact"}
+    assert found == {"guarantees.prip_exact", "guarantees.projected_coherence"}
+
+
+def test_projected_coherence_imports_prune_only_where_its_leaves_fill_more_than_one_stack():
+    # in a fresh interpreter: on 10 x 12, the walks up to l = 2 (66 leaves of 10 x 10) fit
+    # one stack and leave _prune unimported; the 220 leaves of 9 x 9 at l = 3 do not
+    code = ("import sys\nfrom greedycert import projected_coherence, random_dictionary\n"
+            "d = random_dictionary(10, 12, seed=0)\n"
+            "for l in range(3):\n    projected_coherence('ols', d, l)\n"
+            "print('greedycert._prune' in sys.modules)\n"
+            "projected_coherence('ols', d, 3)\nprint('greedycert._prune' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.split() == ["False", "True"], proc.stderr
 
 
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
